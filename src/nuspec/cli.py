@@ -203,21 +203,21 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, np.floating):
+        obj = float(obj)
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, float) and math.isnan(obj):
-        return None
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None  # RFC 8259 has no NaN or infinity
     if isinstance(obj, Path):
         return str(obj)
     return obj
 
 
 def _write_json(path: Path, obj) -> None:
-    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
 def _write_csv(path: Path, header, rows) -> None:
@@ -560,7 +560,8 @@ def _run_domination(cfg: ExperimentConfig):
     x = _seed_point(system, rng, p["x0"])
     S_list = [int(s) for s in p["S_list"]]
     n_pts = int(p["n_points"]) + max(S_list)
-    pts, vu, vs, _, _ = _transport_sweeps(system, x, 0, n_pts)
+    pts, vu, vs, _, _ = _transport_sweeps(system, x.as_array()[None], 0, n_pts)
+    pts, vu, vs = pts[:, 0], vu[:, 0], vs[:, 0]
     E, F = (vu, vs) if p["swap"] else (vs, vu)
     rep = check_domination(system, pts, E, F, S0=int(p["S0"]), lam=float(p["lam"]), S_list=S_list)
     res = {"x": [x.x, x.y], "swap": bool(p["swap"]), "lam": p["lam"], **rep.to_json()}

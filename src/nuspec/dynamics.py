@@ -395,6 +395,62 @@ def step_array(system: SystemSpec, pts: np.ndarray) -> np.ndarray:
     return np.column_stack((nx, ny))
 
 
+def step_inverse_array(system: SystemSpec, pts: np.ndarray) -> np.ndarray:
+    """Backward image of an (n, 2) array of points, row for row equal to
+    step_inverse_xy; an error names the first failing row as the scalar
+    call on that row would."""
+    x = pts[:, 0]
+    y = pts[:, 1]
+    kind = system.kind
+    if kind is SystemKind.CAT_MAP:
+        return np.column_stack(((x - y) % 1.0, (-x + 2.0 * y) % 1.0))
+    if kind is SystemKind.PERTURBED_CAT_MAP:
+        return _invert_perturbed_array(system, x, y)
+    if kind is SystemKind.STANDARD_MAP:
+        px = (x - y) % 1.0
+        py = (y - system.params["K_s"] / TWO_PI * np.sin(TWO_PI * px)) % 1.0
+        return np.column_stack((px, py))
+    a = system.params["a"]
+    b = system.params["b"]
+    px = y / b
+    py = x - 1.0 + a * px * px
+    bad = np.flatnonzero((np.abs(px) > PLANE_OVERFLOW) | (np.abs(py) > PLANE_OVERFLOW))
+    if len(bad):
+        i = bad[0]
+        raise NonFiniteError(f"Henon inverse escaped: ({px[i]}, {py[i]})")
+    return np.column_stack((px, py))
+
+
+def _invert_perturbed_array(system, x, y, tol=1e-13, max_iter=50):
+    # _invert_perturbed on every row; a row leaves the iteration at the step
+    # where the scalar loop would return it
+    kappa = system.params["kappa"]
+    wx = (x - y) % 1.0
+    wy = (-x + 2.0 * y) % 1.0
+    z = np.column_stack((wx, (wy - kappa * np.sin(TWO_PI * wx)) % 1.0))
+    active = np.arange(len(z))
+    for _ in range(max_iter):
+        za = z[active]
+        f = step_array(system, za)
+        rx = wrap_half(f[:, 0] - x[active])
+        ry = wrap_half(f[:, 1] - y[active])
+        going = ~((np.abs(rx) <= tol) & (np.abs(ry) <= tol))  # NaN keeps going
+        active, za, rx, ry = active[going], za[going], rx[going], ry[going]
+        if not len(active):
+            return z
+        J = jac_array(system, za)
+        a11, a12, a21, a22 = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
+        det = a11 * a22 - a12 * a21
+        dx = (a22 * rx - a12 * ry) / det
+        dy = (-a21 * rx + a11 * ry) / det
+        z[active, 0] = (za[:, 0] - dx) % 1.0
+        z[active, 1] = (za[:, 1] - dy) % 1.0
+    i = active[0]
+    raise InversionError(
+        f"PerturbedCatMap inverse: Newton failed to converge for ({x[i]}, {y[i]})"
+    )
+
+
 def jac_array(system: SystemSpec, pts: np.ndarray) -> np.ndarray:
     """Jacobians at each row of an (n, 2) array, shape (n, 2, 2)."""
     n = len(pts)

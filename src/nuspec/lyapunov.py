@@ -20,13 +20,16 @@ import numpy as np
 
 from .dynamics import (
     Point2,
+    Space,
     SystemSpec,
     jac_array,
     jac_entries,
     orbit_array,
+    step_array,
+    step_inverse_array,
     step_xy,
 )
-from .errors import DegeneracyError
+from .errors import DegeneracyError, NuspecError
 
 # generic seed vector for direction transport; any vector off the invariant
 # lines works, this one is fixed for reproducibility
@@ -37,6 +40,10 @@ _GENERIC = np.array([0.89442719, 0.4472136])
 _WARM = 64
 
 MAX_BLOCK_INDEX = 60
+
+# points block_sample classifies together; keeps the (m, n, point) defect
+# temporaries near 6 MiB at the default window
+_BLOCK_CHUNK = 40
 
 
 @dataclass(frozen=True)
@@ -150,39 +157,45 @@ def lyapunov_spectrum(
         x, y = step_xy(system, x, y)
     blocks = N // qr_period
     n_used = blocks * qr_period
-    q1 = np.array([1.0, 0.0])
-    q2 = np.array([0.0, 1.0])
+    # tangent columns (u1, u2) and (v1, v2) as plain floats
+    u1, u2 = 1.0, 0.0
+    v1, v2 = 0.0, 1.0
     acc1 = 0.0
     acc2 = 0.0
     for _ in range(blocks):
         for _ in range(qr_period):
             a11, a12, a21, a22 = jac_entries(system, x, y)
-            q1 = np.array([a11 * q1[0] + a12 * q1[1], a21 * q1[0] + a22 * q1[1]])
-            q2 = np.array([a11 * q2[0] + a12 * q2[1], a21 * q2[0] + a22 * q2[1]])
+            u1, u2 = a11 * u1 + a12 * u2, a21 * u1 + a22 * u2
+            v1, v2 = a11 * v1 + a12 * v2, a21 * v1 + a22 * v2
             x, y = step_xy(system, x, y)
-        r1 = math.hypot(q1[0], q1[1])
+        r1 = math.hypot(u1, u2)
         if r1 == 0.0:
             raise DegeneracyError("first tangent column collapsed to zero")
-        q1 /= r1
-        proj = q1[0] * q2[0] + q1[1] * q2[1]
-        q2 -= proj * q1
-        r2 = math.hypot(q2[0], q2[1])
+        u1 /= r1
+        u2 /= r1
+        proj = u1 * v1 + u2 * v2
+        v1 -= proj * u1
+        v2 -= proj * u2
+        r2 = math.hypot(v1, v2)
         if r2 == 0.0:
             raise DegeneracyError("second tangent column collapsed to zero")
-        q2 /= r2
+        v1 /= r2
+        v2 /= r2
         acc1 += math.log(r1)
         acc2 += math.log(r2)
     return LyapunovSpectrum.from_exponents((acc1 / n_used, acc2 / n_used), n_used)
 
 
-def _normalize(v):
-    n = math.hypot(v[0], v[1])
-    if n == 0.0 or not math.isfinite(n):
+def _normalize_rows(v):
+    """Unit vectors along the rows of a (P, 2) array, with a fixed overall
+    sign so directions are comparable across calls.  math.hypot, not
+    np.hypot: the two differ in the last bit for some inputs."""
+    n = np.array([math.hypot(a, b) for a, b in v.tolist()])
+    if not np.all(np.isfinite(n) & (n != 0.0)):
         raise DegeneracyError("direction vector vanished during transport")
-    v = v / n
-    # fix an overall sign so directions are comparable across calls
-    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
-        v = -v
+    v = v / n[:, None]
+    flip = (v[:, 0] < 0) | ((v[:, 0] == 0) & (v[:, 1] < 0))
+    v[flip] = -v[flip]
     return v
 
 
@@ -208,14 +221,14 @@ def oseledec_directions(system: SystemSpec, x: Point2, N: int = 80) -> Splitting
     jacs = jac_array(system, pts)
     v = _GENERIC.copy()
     for t in range(0, N):  # rows 0..N-1 are f^{-N}..f^{-1}(x)
-        v = _normalize(jacs[t] @ v)
+        v = _normalize_rows((jacs[t] @ v)[None])[0]
     Eu = v
     w = _GENERIC.copy()
     for t in range(2 * N - 1, N - 1, -1):  # pull back from f^{+N} down to x
         a11, a12 = jacs[t, 0]
         a21, a22 = jacs[t, 1]
         det = a11 * a22 - a12 * a21
-        w = _normalize(np.array([(a22 * w[0] - a12 * w[1]) / det, (-a21 * w[0] + a11 * w[1]) / det]))
+        w = _normalize_rows(np.array([[(a22 * w[0] - a12 * w[1]) / det, (-a21 * w[0] + a11 * w[1]) / det]]))[0]
     Es = w
     ang = line_angle(Eu, Es)
     if ang <= 0.0:
@@ -223,12 +236,14 @@ def oseledec_directions(system: SystemSpec, x: Point2, N: int = 80) -> Splitting
     return SplittingEstimate(at=x, Eu=Eu, Es=Es, angle=ang)
 
 
-def _transport_sweeps(system, x, jmin, jmax, warm=_WARM):
-    """Orbit points and equivariantly transported unit directions on [jmin, jmax].
+def _transport_sweeps(system, base, jmin, jmax, warm=_WARM):
+    """Orbit points and equivariantly transported unit directions on
+    [jmin, jmax] for every row of the (P, 2) array of base points.
 
-    Returns (pts, vu, vs, log_stretch_u, log_stretch_s) where pts[t] is
-    f^{jmin+t}(x) and the stretch logs are per-step factors
-    log ||Df(pts[t]) v(pts[t])|| for the respective direction field.
+    All points advance together, one time step at a time.  Returns
+    (pts, vu, vs, log_stretch_u, log_stretch_s), time-major: pts[t, p] is
+    f^{jmin+t}(base[p]) and the stretch logs are per-step factors
+    log ||Df(pts[t, p]) v(pts[t, p])|| for the respective direction field.
 
     The expanding field is seeded warm steps below jmin and swept forward;
     the contracting field is seeded warm steps above jmax and swept backward
@@ -237,72 +252,104 @@ def _transport_sweeps(system, x, jmin, jmax, warm=_WARM):
     """
     n_bwd = -jmin + warm
     n_fwd = jmax + warm
-    pts_full = orbit_array(system, x.x, x.y, n_fwd=n_fwd, n_bwd=n_bwd)
-    jacs = jac_array(system, pts_full)
-    total = len(pts_full)
+    total = n_bwd + n_fwd + 1
+    cur = np.array(base, dtype=float)
+    if system.space is Space.TORUS2:
+        cur %= 1.0
+    n_pts = len(cur)
+    pts_full = np.empty((total, n_pts, 2))
+    pts_full[n_bwd] = cur
+    for t in range(n_bwd + 1, total):
+        cur = step_array(system, cur)
+        pts_full[t] = cur
+    cur = pts_full[n_bwd]
+    for t in range(n_bwd - 1, -1, -1):
+        cur = step_inverse_array(system, cur)
+        pts_full[t] = cur
+    jacs = jac_array(system, pts_full.reshape(-1, 2)).reshape(total, n_pts, 2, 2)
+    seed = np.tile(_GENERIC, (n_pts, 1))
 
-    vu_full = np.empty((total, 2))
-    v = _GENERIC.copy()
-    vu_full[0] = _normalize(v)
+    vu_full = np.empty((total, n_pts, 2))
+    vu_full[0] = _normalize_rows(seed)
     for t in range(total - 1):
-        vu_full[t + 1] = _normalize(jacs[t] @ vu_full[t])
+        vu_full[t + 1] = _normalize_rows(np.matmul(jacs[t], vu_full[t][:, :, None])[:, :, 0])
 
-    vs_full = np.empty((total, 2))
-    w = _GENERIC.copy()
-    vs_full[total - 1] = _normalize(w)
+    vs_full = np.empty((total, n_pts, 2))
+    vs_full[total - 1] = _normalize_rows(seed)
     for t in range(total - 2, -1, -1):
-        a11, a12 = jacs[t, 0]
-        a21, a22 = jacs[t, 1]
+        a11, a12 = jacs[t, :, 0, 0], jacs[t, :, 0, 1]
+        a21, a22 = jacs[t, :, 1, 0], jacs[t, :, 1, 1]
         det = a11 * a22 - a12 * a21
-        nxt = vs_full[t + 1]
-        vs_full[t] = _normalize(
-            np.array([(a22 * nxt[0] - a12 * nxt[1]) / det, (-a21 * nxt[0] + a11 * nxt[1]) / det])
+        n0, n1 = vs_full[t + 1, :, 0], vs_full[t + 1, :, 1]
+        vs_full[t] = _normalize_rows(
+            np.column_stack(((a22 * n0 - a12 * n1) / det, (-a21 * n0 + a11 * n1) / det))
         )
 
-    img_u = np.einsum("tij,tj->ti", jacs, vu_full)
-    img_s = np.einsum("tij,tj->ti", jacs, vs_full)
-    log_u = 0.5 * np.log((img_u * img_u).sum(axis=1))
-    log_s = 0.5 * np.log((img_s * img_s).sum(axis=1))
+    img_u = np.einsum("tpij,tpj->tpi", jacs, vu_full)
+    img_s = np.einsum("tpij,tpj->tpi", jacs, vs_full)
+    log_u = 0.5 * np.log((img_u * img_u).sum(axis=2))
+    log_s = 0.5 * np.log((img_s * img_s).sum(axis=2))
 
-    lo = n_bwd + jmin  # == warm
-    hi = n_bwd + jmax
-    sl = slice(lo, hi + 1)
-    return pts_full[sl], vu_full[sl], vs_full[sl], log_u[lo : hi + 1], log_s[lo : hi + 1]
+    sl = slice(warm, n_bwd + jmax + 1)
+    return pts_full[sl], vu_full[sl], vs_full[sl], log_u[sl], log_s[sl]
 
 
-def block_defects(system: SystemSpec, x: Point2, params: PesinBlockParams):
+def _defect_max(cum, t_end, t, rate, slack):
+    """Per-point max over (m, n) of cum[t_end] - cum[t] + rate[n] - slack[m].
+    The (m, n, point) array is updated in place, so one is alive at a time."""
+    d = cum[t_end]
+    d -= cum[t]
+    d += rate[:, None]
+    d -= slack
+    return d.max(axis=(0, 1))
+
+
+def block_defects(system: SystemSpec, base: np.ndarray, params: PesinBlockParams):
     """Largest inequality defects (in units of epsilon*k) for the three
-    finite-horizon block conditions over the params window.
+    finite-horizon block conditions over the params window, for every row of
+    the (P, 2) array of base points.
 
-    Returns (defect_contraction, defect_expansion, defect_angle); the block
-    index is the smallest k with epsilon*k >= all three.
+    Returns (defect_contraction, defect_expansion, defect_angle), each of
+    length P; a point's block index is the smallest k with epsilon*k >= all
+    three.
     """
     n_fwd, n_bwd, m_range = params.window
     jmin = -(m_range + n_bwd)
     jmax = m_range + n_fwd
-    pts, vu, vs, log_u, log_s = _transport_sweeps(system, x, jmin, jmax)
-    off = -jmin  # index of j=0
+    pts, vu, vs, log_u, log_s = _transport_sweeps(system, base, jmin, jmax)
 
     eps = params.epsilon
-    cum_s = np.concatenate(([0.0], np.cumsum(log_s)))
-    cum_u = np.concatenate(([0.0], np.cumsum(log_u)))
+    zero = np.zeros((1, len(pts[0])))
+    cum_s = np.concatenate((zero, np.cumsum(log_s, axis=0)))
+    cum_u = np.concatenate((zero, np.cumsum(log_u, axis=0)))
 
+    ms = np.arange(-m_range, m_range + 1)
+    t = (ms - jmin)[:, None]  # row of f^m x, one per m
+    slack = (eps * np.abs(ms))[:, None, None]
     ns_f = np.arange(1, n_fwd + 1)
     ns_b = np.arange(1, n_bwd + 1)
-    d_a = -math.inf
-    d_b = -math.inf
-    d_c = -math.inf
-    for m in range(-m_range, m_range + 1):
-        t = off + m
-        # ||Df^n restricted to the contracting line at f^m x||
-        grow_s = cum_s[t + ns_f] - cum_s[t]
-        d_a = max(d_a, float(np.max(grow_s + (params.lam - eps) * ns_f - eps * abs(m))))
-        # ||Df^{-n} restricted to the expanding line at f^m x||
-        shrink_u = cum_u[t - ns_b] - cum_u[t]
-        d_b = max(d_b, float(np.max(shrink_u + (params.mu - eps) * ns_b - eps * abs(m))))
-        ang = line_angle(vu[t], vs[t])
-        d_c = max(d_c, -math.log(math.tan(ang)) - eps * abs(m))
+    # ||Df^n restricted to the contracting line at f^m x||
+    d_a = _defect_max(cum_s, t + ns_f, t, (params.lam - eps) * ns_f, slack)
+    # ||Df^{-n} restricted to the expanding line at f^m x||
+    d_b = _defect_max(cum_u, t - ns_b, t, (params.mu - eps) * ns_b, slack)
+    # the line angle term, as line_angle computes it
+    u = vu[t[:, 0]]
+    w = vs[t[:, 0]]
+    cross = np.abs(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0])
+    dot = np.abs(u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1])
+    tilt = [-math.log(math.tan(math.atan2(c, d))) for c, d in zip(cross.ravel().tolist(), dot.ravel().tolist())]
+    d_c = (np.reshape(tilt, cross.shape) - slack[:, :, 0]).max(axis=0)
     return d_a, d_b, d_c
+
+
+def _block_indices(system: SystemSpec, base: np.ndarray, params: PesinBlockParams) -> list:
+    """Block index (or None) of every row of base; see pesin_block_index."""
+    d_a, d_b, d_c = block_defects(system, base, params)
+    out = []
+    for worst in np.maximum(np.maximum(d_a, d_b), d_c).tolist():
+        k = max(1, math.ceil(worst / params.epsilon - 1e-12))
+        out.append(k if k <= MAX_BLOCK_INDEX else None)
+    return out
 
 
 def pesin_block_index(
@@ -321,16 +368,13 @@ def pesin_block_index(
         own = oseledec_directions(system, x, N=_WARM)
         if line_angle(own.Eu, splitting.Eu) > 1e-6 or line_angle(own.Es, splitting.Es) > 1e-6:
             raise ValueError("provided splitting does not match the one at x")
-    d_a, d_b, d_c = block_defects(system, x, params)
-    worst = max(d_a, d_b, d_c)
-    k = max(1, math.ceil(worst / params.epsilon - 1e-12))
-    return k if k <= MAX_BLOCK_INDEX else None
+    return _block_indices(system, x.as_array()[None], params)[0]
 
 
 def block_conditions_hold(system, x, params, k) -> bool:
     """Direct check that index k satisfies all three conditions at x."""
-    d_a, d_b, d_c = block_defects(system, x, params)
-    return max(d_a, d_b, d_c) <= params.epsilon * k + 1e-12
+    d_a, d_b, d_c = block_defects(system, x.as_array()[None], params)
+    return max(float(d_a[0]), float(d_b[0]), float(d_c[0])) <= params.epsilon * k + 1e-12
 
 
 def block_sample(
@@ -342,21 +386,34 @@ def block_sample(
     transient: int = 200,
 ):
     """Classify sample_size points drawn from one long orbit, spaced
-    `spacing` iterates apart.  Returns a list of (Point2, index-or-None)."""
+    `spacing` iterates apart.  Returns a list of (Point2, index-or-None).
+
+    Points are classified _BLOCK_CHUNK at a time."""
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     rng = np.random.default_rng(seed)
     x, y = rng.random(2)
     for _ in range(transient):
         x, y = step_xy(system, x, y)
-    out = []
+    points = []
     sp = system.space
     for _ in range(sample_size):
-        p = Point2(x, y, sp)
-        out.append((p, pesin_block_index(system, p, params)))
+        points.append(Point2(x, y, sp))
         for _ in range(spacing):
             x, y = step_xy(system, x, y)
-    return out
+    base = np.array([[p.x, p.y] for p in points])
+    ks = []
+    for start in range(0, sample_size, _BLOCK_CHUNK):
+        chunk = base[start : start + _BLOCK_CHUNK]
+        try:
+            ks += _block_indices(system, chunk, params)
+        except (NuspecError, ArithmeticError, ValueError):
+            # redo the chunk point by point, so the error raised is the one
+            # of the earliest failing point, as classified on its own
+            for row in chunk:
+                _block_indices(system, row[None], params)
+            raise
+    return list(zip(points, ks))
 
 
 def finite_fraction(samples, max_k=None) -> float:

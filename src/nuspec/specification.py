@@ -31,6 +31,9 @@ from .shadowing import assemble, newton_refine_periodic
 
 _BIG = np.int64(2**62)
 
+# source events one min-gap join step takes at a time; bounds its temporaries
+_JOIN_CHUNK = 2**15
+
 
 # ---------------------------------------------------------------------------
 # slow-varying weights
@@ -251,6 +254,114 @@ def _cover_events(orbit: np.ndarray, centers: np.ndarray, radius: float):
     return et[order], ei[order]
 
 
+def _time_index(et: np.ndarray, pad: int):
+    """Dense index of the time-sorted events by time, padded by pad empty
+    slots on each side: with k = t + pad, the events at time t are
+    et[first[k] : first[k] + count[k]], and first[k] counts the events
+    before time t."""
+    count = np.bincount(et + pad, minlength=int(et[-1]) + 2 * pad + 2).astype(np.int32)
+    first = np.cumsum(count, dtype=np.int32) - count
+    return first, count
+
+
+def _join_sides(open_pairs: np.ndarray, n_events: np.ndarray):
+    """Split the open (dest, src) pairs between the two join directions.
+
+    Joining pair (i, j) from its source side touches every event of ball j,
+    from its destination side every event of ball i.  Taking every pair from
+    its source side is the plain join; taking each pair from its ball with
+    fewer events keeps a pair that stays open (a ball the orbit all but
+    misses) from walking every event at every level.  The cheaper of the two
+    plans is used.  Returns flat (r*r,) masks (by_src, by_dest)."""
+    by_src = open_pairs & (n_events[None, :] <= n_events[:, None])
+    by_dest = open_pairs & ~by_src
+    cost_all = n_events[open_pairs.any(axis=0)].sum()
+    cost_split = n_events[by_src.any(axis=0)].sum() + n_events[by_dest.any(axis=1)].sum()
+    if cost_all <= cost_split:
+        return open_pairs.ravel().copy(), np.zeros(open_pairs.size, dtype=bool)
+    return by_src.ravel(), by_dest.ravel()
+
+
+def _min_gap_join(et: np.ndarray, ei: np.ndarray, r: int, T_floor: int, h_cap: int):
+    """Minimal witnessed gaps by a gap-level join of the time-sorted events.
+
+    For h = T_floor, T_floor + 1, ... every event (t, j) is joined with the
+    events (t + h, i); each still-open pair (i, j) takes X = h and its
+    earliest such t as witness time.  The smallest h wins, and at that h the
+    earliest t is the one a forward scan keeping the last visit of each ball
+    would record.  Each level costs O(E); the join stops once every pair is
+    closed, after M_k - T_floor + 1 levels, or at h_cap.  Returns (X, wit)
+    with _BIG / -1 for pairs never witnessed."""
+    X = np.full(r * r, _BIG, dtype=np.int64)
+    wit = np.full(r * r, -1, dtype=np.int64)
+    if not len(et):
+        return X.reshape(r, r), wit.reshape(r, r)
+    first, count = _time_index(et, h_cap)  # the padding keeps t +- h inside
+    n_events = np.bincount(ei, minlength=r)
+    open_pairs = np.ones(r * r, dtype=bool)
+    replan = True
+    for h in range(T_floor, h_cap + 1):
+        if not open_pairs.any():
+            break
+        if replan:
+            by_src, by_dest = _join_sides(open_pairs.reshape(r, r), n_events)
+            from_src = np.flatnonzero(by_src.reshape(r, r).any(axis=0)[ei])
+            from_dest = np.flatnonzero(by_dest.reshape(r, r).any(axis=1)[ei])
+            if not (len(from_src) or len(from_dest)):
+                break  # every open pair has a ball the orbit never visits
+            replan = False
+        for side, own_events, shift in ((by_src, from_src, h), (by_dest, from_dest, -h)):
+            for lo in range(0, len(own_events), _JOIN_CHUNK):
+                own = own_events[lo : lo + _JOIN_CHUNK]
+                k = et[own] + (shift + h_cap)
+                n_partner = count[k]
+                hit = n_partner > 0
+                own, k, n_partner = own[hit], k[hit], n_partner[hit]
+                own = np.repeat(own, n_partner)
+                partner = np.repeat(first[k] - np.cumsum(n_partner) + n_partner, n_partner) + np.arange(len(own))
+                if shift > 0:
+                    key = ei[partner] * r + ei[own]
+                    t_src = et[own]
+                else:
+                    key = ei[own] * r + ei[partner]
+                    t_src = et[partner]
+                keep = side[key]
+                # own events are time-sorted, so the first hit of a key is its earliest
+                closed, at = np.unique(key[keep], return_index=True)
+                if len(closed):
+                    X[closed] = h
+                    wit[closed] = t_src[keep][at]
+                    open_pairs[closed] = by_src[closed] = by_dest[closed] = False
+                    replan = True
+    return X.reshape(r, r), wit.reshape(r, r)
+
+
+def _mixing_tables(et: np.ndarray, ei: np.ndarray, r: int, T_floor: int, h_cap: int):
+    """Per-gap witness tables: mix_w[i, j, h] says some event (t, j) is
+    followed by (t + h, i); mix_t[i, j, h] is the earliest such t.
+
+    Events arrive in time order and each (j, h) occurs once per event, so the
+    first write of a cell is its minimum."""
+    mix_w = np.zeros((r, r, h_cap + 1), dtype=bool)
+    mix_t = np.full((r, r, h_cap + 1), _BIG, dtype=np.int64)
+    if not len(et):
+        return mix_w, mix_t
+    first, count = _time_index(et, h_cap)
+    for k in np.flatnonzero(count).tolist():
+        # visible: the events at times s - h_cap .. s - T_floor, s = k - h_cap
+        a, b = first[k - h_cap], first[k - T_floor + 1]
+        if a >= b:
+            continue
+        vis_t = et[a:b]
+        vis_j = ei[a:b]
+        hh = (k - h_cap) - vis_t
+        for dest in ei[first[k] : first[k] + count[k]].tolist():
+            new = ~mix_w[dest, vis_j, hh]
+            mix_w[dest, vis_j[new], hh[new]] = True
+            mix_t[dest, vis_j[new], hh[new]] = vis_t[new]
+    return mix_w, mix_t
+
+
 def estimate_transitions(
     system: SystemSpec,
     cover: CoverSpec,
@@ -281,45 +392,11 @@ def estimate_transitions(
         x, y = x0.x, x0.y
     orbit = orbit_array(system, x, y, n_fwd=sampling_orbit_length - 1)
     et, ei = _cover_events(orbit, cover.centers, cover.radius)
+    X, wit = _min_gap_join(et, ei, r, T_floor, h_cap)
 
-    X = np.full((r, r), _BIG, dtype=np.int64)
-    wit = np.full((r, r), -1, dtype=np.int64)
     mix_w = mix_t = None
     if mixing_mode:
-        mix_w = np.zeros((r, r, h_cap + 1), dtype=bool)
-        mix_t = np.full((r, r, h_cap + 1), _BIG, dtype=np.int64)
-
-    last = np.full(r, np.int64(-(2**40)), dtype=np.int64)
-    E = len(et)
-    ptr = 0  # events visible for the min-gap update: time <= s - T_floor
-    w0 = 0  # left edge of the mixing window: time >= s - h_cap
-    i = 0
-    while i < E:
-        s = et[i]
-        while ptr < E and et[ptr] <= s - T_floor:
-            last[ei[ptr]] = et[ptr]
-            ptr += 1
-        if mixing_mode:
-            while w0 < E and et[w0] < s - h_cap:
-                w0 += 1
-        j = i
-        h_vec = s - last
-        while j < E and et[j] == s:
-            dest = ei[j]
-            mask = (h_vec <= h_cap) & (h_vec < X[dest])
-            if mask.any():
-                X[dest][mask] = h_vec[mask]
-                wit[dest][mask] = last[mask]
-            if mixing_mode and w0 < ptr:
-                vis_t = et[w0:ptr]
-                vis_j = ei[w0:ptr]
-                hh = s - vis_t
-                mix_w[dest, vis_j, hh] = True
-                np.minimum.at(mix_t[dest], (vis_j, hh), vis_t)
-            j += 1
-        i = j
-
-    if mixing_mode:
+        mix_w, mix_t = _mixing_tables(et, ei, r, T_floor, h_cap)
         window = mix_w[:, :, T_floor : h_cap + 1]
         run = np.cumprod(window[:, :, ::-1], axis=2).sum(axis=2)
         missing = run == 0

@@ -2,10 +2,12 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
-from nuspec.cli import compare_to_bound, main
+from nuspec.cli import _write_json, compare_to_bound, main
 from nuspec.errors import ConfigError
+from nuspec.shadowing import ShadowingProfile
 
 CAT_EXP = math.log((3 + math.sqrt(5)) / 2)
 
@@ -195,3 +197,27 @@ def test_gns_cli_round_trip(tmp_path):
     cert = rep["results"]["certificate"]
     assert cert["all_in_ball"] is True
     assert cert["sum_gaps"] <= cert["gap_budget"]
+
+
+def test_report_json_is_rfc8259(tmp_path):
+    # a profile whose bound vanished has an infinite ratio; strict JSON has
+    # no Infinity or NaN, so non-finite floats are written as null
+    prof = ShadowingProfile(
+        indices=np.arange(3),
+        distances=np.array([0.0, 1e-3, 2e-3]),
+        bounds=np.array([1.0, 0.0, 1.0]),
+        tau=0.5,
+        epsilon=0.1,
+        passed=False,
+        first_fail_index=1,
+        max_ratio=math.inf,
+    )
+    path = tmp_path / "report.json"
+    _write_json(path, {"profile": prof.to_json(), "values": [np.float64(-math.inf), math.nan, 1.5]})
+
+    def reject(token):
+        raise ValueError(f"non-RFC 8259 token {token}")
+
+    rep = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+    assert rep["profile"]["max_ratio"] is None
+    assert rep["values"] == [None, None, 1.5]

@@ -14,10 +14,12 @@ from nuspec.dynamics import (
     differential,
     distance,
     orbit,
+    step_inverse_array,
+    step_inverse_xy,
     step_xy,
     wrap_half,
 )
-from nuspec.errors import ConfigError, NonFiniteError
+from nuspec.errors import ConfigError, InversionError, NonFiniteError
 
 
 def torus(x, y):
@@ -203,3 +205,35 @@ def test_orbit_segment_rejects_non_orbit(cat):
     broken[3] = torus(broken[3].x + 1e-6, broken[3].y)
     with pytest.raises(ValueError):
         OrbitSegment.from_points(cat, broken)
+
+
+def test_step_inverse_array_rows_equal_scalar(all_systems):
+    rows = np.random.default_rng(9).random((64, 2))
+    for system in all_systems:
+        got = step_inverse_array(system, rows)
+        want = [step_inverse_xy(system, x, y) for x, y in rows]
+        assert np.array_equal(got, np.array(want))
+
+
+@pytest.mark.parametrize(
+    "system, rows, error",
+    [
+        # a huge kappa leaves Newton residuals above tolerance for every point
+        (SystemSpec.perturbed_cat_map(1e6), [[0.3, 0.4], [0.6, 0.1]], InversionError),
+        # a NaN residual never passes the tolerance test, as in the scalar loop
+        (SystemSpec.perturbed_cat_map(0.05), [[0.1, 0.2], [math.nan, 0.3]], InversionError),
+        (SystemSpec.henon(1.4, 0.3), [[0.1, 0.1], [0.2, 1e49], [0.3, 1e50]], NonFiniteError),
+    ],
+)
+def test_step_inverse_array_error_names_first_failing_row(system, rows, error):
+    rows = np.array(rows)
+    with pytest.raises(error) as batched:
+        step_inverse_array(system, rows)
+    for x, y in rows:
+        try:
+            step_inverse_xy(system, x, y)
+        except error as first:
+            assert str(batched.value) == str(first)
+            break
+    else:
+        pytest.fail("no row fails on its own")

@@ -3,9 +3,22 @@ import math
 import numpy as np
 import pytest
 
-from nuspec.dynamics import Point2, Space, apply, apply_inverse, differential
+from nuspec.dynamics import (
+    Point2,
+    Space,
+    SystemSpec,
+    apply,
+    apply_inverse,
+    differential,
+    jac_array,
+    step_inverse_xy,
+    step_xy,
+)
+from nuspec.errors import NonFiniteError
 from nuspec.lyapunov import (
+    _GENERIC,
     PesinBlockParams,
+    _transport_sweeps,
     block_conditions_hold,
     block_sample,
     finite_fraction,
@@ -170,3 +183,81 @@ def test_block_index_splitting_cross_check(cat):
     wrong = dataclasses.replace(own, Eu=rot @ own.Eu, Es=rot @ own.Es)
     with pytest.raises(ValueError):
         pesin_block_index(cat, x, params, splitting=wrong)
+
+
+# ---------------------------------------------------------------------------
+# batched transport sweeps against a per-point scalar reference
+
+
+def _unit(v):
+    n = math.hypot(v[0], v[1])
+    v = v / n
+    if v[0] < 0 or (v[0] == 0 and v[1] < 0):
+        v = -v
+    return v
+
+
+def _scalar_sweeps(system, x, y, jmin, jmax, warm=64):
+    """One point at a time: scalar orbit steps, a 2x2 product per step."""
+    n_bwd, n_fwd = warm - jmin, jmax + warm
+    total = n_bwd + n_fwd + 1
+    pts = np.empty((total, 2))
+    pts[n_bwd] = (x % 1.0, y % 1.0)
+    for i in range(n_bwd + 1, total):
+        pts[i] = step_xy(system, *pts[i - 1])
+    for i in range(n_bwd - 1, -1, -1):
+        pts[i] = step_inverse_xy(system, *pts[i + 1])
+    jacs = jac_array(system, pts)
+    vu = np.empty((total, 2))
+    vu[0] = _unit(_GENERIC)
+    for t in range(total - 1):
+        vu[t + 1] = _unit(jacs[t] @ vu[t])
+    vs = np.empty((total, 2))
+    vs[-1] = _unit(_GENERIC)
+    for t in range(total - 2, -1, -1):
+        (a11, a12), (a21, a22) = jacs[t]
+        det = a11 * a22 - a12 * a21
+        w = vs[t + 1]
+        vs[t] = _unit(np.array([(a22 * w[0] - a12 * w[1]) / det, (-a21 * w[0] + a11 * w[1]) / det]))
+    sl = slice(warm, n_bwd + jmax + 1)
+    return pts[sl], vu[sl], vs[sl]
+
+
+@pytest.mark.parametrize(
+    "system",
+    [SystemSpec.cat_map(), SystemSpec.perturbed_cat_map(0.05), SystemSpec.perturbed_cat_map(0.12), SystemSpec.standard_map(1.2)],
+    ids=["cat", "perturbed", "perturbed-strong", "standard"],
+)
+def test_transport_sweeps_batched_equals_scalar(system):
+    base = np.random.default_rng(21).random((9, 2))
+    pts, vu, vs, log_u, log_s = _transport_sweeps(system, base, -40, 30)
+    assert pts.shape == (71, 9, 2) and log_u.shape == log_s.shape == (71, 9)
+    for p, (x, y) in enumerate(base):
+        ref = _scalar_sweeps(system, x, y, -40, 30)
+        for got, want in zip((pts[:, p], vu[:, p], vs[:, p]), ref):
+            assert np.array_equal(got, want)
+
+
+def test_block_sample_matches_pointwise_index():
+    # more points than one classification chunk, so chunk edges are crossed;
+    # the strong perturbation spreads the indices
+    system = SystemSpec.perturbed_cat_map(0.12)
+    params = PesinBlockParams(lam=0.9, mu=0.9, epsilon=0.09, window=(60, 60, 15))
+    samples = block_sample(system, params, 90, seed=5, spacing=11)
+    assert len({k for _, k in samples}) > 2
+    for x, k in samples:
+        assert pesin_block_index(system, x, params) == k
+
+
+def test_block_sample_error_is_first_points(henon):
+    # every backward Henon orbit escapes; the error must be the first sampled
+    # point's own, whichever point of the chunk escapes first
+    params = PesinBlockParams(lam=1.6, mu=0.4, epsilon=0.09)
+    with pytest.raises(NonFiniteError) as batched:
+        block_sample(henon, params, 50, seed=3)
+    x, y = np.random.default_rng(3).random(2)
+    for _ in range(200):
+        x, y = step_xy(henon, x, y)
+    with pytest.raises(NonFiniteError) as single:
+        pesin_block_index(henon, Point2(x, y, Space.PLANE), params)
+    assert str(batched.value) == str(single.value)

@@ -1,4 +1,6 @@
 import math
+import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +16,9 @@ from nuspec.errors import (
     ResolutionError,
 )
 from nuspec.recurrence import ReturnTimeSequence, SetSpec
+from nuspec import specification
 from nuspec.specification import (
+    CoverSpec,
     SlowVaryingFn,
     build_cover,
     check_slow_varying,
@@ -120,6 +124,79 @@ def test_transitions_incomplete_mixing(cat):
     with pytest.raises(IncompleteMixingError) as exc:
         estimate_transitions(cat, cover, 800, seed=2)
     assert len(exc.value.missing_pairs) >= 1
+
+
+def _gap_oracle(events, T_floor, h_cap):
+    """O(E^2) reference: the earliest t of every (dest, src, h) over all event
+    pairs (t, src), (t + h, dest) with T_floor <= h <= h_cap."""
+    earliest = {}
+    for t, j in events:
+        for u, i in events:
+            if T_floor <= u - t <= h_cap:
+                key = (i, j, u - t)
+                earliest[key] = min(earliest.get(key, t), t)
+    return earliest
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    visits=st.lists(st.sets(st.integers(0, 50), max_size=25), min_size=1, max_size=4),
+    T_floor=st.integers(1, 4),
+    h_span=st.integers(0, 30),
+    chunk=st.sampled_from([1, 3, 2**15]),
+)
+def test_min_gap_join_matches_pair_oracle(visits, T_floor, h_span, chunk):
+    # per-ball visit sets of different sizes: ties at equal h, balls never
+    # visited, and rare balls that make the join plan per pair
+    r = len(visits)
+    events = sorted((t, j) for j, ts in enumerate(visits) for t in ts)
+    et = np.array([t for t, _ in events], dtype=np.int64)
+    ei = np.array([j for _, j in events], dtype=np.int64)
+    h_cap = T_floor + h_span
+    earliest = _gap_oracle(events, T_floor, h_cap)
+    # min-gap: the least (h, t) of each pair; _BIG / -1 where none
+    best = {}
+    for (i, j, h), t in earliest.items():
+        best[(i, j)] = min(best.get((i, j), (h, t)), (h, t))
+    X_ref = np.full((r, r), 2**62, dtype=np.int64)
+    wit_ref = np.full((r, r), -1, dtype=np.int64)
+    for (i, j), (h, t) in best.items():
+        X_ref[i, j], wit_ref[i, j] = h, t
+    with mock.patch.object(specification, "_JOIN_CHUNK", chunk):
+        X, wit = specification._min_gap_join(et, ei, r, T_floor, h_cap)
+    assert np.array_equal(X, X_ref)
+    assert np.array_equal(wit, wit_ref)
+    # mixing tables: every (dest, src, h) with its earliest t
+    mix_w, mix_t = specification._mixing_tables(et, ei, r, T_floor, h_cap)
+    assert {tuple(int(v) for v in c) for c in np.argwhere(mix_w)} == set(earliest)
+    assert all(mix_t[c] == t for c, t in earliest.items())
+    assert (mix_t[~mix_w] == 2**62).all()
+
+
+def test_transitions_unreachable_ball_fails_fast(cat):
+    # the orbit sits on the fixed point, so only the pair (0, 0) is ever
+    # witnessed; the open pairs must not make the join walk all h_cap levels
+    # over the 400k events (a large h_cap makes that walk take many seconds)
+    cover = CoverSpec(centers=np.array([[0.0, 0.0], [0.5, 0.5]]), radius=1e-3, r_count=2, delta=2.05e-3)
+    start = time.perf_counter()
+    with pytest.raises(IncompleteMixingError) as exc:
+        estimate_transitions(cat, cover, 400_000, x0=torus(0.0, 0.0), h_cap=4096)
+    assert time.perf_counter() - start < 4.0
+    assert exc.value.missing_pairs == [(0, 1), (1, 0), (1, 1)]
+
+
+def test_min_gap_join_rare_ball_fails_fast():
+    # five balls visited in turn over the first 200k steps and one ball
+    # visited once, long after: its pairs stay open at every level, and only
+    # its single event may be joined
+    t = np.arange(200_000)
+    et = np.append(t, 300_000)
+    ei = np.append(t % 5, 5)
+    start = time.perf_counter()
+    X, wit = specification._min_gap_join(et, ei, 6, 1, 4096)
+    assert time.perf_counter() - start < 4.0
+    assert (X[:5, :5] <= 5).all()
+    assert (X[5] == 2**62).all() and (X[:, 5] == 2**62).all()
 
 
 # ---------------------------------------------------------------------------
