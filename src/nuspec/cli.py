@@ -7,8 +7,7 @@ Each run writes manifest.json (the fully resolved configuration), report.json
 (stable key order, byte-identical across reruns with the same config and
 seed), and data.csv where the experiment produces tabular output.  Module
 errors produce a nonzero exit status and a report.json carrying the error
-and a "partial": true marker.  NUSPEC_THREADS bounds the worker count used
-for independent certificate generation.
+and a "partial": true marker.
 """
 
 from __future__ import annotations
@@ -17,14 +16,13 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Point2, SystemKind, SystemSpec, step_xy
+from .dynamics import Point2, SystemKind, SystemSpec, orbit_array
 from .errors import ConfigError, NuspecError
 from .lyapunov import (
     LyapunovSpectrum,
@@ -40,7 +38,14 @@ from .recurrence import (
     recurrence_scaling,
     return_times,
 )
-from .shadowing import assemble, check_domination, newton_refine_periodic, shadowing_profile
+from .shadowing import (
+    assemble,
+    cat_rational_orbit,
+    check_domination,
+    displaced_pseudo_orbit,
+    newton_refine_periodic,
+    shadowing_profile,
+)
 from .specification import (
     SlowVaryingFn,
     build_cover_context,
@@ -228,20 +233,11 @@ def _write_csv(path: Path, header, rows) -> None:
             w.writerow(["" if v is None else v for v in row])
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get("NUSPEC_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _seed_point(system: SystemSpec, rng, x0_param, transient=0) -> Point2:
     if x0_param is not None:
         return Point2(float(x0_param[0]), float(x0_param[1]), system.space)
     if system.kind is SystemKind.HENON:
-        x, y = 0.1, 0.1
-        for _ in range(max(transient, 1000)):
-            x, y = step_xy(system, x, y)
+        x, y = orbit_array(system, 0.1, 0.1, n_fwd=max(transient, 1000))[-1].tolist()
         return Point2(x, y, system.space)
     p = rng.random(2)
     return Point2(float(p[0]), float(p[1]), system.space)
@@ -352,25 +348,12 @@ def _run_nonlacunarity(cfg: ExperimentConfig):
 
 
 def _cat_rational_orbit(period_min, period_max):
-    """Integer search for a cat-map rational orbit with period in range."""
+    """The orbit of (1, 0)/q under the cat map for the least q whose period
+    lies in range."""
     for q in range(3, 600):
-        a, b = 1, 0
-        seen = 0
-        for t in range(1, 4 * q * q + 4):
-            a, b = (2 * a + b) % q, (a + b) % q
-            seen = t
-            if (a, b) == (1, 0):
-                break
-        if (a, b) != (1, 0):
-            continue
-        if period_min <= seen <= period_max:
-            pts = np.empty((seen, 2))
-            a, b = 1, 0
-            for t in range(seen):
-                pts[t, 0] = a / q
-                pts[t, 1] = b / q
-                a, b = (2 * a + b) % q, (a + b) % q
-            return q, seen, pts
+        period, pts = cat_rational_orbit(q)
+        if period_min <= period <= period_max:
+            return q, period, pts
     raise NuspecError(f"no rational cat orbit with period in [{period_min}, {period_max}]")
 
 
@@ -387,43 +370,8 @@ def _run_shadow(cfg: ExperimentConfig):
     arc0 = np.vstack([guess, guess[:1]])
     po0, _ = assemble([(base, period, arc0)], system, periodic=True)
     ref = newton_refine_periodic(system, po0, tol=1e-12, max_iter=40)
-    Z = ref.points
-
-    # contracting unit directions along the cycle, by pulling a generic
-    # vector backward around it twice
-    from .dynamics import jac_array
-
-    jacs = jac_array(system, Z)
-    vs = np.empty_like(Z)
-    v = np.array([0.7, 0.3])
-    for lap in range(2):
-        for idx in range(period - 1, -1, -1):
-            J = jacs[idx]
-            det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-            v = np.array([(J[1, 1] * v[0] - J[0, 1] * v[1]) / det, (-J[1, 0] * v[0] + J[0, 0] * v[1]) / det])
-            v /= np.hypot(v[0], v[1])
-            if lap == 1:
-                vs[idx] = v
-
-    jit = float(p["jitter"])
     n1 = period // 2
-    n2 = period - n1
-
-    def displaced_arc(start, length, w0):
-        arc = np.empty((length + 1, 2))
-        w = w0.copy()
-        for j in range(length + 1):
-            idx = (start + j) % period
-            arc[j] = (Z[idx] + w) % 1.0
-            if j < length:
-                w = jacs[idx] @ w
-        return arc
-
-    arc1 = displaced_arc(0, n1, jit * vs[0])
-    arc2 = displaced_arc(n1, n2, jit * vs[n1])
-    seg1 = (Point2(float(arc1[0, 0]), float(arc1[0, 1]), sp), n1, arc1)
-    seg2 = (Point2(float(arc2[0, 0]), float(arc2[0, 1]), sp), n2, arc2)
-    po, times = assemble([seg1, seg2], system, periodic=True)
+    po, times = displaced_pseudo_orbit(system, ref.points, n1, float(p["jitter"]))
 
     sol = newton_refine_periodic(system, po, tol=float(p["newton_tol"]), max_iter=int(p["max_iter"]))
     spec = _spectrum_for(system, rng, int(p["spectrum_N"]))
@@ -433,7 +381,7 @@ def _run_shadow(cfg: ExperimentConfig):
     res = {
         "rational_denominator": q_den,
         "period": period,
-        "segment_lengths": [n1, n2],
+        "segment_lengths": [n1, period - n1],
         "concatenation_times": times.c.tolist(),
         "pseudo_orbit_delta": po.delta,
         "solution": sol.to_json(),
@@ -546,7 +494,6 @@ def _run_sublinearity(cfg: ExperimentConfig):
         q,
         ctx,
         newton_tol=float(p["newton_tol"]),
-        workers=_workers(),
     )
     res = {"table": table.to_json(), "x": [x.x, x.y], "epsilon": ctx.epsilon, "context": ctx.to_json()}
     rows = [(r.m, r.n, r.eta, r.K, r.ratio, int(r.in_ball)) for r in table.rows]

@@ -169,38 +169,6 @@ def _det_jac_perturbed(kappa, x):
     return (2.0 + c) * 1.0 - 1.0 * (1.0 + c)
 
 
-@dataclass(frozen=True)
-class OrbitSegment:
-    """A stored orbit arc {x, n}: the n+1 points from x to f^n(x).
-
-    Construction rechecks that each stored point is the image of the previous
-    one within the reapplication tolerance (exact for the pure-arithmetic
-    torus maps)."""
-
-    base: Point2
-    length: int
-    points: tuple
-
-    REAPPLY_TOL = 1e-12
-
-    @classmethod
-    def from_base(cls, system: "SystemSpec", base: Point2, length: int) -> "OrbitSegment":
-        pts = orbit(system, base, 0, length)
-        return cls(base=base, length=length, points=tuple(pts))
-
-    @classmethod
-    def from_points(cls, system: "SystemSpec", points) -> "OrbitSegment":
-        points = tuple(points)
-        if len(points) < 1:
-            raise ValueError("an orbit segment needs at least its base point")
-        for a, b in zip(points, points[1:]):
-            if distance(system.space, apply(system, a), b) > cls.REAPPLY_TOL:
-                raise ValueError(
-                    f"stored points are not an orbit within {cls.REAPPLY_TOL}"
-                )
-        return cls(base=points[0], length=len(points) - 1, points=points)
-
-
 # ---------------------------------------------------------------------------
 # scalar map evaluation
 
@@ -317,12 +285,6 @@ def distance(space: Space, p: Point2, q: Point2) -> float:
     return math.hypot(p.x - q.x, p.y - q.y)
 
 
-def dist_xy(space: Space, ax, ay, bx, by) -> float:
-    if space is Space.TORUS2:
-        return math.hypot(_arc(ax - bx), _arc(ay - by))
-    return math.hypot(ax - bx, ay - by)
-
-
 def dist_rows(space: Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise distances between two (n, 2) arrays."""
     d = a - b
@@ -347,25 +309,27 @@ def orbit_array(system: SystemSpec, x: float, y: float, n_fwd: int, n_bwd: int =
     out = np.empty((n_bwd + n_fwd + 1, 2), dtype=float)
     out[n_bwd, 0] = x % 1.0 if system.space is Space.TORUS2 else x
     out[n_bwd, 1] = y % 1.0 if system.space is Space.TORUS2 else y
+    # the loops step on Python floats, which run faster than numpy scalars
+    start = out[n_bwd].tolist()
     if system.kind is SystemKind.CAT_MAP:
         # inline hot loop for the most common kind
-        cx, cy = out[n_bwd, 0], out[n_bwd, 1]
+        cx, cy = start
         for i in range(n_bwd + 1, n_bwd + n_fwd + 1):
             cx, cy = (2.0 * cx + cy) % 1.0, (cx + cy) % 1.0
             out[i, 0] = cx
             out[i, 1] = cy
-        cx, cy = out[n_bwd, 0], out[n_bwd, 1]
+        cx, cy = start
         for i in range(n_bwd - 1, -1, -1):
             cx, cy = (cx - cy) % 1.0, (-cx + 2.0 * cy) % 1.0
             out[i, 0] = cx
             out[i, 1] = cy
         return out
-    cx, cy = out[n_bwd, 0], out[n_bwd, 1]
+    cx, cy = start
     for i in range(n_bwd + 1, n_bwd + n_fwd + 1):
         cx, cy = step_xy(system, cx, cy)
         out[i, 0] = cx
         out[i, 1] = cy
-    cx, cy = out[n_bwd, 0], out[n_bwd, 1]
+    cx, cy = start
     for i in range(n_bwd - 1, -1, -1):
         cx, cy = step_inverse_xy(system, cx, cy)
         out[i, 0] = cx

@@ -64,3 +64,8 @@ class InsufficientHorizonError(NuspecError):
 
 class GapInfeasibleError(NuspecError):
     """A prescribed connector-gap total cannot be met by witnessed transitions."""
+
+
+class InvariantError(NuspecError):
+    """A certificate failed one of its own arithmetic invariants (period
+    bookkeeping, p <= m + n + K, or the gap total)."""

@@ -152,9 +152,7 @@ def lyapunov_spectrum(
     """
     if N < 10 * qr_period:
         raise ValueError("need N >= 10 * qr_period")
-    x, y = x0.x, x0.y
-    for _ in range(transient):
-        x, y = step_xy(system, x, y)
+    x, y = orbit_array(system, x0.x, x0.y, n_fwd=transient)[-1].tolist()
     blocks = N // qr_period
     n_used = blocks * qr_period
     # tangent columns (u1, u2) and (v1, v2) as plain floats
@@ -391,16 +389,10 @@ def block_sample(
     Points are classified _BLOCK_CHUNK at a time."""
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
-    rng = np.random.default_rng(seed)
-    x, y = rng.random(2)
-    for _ in range(transient):
-        x, y = step_xy(system, x, y)
-    points = []
+    x, y = np.random.default_rng(seed).random(2)
+    orb = orbit_array(system, x, y, n_fwd=transient + spacing * (sample_size - 1))
     sp = system.space
-    for _ in range(sample_size):
-        points.append(Point2(x, y, sp))
-        for _ in range(spacing):
-            x, y = step_xy(system, x, y)
+    points = [Point2(px, py, sp) for px, py in orb[transient::spacing].tolist()]
     base = np.array([[p.x, p.y] for p in points])
     ks = []
     for start in range(0, sample_size, _BLOCK_CHUNK):

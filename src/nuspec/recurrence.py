@@ -29,8 +29,6 @@ from .dynamics import (
     dist_rows,
     orbit_array,
     step_array,
-    step_inverse_xy,
-    step_xy,
     wrap_half,
 )
 from .errors import PreconditionError
@@ -171,14 +169,14 @@ def _visit_times(system, x, gamma, count, horizon, forward, chunk=4096):
     times = []
     cx, cy = x.x, x.y
     t = 0
-    step = step_xy if forward else step_inverse_xy
     while t < horizon and len(times) < count:
         n = min(chunk, horizon - t)
-        pts = np.empty((n, 2))
-        for i in range(n):
-            cx, cy = step(system, cx, cy)
-            pts[i, 0] = cx
-            pts[i, 1] = cy
+        # row i of pts is f^(+-(t + i + 1))(x)
+        if forward:
+            pts = orbit_array(system, cx, cy, n_fwd=n)[1:]
+        else:
+            pts = orbit_array(system, cx, cy, n_fwd=0, n_bwd=n)[-2::-1]
+        cx, cy = pts[-1]
         hits = np.nonzero(gamma.membership_rows(pts))[0]
         for h in hits:
             times.append(t + int(h) + 1)
@@ -441,11 +439,8 @@ def birkhoff_indicator_average(system: SystemSpec, x: Point2, gamma: SetSpec, ho
     chunk = 8192
     while t < horizon:
         n = min(chunk, horizon - t)
-        pts = np.empty((n, 2))
-        for i in range(n):
-            pts[i, 0] = cx
-            pts[i, 1] = cy
-            cx, cy = step_xy(system, cx, cy)
-        count += int(gamma.membership_rows(pts).sum())
+        pts = orbit_array(system, cx, cy, n_fwd=n)
+        count += int(gamma.membership_rows(pts[:-1]).sum())
+        cx, cy = pts[-1]
         t += n
     return count / horizon

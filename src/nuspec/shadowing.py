@@ -126,6 +126,53 @@ def assemble(segments, system: SystemSpec, periodic: bool = True):
     return po, ConcatenationTimes(c=c.astype(np.int64))
 
 
+def cat_rational_orbit(q: int, start=(1, 0)):
+    """Exact orbit of the rational point start/q under the cat map, by
+    integer arithmetic mod q.  The map is invertible mod q, so the orbit
+    returns to start.  Returns (period, (period, 2) array of points)."""
+    a, b = start = (start[0] % q, start[1] % q)
+    pts = []
+    while True:
+        pts.append((a / q, b / q))
+        a, b = (2 * a + b) % q, (a + b) % q
+        if (a, b) == start:
+            return len(pts), np.array(pts)
+
+
+def displaced_pseudo_orbit(system: SystemSpec, Z: np.ndarray, n1: int, jitter: float):
+    """Two-segment periodic pseudo-orbit from the periodic orbit Z: the arcs
+    Z[0..n1] and Z[n1..p], each displaced by jitter along the contracting
+    direction at its start and carried along by the Jacobians.
+
+    The contracting unit directions come from pulling a generic vector
+    backward around the cycle twice.  Returns assemble's (PseudoOrbit,
+    ConcatenationTimes)."""
+    period = len(Z)
+    jacs = jac_array(system, Z)
+    vs = np.empty_like(Z)
+    v = np.array([0.7, 0.3])
+    for lap in range(2):
+        for idx in range(period - 1, -1, -1):
+            J = jacs[idx]
+            det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
+            v = np.array([(J[1, 1] * v[0] - J[0, 1] * v[1]) / det, (-J[1, 0] * v[0] + J[0, 0] * v[1]) / det])
+            v /= np.hypot(v[0], v[1])
+            if lap == 1:
+                vs[idx] = v
+
+    def arc(start, length):
+        out = np.empty((length + 1, 2))
+        w = jitter * vs[start]
+        for j in range(length + 1):
+            idx = (start + j) % period
+            out[j] = (Z[idx] + w) % 1.0
+            if j < length:
+                w = jacs[idx] @ w
+        return (Point2(float(out[0, 0]), float(out[0, 1]), system.space), length, out)
+
+    return assemble([arc(0, n1), arc(n1, period - n1)], system, periodic=True)
+
+
 def _initial_guess(po: PseudoOrbit) -> np.ndarray:
     # one row per time step; each segment contributes its first n_i points,
     # the junction point being represented by the next segment's base

@@ -6,9 +6,9 @@ certified orbit against the weighted dynamical ball.
 The produced certificate states that the refined periodic point z of period
 p = (t_plus - t_minus) + N stays within theta * q(f^j x)^{-2} of the orbit of
 x for every j in [-m, n], with the gap K = (t_plus - t_minus) + M_k - m - n
-recorded so that p <= m + n + K by construction.  Multi-segment certificates
-cycle several such windows through connectors drawn from the same sampling
-record.
+recorded so that p <= m + n + K by construction.  Every certificate cycles
+k >= 1 such windows through connectors drawn from the same sampling record;
+ns_certificate is the one-window cycle of gns_certificate.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Point2, SystemSpec, dist_rows, orbit_array, step_xy, wrap_half
+from .dynamics import Point2, SystemSpec, dist_rows, orbit_array, wrap_half
 from .errors import (
     GapInfeasibleError,
     IncompleteMixingError,
     InsufficientHorizonError,
+    InvariantError,
     PreconditionError,
     ResolutionError,
 )
@@ -384,10 +385,7 @@ def estimate_transitions(
             "use a larger delta for the cover"
         )
     if x0 is None:
-        rng = np.random.default_rng(seed)
-        x, y = rng.random(2)
-        for _ in range(100):
-            x, y = step_xy(system, x, y)
+        x, y = orbit_array(system, *np.random.default_rng(seed).random(2), n_fwd=100)[-1]
     else:
         x, y = x0.x, x0.y
     orbit = orbit_array(system, x, y, n_fwd=sampling_orbit_length - 1)
@@ -637,202 +635,6 @@ class NsCertificate:
         return out
 
 
-def _certificate_window(system, x, m, n, eta, ctx, max_horizon=2_000_000):
-    """Return times, selected indices, and the stored orbit window of x
-    spanning [t_minus, t_plus]."""
-    if not ctx.gamma.membership(x):
-        raise PreconditionError("certificate base point must lie in the cover support")
-    eps = ctx.epsilon
-    factor = 1.0 + 2.0 * eta / eps
-    H = int(factor * (max(m, n) + 64) * 2) + 256
-    while True:
-        seq = return_times(system, x, ctx.gamma, count_fwd=H, count_bwd=H, horizon=H)
-        try:
-            l1, s1, l2, s2 = select_indices(seq, m, n, eta, eps)
-            break
-        except InsufficientHorizonError as err:
-            if H >= max_horizon:
-                raise
-            H = min(max_horizon, max(2 * H, (err.required_horizon or 0) + 128))
-    t_minus = seq.t(-(l1 + s1))
-    t_plus = seq.t(l2 + s2)
-    xs = orbit_array(system, x.x, x.y, n_fwd=t_plus, n_bwd=-t_minus)
-    return seq, (l1, s1, l2, s2), t_minus, t_plus, xs
-
-
-def _check_q_along(q, xs, t_minus, m, n, eta):
-    """Assert the slow-varying bound on the stored orbit window [-m-1, n+1]."""
-    lo = max(0, (-m - 1) - t_minus)
-    hi = min(len(xs) - 1, (n + 1) - t_minus)
-    qv = q.value_rows(xs[lo : hi + 1])
-    ratios = np.maximum(qv[1:] / qv[:-1], qv[:-1] / qv[1:])
-    worst = float(ratios.max()) if len(ratios) else 1.0
-    if worst > math.exp(eta) + 1e-12:
-        raise PreconditionError(
-            f"q is not eta-slow-varying along the orbit (worst ratio {worst:.6f} "
-            f"> e^eta = {math.exp(eta):.6f})"
-        )
-
-
-def ns_certificate(
-    system: SystemSpec,
-    x: Point2,
-    m: int,
-    n: int,
-    theta: float,
-    eta: float,
-    q: SlowVaryingFn,
-    ctx: CoverContext,
-    connector_gap: int | None = None,
-    newton_tol: float = 1e-11,
-) -> NsCertificate:
-    """Produce one certificate for the orbit window [-m, n] of x.
-
-    connector_gap forces an exact connector length (mixing-mode transitions
-    required), which shifts the period to (t_plus - t_minus) + connector_gap;
-    otherwise the minimal witnessed connector is used and p <= m + n + K.
-    A certificate with in_ball=False is a valid result, not an error.
-    """
-    if abs(q.eta - eta) > 1e-12:
-        raise ValueError("q.eta must equal the certificate eta")
-    seq, indices, t_minus, t_plus, xs = _certificate_window(system, x, m, n, eta, ctx)
-    _check_q_along(q, xs, t_minus, m, n, eta)
-
-    dest = ctx.cover.locate(xs[0])
-    src = ctx.cover.locate(xs[-1])
-    if connector_gap is None:
-        N, t_w = ctx.bounds.connector(dest, src)
-    else:
-        N = int(connector_gap)
-        t_w = ctx.bounds.connector_at(dest, src, N)
-        if t_w is None:
-            raise GapInfeasibleError(
-                f"no witnessed transition of exact gap {N} for pair ({dest}, {src})"
-            )
-    y_pts = ctx.bounds.sampling_orbit[t_w : t_w + N + 1].copy()
-
-    sp = system.space
-    seg_x = (Point2(float(xs[0, 0]), float(xs[0, 1]), sp), t_plus - t_minus, xs)
-    seg_y = (Point2(float(y_pts[0, 0]), float(y_pts[0, 1]), sp), N, y_pts)
-    po, _ = assemble([seg_x, seg_y], system, periodic=True)
-    sol = newton_refine_periodic(system, po, tol=newton_tol)
-    p = sol.period
-
-    j_arr = np.arange(-m, n + 1)
-    rows = j_arr - t_minus
-    zrows = sol.points[rows % p]
-    xrows = xs[rows]
-    d = dist_rows(sp, zrows, xrows)
-    allowance = theta * q.value_rows(xrows) ** (-2.0)
-    ok = d < allowance
-    in_ball = bool(ok.all())
-    first_bad = None if in_ball else int(j_arr[np.nonzero(~ok)[0][0]])
-
-    K = (t_plus - t_minus) + ctx.bounds.M_k - m - n
-    if connector_gap is None and p > m + n + K:
-        raise AssertionError("certificate arithmetic violated: p > m + n + K")
-    z_index = (-t_minus) % p
-    below = theta * float(np.min(q.value_rows(xrows) ** (-2.0))) < 10.0 * max(sol.residual, 5e-16)
-    return NsCertificate(
-        x=x,
-        m=m,
-        n=n,
-        theta=theta,
-        eta=eta,
-        q=q,
-        indices=indices,
-        t_minus=int(t_minus),
-        t_plus=int(t_plus),
-        connector_y=Point2(float(y_pts[0, 0]), float(y_pts[0, 1]), sp),
-        connector_N=N,
-        set_dest=dest,
-        set_src=src,
-        M_k=ctx.bounds.M_k,
-        K=int(K),
-        period=p,
-        z=sol.point(z_index),
-        margins_j=j_arr,
-        margins_distance=d,
-        margins_allowance=allowance,
-        in_ball=in_ball,
-        first_violated_index=first_bad,
-        ratio=K / (m + n),
-        residual=sol.residual,
-        newton_iters=sol.newton_iters,
-        below_resolution=below,
-        delta=po.delta,
-        solution_points=np.roll(sol.points, -z_index, axis=0),
-    )
-
-
-@dataclass
-class SublinearityRow:
-    eta: float
-    m: int
-    n: int
-    K: int
-    ratio: float
-    in_ball: bool
-
-
-@dataclass
-class SublinearityTable:
-    rows: list
-    summaries: dict  # eta -> max ratio over the largest half of the sizes
-
-    def to_json(self) -> dict:
-        return {
-            "rows": [
-                {"eta": r.eta, "m": r.m, "n": r.n, "K": r.K, "ratio": r.ratio, "in_ball": r.in_ball}
-                for r in self.rows
-            ],
-            "summaries": {f"{k:.10g}": v for k, v in self.summaries.items()},
-        }
-
-
-def sublinearity_scan(
-    system: SystemSpec,
-    x: Point2,
-    theta: float,
-    eta_list,
-    mn_list,
-    q: SlowVaryingFn,
-    ctx: CoverContext,
-    newton_tol: float = 1e-11,
-    workers: int = 1,
-) -> SublinearityTable:
-    """One certificate per (eta, m, n); the per-eta summary is the max gap
-    ratio K/(m+n) over the largest half of the size list.
-
-    The context is read-only after construction, so independent certificates
-    may run on up to `workers` threads; results are assembled by task key,
-    keeping the table identical to a serial run."""
-    sizes = sorted(mn_list, key=lambda mn: mn[0] + mn[1])
-    big_half = sizes[len(sizes) // 2 :]
-    tasks = [(float(eta), m, n) for eta in eta_list for m, n in sizes]
-
-    def one(task):
-        eta, m, n = task
-        q_eta = replace(q, eta=eta)
-        cert = ns_certificate(system, x, m, n, theta, eta, q_eta, ctx, newton_tol=newton_tol)
-        return SublinearityRow(eta=eta, m=m, n=n, K=cert.K, ratio=cert.ratio, in_ball=cert.in_ball)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(tasks, pool.map(one, tasks)))
-    else:
-        results = {t: one(t) for t in tasks}
-
-    rows = [results[t] for t in tasks]
-    summaries = {}
-    for eta in (float(e) for e in eta_list):
-        summaries[eta] = max(results[(eta, m, n)].ratio for m, n in big_half)
-    rows.sort(key=lambda r: (r.eta, r.m + r.n, r.m))
-    return SublinearityTable(rows=rows, summaries=summaries)
-
-
 @dataclass
 class GnsSegmentReport:
     x: Point2
@@ -908,6 +710,235 @@ class GnsCertificate:
         }
 
 
+@dataclass
+class _Window:
+    """One orbit window of a certificate: the orbit of x stored over
+    [t_minus, t_plus], starting in cover ball dest and ending in ball src."""
+
+    x: Point2
+    m: int
+    n: int
+    indices: tuple  # (l1, s1, l2, s2)
+    t_minus: int
+    t_plus: int
+    xs: np.ndarray  # row i is f^(t_minus + i)(x)
+    dest: int
+    src: int
+
+
+def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> _Window:
+    """Select the recurrence indices of x for the window [-m, n], store its
+    orbit over [t_minus, t_plus], and check that q is eta-slow-varying along
+    the stored orbit on [-m-1, n+1]."""
+    if not ctx.gamma.membership(x):
+        raise PreconditionError("certificate base point must lie in the cover support")
+    eps = ctx.epsilon
+    factor = 1.0 + 2.0 * eta / eps
+    H = int(factor * (max(m, n) + 64) * 2) + 256
+    while True:
+        seq = return_times(system, x, ctx.gamma, count_fwd=H, count_bwd=H, horizon=H)
+        try:
+            indices = select_indices(seq, m, n, eta, eps)
+            break
+        except InsufficientHorizonError as err:
+            if H >= max_horizon:
+                raise
+            H = min(max_horizon, max(2 * H, (err.required_horizon or 0) + 128))
+    l1, s1, l2, s2 = indices
+    t_minus = seq.t(-(l1 + s1))
+    t_plus = seq.t(l2 + s2)
+    xs = orbit_array(system, x.x, x.y, n_fwd=t_plus, n_bwd=-t_minus)
+    lo = max(0, (-m - 1) - t_minus)
+    hi = min(len(xs) - 1, (n + 1) - t_minus)
+    qv = q.value_rows(xs[lo : hi + 1])
+    ratios = np.maximum(qv[1:] / qv[:-1], qv[:-1] / qv[1:])
+    worst = float(ratios.max()) if len(ratios) else 1.0
+    if worst > math.exp(eta) + 1e-12:
+        raise PreconditionError(
+            f"q is not eta-slow-varying along the orbit (worst ratio {worst:.6f} "
+            f"> e^eta = {math.exp(eta):.6f})"
+        )
+    return _Window(x, m, n, indices, t_minus, t_plus, xs, ctx.cover.locate(xs[0]), ctx.cover.locate(xs[-1]))
+
+
+def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
+    """Cycle the windows through connectors from the sampling record, refine
+    the periodic pseudo-orbit, and check each window's margins against
+    theta * q^-2 on the stored sequences.
+
+    Window i is followed by a connector from its end ball to the start ball
+    of window i + 1, cyclically.  With Ns, connector i has exactly Ns[i]
+    steps and must be witnessed (mixing-mode transitions); otherwise each is
+    the minimal witnessed connector and sum(p_i) <= sum(K_i), which for one
+    window is p <= m + n + K.  Returns (GnsCertificate, Newton solution,
+    pseudo-orbit junction gap)."""
+    bounds = ctx.bounds
+    sp = system.space
+    nxt = windows[1:] + windows[:1]
+    segs, conns = [], []
+    for i, (w, v) in enumerate(zip(windows, nxt)):
+        dest, src = v.dest, w.src
+        if Ns is None:
+            N, t_w = bounds.connector(dest, src)
+        else:
+            N, t_w = Ns[i], bounds.connector_at(dest, src, Ns[i])
+            if t_w is None:
+                raise GapInfeasibleError(f"no witnessed transition of exact gap {N} for pair ({dest}, {src})")
+        y_pts = bounds.sampling_orbit[t_w : t_w + N + 1].copy()
+        y = Point2(float(y_pts[0, 0]), float(y_pts[0, 1]), sp)
+        segs += [(Point2(float(w.xs[0, 0]), float(w.xs[0, 1]), sp), w.t_plus - w.t_minus, w.xs), (y, N, y_pts)]
+        conns.append((N, y))
+    po, _ = assemble(segs, system, periodic=True)
+    sol = newton_refine_periodic(system, po, tol=newton_tol)
+    p = sol.period
+
+    # p_i runs from n_i in window i to -m_{i+1} in the next window
+    gaps = [int((w.t_plus - w.n) + N - v.t_minus - v.m) for w, v, (N, _) in zip(windows, nxt, conns)]
+    K_list = [int((w.t_plus - w.t_minus) + bounds.M_k - w.m - w.n) for w in windows]
+    if p != sum(w.m + w.n for w in windows) + sum(gaps):
+        raise InvariantError("period bookkeeping failed")
+    if Ns is None and sum(gaps) > sum(K_list):
+        raise InvariantError("gap accounting violated: sum(p_i) > sum(K_i)")
+
+    # assembly position of each window's j = 0 point, and the stated offsets
+    pos, c = [], 0
+    for w, (N, _) in zip(windows, conns):
+        pos.append(c - w.t_minus)
+        c += (w.t_plus - w.t_minus) + N
+    offsets = [0]
+    for w, v, g in zip(windows, windows[1:], gaps):
+        offsets.append(int(offsets[-1] + w.n + g + v.m))
+    bookkeeping_ok = all((at - pos[0]) % p == off % p for at, off in zip(pos, offsets)) and sol.residual <= 1e-9
+
+    segments = []
+    for w, start, K, off in zip(windows, pos, K_list, offsets):
+        j = np.arange(-w.m, w.n + 1)
+        xrows = w.xs[j - w.t_minus]
+        dist = dist_rows(sp, sol.points[(start + j) % p], xrows)
+        allowance = theta * q.value_rows(xrows) ** (-2.0)
+        ok = dist < allowance
+        in_ball = bool(ok.all())
+        segments.append(
+            GnsSegmentReport(
+                x=w.x,
+                m=w.m,
+                n=w.n,
+                t_minus=w.t_minus,
+                t_plus=w.t_plus,
+                K=K,
+                offset=off,
+                in_ball=in_ball,
+                first_violated_index=None if in_ball else int(j[np.nonzero(~ok)[0][0]]),
+                margins_j=j,
+                margins_distance=dist,
+                margins_allowance=allowance,
+            )
+        )
+    cert = GnsCertificate(
+        segments=segments,
+        gaps=gaps,
+        connectors=conns,
+        offsets=offsets,
+        z=sol.point(pos[0]),
+        period=p,
+        gap_budget=sum(K_list),
+        sum_gaps=sum(gaps),
+        pair_bound_ok=all(g <= K + K_next for g, K, K_next in zip(gaps, K_list, K_list[1:] + K_list[:1])),
+        residual=sol.residual,
+        newton_iters=sol.newton_iters,
+        bookkeeping_ok=bookkeeping_ok,
+        target_total_gap=None,
+    )
+    return cert, sol, po.delta
+
+
+def ns_certificate(
+    system: SystemSpec,
+    x: Point2,
+    m: int,
+    n: int,
+    theta: float,
+    eta: float,
+    q: SlowVaryingFn,
+    ctx: CoverContext,
+    connector_gap: int | None = None,
+    newton_tol: float = 1e-11,
+) -> NsCertificate:
+    """Produce one certificate for the orbit window [-m, n] of x: the
+    one-window cycle of gns_certificate.
+
+    connector_gap forces an exact connector length (mixing-mode transitions
+    required), which shifts the period to (t_plus - t_minus) + connector_gap;
+    otherwise the minimal witnessed connector is used and p <= m + n + K.
+    A certificate with in_ball=False is a valid result, not an error.
+    """
+    if abs(q.eta - eta) > 1e-12:
+        raise ValueError("q.eta must equal the certificate eta")
+    w = _certificate_window(system, x, m, n, eta, q, ctx)
+    Ns = None if connector_gap is None else [int(connector_gap)]
+    cyc, sol, delta = _close_cycle(system, [w], theta, q, ctx, newton_tol, Ns)
+    seg = cyc.segments[0]
+    N, y = cyc.connectors[0]
+    return NsCertificate(
+        x=x,
+        m=m,
+        n=n,
+        theta=theta,
+        eta=eta,
+        q=q,
+        indices=w.indices,
+        t_minus=w.t_minus,
+        t_plus=w.t_plus,
+        connector_y=y,
+        connector_N=N,
+        set_dest=w.dest,
+        set_src=w.src,
+        M_k=ctx.bounds.M_k,
+        K=seg.K,
+        period=cyc.period,
+        z=cyc.z,
+        margins_j=seg.margins_j,
+        margins_distance=seg.margins_distance,
+        margins_allowance=seg.margins_allowance,
+        in_ball=seg.in_ball,
+        first_violated_index=seg.first_violated_index,
+        ratio=seg.K / (m + n),
+        residual=cyc.residual,
+        newton_iters=cyc.newton_iters,
+        below_resolution=float(seg.margins_allowance.min()) < 10.0 * max(cyc.residual, 5e-16),
+        delta=delta,
+        solution_points=np.roll(sol.points, w.t_minus, axis=0),  # z first
+    )
+
+
+def _spread_gaps(windows, bounds, target):
+    """Connector lengths with gap total sum(p_i) = target: start from the
+    minimal connectors and add single steps round-robin, staying inside the
+    certified contiguous witness ranges [X_pair, h_cap]."""
+    if not bounds.mixing_mode:
+        raise GapInfeasibleError("prescribed gap totals require mixing-mode transitions")
+    k = len(windows)
+    pairs = [(v.dest, w.src) for w, v in zip(windows, windows[1:] + windows[:1])]
+    Ns = [bounds.connector(d, s)[0] for d, s in pairs]
+    # sum(p_i) at the minimal connectors; each step of a connector adds one
+    base = sum(w.t_plus - w.t_minus - w.m - w.n for w in windows) + sum(Ns)
+    budget = int(target) - base
+    if budget < 0:
+        raise GapInfeasibleError(f"target gap total {target} below the minimum {base}")
+    stalled = i = 0
+    while budget > 0:
+        if bounds.connector_at(*pairs[i], Ns[i] + 1) is not None:
+            Ns[i] += 1
+            budget -= 1
+            stalled = 0
+        else:
+            stalled += 1
+            if stalled >= k:
+                raise GapInfeasibleError(f"cannot absorb gap surplus {budget}: witness ranges exhausted")
+        i = (i + 1) % k
+    return Ns
+
+
 def gns_certificate(
     system: SystemSpec,
     segment_list,
@@ -925,153 +956,66 @@ def gns_certificate(
     connectors are re-chosen so the gap total sum(p_i) hits the target
     exactly; otherwise minimal connectors are used and sum(p_i) <= sum(K_i).
     """
-    k = len(segment_list)
-    if k < 2:
+    if len(segment_list) < 2:
         raise PreconditionError("GNS certificates need at least 2 segments")
     if abs(q.eta - eta) > 1e-12:
         raise ValueError("q.eta must equal the certificate eta")
-
-    data = []
-    for x_i, m_i, n_i in segment_list:
-        seq, indices, t_minus, t_plus, xs = _certificate_window(system, x_i, m_i, n_i, eta, ctx)
-        _check_q_along(q, xs, t_minus, m_i, n_i, eta)
-        data.append(
-            {
-                "x": x_i,
-                "m": m_i,
-                "n": n_i,
-                "t_minus": t_minus,
-                "t_plus": t_plus,
-                "xs": xs,
-                "dest": ctx.cover.locate(xs[0]),
-                "src": ctx.cover.locate(xs[-1]),
-            }
-        )
-
-    M = ctx.bounds.M_k
-    pairs = [(data[(i + 1) % k]["dest"], data[i]["src"]) for i in range(k)]
-    Ns = [ctx.bounds.connector(d, s)[0] for d, s in pairs]
-
-    def gap(i, N_i):
-        nxt = data[(i + 1) % k]
-        return (data[i]["t_plus"] - data[i]["n"]) + N_i - nxt["t_minus"] - nxt["m"]
-
-    K_list = [
-        (d["t_plus"] - d["t_minus"]) + M - d["m"] - d["n"] for d in data
-    ]
+    windows = [_certificate_window(system, x_i, m_i, n_i, eta, q, ctx) for x_i, m_i, n_i in segment_list]
+    Ns = None if target_total_gap is None else _spread_gaps(windows, ctx.bounds, target_total_gap)
+    cert, _, _ = _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns)
     if target_total_gap is not None:
-        if not ctx.bounds.mixing_mode:
-            raise GapInfeasibleError("prescribed gap totals require mixing-mode transitions")
-        base = sum(gap(i, Ns[i]) for i in range(k))
-        delta_total = int(target_total_gap) - base
-        if delta_total < 0:
-            raise GapInfeasibleError(
-                f"target gap total {target_total_gap} below the minimum {base}"
-            )
-        # round-robin single increments, staying inside the certified
-        # contiguous witness ranges [X_pair, h_cap]
-        budget = delta_total
-        stalled = 0
-        i = 0
-        while budget > 0:
-            d_set, s_set = pairs[i]
-            if Ns[i] + 1 <= ctx.bounds.h_cap and ctx.bounds.connector_at(d_set, s_set, Ns[i] + 1) is not None:
-                Ns[i] += 1
-                budget -= 1
-                stalled = 0
-            else:
-                stalled += 1
-                if stalled >= k:
-                    raise GapInfeasibleError(
-                        f"cannot absorb gap surplus {budget}: witness ranges exhausted"
-                    )
-            i = (i + 1) % k
+        if cert.sum_gaps != int(target_total_gap):
+            raise InvariantError("gap accounting violated: sum(p_i) != target")
+        cert.target_total_gap = int(target_total_gap)
+    return cert
 
-    sp = system.space
-    segs = []
-    conns = []
-    for i in range(k):
-        xs = data[i]["xs"]
-        segs.append(
-            (Point2(float(xs[0, 0]), float(xs[0, 1]), sp), data[i]["t_plus"] - data[i]["t_minus"], xs)
-        )
-        d_set, s_set = pairs[i]
-        if ctx.bounds.mixing_mode:
-            t_w = ctx.bounds.connector_at(d_set, s_set, Ns[i])
-            if t_w is None:
-                raise GapInfeasibleError(f"no witness at gap {Ns[i]} for pair {(d_set, s_set)}")
-        else:
-            _, t_w = ctx.bounds.connector(d_set, s_set)
-        y_pts = ctx.bounds.sampling_orbit[t_w : t_w + Ns[i] + 1].copy()
-        segs.append((Point2(float(y_pts[0, 0]), float(y_pts[0, 1]), sp), Ns[i], y_pts))
-        conns.append((Ns[i], Point2(float(y_pts[0, 0]), float(y_pts[0, 1]), sp)))
 
-    po, _ = assemble(segs, system, periodic=True)
-    sol = newton_refine_periodic(system, po, tol=newton_tol)
-    p = sol.period
+@dataclass
+class SublinearityRow:
+    eta: float
+    m: int
+    n: int
+    K: int
+    ratio: float
+    in_ball: bool
 
-    gaps = [gap(i, Ns[i]) for i in range(k)]
-    assert p == sum(d["n"] + d["m"] for d in data) + sum(gaps), "period bookkeeping failed"
-    sum_gaps = sum(gaps)
-    if target_total_gap is None and sum_gaps > sum(K_list):
-        raise AssertionError("gap accounting violated: sum(p_i) > sum(K_i)")
-    if target_total_gap is not None and sum_gaps != int(target_total_gap):
-        raise AssertionError("gap accounting violated: sum(p_i) != target")
 
-    # assembly position of each x_i's j=0 point and the stated offsets
-    pos = []
-    c = 0
-    for i in range(k):
-        pos.append(c + (-data[i]["t_minus"]))
-        c += (data[i]["t_plus"] - data[i]["t_minus"]) + Ns[i]
-    offsets = [0]
-    for i in range(1, k):
-        off = sum(data[j]["n"] + gaps[j] for j in range(i)) + sum(data[j]["m"] for j in range(1, i + 1))
-        offsets.append(off)
-    bookkeeping_ok = all((pos[i] - pos[0]) % p == offsets[i] % p for i in range(k))
-    bookkeeping_ok = bookkeeping_ok and sol.residual <= 1e-9
+@dataclass
+class SublinearityTable:
+    rows: list
+    summaries: dict  # eta -> max ratio over the largest half of the sizes
 
-    seg_reports = []
-    for i in range(k):
-        d_i = data[i]
-        j_arr = np.arange(-d_i["m"], d_i["n"] + 1)
-        rows = j_arr - d_i["t_minus"]
-        zrows = sol.points[(pos[i] + j_arr) % p]
-        xrows = d_i["xs"][rows]
-        dist = dist_rows(sp, zrows, xrows)
-        allowance = theta * q.value_rows(xrows) ** (-2.0)
-        ok = dist < allowance
-        in_ball = bool(ok.all())
-        seg_reports.append(
-            GnsSegmentReport(
-                x=d_i["x"],
-                m=d_i["m"],
-                n=d_i["n"],
-                t_minus=d_i["t_minus"],
-                t_plus=d_i["t_plus"],
-                K=int(K_list[i]),
-                offset=int(offsets[i]),
-                in_ball=in_ball,
-                first_violated_index=None if in_ball else int(j_arr[np.nonzero(~ok)[0][0]]),
-                margins_j=j_arr,
-                margins_distance=dist,
-                margins_allowance=allowance,
-            )
-        )
+    def to_json(self) -> dict:
+        return {
+            "rows": [
+                {"eta": r.eta, "m": r.m, "n": r.n, "K": r.K, "ratio": r.ratio, "in_ball": r.in_ball}
+                for r in self.rows
+            ],
+            "summaries": {f"{k:.10g}": v for k, v in self.summaries.items()},
+        }
 
-    pair_ok = all(gaps[i] <= K_list[i] + K_list[(i + 1) % k] for i in range(k))
-    return GnsCertificate(
-        segments=seg_reports,
-        gaps=[int(g) for g in gaps],
-        connectors=conns,
-        offsets=[int(o) for o in offsets],
-        z=sol.point(pos[0]),
-        period=p,
-        gap_budget=int(sum(K_list)),
-        sum_gaps=int(sum_gaps),
-        pair_bound_ok=pair_ok,
-        residual=sol.residual,
-        newton_iters=sol.newton_iters,
-        bookkeeping_ok=bookkeeping_ok,
-        target_total_gap=None if target_total_gap is None else int(target_total_gap),
-    )
+
+def sublinearity_scan(
+    system: SystemSpec,
+    x: Point2,
+    theta: float,
+    eta_list,
+    mn_list,
+    q: SlowVaryingFn,
+    ctx: CoverContext,
+    newton_tol: float = 1e-11,
+) -> SublinearityTable:
+    """One certificate per (eta, m, n); the per-eta summary is the max gap
+    ratio K/(m+n) over the largest half of the size list."""
+    sizes = sorted(mn_list, key=lambda mn: mn[0] + mn[1])
+    rows, summaries = [], {}
+    for eta in (float(e) for e in eta_list):
+        q_eta = replace(q, eta=eta)
+        eta_rows = []
+        for m, n in sizes:
+            cert = ns_certificate(system, x, m, n, theta, eta, q_eta, ctx, newton_tol=newton_tol)
+            eta_rows.append(SublinearityRow(eta=eta, m=m, n=n, K=cert.K, ratio=cert.ratio, in_ball=cert.in_ball))
+        summaries[eta] = max(r.ratio for r in eta_rows[len(sizes) // 2 :])
+        rows += eta_rows
+    rows.sort(key=lambda r: (r.eta, r.m + r.n, r.m))
+    return SublinearityTable(rows=rows, summaries=summaries)

@@ -77,7 +77,7 @@ def test_criterion_3_nonlacunarity(cat):
 def test_criterion_4_shadowing(perturbed):
     # rational cat orbit continued to the perturbed map, then re-glued as a
     # two-segment pseudo-orbit with a contracting-direction displacement
-    from test_shadowing import cat_rational_orbit, displaced_pseudo_orbit
+    from nuspec.shadowing import cat_rational_orbit, displaced_pseudo_orbit
 
     period, guess = cat_rational_orbit(30)
     arc0 = np.vstack([guess, guess[:1]])

@@ -166,17 +166,6 @@ def test_compare_fixed_point_recurrence(tmp_path):
     assert read_json(cmp_out / "summary.json")["pass"] is True
 
 
-def test_worker_count_from_env(monkeypatch):
-    from nuspec.cli import _workers
-
-    monkeypatch.delenv("NUSPEC_THREADS", raising=False)
-    assert _workers() == 1
-    monkeypatch.setenv("NUSPEC_THREADS", "6")
-    assert _workers() == 6
-    monkeypatch.setenv("NUSPEC_THREADS", "junk")
-    assert _workers() == 1
-
-
 def test_gns_cli_round_trip(tmp_path):
     out = tmp_path / "gns"
     rc = run_cli(

@@ -187,26 +187,6 @@ def test_torus_canonicalization():
     assert (p.x, p.y) == (0.75, 0.75)
 
 
-def test_orbit_segment_from_base(cat):
-    from nuspec.dynamics import OrbitSegment
-
-    seg = OrbitSegment.from_base(cat, torus(0.21, 0.68), 8)
-    assert seg.length == 8 and len(seg.points) == 9
-    # stored points satisfy the reapplication tolerance by construction
-    again = OrbitSegment.from_points(cat, seg.points)
-    assert again.length == 8
-
-
-def test_orbit_segment_rejects_non_orbit(cat):
-    from nuspec.dynamics import OrbitSegment
-
-    seg = OrbitSegment.from_base(cat, torus(0.21, 0.68), 5)
-    broken = list(seg.points)
-    broken[3] = torus(broken[3].x + 1e-6, broken[3].y)
-    with pytest.raises(ValueError):
-        OrbitSegment.from_points(cat, broken)
-
-
 def test_step_inverse_array_rows_equal_scalar(all_systems):
     rows = np.random.default_rng(9).random((64, 2))
     for system in all_systems:

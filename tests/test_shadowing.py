@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from nuspec.dynamics import Point2, Space, apply, jac_array, orbit_array
+from nuspec.dynamics import Point2, Space, apply, orbit_array
 from nuspec.errors import DegenerateOrbitError, NonConvergenceError
 from nuspec.shadowing import (
     assemble,
+    cat_rational_orbit,
     check_domination,
+    displaced_pseudo_orbit,
     newton_refine_periodic,
     shadowing_profile,
 )
@@ -17,54 +19,6 @@ CAT_A = np.array([[2, 1], [1, 1]])
 
 def torus(x, y):
     return Point2(x, y, Space.TORUS2)
-
-
-def cat_rational_orbit(q, start=(1, 0), limit=10_000):
-    """Exact integer orbit of start/q under the cat map; returns (p, points)."""
-    a, b = start
-    pts = []
-    for t in range(limit):
-        pts.append((a / q, b / q))
-        a, b = (2 * a + b) % q, (a + b) % q
-        if (a, b) == start:
-            return t + 1, np.array(pts)
-    raise AssertionError("no period found")
-
-
-def displaced_pseudo_orbit(system, Z, n1, jitter):
-    """Two-segment periodic pseudo-orbit: slices of the cyclic orbit Z with a
-    contracting-direction displacement restarted at each junction."""
-    period = len(Z)
-    jacs = jac_array(system, Z)
-    vs = np.empty_like(Z)
-    v = np.array([0.7, 0.3])
-    for lap in range(2):
-        for idx in range(period - 1, -1, -1):
-            J = jacs[idx]
-            det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-            v = np.array(
-                [(J[1, 1] * v[0] - J[0, 1] * v[1]) / det, (-J[1, 0] * v[0] + J[0, 0] * v[1]) / det]
-            )
-            v /= np.hypot(v[0], v[1])
-            if lap == 1:
-                vs[idx] = v
-
-    def arc(start, length, w0):
-        out = np.empty((length + 1, 2))
-        w = w0.copy()
-        for j in range(length + 1):
-            idx = (start + j) % period
-            out[j] = (Z[idx] + w) % 1.0
-            if j < length:
-                w = jacs[idx] @ w
-        return out
-
-    n2 = period - n1
-    a1 = arc(0, n1, jitter * vs[0])
-    a2 = arc(n1, n2, jitter * vs[n1])
-    seg1 = (Point2(float(a1[0, 0]), float(a1[0, 1])), n1, a1)
-    seg2 = (Point2(float(a2[0, 0]), float(a2[0, 1])), n2, a2)
-    return assemble([seg1, seg2], system, periodic=True)
 
 
 def test_assemble_true_orbit_zero_delta(cat):

@@ -1,5 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -12,6 +17,7 @@ from nuspec.errors import (
     GapInfeasibleError,
     IncompleteMixingError,
     InsufficientHorizonError,
+    InvariantError,
     PreconditionError,
     ResolutionError,
 )
@@ -429,19 +435,6 @@ def test_sublinearity_fixed_point(cat, cat_spectrum):
     assert table.summaries[eps / 10] <= 2 * (eps / 10) / eps + 0.1
 
 
-def test_ns_certificate_workers_agree(cat, cat_ctx):
-    x = block_point(cat_ctx, 9)
-    q = const_q(cat_ctx)
-    eta = q.eta
-    serial = sublinearity_scan(cat, x, 0.05, [eta], [(100, 100), (150, 150)], q, cat_ctx)
-    threaded = sublinearity_scan(
-        cat, x, 0.05, [eta], [(100, 100), (150, 150)], q, cat_ctx, workers=4
-    )
-    assert [(r.m, r.K, r.ratio) for r in serial.rows] == [
-        (r.m, r.K, r.ratio) for r in threaded.rows
-    ]
-
-
 # ---------------------------------------------------------------------------
 # GNS
 
@@ -541,3 +534,87 @@ def test_ns_mixing_consecutive_periods(cat, mix_ctx):
         assert cert.period >= floor
         periods.append(cert.period)
     assert periods == list(range(periods[0], periods[0] + 6))
+
+
+# ---------------------------------------------------------------------------
+# one certificate core: ns is the one-window cycle
+
+
+def test_ns_exact_minimal_gap_equals_minimal_connector(cat, mix_ctx):
+    # connector and connector_at pick the same witness at the minimal gap
+    x = block_point(mix_ctx, 4)
+    q = const_q(mix_ctx)
+    base = ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx)
+    X = int(mix_ctx.bounds.X[base.set_dest, base.set_src])
+    exact = ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx, connector_gap=X)
+    assert exact.to_json(include_margins=True) == base.to_json(include_margins=True)
+    assert np.array_equal(exact.solution_points, base.solution_points)
+
+
+def test_ns_connector_gap_needs_mixing(cat, cat_ctx):
+    x = block_point(cat_ctx, 3)
+    q = const_q(cat_ctx)
+    base = ns_certificate(cat, x, 100, 100, 0.05, q.eta, q, cat_ctx)
+    with pytest.raises(GapInfeasibleError):
+        ns_certificate(cat, x, 100, 100, 0.05, q.eta, q, cat_ctx, connector_gap=base.connector_N)
+
+
+def test_ns_unwitnessed_exact_gap(cat, mix_ctx):
+    x = block_point(mix_ctx, 4)
+    q = const_q(mix_ctx)
+    base = ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx)
+    b = mix_ctx.bounds
+    missing = np.flatnonzero(~b.mix_witnessed[base.set_dest, base.set_src, b.T_floor :]) + b.T_floor
+    for gap in (int(missing[-1]) if len(missing) else b.T_floor - 1, b.h_cap + 1):
+        with pytest.raises(GapInfeasibleError):
+            ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx, connector_gap=gap)
+
+
+# M_k = 0 puts every connector over its gap budget K, so both certificates
+# must fail their p <= m + n + K / sum(p_i) <= sum(K_i) invariant
+_BROKEN_BUDGET = """
+from dataclasses import replace
+from nuspec.dynamics import CAT_EXPONENT, Point2, SystemSpec
+from nuspec.errors import InvariantError
+from nuspec.specification import SlowVaryingFn, fixed_point_context, gns_certificate, ns_certificate
+
+cat = SystemSpec.cat_map()
+fp = Point2(0.0, 0.0)
+ctx = fixed_point_context(cat, fp, epsilon=0.1 * CAT_EXPONENT)
+ctx = replace(ctx, bounds=replace(ctx.bounds, M_k=0))
+q = SlowVaryingFn.constant(1.0, ctx.epsilon / 10)
+for make in (
+    lambda: ns_certificate(cat, fp, 20, 20, 1e-6, q.eta, q, ctx),
+    lambda: gns_certificate(cat, [(fp, 20, 20), (fp, 20, 20)], 1e-6, q.eta, q, ctx),
+):
+    try:
+        make()
+        print("no error")
+    except InvariantError as err:
+        print(type(err).__name__)
+"""
+
+
+def test_certificate_invariants_raise_typed_error(cat, cat_spectrum):
+    fp = torus(0.0, 0.0)
+    eps = 0.1 * min(abs(cat_spectrum.lambda_s), cat_spectrum.lambda_u)
+    ctx = fixed_point_context(cat, fp, epsilon=eps)
+    ctx = replace(ctx, bounds=replace(ctx.bounds, M_k=0))
+    q = SlowVaryingFn.constant(1.0, eps / 10)
+    with pytest.raises(InvariantError):
+        ns_certificate(cat, fp, 20, 20, 1e-6, q.eta, q, ctx)
+    with pytest.raises(InvariantError):
+        gns_certificate(cat, [(fp, 20, 20), (fp, 20, 20)], 1e-6, q.eta, q, ctx)
+
+
+def test_certificate_invariants_survive_optimize_flag():
+    src = str(Path(specification.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", _BROKEN_BUDGET],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["InvariantError", "InvariantError"]
