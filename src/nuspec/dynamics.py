@@ -6,6 +6,9 @@ All maps are invertible; inverses are closed-form except the perturbed cat
 map, which is inverted by Newton iteration on the forward map.  Torus
 coordinates are always stored canonically in [0, 1) and displacement vectors
 are wrapped to the symmetric representative in (-1/2, 1/2].
+
+Each map kind is defined once, as an entry of the table _KINDS; its formulas
+run on Python floats and on numpy arrays alike.
 """
 
 from __future__ import annotations
@@ -13,6 +16,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -24,7 +29,6 @@ TWO_PI = 2.0 * math.pi
 CAT_LAMBDA_U = (3.0 + math.sqrt(5.0)) / 2.0
 CAT_LAMBDA_S = (3.0 - math.sqrt(5.0)) / 2.0
 CAT_EXPONENT = math.log(CAT_LAMBDA_U)
-_SQRT5 = math.sqrt(5.0)
 
 # Coordinate magnitude beyond which a plane map is declared to have escaped.
 PLANE_OVERFLOW = 1e50
@@ -88,26 +92,34 @@ class SystemSpec:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind is SystemKind.HENON:
-            if self.params.get("b", 0.0) == 0.0:
-                raise ConfigError("Henon requires b != 0 (inverse exists)", field="b")
-        if self.kind is SystemKind.PERTURBED_CAT_MAP:
-            kappa = float(self.params.get("kappa", 0.0))
-            # invertibility guard: sample det Df on a grid and require it
-            # bounded away from zero (exactly 1 for the shear form, but the
-            # check stays so bad parameterizations fail loudly at construction)
-            g = np.linspace(0.0, 1.0, 33)
-            dets = [abs(_det_jac_perturbed(kappa, gx)) for gx in g]
-            if min(dets) < 0.1:
-                raise ConfigError(
-                    f"PerturbedCatMap kappa={kappa} fails the Jacobian determinant "
-                    "grid check (|det| not bounded away from 0)",
-                    field="kappa",
-                )
+        required = set(_KINDS[self.kind].params)
+        for what, names in (("unknown", set(self.params) - required), ("missing", required - set(self.params))):
+            if names:
+                msg = f"{what} system parameter(s) {sorted(names)} for kind {self.kind.value}"
+                raise ConfigError(msg, field="system.params")
+        try:
+            params = {k: float(v) for k, v in self.params.items()}
+        except (TypeError, ValueError):
+            raise ConfigError("system parameters must be numbers", field="system.params") from None
+        if not all(map(math.isfinite, params.values())):
+            raise ConfigError(f"non-finite system parameter(s) in {params}", field="system.params")
+        object.__setattr__(self, "params", params)
+        # invertibility guard: det Df must not vanish on a grid (it is 1 for the
+        # torus maps and -b for Henon; huge parameters cancel it to 0)
+        g = np.linspace(0.0, 1.0, 33)
+        a11, a12, a21, a22 = self.maps(np)[2](g, g)
+        if not np.all(np.abs(a11 * a22 - a12 * a21) > 0.0):
+            msg = f"{self.kind.value} parameters {params} fail the Jacobian determinant grid check (det Df = 0)"
+            raise ConfigError(msg, field="system.params")
 
     @property
     def space(self) -> Space:
-        return Space.PLANE if self.kind is SystemKind.HENON else Space.TORUS2
+        return _KINDS[self.kind].space
+
+    def maps(self, xp=math):
+        """The kind's (step, inverse, jac): on Python floats with xp = math,
+        on numpy arrays (one point per element) with xp = numpy."""
+        return _KINDS[self.kind].maps(self.params, xp)
 
     @classmethod
     def cat_map(cls) -> "SystemSpec":
@@ -137,139 +149,173 @@ class SystemSpec:
             kind = SystemKind(kind_name)
         except ValueError:
             valid = ", ".join(k.value for k in SystemKind)
-            raise ConfigError(
-                f"unknown system kind {kind_name!r} (valid: {valid})", field="system.kind"
-            ) from None
+            raise ConfigError(f"unknown system kind {kind_name!r} (valid: {valid})", field="system.kind") from None
         params = obj.get("params", {})
         if not isinstance(params, dict):
             raise ConfigError("system.params must be an object", field="system.params")
-        required = {
-            SystemKind.CAT_MAP: set(),
-            SystemKind.PERTURBED_CAT_MAP: {"kappa"},
-            SystemKind.STANDARD_MAP: {"K_s"},
-            SystemKind.HENON: {"a", "b"},
-        }[kind]
-        unknown = set(params) - required
-        if unknown:
-            raise ConfigError(
-                f"unknown system parameter(s) {sorted(unknown)} for kind {kind.value}",
-                field="system.params",
-            )
-        missing = required - set(params)
-        if missing:
-            raise ConfigError(
-                f"missing system parameter(s) {sorted(missing)} for kind {kind.value}",
-                field="system.params",
-            )
-        return cls(kind, {k: float(v) for k, v in params.items()})
-
-
-def _det_jac_perturbed(kappa, x):
-    c = TWO_PI * kappa * math.cos(TWO_PI * x)
-    return (2.0 + c) * 1.0 - 1.0 * (1.0 + c)
+        return cls(kind, params)
 
 
 # ---------------------------------------------------------------------------
-# scalar map evaluation
+# the map table: per kind, a factory (params, xp) -> (step, inverse, jac) on
+# coordinates x, y, run on Python floats with xp = math and on arrays with
+# xp = numpy; jac gives the flat (a11, a12, a21, a22), constants as scalars
+
+
+class MapKind(NamedTuple):
+    space: Space
+    params: tuple
+    maps: Callable
+
+
+def _cat_inverse(x, y):
+    # inverse matrix [[1,-1],[-1,2]]
+    return (x - y) % 1.0, (-x + 2.0 * y) % 1.0
+
+
+def _cat(p, xp):
+    def step(x, y):
+        return (2.0 * x + y) % 1.0, (x + y) % 1.0
+
+    def jac(x, y):
+        return 2.0, 1.0, 1.0, 1.0
+
+    return step, _cat_inverse, jac
+
+
+def _perturbed_cat(p, xp):
+    kappa = p["kappa"]
+
+    def step(x, y):
+        yy = y + kappa * xp.sin(TWO_PI * x)
+        return (2.0 * x + yy) % 1.0, (x + yy) % 1.0
+
+    def jac(x, y):
+        c = TWO_PI * kappa * xp.cos(TWO_PI * x)
+        return 2.0 + c, 1.0, 1.0 + c, 1.0
+
+    def guess(x, y):
+        # the unperturbed inverse with the shear undone there
+        wx, wy = _cat_inverse(x, y)
+        return wx, (wy - kappa * xp.sin(TWO_PI * wx)) % 1.0
+
+    newton = _newton_point if xp is math else _newton_rows
+    return step, partial(newton, step, jac, guess), jac
+
+
+def _standard(p, xp):
+    k = p["K_s"] / TWO_PI
+
+    def step(x, y):
+        yy = (y + k * xp.sin(TWO_PI * x)) % 1.0
+        return (x + yy) % 1.0, yy
+
+    def inverse(x, y):
+        px = (x - y) % 1.0
+        return px, (y - k * xp.sin(TWO_PI * px)) % 1.0
+
+    def jac(x, y):
+        c = p["K_s"] * xp.cos(TWO_PI * x)
+        return 1.0 + c, 1.0, c, 1.0
+
+    return step, inverse, jac
+
+
+def _henon(p, xp):
+    a, b = p["a"], p["b"]
+
+    def step(x, y):
+        return _plane("orbit", 1.0 - a * x * x + y, b * x)
+
+    def inverse(x, y):
+        px = y / b
+        return _plane("inverse", px, x - 1.0 + a * px * px)
+
+    def jac(x, y):
+        return -2.0 * a * x, 1.0, b, 0.0
+
+    return step, inverse, jac
+
+
+def _plane(what, x, y):
+    """(x, y), unless a point (of arrays, the first row) lies past PLANE_OVERFLOW."""
+    over = (abs(x) > PLANE_OVERFLOW) | (abs(y) > PLANE_OVERFLOW)
+    if over is not False and np.any(over):
+        if np.ndim(over):
+            i = np.argmax(over)
+            x, y = x[i], y[i]
+        raise NonFiniteError(f"Henon {what} escaped: ({x}, {y})")
+    return x, y
+
+
+def _newton_point(step, jac, guess, x, y, tol=1e-13, max_iter=50):
+    # Newton iteration on the forward map, from the kind's first guess
+    zx, zy = guess(x, y)
+    for _ in range(max_iter):
+        fx, fy = step(zx, zy)
+        rx, ry = wrap_half(fx - x), wrap_half(fy - y)
+        if abs(rx) <= tol and abs(ry) <= tol:
+            return zx, zy
+        a11, a12, a21, a22 = jac(zx, zy)
+        det = a11 * a22 - a12 * a21
+        zx = (zx - (a22 * rx - a12 * ry) / det) % 1.0
+        zy = (zy - (-a21 * rx + a11 * ry) / det) % 1.0
+    raise InversionError(f"PerturbedCatMap inverse: Newton failed to converge for ({x}, {y})")
+
+
+def _newton_rows(step, jac, guess, x, y, tol=1e-13, max_iter=50):
+    # _newton_point on every row; a row leaves the iteration at the step
+    # where the one-point loop would return it
+    z = np.column_stack(guess(x, y))
+    active = np.arange(len(z))
+    for _ in range(max_iter):
+        za = z[active]
+        fx, fy = step(za[:, 0], za[:, 1])
+        rx, ry = wrap_half(fx - x[active]), wrap_half(fy - y[active])
+        going = ~((np.abs(rx) <= tol) & (np.abs(ry) <= tol))  # NaN keeps going
+        active, za, rx, ry = active[going], za[going], rx[going], ry[going]
+        if not len(active):
+            return z[:, 0], z[:, 1]
+        a11, a12, a21, a22 = jac(za[:, 0], za[:, 1])
+        det = a11 * a22 - a12 * a21
+        z[active, 0] = (za[:, 0] - (a22 * rx - a12 * ry) / det) % 1.0
+        z[active, 1] = (za[:, 1] - (-a21 * rx + a11 * ry) / det) % 1.0
+    i = active[0]
+    raise InversionError(f"PerturbedCatMap inverse: Newton failed to converge for ({x[i]}, {y[i]})")
+
+
+_KINDS = {
+    SystemKind.CAT_MAP: MapKind(Space.TORUS2, (), _cat),
+    SystemKind.PERTURBED_CAT_MAP: MapKind(Space.TORUS2, ("kappa",), _perturbed_cat),
+    SystemKind.STANDARD_MAP: MapKind(Space.TORUS2, ("K_s",), _standard),
+    SystemKind.HENON: MapKind(Space.PLANE, ("a", "b"), _henon),
+}
+
+
+# ---------------------------------------------------------------------------
+# point and array evaluation
 
 
 def step_xy(system: SystemSpec, x: float, y: float):
     """One forward application of the map, on raw coordinates."""
-    kind = system.kind
-    if kind is SystemKind.CAT_MAP:
-        return (2.0 * x + y) % 1.0, (x + y) % 1.0
-    if kind is SystemKind.PERTURBED_CAT_MAP:
-        yy = y + system.params["kappa"] * math.sin(TWO_PI * x)
-        return (2.0 * x + yy) % 1.0, (x + yy) % 1.0
-    if kind is SystemKind.STANDARD_MAP:
-        yy = (y + system.params["K_s"] / TWO_PI * math.sin(TWO_PI * x)) % 1.0
-        return (x + yy) % 1.0, yy
-    # Henon
-    a = system.params["a"]
-    b = system.params["b"]
-    nx = 1.0 - a * x * x + y
-    ny = b * x
-    if abs(nx) > PLANE_OVERFLOW or abs(ny) > PLANE_OVERFLOW:
-        raise NonFiniteError(f"Henon orbit escaped: ({nx}, {ny})")
-    return nx, ny
+    return system.maps()[0](x, y)
 
 
 def step_inverse_xy(system: SystemSpec, x: float, y: float):
     """One backward application of the map, on raw coordinates."""
-    kind = system.kind
-    if kind is SystemKind.CAT_MAP:
-        # inverse matrix [[1,-1],[-1,2]]
-        return (x - y) % 1.0, (-x + 2.0 * y) % 1.0
-    if kind is SystemKind.PERTURBED_CAT_MAP:
-        return _invert_perturbed(system, x, y)
-    if kind is SystemKind.STANDARD_MAP:
-        px = (x - y) % 1.0
-        py = (y - system.params["K_s"] / TWO_PI * math.sin(TWO_PI * px)) % 1.0
-        return px, py
-    a = system.params["a"]
-    b = system.params["b"]
-    px = y / b
-    py = x - 1.0 + a * px * px
-    if abs(px) > PLANE_OVERFLOW or abs(py) > PLANE_OVERFLOW:
-        raise NonFiniteError(f"Henon inverse escaped: ({px}, {py})")
-    return px, py
-
-
-def _invert_perturbed(system, x, y, tol=1e-13, max_iter=50):
-    # Newton iteration on the forward map, seeded with the unperturbed inverse.
-    kappa = system.params["kappa"]
-    wx = (x - y) % 1.0
-    wy = (-x + 2.0 * y) % 1.0
-    zx, zy = wx, (wy - kappa * math.sin(TWO_PI * wx)) % 1.0
-    for _ in range(max_iter):
-        fx, fy = step_xy(system, zx, zy)
-        rx = wrap_half(fx - x)
-        ry = wrap_half(fy - y)
-        if abs(rx) <= tol and abs(ry) <= tol:
-            return zx, zy
-        a11, a12, a21, a22 = jac_entries(system, zx, zy)
-        det = a11 * a22 - a12 * a21
-        dx = (a22 * rx - a12 * ry) / det
-        dy = (-a21 * rx + a11 * ry) / det
-        zx = (zx - dx) % 1.0
-        zy = (zy - dy) % 1.0
-    raise InversionError(
-        f"PerturbedCatMap inverse: Newton failed to converge for ({x}, {y})"
-    )
-
-
-def jac_entries(system: SystemSpec, x: float, y: float):
-    """Analytic Jacobian of the map at (x, y) as a flat (a11, a12, a21, a22)."""
-    kind = system.kind
-    if kind is SystemKind.CAT_MAP:
-        return 2.0, 1.0, 1.0, 1.0
-    if kind is SystemKind.PERTURBED_CAT_MAP:
-        c = TWO_PI * system.params["kappa"] * math.cos(TWO_PI * x)
-        return 2.0 + c, 1.0, 1.0 + c, 1.0
-    if kind is SystemKind.STANDARD_MAP:
-        c = system.params["K_s"] * math.cos(TWO_PI * x)
-        return 1.0 + c, 1.0, c, 1.0
-    a = system.params["a"]
-    return -2.0 * a * x, 1.0, system.params["b"], 0.0
-
-
-# ---------------------------------------------------------------------------
-# public operations on Point2
+    return system.maps()[1](x, y)
 
 
 def apply(system: SystemSpec, p: Point2) -> Point2:
-    nx, ny = step_xy(system, p.x, p.y)
-    return Point2(nx, ny, system.space)
+    return Point2(*step_xy(system, p.x, p.y), system.space)
 
 
 def apply_inverse(system: SystemSpec, p: Point2) -> Point2:
-    nx, ny = step_inverse_xy(system, p.x, p.y)
-    return Point2(nx, ny, system.space)
+    return Point2(*step_inverse_xy(system, p.x, p.y), system.space)
 
 
 def differential(system: SystemSpec, p: Point2) -> np.ndarray:
-    a11, a12, a21, a22 = jac_entries(system, p.x, p.y)
-    return np.array([[a11, a12], [a21, a22]], dtype=float)
+    return np.array(system.maps()[2](p.x, p.y), dtype=float).reshape(2, 2)
 
 
 def _arc(d):
@@ -300,146 +346,38 @@ def orbit(system: SystemSpec, x: Point2, m: int, n: int):
     if m < 0 or n < 0:
         raise ValueError("orbit window lengths must be nonnegative")
     arr = orbit_array(system, x.x, x.y, n_fwd=n, n_bwd=m)
-    sp = system.space
-    return [Point2(float(r[0]), float(r[1]), sp) for r in arr]
+    return [Point2(float(r[0]), float(r[1]), system.space) for r in arr]
 
 
 def orbit_array(system: SystemSpec, x: float, y: float, n_fwd: int, n_bwd: int = 0) -> np.ndarray:
     """Orbit window as an (n_bwd + n_fwd + 1, 2) array; row i is f^(i - n_bwd)."""
+    step, inverse, _ = system.maps()
     out = np.empty((n_bwd + n_fwd + 1, 2), dtype=float)
-    out[n_bwd, 0] = x % 1.0 if system.space is Space.TORUS2 else x
-    out[n_bwd, 1] = y % 1.0 if system.space is Space.TORUS2 else y
+    out[n_bwd] = (x % 1.0, y % 1.0) if system.space is Space.TORUS2 else (x, y)
     # the loops step on Python floats, which run faster than numpy scalars
-    start = out[n_bwd].tolist()
-    if system.kind is SystemKind.CAT_MAP:
-        # inline hot loop for the most common kind
-        cx, cy = start
-        for i in range(n_bwd + 1, n_bwd + n_fwd + 1):
-            cx, cy = (2.0 * cx + cy) % 1.0, (cx + cy) % 1.0
+    for f, rows in ((step, range(n_bwd + 1, n_bwd + n_fwd + 1)), (inverse, range(n_bwd - 1, -1, -1))):
+        cx, cy = out[n_bwd].tolist()
+        for i in rows:
+            cx, cy = f(cx, cy)
             out[i, 0] = cx
             out[i, 1] = cy
-        cx, cy = start
-        for i in range(n_bwd - 1, -1, -1):
-            cx, cy = (cx - cy) % 1.0, (-cx + 2.0 * cy) % 1.0
-            out[i, 0] = cx
-            out[i, 1] = cy
-        return out
-    cx, cy = start
-    for i in range(n_bwd + 1, n_bwd + n_fwd + 1):
-        cx, cy = step_xy(system, cx, cy)
-        out[i, 0] = cx
-        out[i, 1] = cy
-    cx, cy = start
-    for i in range(n_bwd - 1, -1, -1):
-        cx, cy = step_inverse_xy(system, cx, cy)
-        out[i, 0] = cx
-        out[i, 1] = cy
     return out
 
 
 def step_array(system: SystemSpec, pts: np.ndarray) -> np.ndarray:
-    """Forward image of an (n, 2) array of points (vectorized per kind)."""
-    x = pts[:, 0]
-    y = pts[:, 1]
-    kind = system.kind
-    if kind is SystemKind.CAT_MAP:
-        return np.column_stack(((2.0 * x + y) % 1.0, (x + y) % 1.0))
-    if kind is SystemKind.PERTURBED_CAT_MAP:
-        yy = y + system.params["kappa"] * np.sin(TWO_PI * x)
-        return np.column_stack(((2.0 * x + yy) % 1.0, (x + yy) % 1.0))
-    if kind is SystemKind.STANDARD_MAP:
-        yy = (y + system.params["K_s"] / TWO_PI * np.sin(TWO_PI * x)) % 1.0
-        return np.column_stack(((x + yy) % 1.0, yy))
-    a = system.params["a"]
-    b = system.params["b"]
-    nx = 1.0 - a * x * x + y
-    ny = b * x
-    if np.any(np.abs(nx) > PLANE_OVERFLOW) or np.any(np.abs(ny) > PLANE_OVERFLOW):
-        raise NonFiniteError("Henon orbit escaped during vectorized stepping")
-    return np.column_stack((nx, ny))
+    """Forward image of an (n, 2) array of points, row for row equal to step_xy."""
+    return np.column_stack(system.maps(np)[0](pts[:, 0], pts[:, 1]))
 
 
 def step_inverse_array(system: SystemSpec, pts: np.ndarray) -> np.ndarray:
     """Backward image of an (n, 2) array of points, row for row equal to
     step_inverse_xy; an error names the first failing row as the scalar
     call on that row would."""
-    x = pts[:, 0]
-    y = pts[:, 1]
-    kind = system.kind
-    if kind is SystemKind.CAT_MAP:
-        return np.column_stack(((x - y) % 1.0, (-x + 2.0 * y) % 1.0))
-    if kind is SystemKind.PERTURBED_CAT_MAP:
-        return _invert_perturbed_array(system, x, y)
-    if kind is SystemKind.STANDARD_MAP:
-        px = (x - y) % 1.0
-        py = (y - system.params["K_s"] / TWO_PI * np.sin(TWO_PI * px)) % 1.0
-        return np.column_stack((px, py))
-    a = system.params["a"]
-    b = system.params["b"]
-    px = y / b
-    py = x - 1.0 + a * px * px
-    bad = np.flatnonzero((np.abs(px) > PLANE_OVERFLOW) | (np.abs(py) > PLANE_OVERFLOW))
-    if len(bad):
-        i = bad[0]
-        raise NonFiniteError(f"Henon inverse escaped: ({px[i]}, {py[i]})")
-    return np.column_stack((px, py))
-
-
-def _invert_perturbed_array(system, x, y, tol=1e-13, max_iter=50):
-    # _invert_perturbed on every row; a row leaves the iteration at the step
-    # where the scalar loop would return it
-    kappa = system.params["kappa"]
-    wx = (x - y) % 1.0
-    wy = (-x + 2.0 * y) % 1.0
-    z = np.column_stack((wx, (wy - kappa * np.sin(TWO_PI * wx)) % 1.0))
-    active = np.arange(len(z))
-    for _ in range(max_iter):
-        za = z[active]
-        f = step_array(system, za)
-        rx = wrap_half(f[:, 0] - x[active])
-        ry = wrap_half(f[:, 1] - y[active])
-        going = ~((np.abs(rx) <= tol) & (np.abs(ry) <= tol))  # NaN keeps going
-        active, za, rx, ry = active[going], za[going], rx[going], ry[going]
-        if not len(active):
-            return z
-        J = jac_array(system, za)
-        a11, a12, a21, a22 = J[:, 0, 0], J[:, 0, 1], J[:, 1, 0], J[:, 1, 1]
-        det = a11 * a22 - a12 * a21
-        dx = (a22 * rx - a12 * ry) / det
-        dy = (-a21 * rx + a11 * ry) / det
-        z[active, 0] = (za[:, 0] - dx) % 1.0
-        z[active, 1] = (za[:, 1] - dy) % 1.0
-    i = active[0]
-    raise InversionError(
-        f"PerturbedCatMap inverse: Newton failed to converge for ({x[i]}, {y[i]})"
-    )
+    return np.column_stack(system.maps(np)[1](pts[:, 0], pts[:, 1]))
 
 
 def jac_array(system: SystemSpec, pts: np.ndarray) -> np.ndarray:
     """Jacobians at each row of an (n, 2) array, shape (n, 2, 2)."""
-    n = len(pts)
-    out = np.empty((n, 2, 2), dtype=float)
-    kind = system.kind
-    x = pts[:, 0]
-    if kind is SystemKind.CAT_MAP:
-        out[:] = np.array([[2.0, 1.0], [1.0, 1.0]])
-        return out
-    if kind is SystemKind.PERTURBED_CAT_MAP:
-        c = TWO_PI * system.params["kappa"] * np.cos(TWO_PI * x)
-        out[:, 0, 0] = 2.0 + c
-        out[:, 0, 1] = 1.0
-        out[:, 1, 0] = 1.0 + c
-        out[:, 1, 1] = 1.0
-        return out
-    if kind is SystemKind.STANDARD_MAP:
-        c = system.params["K_s"] * np.cos(TWO_PI * x)
-        out[:, 0, 0] = 1.0 + c
-        out[:, 0, 1] = 1.0
-        out[:, 1, 0] = c
-        out[:, 1, 1] = 1.0
-        return out
-    out[:, 0, 0] = -2.0 * system.params["a"] * x
-    out[:, 0, 1] = 1.0
-    out[:, 1, 0] = system.params["b"]
-    out[:, 1, 1] = 0.0
+    out = np.empty((len(pts), 2, 2), dtype=float)
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = system.maps(np)[2](pts[:, 0], pts[:, 1])
     return out

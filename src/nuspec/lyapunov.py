@@ -23,11 +23,9 @@ from .dynamics import (
     Space,
     SystemSpec,
     jac_array,
-    jac_entries,
     orbit_array,
     step_array,
     step_inverse_array,
-    step_xy,
 )
 from .errors import DegeneracyError, NuspecError
 
@@ -153,6 +151,7 @@ def lyapunov_spectrum(
     if N < 10 * qr_period:
         raise ValueError("need N >= 10 * qr_period")
     x, y = orbit_array(system, x0.x, x0.y, n_fwd=transient)[-1].tolist()
+    step, _, jac = system.maps()
     blocks = N // qr_period
     n_used = blocks * qr_period
     # tangent columns (u1, u2) and (v1, v2) as plain floats
@@ -162,10 +161,10 @@ def lyapunov_spectrum(
     acc2 = 0.0
     for _ in range(blocks):
         for _ in range(qr_period):
-            a11, a12, a21, a22 = jac_entries(system, x, y)
+            a11, a12, a21, a22 = jac(x, y)
             u1, u2 = a11 * u1 + a12 * u2, a21 * u1 + a22 * u2
             v1, v2 = a11 * v1 + a12 * v2, a21 * v1 + a22 * v2
-            x, y = step_xy(system, x, y)
+            x, y = step(x, y)
         r1 = math.hypot(u1, u2)
         if r1 == 0.0:
             raise DegeneracyError("first tangent column collapsed to zero")
@@ -215,19 +214,8 @@ def oseledec_directions(system: SystemSpec, x: Point2, N: int = 80) -> Splitting
     """
     if N < 50:
         raise ValueError("need N >= 50 transport steps")
-    pts = orbit_array(system, x.x, x.y, n_fwd=N, n_bwd=N)
-    jacs = jac_array(system, pts)
-    v = _GENERIC.copy()
-    for t in range(0, N):  # rows 0..N-1 are f^{-N}..f^{-1}(x)
-        v = _normalize_rows((jacs[t] @ v)[None])[0]
-    Eu = v
-    w = _GENERIC.copy()
-    for t in range(2 * N - 1, N - 1, -1):  # pull back from f^{+N} down to x
-        a11, a12 = jacs[t, 0]
-        a21, a22 = jacs[t, 1]
-        det = a11 * a22 - a12 * a21
-        w = _normalize_rows(np.array([[(a22 * w[0] - a12 * w[1]) / det, (-a21 * w[0] + a11 * w[1]) / det]]))[0]
-    Es = w
+    _, vu, vs, _, _ = _transport_sweeps(system, x.as_array()[None], 0, 0, warm=N)
+    Eu, Es = vu[0, 0], vs[0, 0]
     ang = line_angle(Eu, Es)
     if ang <= 0.0:
         raise DegeneracyError("estimated splitting directions are parallel")

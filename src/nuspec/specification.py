@@ -18,8 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Point2, SystemSpec, dist_rows, orbit_array, wrap_half
+from .dynamics import Point2, Space, SystemSpec, dist_rows, orbit_array, wrap_half
 from .errors import (
+    ConfigError,
     GapInfeasibleError,
     IncompleteMixingError,
     InsufficientHorizonError,
@@ -470,6 +471,7 @@ def build_cover_context(
     estimate transition bounds on one sampling orbit."""
     from .lyapunov import PesinBlockParams, block_sample, lyapunov_spectrum
 
+    _require_torus(system)
     rng = np.random.default_rng(seed)
     if spectrum is None:
         x0 = Point2(rng.random(), rng.random(), system.space)
@@ -504,9 +506,19 @@ def build_cover_context(
     )
 
 
+def _require_torus(system: SystemSpec):
+    # covers, ball membership and cover events wrap displacements mod 1
+    if system.space is not Space.TORUS2:
+        raise ConfigError(
+            f"cover contexts need a torus map; {system.kind.value} acts on the {system.space.value}",
+            field="system.kind",
+        )
+
+
 def fixed_point_context(system: SystemSpec, fp: Point2, epsilon: float, radius: float = 0.02, length: int = 2000) -> CoverContext:
     """Degenerate context for a fixed point: one ball, sampling orbit pinned
     at the fixed point, every transition gap witnessed trivially."""
+    _require_torus(system)
     cover = CoverSpec(centers=fp.as_array()[None, :], radius=radius, r_count=1, delta=2 * radius / 0.98)
     bounds = estimate_transitions(
         system, cover, length, mixing_mode=True, T_floor=1, h_cap=64, x0=fp
@@ -730,6 +742,8 @@ def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> 
     """Select the recurrence indices of x for the window [-m, n], store its
     orbit over [t_minus, t_plus], and check that q is eta-slow-varying along
     the stored orbit on [-m-1, n+1]."""
+    if m < 0 or n < 0:
+        raise PreconditionError(f"window lengths must be nonnegative, got m={m}, n={n}")
     if not ctx.gamma.membership(x):
         raise PreconditionError("certificate base point must lie in the cover support")
     eps = ctx.epsilon
@@ -874,6 +888,8 @@ def ns_certificate(
     """
     if abs(q.eta - eta) > 1e-12:
         raise ValueError("q.eta must equal the certificate eta")
+    if m == n == 0:
+        raise PreconditionError("the window [-m, n] needs m + n > 0 (its ratio is K / (m + n))")
     w = _certificate_window(system, x, m, n, eta, q, ctx)
     Ns = None if connector_gap is None else [int(connector_gap)]
     cyc, sol, delta = _close_cycle(system, [w], theta, q, ctx, newton_tol, Ns)

@@ -77,6 +77,36 @@ def test_invalid_kind_writes_error_json(tmp_path):
     assert rep["error"]["field"] == "system.kind"
 
 
+def test_ns_cert_empty_window_writes_typed_error(tmp_path):
+    out = tmp_path / "ns"
+    args = ["ns-cert", "--out", out, "--set", "fixed_point=true", "--set", "spectrum_N=20000"]
+    assert run_cli(args + ["--set", "m=0", "--set", "n=0"]) == 1
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True
+    assert rep["error"]["type"] == "PreconditionError"
+
+
+def test_ns_cert_rejects_plane_system(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"system": {"kind": "Henon", "params": {"a": 1.4, "b": 0.3}}}))
+    out = tmp_path / "ns"
+    assert run_cli(["ns-cert", "--config", cfg, "--out", out]) == 1
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True
+    assert rep["error"]["type"] == "ConfigError"
+    assert rep["error"]["field"] == "system.kind"
+
+
+def test_non_finite_system_parameter_rejected(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"system": {"kind": "PerturbedCatMap", "params": {"kappa": NaN}}}')
+    out = tmp_path / "ly"
+    assert run_cli(["lyapunov", "--config", cfg, "--out", out]) != 0
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True
+    assert rep["error"]["field"] == "system.params"
+
+
 def test_unknown_parameter_rejected(tmp_path):
     out = tmp_path / "run"
     rc = run_cli(["lyapunov", "--out", out, "--set", "bogus_knob=3"])

@@ -13,7 +13,9 @@ from nuspec.dynamics import (
     apply_inverse,
     differential,
     distance,
+    jac_array,
     orbit,
+    step_array,
     step_inverse_array,
     step_inverse_xy,
     step_xy,
@@ -176,6 +178,29 @@ def test_henon_requires_nonzero_b():
         SystemSpec.henon(1.4, 0.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "abc", None])
+def test_non_finite_or_non_numeric_params_rejected(bad):
+    # json.load accepts NaN and Infinity, so a config can carry them
+    for obj in (
+        {"kind": "PerturbedCatMap", "params": {"kappa": bad}},
+        {"kind": "StandardMap", "params": {"K_s": bad}},
+        {"kind": "Henon", "params": {"a": 1.4, "b": bad}},
+        {"kind": "Henon", "params": {"a": bad, "b": 0.3}},
+    ):
+        with pytest.raises(ConfigError) as exc:
+            SystemSpec.from_json(obj)
+        assert exc.value.field == "system.params"
+
+
+def test_determinant_grid_check_uses_the_jacobian():
+    # at this size the shear's 2 + c and 1 + c round to the same float, so
+    # the computed det Df = (2 + c) - (1 + c) vanishes on the grid
+    with pytest.raises(ConfigError) as exc:
+        SystemSpec.perturbed_cat_map(1e17)
+    assert exc.value.field == "system.params"
+    SystemSpec.perturbed_cat_map(1e3)
+
+
 def test_henon_escape_raises(henon):
     p = Point2(1e30, 0.0, Space.PLANE)
     with pytest.raises(NonFiniteError):
@@ -188,11 +213,14 @@ def test_torus_canonicalization():
 
 
 def test_step_inverse_array_rows_equal_scalar(all_systems):
+    # the float and array forms of each kind's step, inverse and Jacobian
+    # come from one formula and agree bit for bit
     rows = np.random.default_rng(9).random((64, 2))
     for system in all_systems:
-        got = step_inverse_array(system, rows)
-        want = [step_inverse_xy(system, x, y) for x, y in rows]
-        assert np.array_equal(got, np.array(want))
+        step, inverse, jac = system.maps()
+        for batched, point in ((step_array, step), (step_inverse_array, inverse), (jac_array, jac)):
+            want = np.array([point(x, y) for x, y in rows.tolist()])
+            assert np.array_equal(batched(system, rows).reshape(len(rows), -1), want)
 
 
 @pytest.mark.parametrize(
@@ -203,17 +231,28 @@ def test_step_inverse_array_rows_equal_scalar(all_systems):
         # a NaN residual never passes the tolerance test, as in the scalar loop
         (SystemSpec.perturbed_cat_map(0.05), [[0.1, 0.2], [math.nan, 0.3]], InversionError),
         (SystemSpec.henon(1.4, 0.3), [[0.1, 0.1], [0.2, 1e49], [0.3, 1e50]], NonFiniteError),
+        # forward, 1 - a x^2 passes -1e50 from row 2 on; backward no row escapes
+        (SystemSpec.henon(1.4, 0.3), [[0.1, 0.1], [1e20, 0.0], [1e25, 0.0], [1e30, 0.0]], NonFiniteError),
     ],
 )
 def test_step_inverse_array_error_names_first_failing_row(system, rows, error):
+    # in each direction the batch raises the error of its first row that
+    # fails on its own, or passes when no row fails
     rows = np.array(rows)
-    with pytest.raises(error) as batched:
-        step_inverse_array(system, rows)
-    for x, y in rows:
-        try:
-            step_inverse_xy(system, x, y)
-        except error as first:
-            assert str(batched.value) == str(first)
-            break
-    else:
-        pytest.fail("no row fails on its own")
+    failing = 0
+    for batched, point in ((step_inverse_array, step_inverse_xy), (step_array, step_xy)):
+        first = None
+        for x, y in rows:
+            try:
+                point(system, x, y)
+            except error as err:
+                first = err
+                break
+        if first is None:
+            batched(system, rows)
+            continue
+        failing += 1
+        with pytest.raises(error) as got:
+            batched(system, rows)
+        assert str(got.value) == str(first)
+    assert failing, "no row fails on its own"

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from nuspec.dynamics import Point2, Space, distance
 from nuspec.errors import (
+    ConfigError,
     GapInfeasibleError,
     IncompleteMixingError,
     InsufficientHorizonError,
@@ -27,6 +28,7 @@ from nuspec.specification import (
     CoverSpec,
     SlowVaryingFn,
     build_cover,
+    build_cover_context,
     check_slow_varying,
     estimate_transitions,
     fixed_point_context,
@@ -395,6 +397,36 @@ def test_ns_requires_cover_membership(cat, cat_ctx):
         pytest.skip("cover happens to fill the torus")
     with pytest.raises(PreconditionError):
         ns_certificate(cat, outside, 50, 50, 0.05, q.eta, q, cat_ctx)
+
+
+@pytest.mark.parametrize("m, n", [(-5, 100), (100, -1), (-5, 3), (0, 0)])
+def test_ns_rejects_negative_or_empty_window(cat, cat_ctx, m, n):
+    # m = -5 would certify [5, 100], a window without j = 0, and m = n = 0
+    # has no ratio K / (m + n); both are refused before any return-time search
+    x = block_point(cat_ctx, 3)
+    q = const_q(cat_ctx)
+    with mock.patch.object(specification, "return_times", side_effect=AssertionError("searched")):
+        with pytest.raises(PreconditionError):
+            ns_certificate(cat, x, m, n, 0.05, q.eta, q, cat_ctx)
+
+
+def test_gns_rejects_negative_window(cat, mix_ctx):
+    pts = [block_point(mix_ctx, i) for i in range(2)]
+    eta = 0.1 * mix_ctx.epsilon
+    q = SlowVaryingFn.constant(1.0, eta)
+    with pytest.raises(PreconditionError):
+        gns_certificate(cat, [(pts[0], 60, 60), (pts[1], 60, -2)], 0.1, eta, q, mix_ctx)
+
+
+def test_cover_contexts_reject_plane_systems(henon):
+    # covers, ball membership and cover events wrap displacements mod 1
+    with mock.patch("nuspec.lyapunov.lyapunov_spectrum", side_effect=AssertionError("computed")):
+        with pytest.raises(ConfigError) as exc:
+            build_cover_context(henon, theta=0.05)
+    assert exc.value.field == "system.kind"
+    with pytest.raises(ConfigError) as exc:
+        fixed_point_context(henon, Point2(0.5, 0.5, Space.PLANE), epsilon=0.04)
+    assert exc.value.field == "system.kind"
 
 
 def test_sublinearity_scan_cat(cat, cat_ctx):
