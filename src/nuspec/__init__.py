@@ -45,7 +45,6 @@ from .shadowing import (
 )
 from .specification import (
     CoverContext,
-    CoverSpec,
     GnsCertificate,
     NsCertificate,
     SlowVaryingFn,

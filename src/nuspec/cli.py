@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import Point2, SystemKind, SystemSpec, orbit_array
+from .dynamics import Point2, Space, SystemKind, SystemSpec, orbit_array
 from .errors import ConfigError, NuspecError
 from .lyapunov import (
     LyapunovSpectrum,
@@ -156,6 +156,10 @@ def _parse_set_value(raw: str):
         return raw
 
 
+def _positive(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf
+
+
 def load_config(experiment: str, config_path, overrides, out_dir) -> ExperimentConfig:
     if experiment not in SCHEMAS:
         raise ConfigError(f"unknown experiment {experiment!r}", field="experiment")
@@ -191,6 +195,17 @@ def load_config(experiment: str, config_path, overrides, out_dir) -> ExperimentC
         )
     resolved = dict(schema)
     resolved.update(params)
+    for name in ("theta", "newton_tol"):
+        if name in schema and not _positive(resolved[name]):
+            raise ConfigError(f"{name} must be a positive finite number, got {resolved[name]!r}", field=name)
+    # backward orbits of a plane map leave its basin: domination always runs
+    # them, nonlacunarity for its backward return times
+    backward = experiment == "domination" or (experiment == "nonlacunarity" and _positive(resolved["count_bwd"]))
+    if backward and system.space is Space.PLANE:
+        raise ConfigError(
+            f"{experiment} needs backward orbits, which leave the basin of the plane map {system.kind.value}",
+            field="system.kind",
+        )
     outd = Path(out_dir) if out_dir else Path(raw.get("output_dir", "nuspec_out"))
     return ExperimentConfig(
         system=system, seed=seed, experiment=experiment, parameters=resolved, output_dir=outd

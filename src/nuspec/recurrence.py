@@ -39,83 +39,54 @@ _CAT_VU = np.array([1.0, (_SQRT5 - 1.0) / 2.0])
 _CAT_VU /= np.linalg.norm(_CAT_VU)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SetSpec:
-    """A membership-testable subset of phase space.
+    """A union of closed balls of one radius, centered at the rows of centers.
 
-    kinds: "ball" (metric ball), "cover" (union of equal-radius balls),
-    "block" (points whose hyperbolicity-block index is finite and small).
-    """
+    Every test against the set measures the displacement point - center,
+    wrapped to (-1/2, 1/2] on the torus, in the one helper _dist2, so
+    membership, locate, the cover's greedy net and its event scan agree on
+    every ball's boundary."""
 
-    kind: str
-    centers: np.ndarray = None
-    radius: float = 0.0
+    centers: np.ndarray  # (r, 2)
+    radius: float
     space: Space = Space.TORUS2
-    block_args: tuple = None  # (system, params, max_k) for kind="block"
-
-    @classmethod
-    def empty(cls, space=Space.TORUS2) -> "SetSpec":
-        return cls(kind="empty", space=space)
 
     @classmethod
     def ball(cls, center: Point2, radius: float) -> "SetSpec":
-        return cls(
-            kind="ball",
-            centers=center.as_array()[None, :],
-            radius=float(radius),
-            space=center.space,
-        )
+        return cls(center.as_array()[None, :], float(radius), center.space)
 
-    @classmethod
-    def cover_balls(cls, centers: np.ndarray, radius: float, space=Space.TORUS2) -> "SetSpec":
-        return cls(kind="cover", centers=np.asarray(centers, float), radius=float(radius), space=space)
+    @property
+    def r_count(self) -> int:
+        return len(self.centers)
 
-    @classmethod
-    def block(cls, system: SystemSpec, params, max_k: int) -> "SetSpec":
-        return cls(kind="block", space=system.space, block_args=(system, params, max_k))
-
-    def membership(self, p: Point2) -> bool:
-        if self.kind == "block":
-            from .lyapunov import pesin_block_index
-
-            system, params, max_k = self.block_args
-            k = pesin_block_index(system, p, params)
-            return k is not None and k <= max_k
-        return bool(self.membership_rows(p.as_array()[None, :])[0])
+    def _dist2(self, pts: np.ndarray, which=slice(None)) -> np.ndarray:
+        """Squared distances (n, k) from the rows of pts to centers[which]."""
+        d = pts[:, None, :] - self.centers[which][None, :, :]
+        if self.space is Space.TORUS2:
+            d = wrap_half(d)
+        return (d * d).sum(axis=2)
 
     def membership_rows(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (n, 2) array of coordinates."""
-        if self.kind == "empty":
-            return np.zeros(len(pts), dtype=bool)
-        if self.kind == "block":
-            system, params, max_k = self.block_args
-            sp = self.space
-            return np.array([self.membership(Point2(r[0], r[1], sp)) for r in pts])
-        d = pts[:, None, :] - self.centers[None, :, :]
-        if self.space is Space.TORUS2:
-            d = wrap_half(d)
-        dist2 = (d * d).sum(axis=2)
-        return (dist2 <= self.radius * self.radius).any(axis=1)
+        return (self._dist2(pts) <= self.radius * self.radius).any(axis=1)
 
-    def to_json(self) -> dict:
-        if self.kind == "block":
-            system, params, max_k = self.block_args
-            return {"kind": "block", "max_k": max_k, "params": params.to_json()}
-        if self.kind == "empty":
-            return {"kind": "empty"}
-        return {
-            "kind": self.kind,
-            "radius": self.radius,
-            "n_centers": len(self.centers),
-        }
+    def membership(self, p: Point2) -> bool:
+        return bool(self.membership_rows(p.as_array()[None, :])[0])
+
+    def locate(self, xy: np.ndarray) -> int:
+        """Index of the nearest center; ValueError if xy lies in no ball."""
+        dist2 = self._dist2(xy[None, :])[0]
+        i = int(np.argmin(dist2))
+        if dist2[i] > self.radius * self.radius:
+            raise ValueError("point lies in no ball of the set")
+        return i
 
 
 @dataclass
 class ReturnTimeSequence:
     """Two-sided visit times of an orbit to a set; t_0 = 0 is implicit."""
 
-    center: Point2
-    gamma: SetSpec
     forward: np.ndarray  # strictly increasing positive ints
     backward: np.ndarray  # strictly decreasing negative ints
     horizon: int
@@ -155,34 +126,37 @@ def return_times(
     # only complete up to its last listed time
     eff_horizon = horizon if len(fwd) < count_fwd else min(horizon, fwd[-1])
     return ReturnTimeSequence(
-        center=x,
-        gamma=gamma,
         forward=np.asarray(fwd, dtype=np.int64),
         backward=-np.asarray(bwd, dtype=np.int64),
         horizon=eff_horizon,
     )
 
 
-def _visit_times(system, x, gamma, count, horizon, forward, chunk=4096):
-    if count <= 0:
-        return []
-    times = []
+def _orbit_chunks(system, x, steps, forward=True, chunk=4096):
+    """Walk the first `steps` iterates of x, forward or backward, in chunks:
+    yields (t, pts) with row i of pts equal to f^(+-(t + i + 1))(x).  Each
+    chunk restarts from the last row of the one before, so the iterates are
+    the floats of one unbroken orbit_array call."""
     cx, cy = x.x, x.y
-    t = 0
-    while t < horizon and len(times) < count:
-        n = min(chunk, horizon - t)
-        # row i of pts is f^(+-(t + i + 1))(x)
+    for t in range(0, steps, chunk):
+        n = min(chunk, steps - t)
         if forward:
             pts = orbit_array(system, cx, cy, n_fwd=n)[1:]
         else:
             pts = orbit_array(system, cx, cy, n_fwd=0, n_bwd=n)[-2::-1]
         cx, cy = pts[-1]
-        hits = np.nonzero(gamma.membership_rows(pts))[0]
-        for h in hits:
-            times.append(t + int(h) + 1)
-            if len(times) >= count:
-                break
-        t += n
+        yield t, pts
+
+
+def _visit_times(system, x, gamma, count, horizon, forward):
+    times = []
+    if count <= 0:
+        return times
+    for t, pts in _orbit_chunks(system, x, horizon, forward):
+        hits = np.flatnonzero(gamma.membership_rows(pts))[: count - len(times)]
+        times += (hits + (t + 1)).tolist()
+        if len(times) >= count:
+            break
     return times
 
 
@@ -433,14 +407,7 @@ def birkhoff_indicator_average(system: SystemSpec, x: Point2, gamma: SetSpec, ho
     that land in gamma."""
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    count = 0
-    cx, cy = x.x, x.y
-    t = 0
-    chunk = 8192
-    while t < horizon:
-        n = min(chunk, horizon - t)
-        pts = orbit_array(system, cx, cy, n_fwd=n)
-        count += int(gamma.membership_rows(pts[:-1]).sum())
-        cx, cy = pts[-1]
-        t += n
+    count = int(gamma.membership(x))
+    for _, pts in _orbit_chunks(system, x, horizon - 1):
+        count += int(gamma.membership_rows(pts).sum())
     return count / horizon

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Point2, Space, SystemSpec, dist_rows, orbit_array, wrap_half
+from .dynamics import Point2, Space, SystemSpec, dist_rows, orbit_array
 from .errors import (
     ConfigError,
     GapInfeasibleError,
@@ -104,27 +104,7 @@ def check_slow_varying(q: SlowVaryingFn, system: SystemSpec, x: Point2, m: int, 
 # cover over block points
 
 
-@dataclass
-class CoverSpec:
-    centers: np.ndarray  # (r_count, 2)
-    radius: float
-    r_count: int
-    delta: float  # requested diameter scale; radius < delta/2
-
-    def locate(self, xy: np.ndarray) -> int:
-        """Index of the nearest center, required to be within the radius."""
-        d = wrap_half(self.centers - xy[None, :])
-        dist2 = (d * d).sum(axis=1)
-        i = int(np.argmin(dist2))
-        if dist2[i] > self.radius * self.radius:
-            raise ValueError("point is not inside any cover ball")
-        return i
-
-    def to_json(self) -> dict:
-        return {"r_count": self.r_count, "radius": self.radius, "delta": self.delta}
-
-
-def build_cover(system: SystemSpec, block_points, delta: float, max_centers: int = 256) -> CoverSpec:
+def build_cover(system: SystemSpec, block_points, delta: float, max_centers: int = 256) -> SetSpec:
     """Greedy net over the classified block points: centers are chosen so
     every block point lies within 0.49*delta of some center, which keeps the
     ball diameters strictly below delta."""
@@ -136,22 +116,20 @@ def build_cover(system: SystemSpec, block_points, delta: float, max_centers: int
         pts.append([p.x, p.y])
     if not pts:
         raise ValueError("block_points must be non-empty")
-    pts = np.asarray(pts, dtype=float)
-    radius = 0.49 * delta
-    centers = []
-    for row in pts:
-        if centers:
-            d = wrap_half(np.asarray(centers) - row[None, :])
-            if (d * d).sum(axis=1).min() <= radius * radius:
-                continue
-        centers.append(row.copy())
-        if len(centers) > max_centers:
+    # every block point is a candidate center; chosen holds the net so far
+    candidates = SetSpec(np.asarray(pts, dtype=float), 0.49 * delta, system.space)
+    r2 = candidates.radius * candidates.radius
+    chosen = []
+    for i, row in enumerate(candidates.centers):
+        if chosen and (candidates._dist2(row[None, :], chosen) <= r2).any():
+            continue
+        chosen.append(i)
+        if len(chosen) > max_centers:
             raise ResolutionError(
                 f"cover needs more than max_centers={max_centers} balls at "
                 f"delta={delta}; retry with a larger delta"
             )
-    centers = np.asarray(centers)
-    return CoverSpec(centers=centers, radius=radius, r_count=len(centers), delta=delta)
+    return SetSpec(candidates.centers[chosen], candidates.radius, system.space)
 
 
 # ---------------------------------------------------------------------------
@@ -165,8 +143,9 @@ class TransitionBounds:
     X[i, j] is the least h in [T_floor, h_cap] at which the sampling orbit
     was seen in ball j at some time s and in ball i at time s + h.  In
     mixing mode X[i, j] is instead one past the largest unwitnessed gap, so
-    every h in [X[i, j], h_cap] has a recorded witness.  M_k is the max of
-    the X entries.  The sampling orbit itself is kept so connector points
+    every h in [X[i, j], h_cap] has a recorded witness, and connectors read
+    mix_witness_time, so witness_time is None.  M_k is the max of the X
+    entries.  The sampling orbit itself is kept so connector points
     can be read back out of the record.
     """
 
@@ -175,7 +154,7 @@ class TransitionBounds:
     mixing_mode: bool
     T_floor: int
     h_cap: int
-    witness_time: np.ndarray  # (r, r) time of y for the minimal-h witness
+    witness_time: np.ndarray | None  # (r, r) time of y for the minimal-h witness
     sampling_orbit: np.ndarray  # (L, 2)
     mix_witnessed: np.ndarray | None = None  # (r, r, h_cap+1) bool
     mix_witness_time: np.ndarray | None = None  # (r, r, h_cap+1) int64
@@ -208,8 +187,9 @@ class TransitionBounds:
         }
 
 
-def _cover_events(orbit: np.ndarray, centers: np.ndarray, radius: float):
+def _cover_events(orbit: np.ndarray, cover: SetSpec):
     """All (time, ball) incidences of the orbit with the cover, time-sorted."""
+    centers, radius = cover.centers, cover.radius
     r = len(centers)
     ncell = max(4, min(128, int(1.0 / max(radius, 1e-3))))
     cell_of = {}
@@ -243,8 +223,7 @@ def _cover_events(orbit: np.ndarray, centers: np.ndarray, radius: float):
             cc = cand.get(key)
             if cc is None:
                 continue
-            d = wrap_half(pts[g][:, None, :] - centers[cc][None, :, :])
-            hit_t, hit_c = np.nonzero((d * d).sum(axis=2) <= r2)
+            hit_t, hit_c = np.nonzero(cover._dist2(pts[g], cc) <= r2)
             if len(hit_t):
                 ev_t.append(g[hit_t] + start)
                 ev_i.append(cc[hit_c])
@@ -366,7 +345,7 @@ def _mixing_tables(et: np.ndarray, ei: np.ndarray, r: int, T_floor: int, h_cap: 
 
 def estimate_transitions(
     system: SystemSpec,
-    cover: CoverSpec,
+    cover: SetSpec,
     sampling_orbit_length: int,
     mixing_mode: bool = False,
     T_floor: int = 1,
@@ -390,18 +369,17 @@ def estimate_transitions(
     else:
         x, y = x0.x, x0.y
     orbit = orbit_array(system, x, y, n_fwd=sampling_orbit_length - 1)
-    et, ei = _cover_events(orbit, cover.centers, cover.radius)
-    X, wit = _min_gap_join(et, ei, r, T_floor, h_cap)
+    et, ei = _cover_events(orbit, cover)
 
-    mix_w = mix_t = None
+    mix_w = mix_t = wit = None
     if mixing_mode:
         mix_w, mix_t = _mixing_tables(et, ei, r, T_floor, h_cap)
         window = mix_w[:, :, T_floor : h_cap + 1]
         run = np.cumprod(window[:, :, ::-1], axis=2).sum(axis=2)
         missing = run == 0
-        X_out = np.where(missing, _BIG, h_cap - run + 1).astype(np.int64)
+        X = np.where(missing, _BIG, h_cap - run + 1).astype(np.int64)
     else:
-        X_out = X
+        X, wit = _min_gap_join(et, ei, r, T_floor, h_cap)
         missing = X == _BIG
     if missing.any():
         pairs = [tuple(int(v) for v in p) for p in np.argwhere(missing)[:20]]
@@ -411,8 +389,8 @@ def estimate_transitions(
             missing_pairs=pairs,
         )
     return TransitionBounds(
-        X=X_out,
-        M_k=int(X_out.max()),
+        X=X,
+        M_k=int(X.max()),
         mixing_mode=mixing_mode,
         T_floor=T_floor,
         h_cap=h_cap,
@@ -430,9 +408,9 @@ def estimate_transitions(
 @dataclass
 class CoverContext:
     system: SystemSpec
-    cover: CoverSpec
+    cover: SetSpec
+    delta: float  # requested ball diameter scale; cover.radius < delta / 2
     bounds: TransitionBounds
-    gamma: SetSpec
     epsilon: float  # block-defect rate used for index selection
     block_params: object = None
     block_points: list = None
@@ -440,7 +418,7 @@ class CoverContext:
 
     def to_json(self) -> dict:
         out = {
-            "cover": self.cover.to_json(),
+            "cover": {"r_count": self.cover.r_count, "radius": self.cover.radius, "delta": self.delta},
             "transitions": self.bounds.to_json(),
             "epsilon": self.epsilon,
             "block_fraction": self.block_fraction,
@@ -493,12 +471,11 @@ def build_cover_context(
         seed=seed + 2,
         h_cap=h_cap,
     )
-    gamma = SetSpec.cover_balls(cover.centers, cover.radius, space=system.space)
     return CoverContext(
         system=system,
         cover=cover,
+        delta=delta,
         bounds=bounds,
-        gamma=gamma,
         epsilon=params.epsilon,
         block_params=params,
         block_points=classified,
@@ -507,7 +484,8 @@ def build_cover_context(
 
 
 def _require_torus(system: SystemSpec):
-    # covers, ball membership and cover events wrap displacements mod 1
+    # the context seeds block points and the sampling orbit in [0, 1)^2, and
+    # certificate windows need backward orbits, which leave a plane map's basin
     if system.space is not Space.TORUS2:
         raise ConfigError(
             f"cover contexts need a torus map; {system.kind.value} acts on the {system.space.value}",
@@ -519,12 +497,11 @@ def fixed_point_context(system: SystemSpec, fp: Point2, epsilon: float, radius: 
     """Degenerate context for a fixed point: one ball, sampling orbit pinned
     at the fixed point, every transition gap witnessed trivially."""
     _require_torus(system)
-    cover = CoverSpec(centers=fp.as_array()[None, :], radius=radius, r_count=1, delta=2 * radius / 0.98)
+    cover = SetSpec.ball(fp, radius)
     bounds = estimate_transitions(
         system, cover, length, mixing_mode=True, T_floor=1, h_cap=64, x0=fp
     )
-    gamma = SetSpec.cover_balls(cover.centers, cover.radius, space=system.space)
-    return CoverContext(system=system, cover=cover, bounds=bounds, gamma=gamma, epsilon=epsilon)
+    return CoverContext(system=system, cover=cover, delta=2 * radius / 0.98, bounds=bounds, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -744,13 +721,13 @@ def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> 
     the stored orbit on [-m-1, n+1]."""
     if m < 0 or n < 0:
         raise PreconditionError(f"window lengths must be nonnegative, got m={m}, n={n}")
-    if not ctx.gamma.membership(x):
+    if not ctx.cover.membership(x):
         raise PreconditionError("certificate base point must lie in the cover support")
     eps = ctx.epsilon
     factor = 1.0 + 2.0 * eta / eps
     H = int(factor * (max(m, n) + 64) * 2) + 256
     while True:
-        seq = return_times(system, x, ctx.gamma, count_fwd=H, count_bwd=H, horizon=H)
+        seq = return_times(system, x, ctx.cover, count_fwd=H, count_bwd=H, horizon=H)
         try:
             indices = select_indices(seq, m, n, eta, eps)
             break

@@ -97,6 +97,54 @@ def test_ns_cert_rejects_plane_system(tmp_path):
     assert rep["error"]["field"] == "system.kind"
 
 
+@pytest.mark.parametrize(
+    "experiment, key, value",
+    [
+        ("ns-cert", "theta", -1),
+        ("gns-cert", "theta", 0),
+        ("sublinearity", "theta", -0.5),
+        ("ns-cert", "newton_tol", -1),
+        ("gns-cert", "newton_tol", 0),
+        ("sublinearity", "newton_tol", -1e-9),
+        ("shadow", "newton_tol", -1),
+    ],
+)
+def test_nonpositive_theta_or_newton_tol_refused(tmp_path, experiment, key, value):
+    # theta = -1 once gave an in_ball: false "certificate", newton_tol = -1
+    # thirty Newton steps ending in NonConvergenceError at residual 0
+    out = tmp_path / "run"
+    assert run_cli([experiment, "--out", out, "--set", f"{key}={value}"]) == 2
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True
+    assert rep["error"]["type"] == "ConfigError"
+    assert rep["error"]["field"] == key
+
+
+HENON = {"system": {"kind": "Henon", "params": {"a": 1.4, "b": 0.3}}}
+
+
+@pytest.mark.parametrize("experiment", ["domination", "nonlacunarity"])
+def test_backward_diagnostics_refuse_plane_system(tmp_path, experiment):
+    # their backward orbits leave the Henon basin; the refusal comes before
+    # any computation, not as NonFiniteError after it
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(HENON))
+    out = tmp_path / "run"
+    assert run_cli([experiment, "--config", cfg, "--out", out]) == 2
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True
+    assert rep["error"]["type"] == "ConfigError"
+    assert rep["error"]["field"] == "system.kind"
+
+
+def test_forward_nonlacunarity_runs_on_plane_system(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(HENON))
+    out = tmp_path / "run"
+    assert run_cli(["nonlacunarity", "--config", cfg, "--out", out, "--set", "count_bwd=0"]) == 0
+    assert read_json(out / "report.json")["results"]["n_backward"] == 0
+
+
 def test_non_finite_system_parameter_rejected(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"system": {"kind": "PerturbedCatMap", "params": {"kappa": NaN}}}')

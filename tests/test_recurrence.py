@@ -142,7 +142,7 @@ def test_cocycle_identity(cat):
 def test_birkhoff_whole_and_empty(cat):
     x = torus(0.2, 0.3)
     assert birkhoff_indicator_average(cat, x, SetSpec.ball(x, 0.8), 500) == 1.0
-    assert birkhoff_indicator_average(cat, x, SetSpec.empty(), 500) == 0.0
+    assert birkhoff_indicator_average(cat, x, SetSpec(np.empty((0, 2)), 0.8), 500) == 0.0
 
 
 def test_birkhoff_ball_area(cat):
@@ -172,9 +172,7 @@ def test_birkhoff_matches_return_count(cat):
 def _periodic_sequence(q, count, horizon):
     fwd = np.arange(1, count + 1) * q
     bwd = -np.arange(1, count + 1) * q
-    return ReturnTimeSequence(
-        center=torus(0, 0), gamma=None, forward=fwd, backward=bwd, horizon=horizon
-    )
+    return ReturnTimeSequence(forward=fwd, backward=bwd, horizon=horizon)
 
 
 def test_nonlacunarity_periodic():
@@ -249,9 +247,7 @@ def test_interval_hit_whole_space(cat):
 def test_interval_hit_matches_oracle(increments, epsilon, N_start):
     times = np.cumsum(np.asarray(increments, dtype=np.int64))
     horizon = int(times[-1])
-    seq = ReturnTimeSequence(
-        center=torus(0, 0), gamma=None, forward=times, backward=-times, horizon=horizon
-    )
+    seq = ReturnTimeSequence(forward=times, backward=-times, horizon=horizon)
     got = interval_hit_check(seq, epsilon, N_start=N_start)
     want = _hit_oracle(times, horizon, epsilon, N_start)
     assert got == want
@@ -279,20 +275,6 @@ def test_interval_hit_vs_nonlacunarity(cat):
             assert idx < seq.count_fwd and seq.forward[idx] < n * (1.0 + eps)
         checked += 1
     assert checked >= 20
-
-
-def test_block_set_membership(cat):
-    from nuspec.lyapunov import PesinBlockParams
-
-    params = PesinBlockParams(lam=0.96, mu=0.96, epsilon=0.096, window=(40, 40, 8))
-    gamma = SetSpec.block(cat, params, max_k=3)
-    x = torus(0.377, 0.198)
-    assert gamma.membership(x)  # uniformly hyperbolic: every point qualifies
-    seq = return_times(cat, x, gamma, count_fwd=3, count_bwd=0, horizon=5)
-    assert seq.forward.tolist() == [1, 2, 3]
-    # an over-claimed contraction rate empties the set
-    bad = SetSpec.block(cat, PesinBlockParams(2.0, 0.96, 0.2, (40, 40, 8)), max_k=60)
-    assert not bad.membership(x)
 
 
 def test_radii_validation(cat, cat_spectrum):

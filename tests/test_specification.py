@@ -25,7 +25,6 @@ from nuspec.errors import (
 from nuspec.recurrence import ReturnTimeSequence, SetSpec
 from nuspec import specification
 from nuspec.specification import (
-    CoverSpec,
     SlowVaryingFn,
     build_cover,
     build_cover_context,
@@ -80,6 +79,43 @@ def test_cover_resolution_error(cat):
     pts = [torus(*xy) for xy in rng.random((50, 2))]
     with pytest.raises(ResolutionError):
         build_cover(cat, pts, delta=0.02, max_centers=3)
+
+
+def _assert_cover_tests_agree(center, radius, point):
+    cover = SetSpec(np.array([center], dtype=float), radius)
+    pt = np.array([point], dtype=float)
+    inside = bool(cover.membership_rows(pt)[0])
+    try:
+        located = cover.locate(pt[0]) == 0
+    except ValueError:
+        located = False
+    et, _ = specification._cover_events(pt, cover)
+    assert located == inside
+    assert (len(et) == 1) == inside
+
+
+def test_cover_boundary_point_agrees():
+    # a few 1e-17 off the circle: measuring point - center in one place and
+    # center - point in another once put it inside and outside the same ball
+    _assert_cover_tests_agree((0.3, 0.7), 0.049, (0.2633230746226878, 0.6675068754216054))
+
+
+@given(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.floats(1e-3, 0.2),
+    st.floats(0.0, 2 * math.pi),
+    st.integers(-4, 4),
+    st.integers(-4, 4),
+)
+@settings(max_examples=300, deadline=None)
+def test_cover_tests_agree_near_boundary(cx, cy, radius, angle, ulps_x, ulps_y):
+    # points within a few ulps of the circle, wrapped onto the torus
+    p = [cx + radius * math.cos(angle), cy + radius * math.sin(angle)]
+    for i, k in enumerate((ulps_x, ulps_y)):
+        for _ in range(abs(k)):
+            p[i] = math.nextafter(p[i], math.copysign(math.inf, k))
+    _assert_cover_tests_agree((cx, cy), radius, (p[0] % 1.0, p[1] % 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +221,7 @@ def test_transitions_unreachable_ball_fails_fast(cat):
     # the orbit sits on the fixed point, so only the pair (0, 0) is ever
     # witnessed; the open pairs must not make the join walk all h_cap levels
     # over the 400k events (a large h_cap makes that walk take many seconds)
-    cover = CoverSpec(centers=np.array([[0.0, 0.0], [0.5, 0.5]]), radius=1e-3, r_count=2, delta=2.05e-3)
+    cover = SetSpec(np.array([[0.0, 0.0], [0.5, 0.5]]), 1e-3)
     start = time.perf_counter()
     with pytest.raises(IncompleteMixingError) as exc:
         estimate_transitions(cat, cover, 400_000, x0=torus(0.0, 0.0), h_cap=4096)
@@ -214,8 +250,6 @@ def test_min_gap_join_rare_ball_fails_fast():
 def _arith_seq(step, count, horizon=None):
     fwd = np.arange(1, count + 1) * step
     return ReturnTimeSequence(
-        center=torus(0, 0),
-        gamma=None,
         forward=fwd,
         backward=-fwd,
         horizon=horizon or int(fwd[-1]),
@@ -255,9 +289,7 @@ def _oracle_indices(seq, m, n, eta, epsilon):
 @settings(max_examples=150, deadline=None)
 def test_select_indices_matches_oracle(increments, m, n, eta_ratio):
     times = np.cumsum(np.asarray(increments, dtype=np.int64))
-    seq = ReturnTimeSequence(
-        center=torus(0, 0), gamma=None, forward=times, backward=-times, horizon=int(times[-1])
-    )
+    seq = ReturnTimeSequence(forward=times, backward=-times, horizon=int(times[-1]))
     epsilon = 1.0
     eta = eta_ratio * epsilon / 2
     try:
@@ -390,7 +422,7 @@ def test_ns_requires_cover_membership(cat, cat_ctx):
     rng = np.random.default_rng(3)
     for _ in range(500):
         cand = torus(*rng.random(2))
-        if not cat_ctx.gamma.membership(cand):
+        if not cat_ctx.cover.membership(cand):
             outside = cand
             break
     if outside is None:
@@ -419,7 +451,7 @@ def test_gns_rejects_negative_window(cat, mix_ctx):
 
 
 def test_cover_contexts_reject_plane_systems(henon):
-    # covers, ball membership and cover events wrap displacements mod 1
+    # the context seeds its points in [0, 1)^2 and needs backward orbits
     with mock.patch("nuspec.lyapunov.lyapunov_spectrum", side_effect=AssertionError("computed")):
         with pytest.raises(ConfigError) as exc:
             build_cover_context(henon, theta=0.05)
