@@ -51,7 +51,6 @@ from .specification import (
     TransitionBounds,
     build_cover,
     build_cover_context,
-    check_slow_varying,
     estimate_transitions,
     gns_certificate,
     ns_certificate,

@@ -160,6 +160,15 @@ def _positive(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf
 
 
+def _integer(name: str, v) -> int:
+    """v as an int; an integral finite float is accepted, anything else refused."""
+    if isinstance(v, float) and math.isfinite(v) and v.is_integer():
+        return int(v)
+    if isinstance(v, int) and not isinstance(v, bool):
+        return v
+    raise ConfigError(f"{name} must be an integer, got {v!r}", field=name)
+
+
 def load_config(experiment: str, config_path, overrides, out_dir) -> ExperimentConfig:
     if experiment not in SCHEMAS:
         raise ConfigError(f"unknown experiment {experiment!r}", field="experiment")
@@ -195,6 +204,14 @@ def load_config(experiment: str, config_path, overrides, out_dir) -> ExperimentC
         )
     resolved = dict(schema)
     resolved.update(params)
+    # integer fields: int defaults, the optional gaps, each gns-cert m/n list entry
+    for name, default in schema.items():
+        v = resolved[name]
+        if type(default) is int or (name in ("connector_gap", "target_total_gap") and v is not None):
+            if experiment == "gns-cert" and name in ("m", "n") and isinstance(v, list):
+                resolved[name] = [_integer(name, e) for e in v]
+            else:
+                resolved[name] = _integer(name, v)
     for name in ("theta", "newton_tol"):
         if name in schema and not _positive(resolved[name]):
             raise ConfigError(f"{name} must be a positive finite number, got {resolved[name]!r}", field=name)
@@ -306,7 +323,7 @@ def _run_lyapunov(cfg: ExperimentConfig):
     if transient is None:
         transient = 1000 if cfg.system.kind is SystemKind.HENON else 0
     x0 = _seed_point(cfg.system, rng, p["x0"])
-    spec = lyapunov_spectrum(cfg.system, x0, N=int(p["N"]), qr_period=int(p["qr_period"]), transient=transient)
+    spec = lyapunov_spectrum(cfg.system, x0, N=p["N"], qr_period=p["qr_period"], transient=transient)
     res = dict(spec.to_json())
     res["x0"] = [x0.x, x0.y]
     res["sum"] = sum(spec.exponents)
@@ -317,10 +334,10 @@ def _run_recurrence_scaling(cfg: ExperimentConfig):
     p = cfg.parameters
     rng = np.random.default_rng(cfg.seed)
     x = _seed_point(cfg.system, rng, p["x0"])
-    spec = _spectrum_for(cfg.system, rng, int(p["spectrum_N"]))
-    radii = [2.0**-e for e in range(int(p["radii_log2_min"]), int(p["radii_log2_max"]) + 1)]
+    spec = _spectrum_for(cfg.system, rng, p["spectrum_N"])
+    radii = [2.0**-e for e in range(p["radii_log2_min"], p["radii_log2_max"] + 1)]
     rep = recurrence_scaling(
-        cfg.system, x, radii, grid=int(p["grid"]), T_max=int(p["T_max"]), spectrum=spec, method=p["method"]
+        cfg.system, x, radii, grid=p["grid"], T_max=p["T_max"], spectrum=spec, method=p["method"]
     )
     res = rep.to_json()
     res["x"] = [x.x, x.y]
@@ -338,11 +355,11 @@ def _run_nonlacunarity(cfg: ExperimentConfig):
         radius = math.sqrt(0.05 / math.pi)  # ball of area 0.05
     gamma = SetSpec.ball(x, float(radius))
     seq = return_times(
-        cfg.system, x, gamma, count_fwd=int(p["count_fwd"]), count_bwd=int(p["count_bwd"]), horizon=int(p["horizon"])
+        cfg.system, x, gamma, count_fwd=p["count_fwd"], count_bwd=p["count_bwd"], horizon=p["horizon"]
     )
     prof = nonlacunarity_profile(seq, thresholds=tuple(p["thresholds"]))
-    hit_N = interval_hit_check(seq, float(p["hit_epsilon"]), N_start=int(p["N_start"]))
-    area = birkhoff_indicator_average(cfg.system, x, gamma, horizon=min(int(p["horizon"]), 200_000))
+    hit_N = interval_hit_check(seq, float(p["hit_epsilon"]), N_start=p["N_start"])
+    area = birkhoff_indicator_average(cfg.system, x, gamma, horizon=min(p["horizon"], 200_000))
     res = {
         "x": [x.x, x.y],
         "radius": radius,
@@ -378,7 +395,7 @@ def _run_shadow(cfg: ExperimentConfig):
     if system.kind not in (SystemKind.CAT_MAP, SystemKind.PERTURBED_CAT_MAP):
         raise ConfigError("shadow experiment supports CatMap and PerturbedCatMap", field="system.kind")
     rng = np.random.default_rng(cfg.seed)
-    q_den, period, guess = _cat_rational_orbit(int(p["period_min"]), int(p["period_max"]))
+    q_den, period, guess = _cat_rational_orbit(p["period_min"], p["period_max"])
 
     sp = system.space
     base = Point2(float(guess[0, 0]), float(guess[0, 1]), sp)
@@ -388,8 +405,8 @@ def _run_shadow(cfg: ExperimentConfig):
     n1 = period // 2
     po, times = displaced_pseudo_orbit(system, ref.points, n1, float(p["jitter"]))
 
-    sol = newton_refine_periodic(system, po, tol=float(p["newton_tol"]), max_iter=int(p["max_iter"]))
-    spec = _spectrum_for(system, rng, int(p["spectrum_N"]))
+    sol = newton_refine_periodic(system, po, tol=float(p["newton_tol"]), max_iter=p["max_iter"])
+    spec = _spectrum_for(system, rng, p["spectrum_N"])
     epsilon = float(p["epsilon_factor"]) * spec.lambda_u
     tau = float(p["tau_factor"]) * po.delta
     prof = shadowing_profile(system, sol, po, tau=tau, epsilon=epsilon)
@@ -423,7 +440,7 @@ def _run_ns_cert(cfg: ExperimentConfig):
     eta_ratio = float(p["eta_ratio"])
     if p["fixed_point"]:
         fp = Point2(0.0, 0.0, system.space)
-        spec = _spectrum_for(system, rng, int(p["spectrum_N"]))
+        spec = _spectrum_for(system, rng, p["spectrum_N"])
         eps = 0.1 * min(abs(spec.lambda_s), spec.lambda_u)
         ctx = fixed_point_context(system, fp, epsilon=eps)
         x = fp
@@ -432,17 +449,16 @@ def _run_ns_cert(cfg: ExperimentConfig):
         x = Point2(*p["x"], system.space) if p["x"] is not None else _pick_block_point(ctx, rng)
     eta = eta_ratio * ctx.epsilon
     q = _q_from_param(p["q"], eta)
-    cg = p["connector_gap"]
     cert = ns_certificate(
         system,
         x,
-        int(p["m"]),
-        int(p["n"]),
+        p["m"],
+        p["n"],
         float(p["theta"]),
         eta,
         q,
         ctx,
-        connector_gap=None if cg is None else int(cg),
+        connector_gap=p["connector_gap"],
         newton_tol=float(p["newton_tol"]),
     )
     res = {"certificate": cert.to_json(include_margins=False), "context": ctx.to_json()}
@@ -463,15 +479,14 @@ def _run_gns_cert(cfg: ExperimentConfig):
     ctx = _build_ctx(system, cfg.seed, p)
     eta = float(p["eta_ratio"]) * ctx.epsilon
     q = _q_from_param(p["q"], eta)
-    k = int(p["k"])
+    k = p["k"]
     ms = p["m"] if isinstance(p["m"], list) else [p["m"]] * k
     ns = p["n"] if isinstance(p["n"], list) else [p["n"]] * k
     if p["segment_points"] is not None:
         xs = [Point2(float(a), float(b), system.space) for a, b in p["segment_points"]]
     else:
         xs = [_pick_block_point(ctx, rng) for _ in range(k)]
-    segments = [(xs[i], int(ms[i]), int(ns[i])) for i in range(k)]
-    tgt = p["target_total_gap"]
+    segments = [(xs[i], ms[i], ns[i]) for i in range(k)]
     cert = gns_certificate(
         system,
         segments,
@@ -479,7 +494,7 @@ def _run_gns_cert(cfg: ExperimentConfig):
         eta,
         q,
         ctx,
-        target_total_gap=None if tgt is None else int(tgt),
+        target_total_gap=p["target_total_gap"],
         newton_tol=float(p["newton_tol"]),
     )
     res = {"certificate": cert.to_json(include_margins=False), "context": ctx.to_json()}
@@ -521,11 +536,11 @@ def _run_domination(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
     x = _seed_point(system, rng, p["x0"])
     S_list = [int(s) for s in p["S_list"]]
-    n_pts = int(p["n_points"]) + max(S_list)
+    n_pts = p["n_points"] + max(S_list)
     pts, vu, vs, _, _ = _transport_sweeps(system, x.as_array()[None], 0, n_pts)
     pts, vu, vs = pts[:, 0], vu[:, 0], vs[:, 0]
     E, F = (vu, vs) if p["swap"] else (vs, vu)
-    rep = check_domination(system, pts, E, F, S0=int(p["S0"]), lam=float(p["lam"]), S_list=S_list)
+    rep = check_domination(system, pts, E, F, S0=p["S0"], lam=float(p["lam"]), S_list=S_list)
     res = {"x": [x.x, x.y], "swap": bool(p["swap"]), "lam": p["lam"], **rep.to_json()}
     return res, None, None
 

@@ -33,8 +33,9 @@ from .shadowing import assemble, newton_refine_periodic
 
 _BIG = np.int64(2**62)
 
-# source events one min-gap join step takes at a time; bounds its temporaries
-_JOIN_CHUNK = 2**15
+# source events one level-scan join step takes at a time; bounds its
+# temporaries and how far a level runs past the hit that completes it
+_JOIN_CHUNK = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -86,17 +87,11 @@ class SlowVaryingFn:
         return out
 
 
-def check_slow_varying(q: SlowVaryingFn, system: SystemSpec, x: Point2, m: int, n: int):
-    """Worst one-step ratio of q along f^j(x), j in [-m, n-1], against e^eta.
-
-    Returns (ok, worst_ratio)."""
-    pts = orbit_array(system, x.x, x.y, n_fwd=n, n_bwd=m + 1)
-    qv = q.value_rows(pts)
-    # array index t corresponds to j = t - (m+1); interior j in [-m, n-1]
-    t = np.arange(1, m + n + 1)
-    up = qv[t + 1] / qv[t]
-    down = qv[t - 1] / qv[t]
-    worst = float(np.max(np.maximum(up, down))) if len(t) else 1.0
+def _slow_varying(q: SlowVaryingFn, rows: np.ndarray):
+    """Worst one-step ratio of q between consecutive rows, either way, and
+    whether it stays within e^eta: (ok, worst)."""
+    qv = q.value_rows(rows)
+    worst = float(np.maximum(qv[1:] / qv[:-1], qv[:-1] / qv[1:]).max()) if len(qv) > 1 else 1.0
     return worst <= math.exp(q.eta) + 1e-12, worst
 
 
@@ -138,15 +133,16 @@ def build_cover(system: SystemSpec, block_points, delta: float, max_centers: int
 
 @dataclass
 class TransitionBounds:
-    """Minimal witnessed transition gaps between cover balls.
+    """Witnessed transition gaps between cover balls.
 
     X[i, j] is the least h in [T_floor, h_cap] at which the sampling orbit
     was seen in ball j at some time s and in ball i at time s + h.  In
     mixing mode X[i, j] is instead one past the largest unwitnessed gap, so
-    every h in [X[i, j], h_cap] has a recorded witness, and connectors read
-    mix_witness_time, so witness_time is None.  M_k is the max of the X
-    entries.  The sampling orbit itself is kept so connector points
-    can be read back out of the record.
+    every h in [X[i, j], h_cap] has a witness; _level_scan finds both.  M_k
+    is the max of the X entries.  No per-gap table is kept, so memory is
+    O(r^2 + E) for E cover events: connector reads witnesses on demand from
+    ball_times, and the sampling orbit is kept so connector points can be
+    read back out of the record.
     """
 
     X: np.ndarray  # (r, r) int64
@@ -154,27 +150,24 @@ class TransitionBounds:
     mixing_mode: bool
     T_floor: int
     h_cap: int
-    witness_time: np.ndarray | None  # (r, r) time of y for the minimal-h witness
     sampling_orbit: np.ndarray  # (L, 2)
-    mix_witnessed: np.ndarray | None = None  # (r, r, h_cap+1) bool
-    mix_witness_time: np.ndarray | None = None  # (r, r, h_cap+1) int64
+    ball_times: list  # r int64 arrays, ascending
 
-    def connector(self, dest: int, src: int):
-        """Minimal witnessed (N, y_time) for a src -> dest transition."""
-        N = int(self.X[dest, src])
-        if self.mixing_mode:
-            t = int(self.mix_witness_time[dest, src, N])
-        else:
-            t = int(self.witness_time[dest, src])
-        return N, t
-
-    def connector_at(self, dest: int, src: int, h: int):
-        """Earliest witness y_time for an exact gap h, or None (mixing only)."""
-        if not self.mixing_mode:
+    def connector(self, dest: int, src: int, h: int | None = None):
+        """Witnessed src -> dest transition of gap h as (h, t), t the earliest
+        time with the orbit in ball src at t and in ball dest at t + h, or
+        None.  h defaults to the minimal witnessed gap X[dest, src]; an
+        exact h needs mixing-mode transitions."""
+        if h is None:
+            h = int(self.X[dest, src])
+        elif not self.mixing_mode:
             raise GapInfeasibleError("exact-gap connectors require mixing_mode transitions")
-        if not (self.T_floor <= h <= self.h_cap) or not self.mix_witnessed[dest, src, h]:
+        t_dest = self.ball_times[dest]
+        if not (self.T_floor <= h <= self.h_cap) or not len(t_dest):
             return None
-        return int(self.mix_witness_time[dest, src, h])
+        arrive = self.ball_times[src] + h
+        at = np.flatnonzero(t_dest.take(np.searchsorted(t_dest, arrive), mode="clip") == arrive)
+        return (h, int(arrive[at[0]]) - h) if len(at) else None
 
     def to_json(self) -> dict:
         return {
@@ -263,84 +256,56 @@ def _join_sides(open_pairs: np.ndarray, n_events: np.ndarray):
     return by_src.ravel(), by_dest.ravel()
 
 
-def _min_gap_join(et: np.ndarray, ei: np.ndarray, r: int, T_floor: int, h_cap: int):
-    """Minimal witnessed gaps by a gap-level join of the time-sorted events.
+def _level_scan(et: np.ndarray, ei: np.ndarray, r: int, T_floor: int, h_cap: int, mixing: bool):
+    """Witnessed transition gaps X (r, r) by a gap-level join of the
+    time-sorted events.
 
-    For h = T_floor, T_floor + 1, ... every event (t, j) is joined with the
-    events (t + h, i); each still-open pair (i, j) takes X = h and its
-    earliest such t as witness time.  The smallest h wins, and at that h the
-    earliest t is the one a forward scan keeping the last visit of each ball
-    would record.  Each level costs O(E); the join stops once every pair is
-    closed, after M_k - T_floor + 1 levels, or at h_cap.  Returns (X, wit)
-    with _BIG / -1 for pairs never witnessed."""
+    Level h asks which open pairs (i, j) have an event (t, j) followed by an
+    event (t + h, i); a level stops as soon as every open pair is hit, and
+    costs at most O(E).  Min-gap mode walks h up from T_floor and closes a
+    pair at its first hit, X = h.  Mixing mode walks h down from h_cap and
+    closes a pair at its first miss, X = h + 1 (_BIG for a miss at h_cap),
+    so every gap in [X, h_cap] is witnessed; a pair hit at every level gets
+    X = T_floor.  Pairs never witnessed get _BIG."""
     X = np.full(r * r, _BIG, dtype=np.int64)
-    wit = np.full(r * r, -1, dtype=np.int64)
-    if not len(et):
-        return X.reshape(r, r), wit.reshape(r, r)
+    if not len(et) or h_cap < T_floor:
+        return X.reshape(r, r)
     first, count = _time_index(et, h_cap)  # the padding keeps t +- h inside
     n_events = np.bincount(ei, minlength=r)
     open_pairs = np.ones(r * r, dtype=bool)
-    replan = True
-    for h in range(T_floor, h_cap + 1):
+    plan = None
+    for h in range(h_cap, T_floor - 1, -1) if mixing else range(T_floor, h_cap + 1):
         if not open_pairs.any():
             break
-        if replan:
+        if plan is None:
             by_src, by_dest = _join_sides(open_pairs.reshape(r, r), n_events)
             from_src = np.flatnonzero(by_src.reshape(r, r).any(axis=0)[ei])
             from_dest = np.flatnonzero(by_dest.reshape(r, r).any(axis=1)[ei])
-            if not (len(from_src) or len(from_dest)):
+            plan = ((by_src, from_src, 1), (by_dest, from_dest, -1))
+            if not (mixing or len(from_src) or len(from_dest)):
                 break  # every open pair has a ball the orbit never visits
-            replan = False
-        for side, own_events, shift in ((by_src, from_src, h), (by_dest, from_dest, -h)):
+        unhit = open_pairs.copy()
+        for side, own_events, sign in plan:
             for lo in range(0, len(own_events), _JOIN_CHUNK):
+                if not unhit.any():
+                    break
                 own = own_events[lo : lo + _JOIN_CHUNK]
-                k = et[own] + (shift + h_cap)
+                k = et[own] + (sign * h + h_cap)
                 n_partner = count[k]
                 hit = n_partner > 0
                 own, k, n_partner = own[hit], k[hit], n_partner[hit]
                 own = np.repeat(own, n_partner)
                 partner = np.repeat(first[k] - np.cumsum(n_partner) + n_partner, n_partner) + np.arange(len(own))
-                if shift > 0:
-                    key = ei[partner] * r + ei[own]
-                    t_src = et[own]
-                else:
-                    key = ei[own] * r + ei[partner]
-                    t_src = et[partner]
-                keep = side[key]
-                # own events are time-sorted, so the first hit of a key is its earliest
-                closed, at = np.unique(key[keep], return_index=True)
-                if len(closed):
-                    X[closed] = h
-                    wit[closed] = t_src[keep][at]
-                    open_pairs[closed] = by_src[closed] = by_dest[closed] = False
-                    replan = True
-    return X.reshape(r, r), wit.reshape(r, r)
-
-
-def _mixing_tables(et: np.ndarray, ei: np.ndarray, r: int, T_floor: int, h_cap: int):
-    """Per-gap witness tables: mix_w[i, j, h] says some event (t, j) is
-    followed by (t + h, i); mix_t[i, j, h] is the earliest such t.
-
-    Events arrive in time order and each (j, h) occurs once per event, so the
-    first write of a cell is its minimum."""
-    mix_w = np.zeros((r, r, h_cap + 1), dtype=bool)
-    mix_t = np.full((r, r, h_cap + 1), _BIG, dtype=np.int64)
-    if not len(et):
-        return mix_w, mix_t
-    first, count = _time_index(et, h_cap)
-    for k in np.flatnonzero(count).tolist():
-        # visible: the events at times s - h_cap .. s - T_floor, s = k - h_cap
-        a, b = first[k - h_cap], first[k - T_floor + 1]
-        if a >= b:
-            continue
-        vis_t = et[a:b]
-        vis_j = ei[a:b]
-        hh = (k - h_cap) - vis_t
-        for dest in ei[first[k] : first[k] + count[k]].tolist():
-            new = ~mix_w[dest, vis_j, hh]
-            mix_w[dest, vis_j[new], hh[new]] = True
-            mix_t[dest, vis_j[new], hh[new]] = vis_t[new]
-    return mix_w, mix_t
+                key = ei[partner] * r + ei[own] if sign > 0 else ei[own] * r + ei[partner]
+                unhit[key[side[key]]] = False
+        closed = unhit if mixing else open_pairs & ~unhit
+        X[closed] = (h + 1 if h < h_cap else _BIG) if mixing else h
+        if closed.any():
+            open_pairs &= ~closed
+            plan = None
+    if mixing:
+        X[open_pairs] = T_floor
+    return X.reshape(r, r)
 
 
 def estimate_transitions(
@@ -371,16 +336,11 @@ def estimate_transitions(
     orbit = orbit_array(system, x, y, n_fwd=sampling_orbit_length - 1)
     et, ei = _cover_events(orbit, cover)
 
-    mix_w = mix_t = wit = None
-    if mixing_mode:
-        mix_w, mix_t = _mixing_tables(et, ei, r, T_floor, h_cap)
-        window = mix_w[:, :, T_floor : h_cap + 1]
-        run = np.cumprod(window[:, :, ::-1], axis=2).sum(axis=2)
-        missing = run == 0
-        X = np.where(missing, _BIG, h_cap - run + 1).astype(np.int64)
-    else:
-        X, wit = _min_gap_join(et, ei, r, T_floor, h_cap)
-        missing = X == _BIG
+    X = _level_scan(et, ei, r, T_floor, h_cap, mixing_mode)
+    missing = X == _BIG
+    # stable: each ball's times stay ascending; a narrow label dtype radix-sorts
+    by_ball = np.argsort(ei.astype(np.min_scalar_type(r)), kind="stable")
+    ball_times = np.split(et[by_ball], np.cumsum(np.bincount(ei, minlength=r))[:-1])
     if missing.any():
         pairs = [tuple(int(v) for v in p) for p in np.argwhere(missing)[:20]]
         raise IncompleteMixingError(
@@ -394,10 +354,8 @@ def estimate_transitions(
         mixing_mode=mixing_mode,
         T_floor=T_floor,
         h_cap=h_cap,
-        witness_time=wit,
         sampling_orbit=orbit,
-        mix_witnessed=mix_w,
-        mix_witness_time=mix_t,
+        ball_times=ball_times,
     )
 
 
@@ -741,10 +699,8 @@ def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> 
     xs = orbit_array(system, x.x, x.y, n_fwd=t_plus, n_bwd=-t_minus)
     lo = max(0, (-m - 1) - t_minus)
     hi = min(len(xs) - 1, (n + 1) - t_minus)
-    qv = q.value_rows(xs[lo : hi + 1])
-    ratios = np.maximum(qv[1:] / qv[:-1], qv[:-1] / qv[1:])
-    worst = float(ratios.max()) if len(ratios) else 1.0
-    if worst > math.exp(eta) + 1e-12:
+    ok, worst = _slow_varying(q, xs[lo : hi + 1])
+    if not ok:
         raise PreconditionError(
             f"q is not eta-slow-varying along the orbit (worst ratio {worst:.6f} "
             f"> e^eta = {math.exp(eta):.6f})"
@@ -769,12 +725,10 @@ def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
     segs, conns = [], []
     for i, (w, v) in enumerate(zip(windows, nxt)):
         dest, src = v.dest, w.src
-        if Ns is None:
-            N, t_w = bounds.connector(dest, src)
-        else:
-            N, t_w = Ns[i], bounds.connector_at(dest, src, Ns[i])
-            if t_w is None:
-                raise GapInfeasibleError(f"no witnessed transition of exact gap {N} for pair ({dest}, {src})")
+        hit = bounds.connector(dest, src, None if Ns is None else Ns[i])
+        if hit is None:
+            raise GapInfeasibleError(f"no witnessed transition of exact gap {Ns[i]} for pair ({dest}, {src})")
+        N, t_w = hit
         y_pts = bounds.sampling_orbit[t_w : t_w + N + 1].copy()
         y = Point2(float(y_pts[0, 0]), float(y_pts[0, 1]), sp)
         segs += [(Point2(float(w.xs[0, 0]), float(w.xs[0, 1]), sp), w.t_plus - w.t_minus, w.xs), (y, N, y_pts)]
@@ -920,7 +874,7 @@ def _spread_gaps(windows, bounds, target):
         raise GapInfeasibleError(f"target gap total {target} below the minimum {base}")
     stalled = i = 0
     while budget > 0:
-        if bounds.connector_at(*pairs[i], Ns[i] + 1) is not None:
+        if Ns[i] < bounds.h_cap:
             Ns[i] += 1
             budget -= 1
             stalled = 0

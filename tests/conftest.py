@@ -60,7 +60,8 @@ def perturbed_ctx(perturbed):
 
 @pytest.fixture(scope="session")
 def mix_ctx(cat):
-    # coarser cover so the per-gap witness tables stay small
+    # coarser cover: few balls keep the mixing-mode level scan, which walks
+    # every gap from h_cap down, and the r^2 connector checks cheap
     return build_cover_context(
         cat,
         theta=0.1,

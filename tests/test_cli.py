@@ -120,6 +120,39 @@ def test_nonpositive_theta_or_newton_tol_refused(tmp_path, experiment, key, valu
     assert rep["error"]["field"] == key
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["nonlacunarity", "--set", "count_bwd=1e999"], "count_bwd"),
+        (["ns-cert", "--set", "fixed_point=true", "--set", "m=1e999"], "m"),
+        (["ns-cert", "--set", "fixed_point=true", "--set", "m=2.5"], "m"),
+        (["ns-cert", "--set", "mixing=true", "--set", "connector_gap=20.5"], "connector_gap"),
+        (["gns-cert", "--set", "m=[60, 60.5, 60]"], "m"),
+        (["lyapunov", "--set", "N=true"], "N"),
+    ],
+)
+def test_non_integer_parameter_refused(tmp_path, args, field):
+    # 1e999 parses as infinity: int() once raised OverflowError with a
+    # traceback and no report; m = 2.5 ran as m = 2 and exited 0
+    out = tmp_path / "run"
+    assert run_cli(args + ["--out", out]) == 2
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True
+    assert rep["error"]["type"] == "ConfigError"
+    assert rep["error"]["field"] == field
+
+
+def test_integral_float_parameter_runs_as_int(tmp_path):
+    # an integral float is stored as the int it is, in the manifest too; a
+    # float h_cap or sampling_orbit_length once reached range() as a float
+    out = tmp_path / "run"
+    args = ["ns-cert", "--out", out, "--set", "fixed_point=true", "--set", "spectrum_N=2e4"]
+    assert run_cli(args + ["--set", "m=30.0", "--set", "n=30"]) == 0
+    rep = read_json(out / "report.json")
+    assert rep["parameters"]["m"] == 30 and isinstance(rep["parameters"]["m"], int)
+    assert rep["results"]["certificate"]["m"] == 30
+
+
 HENON = {"system": {"kind": "Henon", "params": {"a": 1.4, "b": 0.3}}}
 
 

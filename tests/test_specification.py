@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuspec.dynamics import Point2, Space, distance
+from nuspec.dynamics import Point2, Space, distance, orbit_array
 from nuspec.errors import (
     ConfigError,
     GapInfeasibleError,
@@ -28,7 +28,6 @@ from nuspec.specification import (
     SlowVaryingFn,
     build_cover,
     build_cover_context,
-    check_slow_varying,
     estimate_transitions,
     fixed_point_context,
     gns_certificate,
@@ -157,9 +156,21 @@ def test_transitions_two_balls(cat):
 def test_transitions_mixing_coverage(mix_ctx):
     b = mix_ctx.bounds
     assert b.mixing_mode
+    # ball-by-time visit incidence; hits[i, j] counts the times the orbit is
+    # in ball j and, h steps later, in ball i
+    visits = np.zeros((len(b.ball_times), len(b.sampling_orbit)), dtype=np.float32)
+    for j, ts in enumerate(b.ball_times):
+        visits[j, ts] = 1.0
+    # every pair is witnessed at every gap from its own X up to 50 past M_k,
+    # and missed at X - 1 unless X is the floor
     top = min(b.M_k + 50, b.h_cap)
-    for h in range(b.M_k, top + 1):
-        assert b.mix_witnessed[:, :, h].all()
+    for h in range(b.T_floor, top + 1):
+        hit = visits[:, h:] @ visits[:, :-h].T > 0
+        assert hit[b.X <= h].all(), h
+        assert not hit[b.X == h + 1].any(), h
+    # the connector query agrees at each pair's X
+    for (i, j), X in np.ndenumerate(b.X):
+        assert b.connector(i, j, int(X)) is not None
 
 
 def test_transitions_incomplete_mixing(cat):
@@ -187,9 +198,9 @@ def _gap_oracle(events, T_floor, h_cap):
     visits=st.lists(st.sets(st.integers(0, 50), max_size=25), min_size=1, max_size=4),
     T_floor=st.integers(1, 4),
     h_span=st.integers(0, 30),
-    chunk=st.sampled_from([1, 3, 2**15]),
+    chunk=st.sampled_from([1, 3, specification._JOIN_CHUNK]),
 )
-def test_min_gap_join_matches_pair_oracle(visits, T_floor, h_span, chunk):
+def test_level_scan_matches_pair_oracle(visits, T_floor, h_span, chunk):
     # per-ball visit sets of different sizes: ties at equal h, balls never
     # visited, and rare balls that make the join plan per pair
     r = len(visits)
@@ -198,49 +209,75 @@ def test_min_gap_join_matches_pair_oracle(visits, T_floor, h_span, chunk):
     ei = np.array([j for _, j in events], dtype=np.int64)
     h_cap = T_floor + h_span
     earliest = _gap_oracle(events, T_floor, h_cap)
-    # min-gap: the least (h, t) of each pair; _BIG / -1 where none
-    best = {}
-    for (i, j, h), t in earliest.items():
-        best[(i, j)] = min(best.get((i, j), (h, t)), (h, t))
-    X_ref = np.full((r, r), 2**62, dtype=np.int64)
-    wit_ref = np.full((r, r), -1, dtype=np.int64)
-    for (i, j), (h, t) in best.items():
-        X_ref[i, j], wit_ref[i, j] = h, t
-    with mock.patch.object(specification, "_JOIN_CHUNK", chunk):
-        X, wit = specification._min_gap_join(et, ei, r, T_floor, h_cap)
-    assert np.array_equal(X, X_ref)
-    assert np.array_equal(wit, wit_ref)
-    # mixing tables: every (dest, src, h) with its earliest t
-    mix_w, mix_t = specification._mixing_tables(et, ei, r, T_floor, h_cap)
-    assert {tuple(int(v) for v in c) for c in np.argwhere(mix_w)} == set(earliest)
-    assert all(mix_t[c] == t for c, t in earliest.items())
-    assert (mix_t[~mix_w] == 2**62).all()
+    # min-gap: the least witnessed h of each pair; mixing: the lowest h0 with
+    # every gap in [h0, h_cap] witnessed; _BIG where none
+    X_ref = {mixing: np.full((r, r), 2**62, dtype=np.int64) for mixing in (False, True)}
+    for i in range(r):
+        for j in range(r):
+            gaps = [h for h in range(T_floor, h_cap + 1) if (i, j, h) in earliest]
+            if gaps:
+                X_ref[False][i, j] = gaps[0]
+            h0 = h_cap + 1
+            while h0 > T_floor and (i, j, h0 - 1) in earliest:
+                h0 -= 1
+            if h0 <= h_cap:
+                X_ref[True][i, j] = h0
+    ball_times = [np.array(sorted(ts), dtype=np.int64) for ts in visits]
+
+    def witness(i, j, h):
+        return (h, earliest[(i, j, h)]) if (i, j, h) in earliest else None
+
+    for mixing in (False, True):
+        with mock.patch.object(specification, "_JOIN_CHUNK", chunk):
+            X = specification._level_scan(et, ei, r, T_floor, h_cap, mixing)
+        assert np.array_equal(X, X_ref[mixing])
+        bounds = specification.TransitionBounds(
+            X, int(X.max()), mixing, T_floor, h_cap, np.empty((0, 2)), ball_times
+        )
+        pairs = [(i, j) for i in range(r) for j in range(r)]
+        assert all(bounds.connector(i, j) == witness(i, j, int(X[i, j])) for i, j in pairs)
+        if not mixing:
+            with pytest.raises(GapInfeasibleError):
+                bounds.connector(0, 0, T_floor)
+            continue
+        # exact gaps: the earliest witness of every (dest, src, h), or None
+        for h in range(T_floor - 1, h_cap + 2):
+            assert all(bounds.connector(i, j, h) == witness(i, j, h) for i, j in pairs)
 
 
 def test_transitions_unreachable_ball_fails_fast(cat):
     # the orbit sits on the fixed point, so only the pair (0, 0) is ever
-    # witnessed; the open pairs must not make the join walk all h_cap levels
+    # witnessed; the open pairs must not make the scan walk all h_cap levels
     # over the 400k events (a large h_cap makes that walk take many seconds)
     cover = SetSpec(np.array([[0.0, 0.0], [0.5, 0.5]]), 1e-3)
-    start = time.perf_counter()
-    with pytest.raises(IncompleteMixingError) as exc:
-        estimate_transitions(cat, cover, 400_000, x0=torus(0.0, 0.0), h_cap=4096)
-    assert time.perf_counter() - start < 4.0
-    assert exc.value.missing_pairs == [(0, 1), (1, 0), (1, 1)]
+    for mixing in (False, True):
+        start = time.perf_counter()
+        with pytest.raises(IncompleteMixingError) as exc:
+            estimate_transitions(cat, cover, 400_000, mixing_mode=mixing, x0=torus(0.0, 0.0), h_cap=4096)
+        assert time.perf_counter() - start < 4.0
+        assert exc.value.missing_pairs == [(0, 1), (1, 0), (1, 1)]
 
 
-def test_min_gap_join_rare_ball_fails_fast():
+def test_level_scan_rare_ball_fails_fast():
     # five balls visited in turn over the first 200k steps and one ball
     # visited once, long after: its pairs stay open at every level, and only
     # its single event may be joined
     t = np.arange(200_000)
     et = np.append(t, 300_000)
     ei = np.append(t % 5, 5)
-    start = time.perf_counter()
-    X, wit = specification._min_gap_join(et, ei, 6, 1, 4096)
-    assert time.perf_counter() - start < 4.0
-    assert (X[:5, :5] <= 5).all()
-    assert (X[5] == 2**62).all() and (X[:, 5] == 2**62).all()
+    for mixing in (False, True):
+        start = time.perf_counter()
+        X = specification._level_scan(et, ei, 6, 1, 4096, mixing)
+        assert time.perf_counter() - start < 4.0
+        assert (X[5] == 2**62).all() and (X[:, 5] == 2**62).all()
+        if mixing:
+            # ball i follows ball j at gap h iff i - j = h mod 5: the pairs
+            # hit at h_cap = 4096 miss at 4095 (X = 4096), the rest miss at
+            # h_cap itself (_BIG)
+            i, j = np.indices((5, 5))
+            assert np.array_equal(X[:5, :5], np.where((i - j) % 5 == 4096 % 5, 4096, 2**62))
+        else:
+            assert (X[:5, :5] <= 5).all()
 
 
 # ---------------------------------------------------------------------------
@@ -329,21 +366,26 @@ def test_select_indices_insufficient_horizon():
 # slow-varying weights
 
 
+def _q_along_orbit(q, system, x, m, n):
+    # q along the orbit of x over [-m-1, n]
+    return specification._slow_varying(q, orbit_array(system, x.x, x.y, n_fwd=n, n_bwd=m + 1))
+
+
 def test_check_slow_varying_constant(cat):
     q = SlowVaryingFn.constant(1.0, eta=0.01)
-    ok, worst = check_slow_varying(q, cat, torus(0.3, 0.4), 50, 50)
+    ok, worst = _q_along_orbit(q, cat, torus(0.3, 0.4), 50, 50)
     assert ok and worst == 1.0
 
 
 def test_check_slow_varying_zero_amplitude(cat):
     q = SlowVaryingFn.modulated(1.0, 0.0, 3, eta=0.01)
-    ok, worst = check_slow_varying(q, cat, torus(0.3, 0.4), 50, 50)
+    ok, worst = _q_along_orbit(q, cat, torus(0.3, 0.4), 50, 50)
     assert ok and worst == 1.0
 
 
 def test_check_slow_varying_modulated_consistent(cat):
     q = SlowVaryingFn.modulated(1.0, 0.5, 1, eta=0.7)
-    ok, worst = check_slow_varying(q, cat, torus(0.31, 0.47), 100, 100)
+    ok, worst = _q_along_orbit(q, cat, torus(0.31, 0.47), 100, 100)
     assert ok == (worst <= math.exp(0.7) + 1e-12)
 
 
@@ -605,7 +647,7 @@ def test_ns_mixing_consecutive_periods(cat, mix_ctx):
 
 
 def test_ns_exact_minimal_gap_equals_minimal_connector(cat, mix_ctx):
-    # connector and connector_at pick the same witness at the minimal gap
+    # the minimal and the exact-gap connector pick the same witness at X
     x = block_point(mix_ctx, 4)
     q = const_q(mix_ctx)
     base = ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx)
@@ -628,8 +670,10 @@ def test_ns_unwitnessed_exact_gap(cat, mix_ctx):
     q = const_q(mix_ctx)
     base = ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx)
     b = mix_ctx.bounds
-    missing = np.flatnonzero(~b.mix_witnessed[base.set_dest, base.set_src, b.T_floor :]) + b.T_floor
-    for gap in (int(missing[-1]) if len(missing) else b.T_floor - 1, b.h_cap + 1):
+    X = int(b.X[base.set_dest, base.set_src])
+    # X - 1 is the largest unwitnessed gap when X > T_floor
+    for gap in (X - 1 if X > b.T_floor else b.T_floor - 1, b.h_cap + 1):
+        assert b.connector(base.set_dest, base.set_src, gap) is None
         with pytest.raises(GapInfeasibleError):
             ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx, connector_gap=gap)
 
