@@ -8,9 +8,6 @@ from .dynamics import (
     Space,
     SystemKind,
     SystemSpec,
-    apply,
-    apply_inverse,
-    differential,
     distance,
     orbit,
 )

@@ -212,6 +212,12 @@ def load_config(experiment: str, config_path, overrides, out_dir) -> ExperimentC
                 resolved[name] = [_integer(name, e) for e in v]
             else:
                 resolved[name] = _integer(name, v)
+    # gns-cert takes one m, one n and one segment point per segment
+    if experiment == "gns-cert":
+        for name in ("m", "n", "segment_points"):
+            if isinstance(resolved[name], list) and len(resolved[name]) != resolved["k"]:
+                msg = f"{name} lists {len(resolved[name])} value(s) for k={resolved['k']} segments"
+                raise ConfigError(msg, field=name)
     for name in ("theta", "newton_tol"):
         if name in schema and not _positive(resolved[name]):
             raise ConfigError(f"{name} must be a positive finite number, got {resolved[name]!r}", field=name)

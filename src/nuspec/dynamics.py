@@ -67,8 +67,12 @@ class Point2:
 
 def wrap_half(d):
     """Wrap displacements (scalars or arrays) to the representative in (-1/2, 1/2]."""
+    # % maps the +1/2 boundary to -1/2; fold it back so the interval is (-1/2, 1/2].
+    # Python floats skip numpy: float % equals numpy's bit for bit
+    if type(d) is float:
+        r = (d + 0.5) % 1.0 - 0.5
+        return 0.5 if r == -0.5 else r
     r = (np.asarray(d, dtype=float) + 0.5) % 1.0 - 0.5
-    # % maps the +1/2 boundary to -1/2; fold it back so the interval is (-1/2, 1/2]
     if np.ndim(r) == 0:
         return 0.5 if r == -0.5 else float(r)
     r[r == -0.5] = 0.5
@@ -304,18 +308,6 @@ def step_xy(system: SystemSpec, x: float, y: float):
 def step_inverse_xy(system: SystemSpec, x: float, y: float):
     """One backward application of the map, on raw coordinates."""
     return system.maps()[1](x, y)
-
-
-def apply(system: SystemSpec, p: Point2) -> Point2:
-    return Point2(*step_xy(system, p.x, p.y), system.space)
-
-
-def apply_inverse(system: SystemSpec, p: Point2) -> Point2:
-    return Point2(*step_inverse_xy(system, p.x, p.y), system.space)
-
-
-def differential(system: SystemSpec, p: Point2) -> np.ndarray:
-    return np.array(system.maps()[2](p.x, p.y), dtype=float).reshape(2, 2)
 
 
 def _arc(d):

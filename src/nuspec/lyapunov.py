@@ -357,12 +357,6 @@ def pesin_block_index(
     return _block_indices(system, x.as_array()[None], params)[0]
 
 
-def block_conditions_hold(system, x, params, k) -> bool:
-    """Direct check that index k satisfies all three conditions at x."""
-    d_a, d_b, d_c = block_defects(system, x.as_array()[None], params)
-    return max(float(d_a[0]), float(d_b[0]), float(d_c[0])) <= params.epsilon * k + 1e-12
-
-
 def block_sample(
     system: SystemSpec,
     params: PesinBlockParams,
@@ -394,11 +388,3 @@ def block_sample(
                 _block_indices(system, row[None], params)
             raise
     return list(zip(points, ks))
-
-
-def finite_fraction(samples, max_k=None) -> float:
-    """Fraction of classified samples with a finite index (optionally <= max_k)."""
-    hits = sum(
-        1 for _, k in samples if k is not None and (max_k is None or k <= max_k)
-    )
-    return hits / len(samples)

@@ -8,7 +8,8 @@ pivoting.  Eliminating the cycle down to a single 2x2 system would multiply
 all p Jacobians together and lose the solution in the lambda^p conditioning
 of the monodromy; the sparse factorization keeps the conditioning at the
 level of single-step hyperbolicity, which is the whole point of working with
-the cyclic formulation.
+the cyclic formulation.  The same factor also decides whether the cycle is
+degenerate, from log|det(Df^p - I)| = sum of log|U_ii| (see _solve_cyclic).
 """
 
 from __future__ import annotations
@@ -179,34 +180,6 @@ def _initial_guess(po: PseudoOrbit) -> np.ndarray:
     return np.concatenate([a.points[:-1] for a in po.segments], axis=0)
 
 
-def _cycle_degeneracy(jacs) -> float:
-    """|det(Df^p - I)| via a scale-tracked product of the step Jacobians.
-
-    For a 2x2 matrix, det(M - I) = det M - tr M + 1; det M is the product of
-    the step determinants and the trace comes from the normalized product, so
-    nothing here overflows until the value itself does (then it is inf, which
-    compares as non-degenerate)."""
-    M = np.eye(2)
-    log_scale = 0.0
-    log_det = 0.0
-    sign_det = 1.0
-    for J in jacs:
-        M = J @ M
-        a = np.abs(M).max()
-        if a > 1e8:
-            M /= a
-            log_scale += math.log(a)
-        d = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-        sign_det *= math.copysign(1.0, d)
-        log_det += math.log(abs(d))
-    tr_hat = M[0, 0] + M[1, 1]
-    if log_scale + math.log(max(abs(tr_hat), 1e-300)) > 700.0 or log_det > 700.0:
-        return math.inf  # astronomically hyperbolic cycle, nowhere near singular
-    tr = tr_hat * math.exp(log_scale)
-    det_M = sign_det * math.exp(log_det)
-    return abs(det_M - tr + 1.0)
-
-
 def newton_refine_periodic(
     system: SystemSpec, po: PseudoOrbit, tol: float = 1e-11, max_iter: int = 30
 ) -> PeriodicOrbitSolution:
@@ -242,12 +215,7 @@ def newton_refine_periodic(
             )
         if iters == max_iter:
             break
-        jacs = jac_array(system, Z)
-        if _cycle_degeneracy(jacs) < DEGENERACY_THRESHOLD:
-            raise DegenerateOrbitError(
-                f"cyclic linearization singular: |det(Df^{p} - I)| < {DEGENERACY_THRESHOLD}"
-            )
-        delta = _solve_cyclic(jacs, -diffs)
+        delta = _solve_cyclic(jac_array(system, Z), -diffs)
         m = np.abs(delta).max()
         if m > _MAX_STEP:
             delta *= _MAX_STEP / m
@@ -263,31 +231,28 @@ def newton_refine_periodic(
 
 
 def _solve_cyclic(jacs, rhs):
-    """Solve the linearized cyclic system: delta_{j+1} - A_j delta_j = rhs_j."""
+    """Solve the linearized cyclic system delta_{j+1} - A_j delta_j = rhs_j.
+
+    The same LU factor decides degeneracy: L has a unit diagonal and the
+    block-cyclic matrix has |det| = |det(Df^p - I)|, so the sum of log|U_ii|
+    is log|det(Df^p - I)|.  Raises DegenerateOrbitError when that lies below
+    log(DEGENERACY_THRESHOLD) or when the factor is exactly singular."""
     p = len(jacs)
-    if p == 1:
-        A = np.eye(2) - jacs[0]
-        return np.linalg.solve(A, rhs[0])[None, :]
-    rows = np.empty(6 * p, dtype=np.int64)
-    cols = np.empty(6 * p, dtype=np.int64)
-    vals = np.empty(6 * p, dtype=float)
-    idx = 0
-    for j in range(p):
-        jn = (j + 1) % p
-        A = jacs[j]
-        for r in range(2):
-            for c in range(2):
-                rows[idx] = 2 * j + r
-                cols[idx] = 2 * j + c
-                vals[idx] = -A[r, c]
-                idx += 1
-            rows[idx] = 2 * j + r
-            cols[idx] = 2 * jn + r
-            vals[idx] = 1.0
-            idx += 1
+    # row 2j + r holds -A_j[r, 0], -A_j[r, 1] in block j, then 1 in block
+    # j + 1 (mod p); at p = 1 the duplicate entries sum to I - A
+    rows = np.repeat(np.arange(2 * p), 3)
+    blk = np.repeat(2 * np.arange(p), 2)
+    cols = np.column_stack((blk, blk + 1, np.roll(np.arange(2 * p), -2))).ravel()
+    vals = np.column_stack((-jacs.reshape(2 * p, 2), np.ones(2 * p))).ravel()
     J = sp.csc_matrix((vals, (rows, cols)), shape=(2 * p, 2 * p))
-    sol = spla.splu(J).solve(rhs.ravel())
-    return sol.reshape(p, 2)
+    try:
+        lu = spla.splu(J)
+        log_det = np.log(np.abs(lu.U.diagonal())).sum()
+    except RuntimeError:  # SuperLU met an exactly zero pivot
+        log_det = -math.inf
+    if log_det < math.log(DEGENERACY_THRESHOLD):
+        raise DegenerateOrbitError(f"cyclic linearization singular: |det(Df^{p} - I)| < {DEGENERACY_THRESHOLD}")
+    return lu.solve(rhs.ravel()).reshape(p, 2)
 
 
 @dataclass

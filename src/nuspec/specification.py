@@ -324,11 +324,6 @@ def estimate_transitions(
     if T_floor < 1:
         raise ValueError("T_floor must be >= 1")
     r = cover.r_count
-    if mixing_mode and r > 128:
-        raise ValueError(
-            f"mixing_mode witness tables need r_count <= 128 (got {r}); "
-            "use a larger delta for the cover"
-        )
     if x0 is None:
         x, y = orbit_array(system, *np.random.default_rng(seed).random(2), n_fwd=100)[-1]
     else:

@@ -142,6 +142,32 @@ def test_non_integer_parameter_refused(tmp_path, args, field):
     assert rep["error"]["field"] == field
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        (["--set", "m=[60]"], "m"),
+        (["--set", "n=[60, 60, 60, 60]"], "n"),
+        (["--set", "k=2", "--set", "m=[60, 60, 60]"], "m"),
+        (["--set", "segment_points=[[0.1, 0.2], [0.3, 0.4]]"], "segment_points"),
+    ],
+)
+def test_gns_cert_segment_list_length_refused(tmp_path, monkeypatch, args, field):
+    # a list whose length is not k once built the whole cover context, and a
+    # short one then ended in an IndexError traceback; now it is refused first
+    import nuspec.cli
+
+    def no_context(*a, **kw):
+        raise AssertionError("build_cover_context reached")
+
+    monkeypatch.setattr(nuspec.cli, "build_cover_context", no_context)
+    out = tmp_path / "run"
+    assert run_cli(["gns-cert"] + args + ["--out", out]) == 2
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True
+    assert rep["error"]["type"] == "ConfigError"
+    assert rep["error"]["field"] == field
+
+
 def test_integral_float_parameter_runs_as_int(tmp_path):
     # an integral float is stored as the int it is, in the manifest too; a
     # float h_cap or sampling_orbit_length once reached range() as a float

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from nuspec.dynamics import Point2, Space, apply, orbit_array
+from nuspec.dynamics import Point2, Space, orbit_array, step_xy
 from nuspec.errors import DegenerateOrbitError, NonConvergenceError
 from nuspec.shadowing import (
+    _solve_cyclic,
     assemble,
     cat_rational_orbit,
     check_domination,
@@ -109,6 +110,35 @@ def test_newton_degenerate_orbit(standard):
         newton_refine_periodic(twist, po, tol=1e-11)
 
 
+def _hyperbolic_cycle(lam, p, rng):
+    """p step Jacobians whose product is conjugate to diag(lam, 1/lam):
+    A_j = S_{j+1} D S_j^{-1} with unit shears S_j, S_0 = S_p = I, and
+    D = diag(lam^(1/p), lam^(-1/p)); |det(Df^p - I)| = (lam - 1)^2 / lam."""
+    shears = [np.eye(2)] + [np.array([[1.0, s], [0.0, 1.0]]) for s in rng.uniform(-1, 1, p - 1)] + [np.eye(2)]
+    D = np.diag([lam ** (1.0 / p), lam ** (-1.0 / p)])
+    return np.array([shears[j + 1] @ D @ np.linalg.inv(shears[j]) for j in range(p)])
+
+
+@pytest.mark.parametrize("p", [1, 2, 7, 40])
+def test_solve_cyclic_degeneracy_threshold(p):
+    # the threshold is 1e-12: a cycle at 1e-14 is refused, one at 1e-10 solved
+    rng = np.random.default_rng(p)
+    rhs = rng.standard_normal((p, 2))
+    with pytest.raises(DegenerateOrbitError):
+        _solve_cyclic(_hyperbolic_cycle(1.0 + 1e-7, p, rng), rhs)
+    jacs = _hyperbolic_cycle(1.0 + 1e-5, p, rng)
+    delta = _solve_cyclic(jacs, rhs)
+    resid = np.roll(delta, -1, axis=0) - np.einsum("jrc,jc->jr", jacs, delta) - rhs
+    assert np.abs(resid).max() <= 1e-8 * np.abs(delta).max()
+    assert np.abs(delta).max() > 1e3  # the near-singular direction is resolved, not lost
+
+
+def test_solve_cyclic_exactly_singular():
+    # Df = I: the factor has a zero pivot, which is a degenerate cycle too
+    with pytest.raises(DegenerateOrbitError):
+        _solve_cyclic(np.eye(2)[None], np.ones((1, 2)))
+
+
 def test_newton_henon_fixed_point(henon):
     a, b = 1.4, 0.3
     x_fp = (-(1 - b) + math.sqrt((1 - b) ** 2 + 4 * a)) / (2 * a)
@@ -132,7 +162,7 @@ def test_refinement_idempotent(cat):
 
 
 def test_forward_consistency_small_periods(cat, perturbed):
-    # apply^p(z_0) returns to z_0; checked at small p where the lambda^p
+    # f^p(z_0) returns to z_0; checked at small p where the lambda^p
     # error amplification of forward iteration stays below the budget
     tol = 1e-11
     for system, q, start in ((cat, 5, (1, 2)), (perturbed, 8, (1, 0))):
@@ -142,12 +172,12 @@ def test_forward_consistency_small_periods(cat, perturbed):
         po, _ = assemble([(torus(*pts[0]), period, arc)], system, periodic=True)
         sol = newton_refine_periodic(system, po, tol=tol, max_iter=40)
         z = sol.point(0)
-        w = z
+        w = (z.x, z.y)
         for _ in range(sol.period):
-            w = apply(system, w)
+            w = step_xy(system, *w)
         from nuspec.dynamics import distance
 
-        assert distance(Space.TORUS2, w, z) <= 10 * sol.period * tol
+        assert distance(Space.TORUS2, torus(*w), z) <= 10 * sol.period * tol
 
 
 def test_cat_rationality_of_refined_orbits(cat):

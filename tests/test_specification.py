@@ -132,6 +132,16 @@ def test_transitions_fixed_point_self_gap(cat):
         assert bounds.M_k == max(1, t_floor)
 
 
+def test_mixing_transitions_past_128_balls(cat):
+    # mixing mode keeps no (r, r, h) table, so the ball count is not capped:
+    # 130 balls around the fixed point all hold its orbit at every step
+    rng = np.random.default_rng(7)
+    cover = SetSpec(rng.uniform(-0.01, 0.01, (130, 2)) % 1.0, 0.05)
+    for t_floor in (1, 3):
+        bounds = estimate_transitions(cat, cover, 200, mixing_mode=True, T_floor=t_floor, h_cap=32, x0=torus(0.0, 0.0))
+        assert (bounds.X == t_floor).all()
+
+
 def test_transitions_two_balls(cat):
     centers = [torus(0.2, 0.3), torus(0.7, 0.8)]
     cover = build_cover(cat, centers, delta=0.2)
