@@ -8,8 +8,6 @@ from .dynamics import (
     Space,
     SystemKind,
     SystemSpec,
-    distance,
-    orbit,
 )
 from .errors import NuspecError
 from .lyapunov import (

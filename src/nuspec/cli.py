@@ -212,8 +212,16 @@ def load_config(experiment: str, config_path, overrides, out_dir) -> ExperimentC
                 resolved[name] = [_integer(name, e) for e in v]
             else:
                 resolved[name] = _integer(name, v)
-    # gns-cert takes one m, one n and one segment point per segment
+    # the transition scan covers gaps T_floor..h_cap, and T_floor >= 1
+    if "T_floor" in schema:
+        if resolved["T_floor"] < 1:
+            raise ConfigError(f"T_floor must be >= 1, got {resolved['T_floor']}", field="T_floor")
+        if resolved["h_cap"] < resolved["T_floor"]:
+            raise ConfigError(f"h_cap={resolved['h_cap']} is below T_floor={resolved['T_floor']}", field="h_cap")
+    # gns-cert takes at least two segments, one m, one n and one segment point each
     if experiment == "gns-cert":
+        if resolved["k"] < 2:
+            raise ConfigError(f"gns-cert needs k >= 2 segments, got {resolved['k']}", field="k")
         for name in ("m", "n", "segment_points"):
             if isinstance(resolved[name], list) and len(resolved[name]) != resolved["k"]:
                 msg = f"{name} lists {len(resolved[name])} value(s) for k={resolved['k']} segments"
@@ -403,13 +411,10 @@ def _run_shadow(cfg: ExperimentConfig):
     rng = np.random.default_rng(cfg.seed)
     q_den, period, guess = _cat_rational_orbit(p["period_min"], p["period_max"])
 
-    sp = system.space
-    base = Point2(float(guess[0, 0]), float(guess[0, 1]), sp)
-    arc0 = np.vstack([guess, guess[:1]])
-    po0, _ = assemble([(base, period, arc0)], system, periodic=True)
+    po0 = assemble([np.vstack([guess, guess[:1]])], system)
     ref = newton_refine_periodic(system, po0, tol=1e-12, max_iter=40)
     n1 = period // 2
-    po, times = displaced_pseudo_orbit(system, ref.points, n1, float(p["jitter"]))
+    po = displaced_pseudo_orbit(system, ref.points, n1, float(p["jitter"]))
 
     sol = newton_refine_periodic(system, po, tol=float(p["newton_tol"]), max_iter=p["max_iter"])
     spec = _spectrum_for(system, rng, p["spectrum_N"])
@@ -420,7 +425,7 @@ def _run_shadow(cfg: ExperimentConfig):
         "rational_denominator": q_den,
         "period": period,
         "segment_lengths": [n1, period - n1],
-        "concatenation_times": times.c.tolist(),
+        "concatenation_times": [0, n1],
         "pseudo_orbit_delta": po.delta,
         "solution": sol.to_json(),
         "residual": sol.residual,

@@ -310,19 +310,6 @@ def step_inverse_xy(system: SystemSpec, x: float, y: float):
     return system.maps()[1](x, y)
 
 
-def _arc(d):
-    """Componentwise wrapped magnitude min(|d|, 1 - |d|); bit-exact symmetric."""
-    a = abs(d)
-    a = a - math.floor(a)
-    return min(a, 1.0 - a)
-
-
-def distance(space: Space, p: Point2, q: Point2) -> float:
-    if space is Space.TORUS2:
-        return math.hypot(_arc(p.x - q.x), _arc(p.y - q.y))
-    return math.hypot(p.x - q.x, p.y - q.y)
-
-
 def dist_rows(space: Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise distances between two (n, 2) arrays."""
     d = a - b
@@ -331,14 +318,6 @@ def dist_rows(space: Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         d -= np.floor(d)
         d = np.minimum(d, 1.0 - d)
     return np.hypot(d[..., 0], d[..., 1])
-
-
-def orbit(system: SystemSpec, x: Point2, m: int, n: int):
-    """Orbit window f^k(x) for k = -m..n; element i of the result is f^(i-m)(x)."""
-    if m < 0 or n < 0:
-        raise ValueError("orbit window lengths must be nonnegative")
-    arr = orbit_array(system, x.x, x.y, n_fwd=n, n_bwd=m)
-    return [Point2(float(r[0]), float(r[1]), system.space) for r in arr]
 
 
 def orbit_array(system: SystemSpec, x: float, y: float, n_fwd: int, n_bwd: int = 0) -> np.ndarray:

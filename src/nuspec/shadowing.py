@@ -1,6 +1,10 @@
 """Pseudo-orbits, cyclic Newton refinement to true periodic orbits, the
 exponential shadowing-envelope verifier, and the splitting domination test.
 
+A pseudo-orbit is a list of orbit arcs, each an (n_i + 1, 2) array of points;
+an arc's last row meets the next arc's first row, and the last arc's meets
+the first arc's, up to the junction gap delta.  Its period is sum(n_i).
+
 The refinement solves the full cyclic system z_{j+1} = f(z_j) (indices mod p)
 for all p points at once.  The linearized step is a block-bidiagonal system
 with one corner block; it is solved by a sparse LU factorization with partial
@@ -27,7 +31,6 @@ from .dynamics import (
     SystemSpec,
     dist_rows,
     jac_array,
-    orbit_array,
     step_array,
     wrap_half,
 )
@@ -40,29 +43,16 @@ _MAX_STEP = 0.25
 
 
 @dataclass
-class OrbitSegmentArc:
-    """A finite orbit arc: base point, length n, and the n+1 arc points."""
-
-    base: Point2
-    length: int
-    points: np.ndarray  # (length + 1, 2)
-
-
-@dataclass
 class PseudoOrbit:
-    segments: list  # of OrbitSegmentArc
-    periodic: bool
-    delta: float  # max junction gap
-    space: Space
+    """A periodic pseudo-orbit: arcs of (n_i + 1, 2) points whose last row
+    meets the next arc's first row, cyclically, up to the gap delta."""
+
+    arcs: list  # of (n_i + 1, 2) arrays
+    delta: float  # max cyclic junction gap
 
     @property
     def total_length(self) -> int:
-        return sum(s.length for s in self.segments)
-
-
-@dataclass
-class ConcatenationTimes:
-    c: np.ndarray  # c[0] = 0, c[i+1] - c[i] = n_i
+        return sum(len(a) - 1 for a in self.arcs)
 
 
 @dataclass
@@ -91,40 +81,19 @@ class PeriodicOrbitSolution:
         return out
 
 
-def assemble(segments, system: SystemSpec, periodic: bool = True):
-    """Build a pseudo-orbit from (base, length) pairs or (base, length,
-    points) triples; missing arcs are generated by forward iteration.
-
-    Returns (PseudoOrbit, ConcatenationTimes) with the observed junction-gap
-    delta (cyclic when periodic).
-    """
-    if not segments:
-        raise ValueError("need at least one segment")
-    arcs = []
-    for seg in segments:
-        if len(seg) == 2:
-            base, length = seg
-            pts = orbit_array(system, base.x, base.y, n_fwd=length)
-        else:
-            base, length, pts = seg
-            pts = np.asarray(pts, dtype=float)
-            if pts.shape != (length + 1, 2):
-                raise ValueError("segment points must have shape (length+1, 2)")
-        if length < 1:
-            raise ValueError("segment lengths must be >= 1")
-        arcs.append(OrbitSegmentArc(base=base, length=int(length), points=pts))
-    gaps = []
-    pairs = list(zip(arcs, arcs[1:]))
-    if periodic:
-        pairs.append((arcs[-1], arcs[0]))
-    for a, b in pairs:
-        end = a.points[-1]
-        start = b.points[0]
-        gaps.append(float(dist_rows(system.space, end[None, :], start[None, :])[0]))
-    delta = max(gaps) if gaps else 0.0
-    c = np.concatenate(([0], np.cumsum([a.length for a in arcs])))[: len(arcs)]
-    po = PseudoOrbit(segments=arcs, periodic=periodic, delta=delta, space=system.space)
-    return po, ConcatenationTimes(c=c.astype(np.int64))
+def assemble(arcs, system: SystemSpec) -> PseudoOrbit:
+    """Close a list of orbit arcs, each an (n_i + 1, 2) array with n_i >= 1,
+    into a periodic pseudo-orbit of period sum(n_i).  Arc i's last row is
+    the junction with arc i + 1's first row (the last arc's with the first),
+    and delta is the largest of these cyclic junction gaps."""
+    if not arcs:
+        raise ValueError("need at least one arc")
+    arcs = [np.asarray(a, dtype=float) for a in arcs]
+    if any(a.ndim != 2 or a.shape[1] != 2 or len(a) < 2 for a in arcs):
+        raise ValueError("each arc must be an (n + 1, 2) array with n >= 1")
+    ends = np.array([a[-1] for a in arcs])
+    starts = np.array([a[0] for a in arcs[1:] + arcs[:1]])
+    return PseudoOrbit(arcs=arcs, delta=float(dist_rows(system.space, ends, starts).max()))
 
 
 def cat_rational_orbit(q: int, start=(1, 0)):
@@ -140,14 +109,13 @@ def cat_rational_orbit(q: int, start=(1, 0)):
             return len(pts), np.array(pts)
 
 
-def displaced_pseudo_orbit(system: SystemSpec, Z: np.ndarray, n1: int, jitter: float):
-    """Two-segment periodic pseudo-orbit from the periodic orbit Z: the arcs
+def displaced_pseudo_orbit(system: SystemSpec, Z: np.ndarray, n1: int, jitter: float) -> PseudoOrbit:
+    """Two-arc periodic pseudo-orbit from the periodic orbit Z: the arcs
     Z[0..n1] and Z[n1..p], each displaced by jitter along the contracting
     direction at its start and carried along by the Jacobians.
 
     The contracting unit directions come from pulling a generic vector
-    backward around the cycle twice.  Returns assemble's (PseudoOrbit,
-    ConcatenationTimes)."""
+    backward around the cycle twice."""
     period = len(Z)
     jacs = jac_array(system, Z)
     vs = np.empty_like(Z)
@@ -169,29 +137,23 @@ def displaced_pseudo_orbit(system: SystemSpec, Z: np.ndarray, n1: int, jitter: f
             out[j] = (Z[idx] + w) % 1.0
             if j < length:
                 w = jacs[idx] @ w
-        return (Point2(float(out[0, 0]), float(out[0, 1]), system.space), length, out)
+        return out
 
-    return assemble([arc(0, n1), arc(n1, period - n1)], system, periodic=True)
-
-
-def _initial_guess(po: PseudoOrbit) -> np.ndarray:
-    # one row per time step; each segment contributes its first n_i points,
-    # the junction point being represented by the next segment's base
-    return np.concatenate([a.points[:-1] for a in po.segments], axis=0)
+    return assemble([arc(0, n1), arc(n1, period - n1)], system)
 
 
 def newton_refine_periodic(
     system: SystemSpec, po: PseudoOrbit, tol: float = 1e-11, max_iter: int = 30
 ) -> PeriodicOrbitSolution:
     """Refine a periodic pseudo-orbit into a true periodic orbit of period
-    p = sum of segment lengths.
+    p = sum of the arc lengths n_i.
 
     Raises NonConvergenceError when max_iter is exceeded (carrying the last
     residual) and DegenerateOrbitError when the cyclic linearization is
     singular (|det(Df^p - I)| below the degeneracy threshold)."""
-    if not po.periodic:
-        raise PreconditionError("newton_refine_periodic requires a periodic pseudo-orbit")
-    Z = _initial_guess(po).copy()
+    # one row per time step: each arc gives its first n_i points, its last
+    # row being the next arc's first
+    Z = np.concatenate([a[:-1] for a in po.arcs], axis=0)
     p = len(Z)
     torus = system.space is Space.TORUS2
     iters = 0
@@ -285,8 +247,9 @@ def shadowing_profile(
     epsilon: float,
 ) -> ShadowingProfile:
     """Check d(f^{c_i+j}(z), f^j(x_i)) < tau * e^{-min(j, n_i - j) epsilon}
-    for every segment i and 0 <= j <= n_i, comparing the stored solution
-    sequence against the stored segment arcs."""
+    for every arc i and 0 <= j <= n_i, comparing the stored solution
+    sequence against the stored arcs (row j of arc i stands for f^j(x_i));
+    c_i is the sum of the lengths of the arcs before arc i."""
     if sol.period != po.total_length:
         raise PreconditionError("solution period must equal the pseudo-orbit length")
     p = sol.period
@@ -294,15 +257,16 @@ def shadowing_profile(
     d_list = []
     b_list = []
     c = 0
-    for arc in po.segments:
-        j = np.arange(arc.length + 1)
+    for arc in po.arcs:
+        n = len(arc) - 1
+        j = np.arange(n + 1)
         zrows = sol.points[(c + j) % p]
-        d = dist_rows(system.space, zrows, arc.points)
-        b = tau * np.exp(-np.minimum(j, arc.length - j) * epsilon)
+        d = dist_rows(system.space, zrows, arc)
+        b = tau * np.exp(-np.minimum(j, n - j) * epsilon)
         idx_list.append(c + j)
         d_list.append(d)
         b_list.append(b)
-        c += arc.length
+        c += n
     indices = np.concatenate(idx_list)
     distances = np.concatenate(d_list)
     bounds = np.concatenate(b_list)

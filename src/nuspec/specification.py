@@ -100,19 +100,16 @@ def _slow_varying(q: SlowVaryingFn, rows: np.ndarray):
 
 
 def build_cover(system: SystemSpec, block_points, delta: float, max_centers: int = 256) -> SetSpec:
-    """Greedy net over the classified block points: centers are chosen so
-    every block point lies within 0.49*delta of some center, which keeps the
-    ball diameters strictly below delta."""
+    """Greedy net over the classified block points, an (n, 2) coordinate
+    array: centers are chosen so every block point lies within 0.49*delta
+    of some center, which keeps the ball diameters strictly below delta."""
     if delta <= 0:
         raise ValueError("delta must be positive")
-    pts = []
-    for bp in block_points:
-        p = bp[0] if isinstance(bp, tuple) else bp
-        pts.append([p.x, p.y])
-    if not pts:
-        raise ValueError("block_points must be non-empty")
+    pts = np.asarray(block_points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
+        raise ValueError("block_points must be a non-empty (n, 2) coordinate array")
     # every block point is a candidate center; chosen holds the net so far
-    candidates = SetSpec(np.asarray(pts, dtype=float), 0.49 * delta, system.space)
+    candidates = SetSpec(pts, 0.49 * delta, system.space)
     r2 = candidates.radius * candidates.radius
     chosen = []
     for i, row in enumerate(candidates.centers):
@@ -414,7 +411,7 @@ def build_cover_context(
         raise PreconditionError("no block points found; cannot build a cover")
     if delta is None:
         delta = 2.0 * theta
-    cover = build_cover(system, classified, delta, max_centers=max_centers)
+    cover = build_cover(system, np.array([[p.x, p.y] for p, _ in classified]), delta, max_centers=max_centers)
     bounds = estimate_transitions(
         system,
         cover,
@@ -717,7 +714,7 @@ def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
     bounds = ctx.bounds
     sp = system.space
     nxt = windows[1:] + windows[:1]
-    segs, conns = [], []
+    arcs, conns = [], []
     for i, (w, v) in enumerate(zip(windows, nxt)):
         dest, src = v.dest, w.src
         hit = bounds.connector(dest, src, None if Ns is None else Ns[i])
@@ -725,10 +722,9 @@ def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
             raise GapInfeasibleError(f"no witnessed transition of exact gap {Ns[i]} for pair ({dest}, {src})")
         N, t_w = hit
         y_pts = bounds.sampling_orbit[t_w : t_w + N + 1].copy()
-        y = Point2(float(y_pts[0, 0]), float(y_pts[0, 1]), sp)
-        segs += [(Point2(float(w.xs[0, 0]), float(w.xs[0, 1]), sp), w.t_plus - w.t_minus, w.xs), (y, N, y_pts)]
-        conns.append((N, y))
-    po, _ = assemble(segs, system, periodic=True)
+        arcs += [w.xs, y_pts]
+        conns.append((N, Point2(float(y_pts[0, 0]), float(y_pts[0, 1]), sp)))
+    po = assemble(arcs, system)
     sol = newton_refine_periodic(system, po, tol=newton_tol)
     p = sol.period
 

@@ -81,10 +81,10 @@ def test_criterion_4_shadowing(perturbed):
 
     period, guess = cat_rational_orbit(30)
     arc0 = np.vstack([guess, guess[:1]])
-    po0, _ = assemble([(torus(*guess[0]), period, arc0)], perturbed, periodic=True)
+    po0 = assemble([arc0], perturbed)
     ref = newton_refine_periodic(perturbed, po0, tol=1e-12, max_iter=40)
 
-    po, _ = displaced_pseudo_orbit(perturbed, ref.points, period // 2, jitter=2e-5)
+    po = displaced_pseudo_orbit(perturbed, ref.points, period // 2, jitter=2e-5)
     assert po.delta <= 1e-4
     assert 55 <= po.total_length <= 70
     sol = newton_refine_periodic(perturbed, po, tol=1e-11, max_iter=12)

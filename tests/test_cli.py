@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 
@@ -162,6 +163,37 @@ def test_gns_cert_segment_list_length_refused(tmp_path, monkeypatch, args, field
     monkeypatch.setattr(nuspec.cli, "build_cover_context", no_context)
     out = tmp_path / "run"
     assert run_cli(["gns-cert"] + args + ["--out", out]) == 2
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True
+    assert rep["error"]["type"] == "ConfigError"
+    assert rep["error"]["field"] == field
+
+
+@pytest.mark.parametrize(
+    "experiment, args, field",
+    [
+        ("gns-cert", ["--set", "k=0"], "k"),
+        ("gns-cert", ["--set", "k=1", "--set", "m=[60]"], "k"),
+        ("ns-cert", ["--set", "T_floor=0"], "T_floor"),
+        ("ns-cert", ["--set", "h_cap=0"], "h_cap"),
+        ("ns-cert", ["--set", "T_floor=5", "--set", "h_cap=4"], "h_cap"),
+        ("ns-cert", ["--set", "fixed_point=true", "--set", "T_floor=0"], "T_floor"),
+        ("gns-cert", ["--set", "h_cap=0"], "h_cap"),
+        ("sublinearity", ["--set", "T_floor=-3"], "T_floor"),
+    ],
+)
+def test_out_of_range_cover_parameter_refused(tmp_path, monkeypatch, experiment, args, field):
+    # these once failed only after the context was built (about 1.5 s), or,
+    # with fixed_point=true, ran with T_floor ignored; now they are refused first
+    import nuspec.cli
+
+    def no_context(*a, **kw):
+        raise AssertionError("a cover context was built")
+
+    monkeypatch.setattr(nuspec.cli, "build_cover_context", no_context)
+    monkeypatch.setattr(nuspec.cli, "fixed_point_context", no_context)
+    out = tmp_path / "run"
+    assert run_cli([experiment] + args + ["--out", out]) == 2
     rep = read_json(out / "report.json")
     assert rep["partial"] is True
     assert rep["error"]["type"] == "ConfigError"
@@ -347,3 +379,52 @@ def test_report_json_is_rfc8259(tmp_path):
     rep = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
     assert rep["profile"]["max_ratio"] is None
     assert rep["values"] == [None, None, 1.5]
+
+
+PERTURBED_SEED0 = {"system": {"kind": "PerturbedCatMap", "params": {"kappa": 0.05}}, "seed": 0}
+
+
+@pytest.fixture(scope="module")
+def shadow_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("shadow")
+    cfg = base / "cfg.json"
+    cfg.write_text(json.dumps(PERTURBED_SEED0))
+    out = base / "run"
+    return run_cli(["shadow", "--config", cfg, "--out", out]), out
+
+
+def test_shadow_run(shadow_run):
+    rc, out = shadow_run
+    assert rc == 0
+    res = read_json(out / "report.json")["results"]
+    lengths = res["segment_lengths"]
+    assert res["period"] == sum(lengths)
+    assert res["concatenation_times"] == [0, lengths[0]]
+    with open(out / "data.csv", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["index", "distance", "bound"]
+    rows = rows[1:]
+    assert res["profile"]["n_checked"] == len(rows)
+    # each arc is checked at j = 0..n_i, so the junction indices appear twice
+    assert len(rows) == res["period"] + len(lengths)
+    assert res["profile"]["passed"] == all(float(d) < float(b) for _, d, b in rows)
+
+
+# sha256 of report.json for two fast PerturbedCatMap(0.05) seed-0 runs; a
+# change that is meant to keep reports byte-identical must keep these
+REPORT_DIGESTS = {
+    "shadow": "fb45667aac1b296d51a120239ef7c562f182b7046bedf0169aac93f9f17610f3",
+    "ns-cert fixed_point": "d98ec73c4b107efe6cab8b4576928218b565415457acab1e88822f688a824b99",
+}
+
+
+def test_report_digests_pinned(tmp_path, shadow_run):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(PERTURBED_SEED0))
+    out = tmp_path / "ns"
+    assert run_cli(["ns-cert", "--config", cfg, "--set", "fixed_point=true", "--out", out]) == 0
+    digests = {
+        "shadow": hashlib.sha256((shadow_run[1] / "report.json").read_bytes()).hexdigest(),
+        "ns-cert fixed_point": hashlib.sha256((out / "report.json").read_bytes()).hexdigest(),
+    }
+    assert digests == REPORT_DIGESTS

@@ -9,9 +9,9 @@ from nuspec.dynamics import (
     Point2,
     Space,
     SystemSpec,
-    distance,
+    dist_rows,
     jac_array,
-    orbit,
+    orbit_array,
     step_array,
     step_inverse_array,
     step_inverse_xy,
@@ -19,10 +19,6 @@ from nuspec.dynamics import (
     wrap_half,
 )
 from nuspec.errors import ConfigError, InversionError, NonFiniteError
-
-
-def torus(x, y):
-    return Point2(x, y, Space.TORUS2)
 
 
 def test_cat_fixed_point(cat):
@@ -52,9 +48,9 @@ def test_round_trips(all_systems):
             else:
                 p = Point2(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3), sp)
             q = Point2(*step_inverse_xy(system, *step_xy(system, p.x, p.y)), sp)
-            assert distance(sp, p, q) <= 1e-10
+            assert dist_rows(sp, p.as_array()[None], q.as_array()[None])[0] <= 1e-10
             w = Point2(*step_xy(system, *step_inverse_xy(system, p.x, p.y)), sp)
-            assert distance(sp, p, w) <= 1e-10
+            assert dist_rows(sp, p.as_array()[None], w.as_array()[None])[0] <= 1e-10
 
 
 def test_cat_differential_constant(cat):
@@ -97,20 +93,20 @@ def test_jacobian_finite_difference(all_systems):
 
 
 def test_distance_examples():
-    assert abs(distance(Space.TORUS2, torus(0.1, 0.0), torus(0.9, 0.0)) - 0.2) < 1e-15
-    assert distance(Space.TORUS2, torus(0.3, 0.7), torus(0.3, 0.7)) == 0.0
-    d = distance(Space.TORUS2, torus(0.0, 0.0), torus(0.5, 0.5))
-    assert abs(d - math.sqrt(0.5)) < 1e-15
+    a = np.array([[0.1, 0.0], [0.3, 0.7], [0.0, 0.0]])
+    b = np.array([[0.9, 0.0], [0.3, 0.7], [0.5, 0.5]])
+    d = dist_rows(Space.TORUS2, a, b)
+    assert abs(d[0] - 0.2) < 1e-15
+    assert d[1] == 0.0
+    assert abs(d[2] - math.sqrt(0.5)) < 1e-15
 
 
 def test_distance_symmetry_and_triangle():
     rng = np.random.default_rng(3)
-    for _ in range(1000):
-        a, b, c = (torus(*rng.random(2)) for _ in range(3))
-        assert distance(Space.TORUS2, a, b) == distance(Space.TORUS2, b, a)
-        assert distance(Space.TORUS2, a, c) <= (
-            distance(Space.TORUS2, a, b) + distance(Space.TORUS2, b, c) + 1e-12
-        )
+    a, b, c = rng.random((3, 1000, 2))
+    ab = dist_rows(Space.TORUS2, a, b)
+    assert np.array_equal(ab, dist_rows(Space.TORUS2, b, a))
+    assert (dist_rows(Space.TORUS2, a, c) <= ab + dist_rows(Space.TORUS2, b, c) + 1e-12).all()
 
 
 @given(st.floats(-5, 5, allow_nan=False))
@@ -129,29 +125,26 @@ def test_wrap_half_boundary():
 
 
 def test_orbit_fixed_point(cat):
-    pts = orbit(cat, torus(0.0, 0.0), m=3, n=3)
-    assert len(pts) == 7
-    assert all((p.x, p.y) == (0.0, 0.0) for p in pts)
+    pts = orbit_array(cat, 0.0, 0.0, n_fwd=3, n_bwd=3)
+    assert pts.shape == (7, 2)
+    assert (pts == 0.0).all()
 
 
 def test_orbit_trivial_window(cat):
-    p = torus(0.123, 0.456)
-    assert orbit(cat, p, 0, 0) == [p]
+    assert orbit_array(cat, 0.123, 0.456, n_fwd=0, n_bwd=0).tolist() == [[0.123, 0.456]]
 
 
 def test_orbit_forward_example(cat):
-    pts = orbit(cat, torus(0.5, 0.5), m=0, n=2)
-    coords = [(p.x, p.y) for p in pts]
-    assert coords == [(0.5, 0.5), (0.5, 0.0), (0.0, 0.5)]
+    pts = orbit_array(cat, 0.5, 0.5, n_fwd=2)
+    assert pts.tolist() == [[0.5, 0.5], [0.5, 0.0], [0.0, 0.5]]
 
 
 def test_orbit_indexing_consistency(perturbed):
-    x = torus(0.21, 0.68)
-    pts = orbit(perturbed, x, m=4, n=4)
-    # element i is f^(i-4)(x); stepping any element forward gives the next
-    for i in range(8):
-        nxt = torus(*step_xy(perturbed, pts[i].x, pts[i].y))
-        assert distance(Space.TORUS2, nxt, pts[i + 1]) <= 1e-9
+    pts = orbit_array(perturbed, 0.21, 0.68, n_fwd=4, n_bwd=4)
+    # row i is f^(i-4)(x), row 4 is x; stepping any row forward gives the next
+    assert pts[4].tolist() == [0.21, 0.68]
+    nxt = np.array([step_xy(perturbed, *pts[i]) for i in range(8)])
+    assert dist_rows(Space.TORUS2, nxt, pts[1:]).max() <= 1e-9
 
 
 def test_system_json_round_trip(all_systems):

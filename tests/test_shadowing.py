@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nuspec.dynamics import Point2, Space, orbit_array, step_xy
+from nuspec.dynamics import Point2, Space, dist_rows, orbit_array, step_xy
 from nuspec.errors import DegenerateOrbitError, NonConvergenceError
 from nuspec.shadowing import (
     _solve_cyclic,
@@ -22,36 +22,48 @@ def torus(x, y):
     return Point2(x, y, Space.TORUS2)
 
 
+def _dyadic_cycle(cat):
+    # (1/16, 0) has period 12 under the cat map; dyadic rationals make the
+    # float orbit exact, so it returns to its start bit for bit
+    pts = orbit_array(cat, 1 / 16, 0.0, n_fwd=12)
+    assert np.array_equal(pts[-1], pts[0])
+    return pts
+
+
 def test_assemble_true_orbit_zero_delta(cat):
-    po, times = assemble([(torus(0.21, 0.68), 12)], cat, periodic=False)
-    assert po.delta == 0.0 or po.delta < 1e-15
-    assert times.c.tolist() == [0]
+    pts = _dyadic_cycle(cat)
+    po = assemble([pts[:6], pts[5:]], cat)
+    assert po.delta == 0.0
+    assert po.total_length == 12
 
 
 def test_assemble_fixed_point_periodic(cat):
-    po, times = assemble([(torus(0.0, 0.0), 5)], cat, periodic=True)
+    po = assemble([orbit_array(cat, 0.0, 0.0, n_fwd=5)], cat)
     assert po.delta == 0.0
-    assert times.c.tolist() == [0]
 
 
 def test_assemble_junction_mismatch(cat):
-    x = torus(0.21, 0.68)
-    pts = orbit_array(cat, x.x, x.y, n_fwd=6)
-    end = pts[-1]
-    y = torus(end[0] + 1e-4, end[1])
-    po, times = assemble([(x, 6), (y, 4)], cat, periodic=False)
+    # a closed cycle whose only mismatch is a 1e-4 step at the junction into the second arc
+    pts = _dyadic_cycle(cat)
+    second = pts[6:].copy()
+    second[0, 0] += 1e-4
+    po = assemble([pts[:7], second], cat)
     assert abs(po.delta - 1e-4) < 1e-9
-    assert times.c.tolist() == [0, 6]
+    assert po.total_length == 12
+
+
+@pytest.mark.parametrize("arcs", [[], [np.zeros((4, 3))], [np.zeros((1, 2))], [np.zeros((4, 2)), np.zeros((1, 2))]])
+def test_assemble_refuses_malformed_arcs(cat, arcs):
+    with pytest.raises(ValueError):
+        assemble(arcs, cat)
 
 
 def test_newton_fixed_point_from_jitter(cat):
-    from nuspec.dynamics import distance
-
-    po, _ = assemble([(torus(1e-3, -1e-3), 1)], cat, periodic=True)
+    po = assemble([orbit_array(cat, 1e-3, -1e-3, n_fwd=1)], cat)
     sol = newton_refine_periodic(cat, po, tol=1e-12)
     assert sol.period == 1
     assert sol.residual <= 1e-12
-    assert distance(Space.TORUS2, sol.point(0), torus(0.0, 0.0)) <= 1e-12
+    assert dist_rows(Space.TORUS2, sol.points[:1], np.zeros((1, 2)))[0] <= 1e-12
 
 
 def test_newton_recovers_rational_orbit(cat):
@@ -59,7 +71,7 @@ def test_newton_recovers_rational_orbit(cat):
     rng = np.random.default_rng(6)
     jittered = (pts + 1e-5 * rng.standard_normal(pts.shape)) % 1.0
     arc = np.vstack([jittered, jittered[:1]])
-    po, _ = assemble([(torus(*jittered[0]), period, arc)], cat, periodic=True)
+    po = assemble([arc], cat)
     sol = newton_refine_periodic(cat, po, tol=1e-12)
     err = np.abs(sol.points * 5 - np.round(sol.points * 5)).max()
     assert err <= 1e-10 * 5
@@ -71,10 +83,10 @@ def test_newton_glued_perturbed_p60(perturbed):
     period, guess = cat_rational_orbit(30)
     assert period == 60
     arc0 = np.vstack([guess, guess[:1]])
-    po0, _ = assemble([(torus(*guess[0]), period, arc0)], perturbed, periodic=True)
+    po0 = assemble([arc0], perturbed)
     ref = newton_refine_periodic(perturbed, po0, tol=1e-12, max_iter=40)
 
-    po, _ = displaced_pseudo_orbit(perturbed, ref.points, period // 2, jitter=2e-5)
+    po = displaced_pseudo_orbit(perturbed, ref.points, period // 2, jitter=2e-5)
     assert po.delta <= 1e-4
     sol = newton_refine_periodic(perturbed, po, tol=1e-11, max_iter=10)
     assert sol.residual <= 1e-11
@@ -90,7 +102,7 @@ def test_newton_nonconvergence_reports_residual(cat):
     rng = np.random.default_rng(11)
     pts = rng.random((8, 2))
     arc = np.vstack([pts, pts[:1]])
-    po, _ = assemble([(torus(*pts[0]), 8, arc)], cat, periodic=True)
+    po = assemble([arc], cat)
     with pytest.raises(NonConvergenceError) as exc:
         newton_refine_periodic(cat, po, tol=1e-14, max_iter=1)
     assert exc.value.residual is not None and exc.value.residual > 1e-14
@@ -105,7 +117,7 @@ def test_newton_degenerate_orbit(standard):
     pts = orbit_array(twist, x.x, x.y, n_fwd=4)
     rng = np.random.default_rng(2)
     arc = (pts + 1e-5 * rng.standard_normal(pts.shape)) % 1.0
-    po, _ = assemble([(torus(*arc[0]), 4, arc)], twist, periodic=True)
+    po = assemble([arc], twist)
     with pytest.raises(DegenerateOrbitError):
         newton_refine_periodic(twist, po, tol=1e-11)
 
@@ -142,8 +154,7 @@ def test_solve_cyclic_exactly_singular():
 def test_newton_henon_fixed_point(henon):
     a, b = 1.4, 0.3
     x_fp = (-(1 - b) + math.sqrt((1 - b) ** 2 + 4 * a)) / (2 * a)
-    guess = Point2(x_fp + 1e-3, b * x_fp - 1e-3, Space.PLANE)
-    po, _ = assemble([(guess, 1)], henon, periodic=True)
+    po = assemble([orbit_array(henon, x_fp + 1e-3, b * x_fp - 1e-3, n_fwd=1)], henon)
     sol = newton_refine_periodic(henon, po, tol=1e-12)
     assert abs(sol.points[0, 0] - x_fp) <= 1e-10
     assert abs(sol.points[0, 1] - b * x_fp) <= 1e-10
@@ -152,10 +163,10 @@ def test_newton_henon_fixed_point(henon):
 def test_refinement_idempotent(cat):
     period, pts = cat_rational_orbit(7)
     arc = np.vstack([pts, pts[:1]])
-    po, _ = assemble([(torus(*pts[0]), period, arc)], cat, periodic=True)
+    po = assemble([arc], cat)
     sol = newton_refine_periodic(cat, po, tol=1e-11)
     arc2 = np.vstack([sol.points, sol.points[:1]])
-    po2, _ = assemble([(sol.point(0), sol.period, arc2)], cat, periodic=True)
+    po2 = assemble([arc2], cat)
     again = newton_refine_periodic(cat, po2, tol=1e-11)
     assert again.newton_iters <= 1
     assert np.abs(again.points - sol.points).max() <= 1e-11
@@ -169,15 +180,12 @@ def test_forward_consistency_small_periods(cat, perturbed):
         period, pts = cat_rational_orbit(q, start=start)
         assert period <= 12
         arc = np.vstack([pts, pts[:1]])
-        po, _ = assemble([(torus(*pts[0]), period, arc)], system, periodic=True)
+        po = assemble([arc], system)
         sol = newton_refine_periodic(system, po, tol=tol, max_iter=40)
-        z = sol.point(0)
-        w = (z.x, z.y)
+        w = tuple(sol.points[0])
         for _ in range(sol.period):
             w = step_xy(system, *w)
-        from nuspec.dynamics import distance
-
-        assert distance(Space.TORUS2, torus(*w), z) <= 10 * sol.period * tol
+        assert dist_rows(Space.TORUS2, np.array([w]), sol.points[:1])[0] <= 10 * sol.period * tol
 
 
 def test_cat_rationality_of_refined_orbits(cat):
@@ -188,7 +196,7 @@ def test_cat_rationality_of_refined_orbits(cat):
         period, pts = cat_rational_orbit(q, start=start)
         jittered = (pts + 1e-6 * rng.standard_normal(pts.shape)) % 1.0
         arc = np.vstack([jittered, jittered[:1]])
-        po, _ = assemble([(torus(*jittered[0]), period, arc)], cat, periodic=True)
+        po = assemble([arc], cat)
         sol = newton_refine_periodic(cat, po, tol=1e-12, max_iter=40)
         Ap = np.linalg.matrix_power(CAT_A, period)
         denom = abs(2 - int(Ap[0, 0] + Ap[1, 1]))
@@ -199,7 +207,7 @@ def test_cat_rationality_of_refined_orbits(cat):
 def test_profile_of_own_orbit_passes(cat):
     period, pts = cat_rational_orbit(7)
     arc = np.vstack([pts, pts[:1]])
-    po, _ = assemble([(torus(*pts[0]), period, arc)], cat, periodic=True)
+    po = assemble([arc], cat)
     sol = newton_refine_periodic(cat, po, tol=1e-12)
     prof = shadowing_profile(cat, sol, po, tau=1e-9, epsilon=0.9)
     assert prof.passed
@@ -211,9 +219,9 @@ def test_profile_junction_pass_and_fail(cat):
     period, pts = cat_rational_orbit(16, start=(1, 0))
     assert period == 12
     arc0 = np.vstack([pts, pts[:1]])
-    po0, _ = assemble([(torus(*pts[0]), period, arc0)], cat, periodic=True)
+    po0 = assemble([arc0], cat)
     ref = newton_refine_periodic(cat, po0, tol=1e-12)
-    po, _ = displaced_pseudo_orbit(cat, ref.points, period // 2, jitter=9e-5)
+    po = displaced_pseudo_orbit(cat, ref.points, period // 2, jitter=9e-5)
     assert 1e-6 < po.delta <= 1e-4
     sol = newton_refine_periodic(cat, po, tol=1e-12)
     good = shadowing_profile(cat, sol, po, tau=1e-3, epsilon=0.9)
@@ -228,9 +236,9 @@ def test_profile_junction_pass_and_fail(cat):
 def test_profile_monotone_in_tau_epsilon(cat):
     period, pts = cat_rational_orbit(16, start=(1, 0))
     arc0 = np.vstack([pts, pts[:1]])
-    po0, _ = assemble([(torus(*pts[0]), period, arc0)], cat, periodic=True)
+    po0 = assemble([arc0], cat)
     ref = newton_refine_periodic(cat, po0, tol=1e-12)
-    po, _ = displaced_pseudo_orbit(cat, ref.points, period // 2, jitter=9e-5)
+    po = displaced_pseudo_orbit(cat, ref.points, period // 2, jitter=9e-5)
     sol = newton_refine_periodic(cat, po, tol=1e-12)
     base = shadowing_profile(cat, sol, po, tau=1e-3, epsilon=0.9)
     assert base.passed

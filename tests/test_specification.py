@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuspec.dynamics import Point2, Space, distance, orbit_array
+from nuspec.dynamics import Point2, Space, dist_rows, orbit_array
 from nuspec.errors import (
     ConfigError,
     GapInfeasibleError,
@@ -54,12 +54,12 @@ def const_q(ctx, ratio=0.1):
 
 
 def test_cover_single_point(cat):
-    cover = build_cover(cat, [torus(0.4, 0.6)], delta=0.1)
+    cover = build_cover(cat, np.array([[0.4, 0.6]]), delta=0.1)
     assert cover.r_count == 1
 
 
 def test_cover_collapses_small_cluster(cat):
-    pts = [torus(0.4, 0.6), torus(0.405, 0.603), torus(0.398, 0.597)]
+    pts = np.array([[0.4, 0.6], [0.405, 0.603], [0.398, 0.597]])
     cover = build_cover(cat, pts, delta=0.1)
     assert cover.r_count == 1
 
@@ -68,14 +68,14 @@ def test_cover_size_and_coverage(cat_ctx):
     cover = cat_ctx.cover
     assert 40 <= cover.r_count <= 130
     # every block point within the net radius of some center
-    for p, _ in cat_ctx.block_points:
-        d = min(distance(Space.TORUS2, p, torus(*c)) for c in cover.centers)
-        assert d <= cover.radius + 1e-12
+    pts = np.array([[p.x, p.y] for p, _ in cat_ctx.block_points])
+    d = dist_rows(Space.TORUS2, pts[:, None, :], cover.centers[None, :, :]).min(axis=1)
+    assert (d <= cover.radius + 1e-12).all()
 
 
 def test_cover_resolution_error(cat):
     rng = np.random.default_rng(1)
-    pts = [torus(*xy) for xy in rng.random((50, 2))]
+    pts = rng.random((50, 2))
     with pytest.raises(ResolutionError):
         build_cover(cat, pts, delta=0.02, max_centers=3)
 
@@ -124,7 +124,7 @@ def test_cover_tests_agree_near_boundary(cx, cy, radius, angle, ulps_x, ulps_y):
 def test_transitions_fixed_point_self_gap(cat):
     fp = torus(0.0, 0.0)
     for t_floor in (1, 5):
-        cover = build_cover(cat, [fp], delta=0.05)
+        cover = build_cover(cat, np.zeros((1, 2)), delta=0.05)
         bounds = estimate_transitions(
             cat, cover, 3000, mixing_mode=False, T_floor=t_floor, x0=fp
         )
@@ -143,7 +143,7 @@ def test_mixing_transitions_past_128_balls(cat):
 
 
 def test_transitions_two_balls(cat):
-    centers = [torus(0.2, 0.3), torus(0.7, 0.8)]
+    centers = np.array([[0.2, 0.3], [0.7, 0.8]])
     cover = build_cover(cat, centers, delta=0.2)
     assert cover.r_count == 2
     bounds = estimate_transitions(cat, cover, 100_000, seed=4)
@@ -153,8 +153,8 @@ def test_transitions_two_balls(cat):
     # witnessed transitions at a given gap h should occur at roughly that
     # rate once past the mixing time (loose factor-four bracket)
     orbit = bounds.sampling_orbit
-    gamma0 = SetSpec.ball(centers[0], cover.radius)
-    gamma1 = SetSpec.ball(centers[1], cover.radius)
+    gamma0 = SetSpec(centers[:1], cover.radius)
+    gamma1 = SetSpec(centers[1:], cover.radius)
     in0 = gamma0.membership_rows(orbit)
     in1 = gamma1.membership_rows(orbit)
     h = 25
@@ -184,7 +184,7 @@ def test_transitions_mixing_coverage(mix_ctx):
 
 
 def test_transitions_incomplete_mixing(cat):
-    covers = [torus(0.1, 0.1), torus(0.6, 0.6)]
+    covers = np.array([[0.1, 0.1], [0.6, 0.6]])
     cover = build_cover(cat, covers, delta=0.04)
     with pytest.raises(IncompleteMixingError) as exc:
         estimate_transitions(cat, cover, 800, seed=2)
