@@ -212,12 +212,18 @@ def load_config(experiment: str, config_path, overrides, out_dir) -> ExperimentC
                 resolved[name] = [_integer(name, e) for e in v]
             else:
                 resolved[name] = _integer(name, v)
-    # the transition scan covers gaps T_floor..h_cap, and T_floor >= 1
+    # the transition scan covers gaps T_floor..h_cap, T_floor >= 1, on an
+    # orbit longer than h_cap; the block sweep needs a sample and a window
     if "T_floor" in schema:
-        if resolved["T_floor"] < 1:
-            raise ConfigError(f"T_floor must be >= 1, got {resolved['T_floor']}", field="T_floor")
-        if resolved["h_cap"] < resolved["T_floor"]:
-            raise ConfigError(f"h_cap={resolved['h_cap']} is below T_floor={resolved['T_floor']}", field="h_cap")
+        least = {"T_floor": 1, "h_cap": resolved["T_floor"], "sampling_orbit_length": resolved["h_cap"] + 1}
+        least.update(block_samples=1, spectrum_N=100, max_centers=1)
+        for name, lo in least.items():
+            if resolved[name] < lo:
+                raise ConfigError(f"{name} must be >= {lo}, got {resolved[name]}", field=name)
+        w = resolved["block_window"]
+        if not (isinstance(w, list) and len(w) == 3 and all(_positive(v) for v in w)):
+            raise ConfigError(f"block_window must be three positive integers, got {w!r}", field="block_window")
+        resolved["block_window"] = [_integer("block_window", v) for v in w]
     # gns-cert takes at least two segments, one m, one n and one segment point each
     if experiment == "gns-cert":
         if resolved["k"] < 2:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 import math
+from array import array
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, NamedTuple
@@ -322,17 +323,23 @@ def dist_rows(space: Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def orbit_array(system: SystemSpec, x: float, y: float, n_fwd: int, n_bwd: int = 0) -> np.ndarray:
     """Orbit window as an (n_bwd + n_fwd + 1, 2) array; row i is f^(i - n_bwd)."""
+    if n_fwd < 0 or n_bwd < 0:
+        raise ValueError(f"orbit lengths must be >= 0, got n_fwd={n_fwd}, n_bwd={n_bwd}")
     step, inverse, _ = system.maps()
-    out = np.empty((n_bwd + n_fwd + 1, 2), dtype=float)
-    out[n_bwd] = (x % 1.0, y % 1.0) if system.space is Space.TORUS2 else (x, y)
-    # the loops step on Python floats, which run faster than numpy scalars
-    for f, rows in ((step, range(n_bwd + 1, n_bwd + n_fwd + 1)), (inverse, range(n_bwd - 1, -1, -1))):
-        cx, cy = out[n_bwd].tolist()
-        for i in rows:
+    start = (float(x % 1.0), float(y % 1.0)) if system.space is Space.TORUS2 else (float(x), float(y))
+    # each direction steps on Python floats, which run faster than numpy
+    # scalars, into a flat array.array buffer
+    pieces = []
+    for f, n in ((inverse, n_bwd), (step, n_fwd)):
+        buf = array("d")
+        put = buf.append
+        cx, cy = start
+        for _ in range(n):
             cx, cy = f(cx, cy)
-            out[i, 0] = cx
-            out[i, 1] = cy
-    return out
+            put(cx)
+            put(cy)
+        pieces.append(np.frombuffer(buf).reshape(-1, 2))
+    return np.concatenate((pieces[0][::-1], [start], pieces[1]))
 
 
 def step_array(system: SystemSpec, pts: np.ndarray) -> np.ndarray:

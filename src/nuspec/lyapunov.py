@@ -39,10 +39,6 @@ _WARM = 64
 
 MAX_BLOCK_INDEX = 60
 
-# points block_sample classifies together; keeps the (m, n, point) defect
-# temporaries near 6 MiB at the default window
-_BLOCK_CHUNK = 40
-
 
 @dataclass(frozen=True)
 class LyapunovSpectrum:
@@ -187,7 +183,7 @@ def _normalize_rows(v):
     """Unit vectors along the rows of a (P, 2) array, with a fixed overall
     sign so directions are comparable across calls.  math.hypot, not
     np.hypot: the two differ in the last bit for some inputs."""
-    n = np.array([math.hypot(a, b) for a, b in v.tolist()])
+    n = np.fromiter(map(math.hypot, v[:, 0].tolist(), v[:, 1].tolist()), float, len(v))
     if not np.all(np.isfinite(n) & (n != 0.0)):
         raise DegeneracyError("direction vector vanished during transport")
     v = v / n[:, None]
@@ -280,14 +276,12 @@ def _transport_sweeps(system, base, jmin, jmax, warm=_WARM):
     return pts_full[sl], vu_full[sl], vs_full[sl], log_u[sl], log_s[sl]
 
 
-def _defect_max(cum, t_end, t, rate, slack):
-    """Per-point max over (m, n) of cum[t_end] - cum[t] + rate[n] - slack[m].
-    The (m, n, point) array is updated in place, so one is alive at a time."""
-    d = cum[t_end]
-    d -= cum[t]
-    d += rate[:, None]
-    d -= slack
-    return d.max(axis=(0, 1))
+def _defect_max(cum, t, step, rate, slack):
+    """Per-point max over (m, n) of cum[t[m] + step[n]] - cum[t[m]] + rate[n]
+    - slack[m], reduced one m row at a time so that only (n, point)
+    temporaries are alive."""
+    rows = zip(t.tolist(), slack.tolist())
+    return np.max([(cum[tm + step] - cum[tm] + rate[:, None] - sm).max(axis=0) for tm, sm in rows], axis=0)
 
 
 def block_defects(system: SystemSpec, base: np.ndarray, params: PesinBlockParams):
@@ -310,21 +304,21 @@ def block_defects(system: SystemSpec, base: np.ndarray, params: PesinBlockParams
     cum_u = np.concatenate((zero, np.cumsum(log_u, axis=0)))
 
     ms = np.arange(-m_range, m_range + 1)
-    t = (ms - jmin)[:, None]  # row of f^m x, one per m
-    slack = (eps * np.abs(ms))[:, None, None]
+    t = ms - jmin  # row of f^m x, one per m
+    slack = eps * np.abs(ms)
     ns_f = np.arange(1, n_fwd + 1)
     ns_b = np.arange(1, n_bwd + 1)
     # ||Df^n restricted to the contracting line at f^m x||
-    d_a = _defect_max(cum_s, t + ns_f, t, (params.lam - eps) * ns_f, slack)
+    d_a = _defect_max(cum_s, t, ns_f, (params.lam - eps) * ns_f, slack)
     # ||Df^{-n} restricted to the expanding line at f^m x||
-    d_b = _defect_max(cum_u, t - ns_b, t, (params.mu - eps) * ns_b, slack)
+    d_b = _defect_max(cum_u, t, -ns_b, (params.mu - eps) * ns_b, slack)
     # the line angle term, as line_angle computes it
-    u = vu[t[:, 0]]
-    w = vs[t[:, 0]]
+    u = vu[t]
+    w = vs[t]
     cross = np.abs(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0])
     dot = np.abs(u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1])
     tilt = [-math.log(math.tan(math.atan2(c, d))) for c, d in zip(cross.ravel().tolist(), dot.ravel().tolist())]
-    d_c = (np.reshape(tilt, cross.shape) - slack[:, :, 0]).max(axis=0)
+    d_c = (np.reshape(tilt, cross.shape) - slack[:, None]).max(axis=0)
     return d_a, d_b, d_c
 
 
@@ -368,7 +362,7 @@ def block_sample(
     """Classify sample_size points drawn from one long orbit, spaced
     `spacing` iterates apart.  Returns a list of (Point2, index-or-None).
 
-    Points are classified _BLOCK_CHUNK at a time."""
+    The whole sample is classified in one sweep."""
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     x, y = np.random.default_rng(seed).random(2)
@@ -376,15 +370,12 @@ def block_sample(
     sp = system.space
     points = [Point2(px, py, sp) for px, py in orb[transient::spacing].tolist()]
     base = np.array([[p.x, p.y] for p in points])
-    ks = []
-    for start in range(0, sample_size, _BLOCK_CHUNK):
-        chunk = base[start : start + _BLOCK_CHUNK]
-        try:
-            ks += _block_indices(system, chunk, params)
-        except (NuspecError, ArithmeticError, ValueError):
-            # redo the chunk point by point, so the error raised is the one
-            # of the earliest failing point, as classified on its own
-            for row in chunk:
-                _block_indices(system, row[None], params)
-            raise
+    try:
+        ks = _block_indices(system, base, params)
+    except (NuspecError, ArithmeticError, ValueError):
+        # redo the sample point by point, so the error raised is the one of
+        # the earliest failing point, as classified on its own
+        for row in base:
+            _block_indices(system, row[None], params)
+        raise
     return list(zip(points, ks))

@@ -61,8 +61,10 @@ class SetSpec:
         return len(self.centers)
 
     def _dist2(self, pts: np.ndarray, which=slice(None)) -> np.ndarray:
-        """Squared distances (n, k) from the rows of pts to centers[which]."""
-        d = pts[:, None, :] - self.centers[which][None, :, :]
+        """Squared distances (n, k) from the rows of pts to centers[which];
+        an (n, k) index array gives each row its own k centers."""
+        c = self.centers[which]
+        d = pts[:, None, :] - (c if c.ndim == 3 else c[None])
         if self.space is Space.TORUS2:
             d = wrap_half(d)
         return (d * d).sum(axis=2)

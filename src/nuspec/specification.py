@@ -37,6 +37,9 @@ _BIG = np.int64(2**62)
 # temporaries and how far a level runs past the hit that completes it
 _JOIN_CHUNK = 4096
 
+# orbit points one cover-event step tests at a time; bounds its temporaries
+_EVENT_CHUNK = 1 << 14
+
 
 # ---------------------------------------------------------------------------
 # slow-varying weights
@@ -178,51 +181,41 @@ class TransitionBounds:
 
 
 def _cover_events(orbit: np.ndarray, cover: SetSpec):
-    """All (time, ball) incidences of the orbit with the cover, time-sorted."""
+    """All (time, ball) incidences of the orbit with the cover, sorted by
+    (time, ball).  Each point is tested only against the balls listed for
+    its cell of a g x g grid, g = int(4 / radius) capped at 256: the
+    candidate list holds, cell by cell and in ascending order, every ball
+    whose bounding box meets the cell, and count[c] balls for cell c."""
     centers, radius = cover.centers, cover.radius
-    r = len(centers)
-    ncell = max(4, min(128, int(1.0 / max(radius, 1e-3))))
-    cell_of = {}
-    for ci in range(r):
-        cx, cy = centers[ci]
-        x_lo = math.floor((cx - radius) * ncell)
-        x_hi = math.floor((cx + radius) * ncell)
-        y_lo = math.floor((cy - radius) * ncell)
-        y_hi = math.floor((cy + radius) * ncell)
-        for gx in range(x_lo, x_hi + 1):
-            for gy in range(y_lo, y_hi + 1):
-                cell_of.setdefault((gx % ncell) * ncell + (gy % ncell), []).append(ci)
-    cand = {k: np.asarray(v, dtype=np.int64) for k, v in cell_of.items()}
+    g = max(1, int(4.0 / max(radius, 4.0 / 256)))
+    # the boxes reach past radius by a margin that absorbs rounding at cell edges
+    reach = radius + 1e-9
+    lo = np.floor((centers - reach) * g).astype(np.int64)
+    span = np.minimum(np.floor((centers + reach) * g).astype(np.int64) - lo + 1, g)
+    off = np.arange(int(span.max()))
+    axis = (lo[:, :, None] + off) % g  # (ball, coordinate, offset)
+    inside = off < span[:, :, None]
+    mask = inside[:, 0, :, None] & inside[:, 1, None, :]
+    cell = (axis[:, 0, :, None] * g + axis[:, 1, None, :])[mask]
+    # ball-major, so the stable sort by cell keeps each cell's balls ascending
+    listed = np.nonzero(mask)[0][np.argsort(cell, kind="stable")]
+    count = np.bincount(cell, minlength=g * g)
+    first = np.cumsum(count) - count
 
-    ev_t = []
-    ev_i = []
-    chunk = 100_000
+    ev_t = [np.empty(0, np.int64)]
+    ev_i = [np.empty(0, np.int64)]
     r2 = radius * radius
-    for start in range(0, len(orbit), chunk):
-        pts = orbit[start : start + chunk]
-        cid = (
-            (np.floor(pts[:, 0] * ncell).astype(np.int64) % ncell) * ncell
-            + np.floor(pts[:, 1] * ncell).astype(np.int64) % ncell
-        )
-        order = np.argsort(cid, kind="stable")
-        sorted_cid = cid[order]
-        bounds = np.nonzero(np.diff(sorted_cid))[0] + 1
-        groups = np.split(order, bounds)
-        for g in groups:
-            key = int(cid[g[0]])
-            cc = cand.get(key)
-            if cc is None:
-                continue
-            hit_t, hit_c = np.nonzero(cover._dist2(pts[g], cc) <= r2)
-            if len(hit_t):
-                ev_t.append(g[hit_t] + start)
-                ev_i.append(cc[hit_c])
-    if not ev_t:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    et = np.concatenate(ev_t)
-    ei = np.concatenate(ev_i)
-    order = np.lexsort((ei, et))
-    return et[order], ei[order]
+    for start in range(0, len(orbit), _EVENT_CHUNK):
+        pts = orbit[start : start + _EVENT_CHUNK]
+        cid = (np.floor(pts[:, 0] * g).astype(np.int64) % g) * g + np.floor(pts[:, 1] * g).astype(np.int64) % g
+        # one (point, candidate) row per ball listed for the point's cell
+        k = count[cid]
+        t = np.repeat(np.arange(len(pts)), k)
+        ball = listed[np.arange(len(t)) + np.repeat(first[cid] - (np.cumsum(k) - k), k)]
+        hit = cover._dist2(pts[t], ball[:, None])[:, 0] <= r2
+        ev_t.append(t[hit] + start)
+        ev_i.append(ball[hit])
+    return np.concatenate(ev_t), np.concatenate(ev_i)
 
 
 def _time_index(et: np.ndarray, pad: int):

@@ -180,11 +180,29 @@ def test_gns_cert_segment_list_length_refused(tmp_path, monkeypatch, args, field
         ("ns-cert", ["--set", "fixed_point=true", "--set", "T_floor=0"], "T_floor"),
         ("gns-cert", ["--set", "h_cap=0"], "h_cap"),
         ("sublinearity", ["--set", "T_floor=-3"], "T_floor"),
+        ("ns-cert", ["--set", "sampling_orbit_length=0"], "sampling_orbit_length"),
+        ("ns-cert", ["--set", "sampling_orbit_length=512"], "sampling_orbit_length"),
+        ("sublinearity", ["--set", "h_cap=40", "--set", "sampling_orbit_length=40"], "sampling_orbit_length"),
+        ("ns-cert", ["--set", "fixed_point=true", "--set", "sampling_orbit_length=-1"], "sampling_orbit_length"),
+        ("gns-cert", ["--set", "block_samples=0"], "block_samples"),
+        ("ns-cert", ["--set", "block_samples=-5"], "block_samples"),
+        ("ns-cert", ["--set", "block_window=[1, 2]"], "block_window"),
+        ("ns-cert", ["--set", "block_window=[0, 0, 0]"], "block_window"),
+        ("gns-cert", ["--set", "block_window=[200, 200, 2.5]"], "block_window"),
+        ("sublinearity", ["--set", "block_window=200"], "block_window"),
+        ("ns-cert", ["--set", "fixed_point=true", "--set", "block_window=[200, -1, 50]"], "block_window"),
+        ("ns-cert", ["--set", "spectrum_N=5"], "spectrum_N"),
+        ("ns-cert", ["--set", "fixed_point=true", "--set", "spectrum_N=99"], "spectrum_N"),
+        ("gns-cert", ["--set", "spectrum_N=0"], "spectrum_N"),
+        ("ns-cert", ["--set", "max_centers=0"], "max_centers"),
+        ("sublinearity", ["--set", "max_centers=-1"], "max_centers"),
     ],
 )
 def test_out_of_range_cover_parameter_refused(tmp_path, monkeypatch, experiment, args, field):
-    # these once failed only after the context was built (about 1.5 s), or,
-    # with fixed_point=true, ran with T_floor ignored; now they are refused first
+    # these once failed only after work had started (spectrum, block sweep
+    # or context, about 1.5 s; sampling_orbit_length=0 with an IndexError
+    # traceback and no report), or, with fixed_point=true, ran with the value
+    # ignored; now they are refused first
     import nuspec.cli
 
     def no_context(*a, **kw):
@@ -415,6 +433,8 @@ def test_shadow_run(shadow_run):
 REPORT_DIGESTS = {
     "shadow": "fb45667aac1b296d51a120239ef7c562f182b7046bedf0169aac93f9f17610f3",
     "ns-cert fixed_point": "d98ec73c4b107efe6cab8b4576928218b565415457acab1e88822f688a824b99",
+    # the full cover context: spectrum, block sweep, cover, sampling orbit and its events
+    "ns-cert": "da2903008681d219d2bef588c990467e427056bf2ac1a3f5df0ff1771389faeb",
 }
 
 
@@ -423,8 +443,11 @@ def test_report_digests_pinned(tmp_path, shadow_run):
     cfg.write_text(json.dumps(PERTURBED_SEED0))
     out = tmp_path / "ns"
     assert run_cli(["ns-cert", "--config", cfg, "--set", "fixed_point=true", "--out", out]) == 0
+    full = tmp_path / "ns-full"
+    assert run_cli(["ns-cert", "--config", cfg, "--out", full]) == 0
     digests = {
         "shadow": hashlib.sha256((shadow_run[1] / "report.json").read_bytes()).hexdigest(),
         "ns-cert fixed_point": hashlib.sha256((out / "report.json").read_bytes()).hexdigest(),
+        "ns-cert": hashlib.sha256((full / "report.json").read_bytes()).hexdigest(),
     }
     assert digests == REPORT_DIGESTS

@@ -134,6 +134,27 @@ def test_orbit_trivial_window(cat):
     assert orbit_array(cat, 0.123, 0.456, n_fwd=0, n_bwd=0).tolist() == [[0.123, 0.456]]
 
 
+@pytest.mark.parametrize("n_fwd, n_bwd", [(-1, 0), (0, -1), (5, -2), (-2, 5)])
+def test_orbit_negative_length_refused(cat, n_fwd, n_bwd):
+    # a zero length is an empty direction; a negative one is refused, not
+    # read as empty
+    with pytest.raises(ValueError, match="orbit lengths"):
+        orbit_array(cat, 0.1, 0.2, n_fwd=n_fwd, n_bwd=n_bwd)
+
+
+@pytest.mark.parametrize("system", ["perturbed", "standard"])
+def test_orbit_rows_are_scalar_steps(system, request):
+    # every row is the scalar step (or inverse step) of its neighbour, bit for bit
+    spec = request.getfixturevalue(system)
+    pts = orbit_array(spec, 1.21, -0.32, n_fwd=60, n_bwd=40)
+    assert pts.shape == (101, 2)
+    assert tuple(pts[40]) == (1.21 % 1.0, -0.32 % 1.0)
+    for i in range(41, 101):
+        assert tuple(pts[i]) == step_xy(spec, *pts[i - 1].tolist())
+    for i in range(39, -1, -1):
+        assert tuple(pts[i]) == step_inverse_xy(spec, *pts[i + 1].tolist())
+
+
 def test_orbit_forward_example(cat):
     pts = orbit_array(cat, 0.5, 0.5, n_fwd=2)
     assert pts.tolist() == [[0.5, 0.5], [0.5, 0.0], [0.0, 0.5]]

@@ -236,9 +236,22 @@ def test_transport_sweeps_batched_equals_scalar(system):
             assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize(
+    "system", [SystemSpec.perturbed_cat_map(0.12), SystemSpec.standard_map(1.2)], ids=["perturbed-strong", "standard"]
+)
+def test_block_defects_batched_equals_single(system):
+    # the (m, n) reduction runs one m row at a time over all points; every
+    # point's defects must be the ones it gets alone, bit for bit
+    params = PesinBlockParams(lam=0.9, mu=0.9, epsilon=0.09, window=(40, 40, 10))
+    base = np.random.default_rng(8).random((150, 2))
+    batched = np.column_stack(block_defects(system, base, params))
+    single = np.vstack([np.column_stack(block_defects(system, row[None], params)) for row in base])
+    assert batched.tobytes() == single.tobytes()
+
+
 def test_block_sample_matches_pointwise_index():
-    # more points than one classification chunk, so chunk edges are crossed;
-    # the strong perturbation spreads the indices
+    # ninety points classified in one sweep each get the index they get on
+    # their own; the strong perturbation spreads the indices
     system = SystemSpec.perturbed_cat_map(0.12)
     params = PesinBlockParams(lam=0.9, mu=0.9, epsilon=0.09, window=(60, 60, 15))
     samples = block_sample(system, params, 90, seed=5, spacing=11)
@@ -249,7 +262,7 @@ def test_block_sample_matches_pointwise_index():
 
 def test_block_sample_error_is_first_points(henon):
     # every backward Henon orbit escapes; the error must be the first sampled
-    # point's own, whichever point of the chunk escapes first
+    # point's own, whichever point of the sample escapes first
     params = PesinBlockParams(lam=1.6, mu=0.4, epsilon=0.09)
     with pytest.raises(NonFiniteError) as batched:
         block_sample(henon, params, 50, seed=3)

@@ -117,6 +117,44 @@ def test_cover_tests_agree_near_boundary(cx, cy, radius, angle, ulps_x, ulps_y):
     _assert_cover_tests_agree((cx, cy), radius, (p[0] % 1.0, p[1] % 1.0))
 
 
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+
+
+@given(
+    centers=st.lists(st.tuples(_unit, _unit), min_size=1, max_size=8),
+    radius=st.floats(1e-3, 0.5, exclude_max=True),
+    free=st.lists(st.tuples(_unit, _unit), max_size=30),
+    edges=st.lists(st.tuples(st.integers(0, 255), st.integers(0, 255)), max_size=20),
+    near=st.lists(
+        st.tuples(st.integers(0, 7), st.floats(0.0, 2 * math.pi), st.integers(-3, 3), st.integers(-3, 3)),
+        max_size=30,
+    ),
+    chunk=st.sampled_from([1, 7, specification._EVENT_CHUNK]),
+)
+@settings(max_examples=200, deadline=None)
+def test_cover_events_match_all_pairs_oracle(centers, radius, free, edges, near, chunk):
+    # random points, points on grid-cell edges, and points within a few ulps
+    # of a circle; radii near 1/2 make the cells of one ball wrap the grid
+    cover = SetSpec(np.array(centers), radius, Space.TORUS2)
+    g = max(1, int(4.0 / max(radius, 4.0 / 256)))  # the grid _cover_events uses
+    pts = list(free) + [((i % g) / g, (j % g) / g) for i, j in edges]
+    for c, angle, ux, uy in near:
+        cx, cy = centers[c % len(centers)]
+        p = [cx + radius * math.cos(angle), cy + radius * math.sin(angle)]
+        for i, k in enumerate((ux, uy)):
+            for _ in range(abs(k)):
+                p[i] = math.nextafter(p[i], math.copysign(math.inf, k))
+        pts.append((p[0] % 1.0, p[1] % 1.0))
+    orbit = np.array(pts, dtype=float).reshape(-1, 2)
+    with mock.patch.object(specification, "_EVENT_CHUNK", chunk):
+        et, ei = specification._cover_events(orbit, cover)
+    want_t, want_i = np.nonzero(cover._dist2(orbit) <= radius * radius)
+    assert np.array_equal(et, want_t) and np.array_equal(ei, want_i)
+    # strictly ascending in (t, ball): sorted, no duplicates
+    key = et * len(centers) + ei
+    assert np.all(np.diff(key) > 0)
+
+
 # ---------------------------------------------------------------------------
 # transitions
 
