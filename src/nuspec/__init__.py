@@ -13,10 +13,8 @@ from .errors import NuspecError
 from .lyapunov import (
     LyapunovSpectrum,
     PesinBlockParams,
-    SplittingEstimate,
     block_sample,
     lyapunov_spectrum,
-    oseledec_directions,
     pesin_block_index,
 )
 from .recurrence import (

@@ -169,6 +169,25 @@ def _integer(name: str, v) -> int:
     raise ConfigError(f"{name} must be an integer, got {v!r}", field=name)
 
 
+def _check_q(q) -> None:
+    """Refuse a weight q that _q_from_param cannot build as stated; an
+    accepted q is stored as given."""
+    if not isinstance(q, dict):
+        raise ConfigError(f"q must be an object, got {q!r}", field="q")
+    for key in q:
+        if key not in ("kind", "c", "amplitude", "frequency"):
+            raise ConfigError(f"unknown q key {key!r}", field=f"q.{key}")
+    if q.get("kind", "constant") not in ("constant", "modulated"):
+        raise ConfigError(f"q kind must be 'constant' or 'modulated', got {q['kind']!r}", field="q.kind")
+    if "c" in q and not _positive(q["c"]):
+        raise ConfigError(f"q.c must be a positive finite number, got {q['c']!r}", field="q.c")
+    a = q.get("amplitude", 0.5)
+    if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0 <= a < 1:
+        raise ConfigError(f"q.amplitude must lie in [0, 1), got {a!r}", field="q.amplitude")
+    if "frequency" in q:
+        _integer("q.frequency", q["frequency"])
+
+
 def load_config(experiment: str, config_path, overrides, out_dir) -> ExperimentConfig:
     if experiment not in SCHEMAS:
         raise ConfigError(f"unknown experiment {experiment!r}", field="experiment")
@@ -224,6 +243,9 @@ def load_config(experiment: str, config_path, overrides, out_dir) -> ExperimentC
         if not (isinstance(w, list) and len(w) == 3 and all(_positive(v) for v in w)):
             raise ConfigError(f"block_window must be three positive integers, got {w!r}", field="block_window")
         resolved["block_window"] = [_integer("block_window", v) for v in w]
+        if resolved["delta"] is not None and not _positive(resolved["delta"]):
+            raise ConfigError(f"delta must be a positive finite number, got {resolved['delta']!r}", field="delta")
+        _check_q(resolved["q"])
     # gns-cert takes at least two segments, one m, one n and one segment point each
     if experiment == "gns-cert":
         if resolved["k"] < 2:
@@ -301,17 +323,10 @@ def _spectrum_for(system, rng, N) -> LyapunovSpectrum:
 
 
 def _q_from_param(qspec: dict, eta: float) -> SlowVaryingFn:
-    kind = qspec.get("kind", "constant")
-    if kind == "constant":
-        return SlowVaryingFn.constant(float(qspec.get("c", 1.0)), eta)
-    if kind == "modulated":
-        return SlowVaryingFn.modulated(
-            float(qspec.get("c", 1.0)),
-            float(qspec.get("amplitude", 0.5)),
-            int(qspec.get("frequency", 1)),
-            eta,
-        )
-    raise ConfigError(f"unknown q kind {kind!r}", field="q.kind")
+    c = float(qspec.get("c", 1.0))
+    if qspec.get("kind", "constant") == "constant":
+        return SlowVaryingFn.constant(c, eta)
+    return SlowVaryingFn.modulated(c, float(qspec.get("amplitude", 0.5)), int(qspec.get("frequency", 1)), eta)
 
 
 def _build_ctx(system, seed, p, mixing=None):

@@ -91,16 +91,6 @@ class LyapunovSpectrum:
 
 
 @dataclass(frozen=True)
-class SplittingEstimate:
-    """Unit expanding/contracting directions at a point and their acute angle."""
-
-    at: Point2
-    Eu: np.ndarray
-    Es: np.ndarray
-    angle: float
-
-
-@dataclass(frozen=True)
 class PesinBlockParams:
     """Contraction rate lam, expansion rate mu, defect rate epsilon, and the
     finite test window (N_fwd, N_bwd, M_range)."""
@@ -190,32 +180,6 @@ def _normalize_rows(v):
     flip = (v[:, 0] < 0) | ((v[:, 0] == 0) & (v[:, 1] < 0))
     v[flip] = -v[flip]
     return v
-
-
-def line_angle(u, v) -> float:
-    """Acute angle between the lines spanned by u and v.
-
-    atan2 of |cross| against |dot| stays fully conditioned near both 0 and
-    pi/2, unlike the acos of the normalized inner product."""
-    cross = abs(float(u[0] * v[1] - u[1] * v[0]))
-    dot = abs(float(u[0] * v[0] + u[1] * v[1]))
-    return math.atan2(cross, dot)
-
-
-def oseledec_directions(system: SystemSpec, x: Point2, N: int = 80) -> SplittingEstimate:
-    """Expanding and contracting unit directions at x.
-
-    Eu: push a generic vector forward along the backward orbit ending at x.
-    Es: pull a generic vector backward along the forward orbit starting at x.
-    """
-    if N < 50:
-        raise ValueError("need N >= 50 transport steps")
-    _, vu, vs, _, _ = _transport_sweeps(system, x.as_array()[None], 0, 0, warm=N)
-    Eu, Es = vu[0, 0], vs[0, 0]
-    ang = line_angle(Eu, Es)
-    if ang <= 0.0:
-        raise DegeneracyError("estimated splitting directions are parallel")
-    return SplittingEstimate(at=x, Eu=Eu, Es=Es, angle=ang)
 
 
 def _transport_sweeps(system, base, jmin, jmax, warm=_WARM):
@@ -312,7 +276,8 @@ def block_defects(system: SystemSpec, base: np.ndarray, params: PesinBlockParams
     d_a = _defect_max(cum_s, t, ns_f, (params.lam - eps) * ns_f, slack)
     # ||Df^{-n} restricted to the expanding line at f^m x||
     d_b = _defect_max(cum_u, t, -ns_b, (params.mu - eps) * ns_b, slack)
-    # the line angle term, as line_angle computes it
+    # the line angle term: the acute angle is atan2 of |cross| against |dot|,
+    # which stays fully conditioned near both 0 and pi/2
     u = vu[t]
     w = vs[t]
     cross = np.abs(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0])
@@ -332,22 +297,9 @@ def _block_indices(system: SystemSpec, base: np.ndarray, params: PesinBlockParam
     return out
 
 
-def pesin_block_index(
-    system: SystemSpec,
-    x: Point2,
-    params: PesinBlockParams,
-    splitting: SplittingEstimate | None = None,
-):
+def pesin_block_index(system: SystemSpec, x: Point2, params: PesinBlockParams):
     """Smallest block index k >= 1 whose inequalities hold over the window,
-    or None if no k <= MAX_BLOCK_INDEX suffices.
-
-    If a splitting estimate for x is supplied it is cross-checked against the
-    transported field (guards against passing a splitting of another point).
-    """
-    if splitting is not None:
-        own = oseledec_directions(system, x, N=_WARM)
-        if line_angle(own.Eu, splitting.Eu) > 1e-6 or line_angle(own.Es, splitting.Es) > 1e-6:
-            raise ValueError("provided splitting does not match the one at x")
+    or None if no k <= MAX_BLOCK_INDEX suffices."""
     return _block_indices(system, x.as_array()[None], params)[0]
 
 

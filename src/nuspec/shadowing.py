@@ -68,17 +68,14 @@ class PeriodicOrbitSolution:
         r = self.points[i % self.period]
         return Point2(float(r[0]), float(r[1]), self.space)
 
-    def to_json(self, include_points: bool = False) -> dict:
-        out = {
+    def to_json(self) -> dict:
+        return {
             "period": self.period,
             "residual": self.residual,
             "newton_iters": self.newton_iters,
             "z": self.points[0].tolist(),
             "residual_history": list(self.residual_history or []),
         }
-        if include_points:
-            out["points"] = self.points.tolist()
-        return out
 
 
 def assemble(arcs, system: SystemSpec) -> PseudoOrbit:

@@ -79,9 +79,6 @@ class SlowVaryingFn:
             return np.full(len(pts), self.c)
         return self.c * (1.0 + self.amplitude * np.sin(2.0 * math.pi * self.frequency * pts[:, 0]))
 
-    def value(self, p: Point2) -> float:
-        return float(self.value_rows(p.as_array()[None, :])[0])
-
     def to_json(self) -> dict:
         out = {"kind": self.kind, "c": self.c, "eta": self.eta}
         if self.kind == "modulated":
@@ -503,84 +500,38 @@ def select_indices(seq: ReturnTimeSequence, m: int, n: int, eta: float, epsilon:
 
 
 @dataclass
-class NsCertificate:
+class Window:
+    """One orbit window [-m, n] of a certificate: the orbit of x stored over
+    [t_minus, t_plus], starting in cover ball dest and ending in ball src.
+
+    _close_cycle adds the window's gap K, the offset of its j = 0 point in
+    the cycle, and its margins: the distance of the periodic orbit from the
+    orbit of x, and the allowance theta * q^-2, at j = -m..n.  A margin holds
+    when distance < allowance, so a NaN distance is a violation."""
+
     x: Point2
     m: int
     n: int
-    theta: float
-    eta: float
-    q: SlowVaryingFn
     indices: tuple  # (l1, s1, l2, s2)
     t_minus: int
     t_plus: int
-    connector_y: Point2
-    connector_N: int
-    set_dest: int
-    set_src: int
-    M_k: int
-    K: int
-    period: int
-    z: Point2
-    margins_j: np.ndarray
-    margins_distance: np.ndarray
-    margins_allowance: np.ndarray
-    in_ball: bool
-    first_violated_index: int | None
-    ratio: float
-    residual: float
-    newton_iters: int
-    below_resolution: bool
-    delta: float
-    solution_points: np.ndarray = None  # (period, 2); z sits at row 0
+    xs: np.ndarray  # row i is f^(t_minus + i)(x)
+    dest: int
+    src: int
+    K: int = None
+    offset: int = None
+    margins_j: np.ndarray = None
+    margins_distance: np.ndarray = None
+    margins_allowance: np.ndarray = None
 
-    def to_json(self, include_margins: bool = True) -> dict:
-        out = {
-            "x": [self.x.x, self.x.y],
-            "m": self.m,
-            "n": self.n,
-            "theta": self.theta,
-            "eta": self.eta,
-            "q": self.q.to_json(),
-            "indices": {"l1": self.indices[0], "s1": self.indices[1], "l2": self.indices[2], "s2": self.indices[3]},
-            "t_minus": self.t_minus,
-            "t_plus": self.t_plus,
-            "connector": {"y": [self.connector_y.x, self.connector_y.y], "N": self.connector_N},
-            "sets": {"dest": self.set_dest, "src": self.set_src},
-            "M_k": self.M_k,
-            "K": self.K,
-            "period": self.period,
-            "z": [self.z.x, self.z.y],
-            "in_ball": self.in_ball,
-            "first_violated_index": self.first_violated_index,
-            "ratio": self.ratio,
-            "residual": self.residual,
-            "newton_iters": self.newton_iters,
-            "below_resolution": self.below_resolution,
-            "pseudo_orbit_delta": self.delta,
-        }
-        if include_margins:
-            out["margins"] = {
-                "j": self.margins_j.tolist(),
-                "distance": self.margins_distance.tolist(),
-                "allowance": self.margins_allowance.tolist(),
-            }
-        return out
+    @property
+    def in_ball(self) -> bool:
+        return bool((self.margins_distance < self.margins_allowance).all())
 
-
-@dataclass
-class GnsSegmentReport:
-    x: Point2
-    m: int
-    n: int
-    t_minus: int
-    t_plus: int
-    K: int
-    offset: int
-    in_ball: bool
-    first_violated_index: int | None
-    margins_j: np.ndarray
-    margins_distance: np.ndarray
-    margins_allowance: np.ndarray
+    @property
+    def first_violated_index(self) -> int | None:
+        bad = np.flatnonzero(~(self.margins_distance < self.margins_allowance))
+        return int(self.margins_j[bad[0]]) if len(bad) else None
 
     def to_json(self, include_margins=False) -> dict:
         out = {
@@ -603,9 +554,56 @@ class GnsSegmentReport:
         return out
 
 
+@dataclass(kw_only=True)
+class NsCertificate(Window):
+    """The one window of a one-window cycle, with the cycle's fields."""
+
+    theta: float
+    eta: float
+    q: SlowVaryingFn
+    connector: tuple  # (N, y Point2)
+    M_k: int
+    period: int
+    z: Point2
+    residual: float
+    newton_iters: int
+    delta: float  # pseudo-orbit junction gap
+    solution_points: np.ndarray = None  # (period, 2); z sits at row 0
+
+    @property
+    def ratio(self) -> float:
+        return self.K / (self.m + self.n)
+
+    @property
+    def below_resolution(self) -> bool:
+        return float(self.margins_allowance.min()) < 10.0 * max(self.residual, 5e-16)
+
+    def to_json(self, include_margins: bool = True) -> dict:
+        out = super().to_json(include_margins)
+        del out["offset"]
+        N, y = self.connector
+        out.update(
+            theta=self.theta,
+            eta=self.eta,
+            q=self.q.to_json(),
+            indices=dict(zip(("l1", "s1", "l2", "s2"), self.indices)),
+            connector={"y": [y.x, y.y], "N": N},
+            sets={"dest": self.dest, "src": self.src},
+            M_k=self.M_k,
+            period=self.period,
+            z=[self.z.x, self.z.y],
+            ratio=self.ratio,
+            residual=self.residual,
+            newton_iters=self.newton_iters,
+            below_resolution=self.below_resolution,
+            pseudo_orbit_delta=self.delta,
+        )
+        return out
+
+
 @dataclass
 class GnsCertificate:
-    segments: list  # of GnsSegmentReport
+    segments: list  # of Window
     gaps: list  # p_i
     connectors: list  # (N_i, y Point2)
     offsets: list
@@ -642,23 +640,7 @@ class GnsCertificate:
         }
 
 
-@dataclass
-class _Window:
-    """One orbit window of a certificate: the orbit of x stored over
-    [t_minus, t_plus], starting in cover ball dest and ending in ball src."""
-
-    x: Point2
-    m: int
-    n: int
-    indices: tuple  # (l1, s1, l2, s2)
-    t_minus: int
-    t_plus: int
-    xs: np.ndarray  # row i is f^(t_minus + i)(x)
-    dest: int
-    src: int
-
-
-def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> _Window:
+def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> Window:
     """Select the recurrence indices of x for the window [-m, n], store its
     orbit over [t_minus, t_plus], and check that q is eta-slow-varying along
     the stored orbit on [-m-1, n+1]."""
@@ -690,7 +672,7 @@ def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> 
             f"q is not eta-slow-varying along the orbit (worst ratio {worst:.6f} "
             f"> e^eta = {math.exp(eta):.6f})"
         )
-    return _Window(x, m, n, indices, t_minus, t_plus, xs, ctx.cover.locate(xs[0]), ctx.cover.locate(xs[-1]))
+    return Window(x, m, n, indices, t_minus, t_plus, xs, ctx.cover.locate(xs[0]), ctx.cover.locate(xs[-1]))
 
 
 def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
@@ -745,24 +727,7 @@ def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
         xrows = w.xs[j - w.t_minus]
         dist = dist_rows(sp, sol.points[(start + j) % p], xrows)
         allowance = theta * q.value_rows(xrows) ** (-2.0)
-        ok = dist < allowance
-        in_ball = bool(ok.all())
-        segments.append(
-            GnsSegmentReport(
-                x=w.x,
-                m=w.m,
-                n=w.n,
-                t_minus=w.t_minus,
-                t_plus=w.t_plus,
-                K=K,
-                offset=off,
-                in_ball=in_ball,
-                first_violated_index=None if in_ball else int(j[np.nonzero(~ok)[0][0]]),
-                margins_j=j,
-                margins_distance=dist,
-                margins_allowance=allowance,
-            )
-        )
+        segments.append(replace(w, K=K, offset=off, margins_j=j, margins_distance=dist, margins_allowance=allowance))
     cert = GnsCertificate(
         segments=segments,
         gaps=gaps,
@@ -809,34 +774,17 @@ def ns_certificate(
     Ns = None if connector_gap is None else [int(connector_gap)]
     cyc, sol, delta = _close_cycle(system, [w], theta, q, ctx, newton_tol, Ns)
     seg = cyc.segments[0]
-    N, y = cyc.connectors[0]
     return NsCertificate(
-        x=x,
-        m=m,
-        n=n,
+        **vars(seg),
         theta=theta,
         eta=eta,
         q=q,
-        indices=w.indices,
-        t_minus=w.t_minus,
-        t_plus=w.t_plus,
-        connector_y=y,
-        connector_N=N,
-        set_dest=w.dest,
-        set_src=w.src,
+        connector=cyc.connectors[0],
         M_k=ctx.bounds.M_k,
-        K=seg.K,
         period=cyc.period,
         z=cyc.z,
-        margins_j=seg.margins_j,
-        margins_distance=seg.margins_distance,
-        margins_allowance=seg.margins_allowance,
-        in_ball=seg.in_ball,
-        first_violated_index=seg.first_violated_index,
-        ratio=seg.K / (m + n),
         residual=cyc.residual,
         newton_iters=cyc.newton_iters,
-        below_resolution=float(seg.margins_allowance.min()) < 10.0 * max(cyc.residual, 5e-16),
         delta=delta,
         solution_points=np.roll(sol.points, w.t_minus, axis=0),  # z first
     )

@@ -196,6 +196,26 @@ def test_gns_cert_segment_list_length_refused(tmp_path, monkeypatch, args, field
         ("gns-cert", ["--set", "spectrum_N=0"], "spectrum_N"),
         ("ns-cert", ["--set", "max_centers=0"], "max_centers"),
         ("sublinearity", ["--set", "max_centers=-1"], "max_centers"),
+        ("ns-cert", ["--set", "delta=-0.1"], "delta"),
+        ("ns-cert", ["--set", "fixed_point=true", "--set", "delta=-0.1"], "delta"),
+        ("gns-cert", ["--set", "delta=0"], "delta"),
+        ("sublinearity", ["--set", "delta=1e999"], "delta"),
+        ("ns-cert", ["--set", 'delta="0.1"'], "delta"),
+        # q = {"kind": "modulated", "frequency": 0.5} once ran as frequency 0
+        # while the report echoed 0.5; c = -1 failed at run time as a ValueError
+        ("ns-cert", ["--set", "q=3"], "q"),
+        ("ns-cert", ["--set", 'q={"kind": "bogus"}'], "q.kind"),
+        ("ns-cert", ["--set", "fixed_point=true", "--set", 'q={"kind": "bogus"}'], "q.kind"),
+        ("gns-cert", ["--set", 'q={"kind": "constant", "scale": 2}'], "q.scale"),
+        ("gns-cert", ["--set", 'q={"kind": "constant", "c": -1}'], "q.c"),
+        ("ns-cert", ["--set", "fixed_point=true", "--set", 'q={"kind": "constant", "c": -1}'], "q.c"),
+        ("sublinearity", ["--set", 'q={"kind": "constant", "c": 1e999}'], "q.c"),
+        ("ns-cert", ["--set", 'q={"kind": "constant", "c": "1"}'], "q.c"),
+        ("ns-cert", ["--set", 'q={"kind": "modulated", "amplitude": 1}'], "q.amplitude"),
+        ("gns-cert", ["--set", 'q={"kind": "modulated", "amplitude": -0.1}'], "q.amplitude"),
+        ("ns-cert", ["--set", 'q={"kind": "modulated", "frequency": 0.5}'], "q.frequency"),
+        ("ns-cert", ["--set", "fixed_point=true", "--set", 'q={"kind": "modulated", "frequency": 0.5}'], "q.frequency"),
+        ("sublinearity", ["--set", 'q={"kind": "modulated", "frequency": true}'], "q.frequency"),
     ],
 )
 def test_out_of_range_cover_parameter_refused(tmp_path, monkeypatch, experiment, args, field):
@@ -205,17 +225,28 @@ def test_out_of_range_cover_parameter_refused(tmp_path, monkeypatch, experiment,
     # ignored; now they are refused first
     import nuspec.cli
 
-    def no_context(*a, **kw):
-        raise AssertionError("a cover context was built")
+    def no_work(*a, **kw):
+        raise AssertionError("a spectrum or a cover context was computed")
 
-    monkeypatch.setattr(nuspec.cli, "build_cover_context", no_context)
-    monkeypatch.setattr(nuspec.cli, "fixed_point_context", no_context)
+    for name in ("lyapunov_spectrum", "build_cover_context", "fixed_point_context"):
+        monkeypatch.setattr(nuspec.cli, name, no_work)
     out = tmp_path / "run"
     assert run_cli([experiment] + args + ["--out", out]) == 2
     rep = read_json(out / "report.json")
     assert rep["partial"] is True
     assert rep["error"]["type"] == "ConfigError"
     assert rep["error"]["field"] == field
+
+
+def test_modulated_q_stored_as_given(tmp_path):
+    out = tmp_path / "run"
+    q = {"kind": "modulated", "amplitude": 0.1, "frequency": 2.0}
+    args = ["ns-cert", "--out", out, "--set", "fixed_point=true", "--set", "spectrum_N=2e4"]
+    assert run_cli(args + ["--set", f"q={json.dumps(q)}", "--set", "m=30", "--set", "n=30"]) == 0
+    rep = read_json(out / "report.json")
+    assert rep["parameters"]["q"] == q
+    cert_q = rep["results"]["certificate"]["q"]
+    assert (cert_q["kind"], cert_q["amplitude"], cert_q["frequency"]) == ("modulated", 0.1, 2)
 
 
 def test_integral_float_parameter_runs_as_int(tmp_path):
@@ -428,13 +459,16 @@ def test_shadow_run(shadow_run):
     assert res["profile"]["passed"] == all(float(d) < float(b) for _, d, b in rows)
 
 
-# sha256 of report.json for two fast PerturbedCatMap(0.05) seed-0 runs; a
-# change that is meant to keep reports byte-identical must keep these
+# sha256 of report.json for fast seed-0 runs, PerturbedCatMap(0.05) unless
+# named; a change that is meant to keep reports byte-identical must keep these
 REPORT_DIGESTS = {
     "shadow": "fb45667aac1b296d51a120239ef7c562f182b7046bedf0169aac93f9f17610f3",
     "ns-cert fixed_point": "d98ec73c4b107efe6cab8b4576928218b565415457acab1e88822f688a824b99",
     # the full cover context: spectrum, block sweep, cover, sampling orbit and its events
     "ns-cert": "da2903008681d219d2bef588c990467e427056bf2ac1a3f5df0ff1771389faeb",
+    # multi-window records: three gns windows (CatMap defaults), two ns windows
+    "gns-cert CatMap": "35f00c5184a3bd5e7bd0c1f2b527e7b6cc21d3c9594d1f66edc5496def9d92fd",
+    "sublinearity": "62ce628dbb84a8f87b4656ccdc109c09bf0691d99c563e5372367dbc609719e4",
 }
 
 
@@ -445,9 +479,15 @@ def test_report_digests_pinned(tmp_path, shadow_run):
     assert run_cli(["ns-cert", "--config", cfg, "--set", "fixed_point=true", "--out", out]) == 0
     full = tmp_path / "ns-full"
     assert run_cli(["ns-cert", "--config", cfg, "--out", full]) == 0
+    gns = tmp_path / "gns"
+    assert run_cli(["gns-cert", "--out", gns]) == 0
+    sub = tmp_path / "sub"
+    assert run_cli(["sublinearity", "--config", cfg, "--set", "mn_list=[[100,100],[200,200]]", "--out", sub]) == 0
     digests = {
         "shadow": hashlib.sha256((shadow_run[1] / "report.json").read_bytes()).hexdigest(),
         "ns-cert fixed_point": hashlib.sha256((out / "report.json").read_bytes()).hexdigest(),
         "ns-cert": hashlib.sha256((full / "report.json").read_bytes()).hexdigest(),
+        "gns-cert CatMap": hashlib.sha256((gns / "report.json").read_bytes()).hexdigest(),
+        "sublinearity": hashlib.sha256((sub / "report.json").read_bytes()).hexdigest(),
     }
     assert digests == REPORT_DIGESTS

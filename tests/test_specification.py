@@ -482,7 +482,7 @@ def test_ns_margin_dominance_chain(cat, cat_ctx):
     theta = 0.05
     cert = ns_certificate(cat, x, 150, 150, theta, q.eta, q, cat_ctx)
     assert cert.in_ball
-    qx = q.value(x)
+    qx = q.value_rows(x.as_array()[None])[0]
     mid = theta * qx**-2 * np.exp(-2.0 * np.abs(cert.margins_j) * cert.eta)
     assert (cert.margins_distance <= mid + 1e-15).all()
     assert (mid <= cert.margins_allowance + 1e-15).all()
@@ -699,7 +699,7 @@ def test_ns_exact_minimal_gap_equals_minimal_connector(cat, mix_ctx):
     x = block_point(mix_ctx, 4)
     q = const_q(mix_ctx)
     base = ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx)
-    X = int(mix_ctx.bounds.X[base.set_dest, base.set_src])
+    X = int(mix_ctx.bounds.X[base.dest, base.src])
     exact = ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx, connector_gap=X)
     assert exact.to_json(include_margins=True) == base.to_json(include_margins=True)
     assert np.array_equal(exact.solution_points, base.solution_points)
@@ -710,7 +710,7 @@ def test_ns_connector_gap_needs_mixing(cat, cat_ctx):
     q = const_q(cat_ctx)
     base = ns_certificate(cat, x, 100, 100, 0.05, q.eta, q, cat_ctx)
     with pytest.raises(GapInfeasibleError):
-        ns_certificate(cat, x, 100, 100, 0.05, q.eta, q, cat_ctx, connector_gap=base.connector_N)
+        ns_certificate(cat, x, 100, 100, 0.05, q.eta, q, cat_ctx, connector_gap=base.connector[0])
 
 
 def test_ns_unwitnessed_exact_gap(cat, mix_ctx):
@@ -718,10 +718,10 @@ def test_ns_unwitnessed_exact_gap(cat, mix_ctx):
     q = const_q(mix_ctx)
     base = ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx)
     b = mix_ctx.bounds
-    X = int(b.X[base.set_dest, base.set_src])
+    X = int(b.X[base.dest, base.src])
     # X - 1 is the largest unwitnessed gap when X > T_floor
     for gap in (X - 1 if X > b.T_floor else b.T_floor - 1, b.h_cap + 1):
-        assert b.connector(base.set_dest, base.set_src, gap) is None
+        assert b.connector(base.dest, base.src, gap) is None
         with pytest.raises(GapInfeasibleError):
             ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx, connector_gap=gap)
 
