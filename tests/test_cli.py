@@ -469,6 +469,11 @@ REPORT_DIGESTS = {
     # multi-window records: three gns windows (CatMap defaults), two ns windows
     "gns-cert CatMap": "35f00c5184a3bd5e7bd0c1f2b527e7b6cc21d3c9594d1f66edc5496def9d92fd",
     "sublinearity": "62ce628dbb84a8f87b4656ccdc109c09bf0691d99c563e5372367dbc609719e4",
+    # the diagnostics at their defaults on CatMap
+    "lyapunov": "c83f66f21fad30c613939114a57e36b5a32984ccdc2be2470f7120f2fd9b5c5a",
+    "recurrence-scaling": "87faa0aeb0d7be77f66a9fdd0b483e4237f84647feabbafd33346213b8ead7d9",
+    "nonlacunarity": "4879a305041bd53e90d6071549c8e450cec77f6591367f0242ed730dfaaab511",
+    "domination": "cfb2fd62bc9e810ec226a8bc58eaa4584f2be37e9c678c4e9d8b5e76a26ed4ed",
 }
 
 
@@ -490,4 +495,7 @@ def test_report_digests_pinned(tmp_path, shadow_run):
         "gns-cert CatMap": hashlib.sha256((gns / "report.json").read_bytes()).hexdigest(),
         "sublinearity": hashlib.sha256((sub / "report.json").read_bytes()).hexdigest(),
     }
+    for exp in ("lyapunov", "recurrence-scaling", "nonlacunarity", "domination"):
+        assert run_cli([exp, "--out", tmp_path / exp]) == 0
+        digests[exp] = hashlib.sha256((tmp_path / exp / "report.json").read_bytes()).hexdigest()
     assert digests == REPORT_DIGESTS
