@@ -17,7 +17,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,6 @@ from .dynamics import Point2, Space, SystemKind, SystemSpec, orbit_array
 from .errors import ConfigError, NuspecError
 from .lyapunov import (
     LyapunovSpectrum,
-    PesinBlockParams,
     lyapunov_spectrum,
     _transport_sweeps,
 )
@@ -71,43 +70,131 @@ class ExperimentConfig:
     output_dir: Path
 
 
-# parameter schemas: name -> default (None means optional, any JSON value)
+# kinds: a kind takes a field's name and JSON value and returns the value to
+# store, or raises ConfigError on that field
+
+
+def _refuse(name, v, what):
+    raise ConfigError(f"{name} must be {what}, got {v!r}", field=name)
+
+
+def _int(lo=1, hi=math.inf):
+    """An integer in [lo, hi]; an integral finite float is stored as the int."""
+    def kind(name, v):
+        if isinstance(v, float) and math.isfinite(v) and v.is_integer():
+            v = int(v)
+        return v if type(v) is int and lo <= v <= hi else _refuse(name, v, f"an integer in [{lo}, {hi}]")
+
+    return kind
+
+
+def _float(lo=0.0, hi=math.inf):
+    """A finite number in (lo, hi], stored as a float."""
+    def kind(name, v):
+        if type(v) in (int, float) and lo < v <= hi and abs(v) <= sys.float_info.max:
+            return float(v)
+        _refuse(name, v, f"a finite number in ({lo}, {hi}]")
+
+    return kind
+
+
+def _bool(name, v):
+    return v if type(v) is bool else _refuse(name, v, "true or false")
+
+
+def _one_of(*choices):
+    return lambda name, v: v if type(v) is str and v in choices else _refuse(name, v, f"one of {choices}")
+
+
+def _list(elem, length=None):
+    """A non-empty list of elem, of the given length if one is given."""
+    def kind(name, v):
+        if not isinstance(v, list) or not v or length not in (None, len(v)):
+            _refuse(name, v, f"a list of {length} values" if length else "a non-empty list")
+        return [elem(name, e) for e in v]
+
+    return kind
+
+
+def _opt(kind):
+    return lambda name, v: None if v is None else kind(name, v)
+
+
+def _each(kind):
+    """One value of kind for every segment, or a list of them, one per segment."""
+    many = _list(kind)
+    return lambda name, v: many(name, v) if isinstance(v, list) else kind(name, v)
+
+
+def _q(name, q):
+    """A weight that _q_from_param builds as stated; it is stored as given."""
+    if not isinstance(q, dict):
+        _refuse(name, q, "an object")
+    for key in q:
+        if key not in ("kind", "c", "amplitude", "frequency"):
+            raise ConfigError(f"unknown q key {key!r}", field=f"q.{key}")
+    _one_of("constant", "modulated")("q.kind", q.get("kind", "constant"))
+    _float()("q.c", q.get("c", 1.0))
+    a = q.get("amplitude", 0.5)
+    if type(a) not in (int, float) or not 0 <= a < 1:
+        _refuse("q.amplitude", a, "a number in [0, 1)")
+    _int(-math.inf)("q.frequency", q.get("frequency", 1))
+    return q
+
+
+def _implied(default):
+    """The kind a bare default implies: true or false, an integer >= 1, a
+    positive finite float, or a non-empty list of its first entry's kind."""
+    if isinstance(default, list):
+        return _list(_implied(default[0]))
+    return {bool: _bool, int: _int(), float: _float()}[type(default)]
+
+
+def _field(spec):
+    """(default, kind) of a table entry; a bare default implies its kind."""
+    return spec if isinstance(spec, tuple) else (spec, _implied(spec))
+
+
+_POINT = _opt(_list(_float(-math.inf), 2))
+_SPECTRUM_N = (100_000, _int(100))
+
+# the parameter table: experiment -> field -> default or (default, kind)
 _COVER_PARAMS = {
     "theta": 0.05,
-    "eta_ratio": 0.1,
-    "q": {"kind": "constant", "c": 1.0},
-    "delta": None,
+    "eta_ratio": (0.1, _float(0.0, 0.5)),  # 0 < eta <= epsilon / 2
+    "q": ({"kind": "constant", "c": 1.0}, _q),
+    "delta": (None, _opt(_float())),
     "max_centers": 256,
     "sampling_orbit_length": 400_000,
     "block_samples": 200,
-    "block_window": [200, 200, 50],
+    "block_window": ([200, 200, 50], _list(_int(), 3)),
     "T_floor": 1,
     "h_cap": 512,
     "mixing": False,
     "newton_tol": 1e-11,
-    "spectrum_N": 100_000,
+    "spectrum_N": _SPECTRUM_N,
 }
 
 SCHEMAS = {
-    "lyapunov": {"N": 100_000, "qr_period": 10, "transient": None, "x0": None},
+    "lyapunov": {"N": 100_000, "qr_period": 10, "transient": (None, _opt(_int(0))), "x0": (None, _POINT)},
     "recurrence-scaling": {
         "radii_log2_min": 4,
-        "radii_log2_max": 14,
+        "radii_log2_max": (14, _int(1, 19)),  # radii 2^-e stay above the 1e-6 floor
         "grid": 5,
         "T_max": 400,
-        "method": "auto",
-        "spectrum_N": 100_000,
-        "x0": None,
+        "method": ("auto", _one_of("auto", "segment", "lattice")),
+        "spectrum_N": _SPECTRUM_N,
+        "x0": (None, _POINT),
     },
     "nonlacunarity": {
-        "radius": None,
-        "count_fwd": 500,
-        "count_bwd": 60,
+        "radius": (None, _opt(_float(0.0, 0.5))),
+        "count_fwd": (500, _int(3)),
+        "count_bwd": (60, _int(0)),
         "horizon": 60_000,
         "thresholds": [10, 20, 50, 100],
         "hit_epsilon": 0.2,
         "N_start": 1,
-        "x0": None,
+        "x0": (None, _POINT),
     },
     "shadow": {
         "period_min": 55,
@@ -117,26 +204,33 @@ SCHEMAS = {
         "epsilon_factor": 0.8,
         "newton_tol": 1e-11,
         "max_iter": 12,
-        "spectrum_N": 100_000,
+        "spectrum_N": _SPECTRUM_N,
     },
-    "ns-cert": dict(_COVER_PARAMS, m=100, n=100, x=None, fixed_point=False, connector_gap=None),
+    "ns-cert": dict(
+        _COVER_PARAMS,
+        m=(100, _int(0)),
+        n=(100, _int(0)),
+        x=(None, _POINT),
+        fixed_point=False,
+        connector_gap=(None, _opt(_int())),
+    ),
     "gns-cert": dict(
         _COVER_PARAMS,
         theta=0.1,
         mixing=True,
-        k=3,
-        m=60,
-        n=60,
-        segment_points=None,
-        target_total_gap=None,
+        k=(3, _int(2)),
+        m=(60, _each(_int(0))),
+        n=(60, _each(_int(0))),
+        segment_points=(None, _opt(_list(_POINT))),
+        target_total_gap=(None, _opt(_int(0))),
         block_samples=100,
         sampling_orbit_length=200_000,
     ),
     "sublinearity": dict(
         _COVER_PARAMS,
-        eta_ratios=[0.1],
-        mn_list=[[100, 100], [200, 200], [400, 400], [800, 800]],
-        x=None,
+        eta_ratios=([0.1], _list(_float(0.0, 0.5))),
+        mn_list=([[100, 100], [200, 200], [400, 400], [800, 800]], _list(_list(_int(0), 2))),
+        x=(None, _POINT),
     ),
     "domination": {
         "lam": 0.9,
@@ -144,48 +238,56 @@ SCHEMAS = {
         "S_list": [1, 5, 10],
         "n_points": 40,
         "swap": False,
-        "x0": None,
+        "x0": (None, _POINT),
     },
 }
 
 
-def _parse_set_value(raw: str):
+def _per_segment(name):
+    """The rule that a list given for name holds one entry for each of the k segments."""
+    return name, lambda p: not isinstance(p[name], list) or len(p[name]) == p["k"], f"one {name} entry per segment"
+
+
+# cross-field rules (field, holds, condition), checked on each experiment
+# that has the field: the transition scan covers gaps T_floor..h_cap on an
+# orbit longer than h_cap
+_RULES = [
+    ("h_cap", lambda p: p["h_cap"] >= p["T_floor"], "h_cap >= T_floor"),
+    ("sampling_orbit_length", lambda p: p["sampling_orbit_length"] > p["h_cap"], "sampling_orbit_length > h_cap"),
+    ("N", lambda p: p["N"] >= 10 * p["qr_period"], "N >= 10 * qr_period"),
+    ("radii_log2_max", lambda p: p["radii_log2_max"] >= p["radii_log2_min"], "radii_log2_max >= radii_log2_min"),
+    ("period_max", lambda p: p["period_max"] >= p["period_min"], "period_max >= period_min"),
+    ("S_list", lambda p: min(p["S_list"]) >= p["S0"], "S >= S0 for every S in S_list"),
+    _per_segment("m"),
+    _per_segment("n"),
+    _per_segment("segment_points"),
+]
+
+# system rules: experiment -> (accepts(system, parameters), what it needs).
+# The certificate experiments seed their contexts in [0, 1)^2 and need
+# backward orbits, which leave the basin of a plane map; domination always
+# runs them, nonlacunarity for its backward return times
+_TORUS = (lambda s, p: s.space is Space.TORUS2, "a torus map")
+_SYSTEMS = {
+    **dict.fromkeys(("ns-cert", "gns-cert", "sublinearity", "domination"), _TORUS),
+    "nonlacunarity": (lambda s, p: p["count_bwd"] == 0 or s.space is Space.TORUS2, "a torus map for count_bwd > 0"),
+    "shadow": (lambda s, p: s.kind in (SystemKind.CAT_MAP, SystemKind.PERTURBED_CAT_MAP), "a cat map"),
+    "recurrence-scaling": (
+        lambda s, p: p["method"] != "segment" or s.kind is SystemKind.CAT_MAP,
+        "CatMap for method segment",
+    ),
+}
+
+
+def _parse_set(item):
+    """One --set KEY=VALUE item as (key, value); a value that is not JSON is a string."""
+    if "=" not in item:
+        raise ConfigError(f"--set expects KEY=VALUE, got {item!r}", field="--set")
+    k, _, v = item.partition("=")
     try:
-        return json.loads(raw)
+        return k, json.loads(v)
     except json.JSONDecodeError:
-        return raw
-
-
-def _positive(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and 0 < v < math.inf
-
-
-def _integer(name: str, v) -> int:
-    """v as an int; an integral finite float is accepted, anything else refused."""
-    if isinstance(v, float) and math.isfinite(v) and v.is_integer():
-        return int(v)
-    if isinstance(v, int) and not isinstance(v, bool):
-        return v
-    raise ConfigError(f"{name} must be an integer, got {v!r}", field=name)
-
-
-def _check_q(q) -> None:
-    """Refuse a weight q that _q_from_param cannot build as stated; an
-    accepted q is stored as given."""
-    if not isinstance(q, dict):
-        raise ConfigError(f"q must be an object, got {q!r}", field="q")
-    for key in q:
-        if key not in ("kind", "c", "amplitude", "frequency"):
-            raise ConfigError(f"unknown q key {key!r}", field=f"q.{key}")
-    if q.get("kind", "constant") not in ("constant", "modulated"):
-        raise ConfigError(f"q kind must be 'constant' or 'modulated', got {q['kind']!r}", field="q.kind")
-    if "c" in q and not _positive(q["c"]):
-        raise ConfigError(f"q.c must be a positive finite number, got {q['c']!r}", field="q.c")
-    a = q.get("amplitude", 0.5)
-    if isinstance(a, bool) or not isinstance(a, (int, float)) or not 0 <= a < 1:
-        raise ConfigError(f"q.amplitude must lie in [0, 1), got {a!r}", field="q.amplitude")
-    if "frequency" in q:
-        _integer("q.frequency", q["frequency"])
+        return k, v
 
 
 def load_config(experiment: str, config_path, overrides, out_dir) -> ExperimentConfig:
@@ -207,67 +309,32 @@ def load_config(experiment: str, config_path, overrides, out_dir) -> ExperimentC
             field="experiment",
         )
     system = SystemSpec.from_json(raw.get("system", {"kind": "CatMap", "params": {}}))
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        raise ConfigError("seed must be an integer", field="seed")
-    params = dict(raw.get("parameters", {}))
+    seed = _int(0)("seed", raw.get("seed", 0))
+    params = raw.get("parameters", {})
     if not isinstance(params, dict):
-        raise ConfigError("parameters must be an object", field="parameters")
-    for k, v in overrides or []:
-        params[k] = v
+        _refuse("parameters", params, "an object")
+    params = {**params, **dict(overrides or [])}
     schema = SCHEMAS[experiment]
     unknown = set(params) - set(schema)
     if unknown:
         raise ConfigError(
             f"unknown parameter(s) for {experiment}: {sorted(unknown)}", field=sorted(unknown)[0]
         )
-    resolved = dict(schema)
-    resolved.update(params)
-    # integer fields: int defaults, the optional gaps, each gns-cert m/n list entry
-    for name, default in schema.items():
-        v = resolved[name]
-        if type(default) is int or (name in ("connector_gap", "target_total_gap") and v is not None):
-            if experiment == "gns-cert" and name in ("m", "n") and isinstance(v, list):
-                resolved[name] = [_integer(name, e) for e in v]
-            else:
-                resolved[name] = _integer(name, v)
-    # the transition scan covers gaps T_floor..h_cap, T_floor >= 1, on an
-    # orbit longer than h_cap; the block sweep needs a sample and a window
-    if "T_floor" in schema:
-        least = {"T_floor": 1, "h_cap": resolved["T_floor"], "sampling_orbit_length": resolved["h_cap"] + 1}
-        least.update(block_samples=1, spectrum_N=100, max_centers=1)
-        for name, lo in least.items():
-            if resolved[name] < lo:
-                raise ConfigError(f"{name} must be >= {lo}, got {resolved[name]}", field=name)
-        w = resolved["block_window"]
-        if not (isinstance(w, list) and len(w) == 3 and all(_positive(v) for v in w)):
-            raise ConfigError(f"block_window must be three positive integers, got {w!r}", field="block_window")
-        resolved["block_window"] = [_integer("block_window", v) for v in w]
-        if resolved["delta"] is not None and not _positive(resolved["delta"]):
-            raise ConfigError(f"delta must be a positive finite number, got {resolved['delta']!r}", field="delta")
-        _check_q(resolved["q"])
-    # gns-cert takes at least two segments, one m, one n and one segment point each
-    if experiment == "gns-cert":
-        if resolved["k"] < 2:
-            raise ConfigError(f"gns-cert needs k >= 2 segments, got {resolved['k']}", field="k")
-        for name in ("m", "n", "segment_points"):
-            if isinstance(resolved[name], list) and len(resolved[name]) != resolved["k"]:
-                msg = f"{name} lists {len(resolved[name])} value(s) for k={resolved['k']} segments"
-                raise ConfigError(msg, field=name)
-    for name in ("theta", "newton_tol"):
-        if name in schema and not _positive(resolved[name]):
-            raise ConfigError(f"{name} must be a positive finite number, got {resolved[name]!r}", field=name)
-    # backward orbits of a plane map leave its basin: domination always runs
-    # them, nonlacunarity for its backward return times
-    backward = experiment == "domination" or (experiment == "nonlacunarity" and _positive(resolved["count_bwd"]))
-    if backward and system.space is Space.PLANE:
-        raise ConfigError(
-            f"{experiment} needs backward orbits, which leave the basin of the plane map {system.kind.value}",
-            field="system.kind",
-        )
-    outd = Path(out_dir) if out_dir else Path(raw.get("output_dir", "nuspec_out"))
+    resolved = {}
+    for name, spec in schema.items():
+        default, kind = _field(spec)
+        resolved[name] = kind(name, params.get(name, default))
+    for name, holds, condition in _RULES:
+        if name in schema and not holds(resolved):
+            raise ConfigError(f"{experiment} needs {condition}; {name} is {resolved[name]!r}", field=name)
+    accepts, needs = _SYSTEMS.get(experiment, (lambda s, p: True, ""))
+    if not accepts(system, resolved):
+        raise ConfigError(f"{experiment} needs {needs}, not {system.kind.value}", field="system.kind")
+    outd = raw.get("output_dir", "nuspec_out")
+    if not isinstance(outd, str):
+        _refuse("output_dir", outd, "a path")
     return ExperimentConfig(
-        system=system, seed=seed, experiment=experiment, parameters=resolved, output_dir=outd
+        system=system, seed=seed, experiment=experiment, parameters=resolved, output_dir=Path(out_dir or outd)
     )
 
 
@@ -282,20 +349,15 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, np.floating):
-        obj = float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
+    if isinstance(obj, np.generic):
+        obj = obj.item()
     if isinstance(obj, float) and not math.isfinite(obj):
         return None  # RFC 8259 has no NaN or infinity
-    if isinstance(obj, Path):
-        return str(obj)
     return obj
 
 
 def _write_json(path: Path, obj) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(_jsonable(obj), sort_keys=True, indent=2, allow_nan=False) + "\n", encoding="utf-8")
 
 
@@ -309,7 +371,7 @@ def _write_csv(path: Path, header, rows) -> None:
 
 def _seed_point(system: SystemSpec, rng, x0_param, transient=0) -> Point2:
     if x0_param is not None:
-        return Point2(float(x0_param[0]), float(x0_param[1]), system.space)
+        return Point2(*x0_param, system.space)
     if system.kind is SystemKind.HENON:
         x, y = orbit_array(system, 0.1, 0.1, n_fwd=max(transient, 1000))[-1].tolist()
         return Point2(x, y, system.space)
@@ -329,72 +391,58 @@ def _q_from_param(qspec: dict, eta: float) -> SlowVaryingFn:
     return SlowVaryingFn.modulated(c, float(qspec.get("amplitude", 0.5)), int(qspec.get("frequency", 1)), eta)
 
 
-def _build_ctx(system, seed, p, mixing=None):
+# the cover fields that build_cover_context takes under their own names
+_CTX_FIELDS = "theta block_samples delta max_centers sampling_orbit_length T_floor h_cap spectrum_N".split()
+
+
+def _build_ctx(system, seed, p):
+    fields = {name: p[name] for name in _CTX_FIELDS}
     return build_cover_context(
-        system,
-        theta=p["theta"],
-        seed=seed,
-        block_samples=p["block_samples"],
-        delta=p["delta"],
-        max_centers=p["max_centers"],
-        sampling_orbit_length=p["sampling_orbit_length"],
-        T_floor=p["T_floor"],
-        mixing_mode=p["mixing"] if mixing is None else mixing,
-        h_cap=p["h_cap"],
-        epsilon_ratio=0.1,
-        block_window=tuple(p["block_window"]),
-        spectrum_N=p["spectrum_N"],
+        system, seed=seed, mixing_mode=p["mixing"], block_window=tuple(p["block_window"]), **fields
     )
 
 
 # ---------------------------------------------------------------------------
-# experiment runners; each returns (results_dict, csv_header, csv_rows)
+# experiment runners: each takes (system, parameters, seed) and returns
+# (results_dict, csv_header, csv_rows)
 
 
-def _run_lyapunov(cfg: ExperimentConfig):
-    p = cfg.parameters
-    rng = np.random.default_rng(cfg.seed)
+def _run_lyapunov(system, p, seed):
+    rng = np.random.default_rng(seed)
     transient = p["transient"]
     if transient is None:
-        transient = 1000 if cfg.system.kind is SystemKind.HENON else 0
-    x0 = _seed_point(cfg.system, rng, p["x0"])
-    spec = lyapunov_spectrum(cfg.system, x0, N=p["N"], qr_period=p["qr_period"], transient=transient)
-    res = dict(spec.to_json())
-    res["x0"] = [x0.x, x0.y]
-    res["sum"] = sum(spec.exponents)
-    return res, None, None
+        transient = 1000 if system.kind is SystemKind.HENON else 0
+    x0 = _seed_point(system, rng, p["x0"])
+    spec = lyapunov_spectrum(system, x0, N=p["N"], qr_period=p["qr_period"], transient=transient)
+    return {**spec.to_json(), "x0": [x0.x, x0.y], "sum": sum(spec.exponents)}, None, None
 
 
-def _run_recurrence_scaling(cfg: ExperimentConfig):
-    p = cfg.parameters
-    rng = np.random.default_rng(cfg.seed)
-    x = _seed_point(cfg.system, rng, p["x0"])
-    spec = _spectrum_for(cfg.system, rng, p["spectrum_N"])
+def _run_recurrence_scaling(system, p, seed):
+    rng = np.random.default_rng(seed)
+    x = _seed_point(system, rng, p["x0"])
+    spec = _spectrum_for(system, rng, p["spectrum_N"])
     radii = [2.0**-e for e in range(p["radii_log2_min"], p["radii_log2_max"] + 1)]
     rep = recurrence_scaling(
-        cfg.system, x, radii, grid=p["grid"], T_max=p["T_max"], spectrum=spec, method=p["method"]
+        system, x, radii, grid=p["grid"], T_max=p["T_max"], spectrum=spec, method=p["method"]
     )
-    res = rep.to_json()
-    res["x"] = [x.x, x.y]
-    res["spectrum"] = spec.to_json()
+    res = {**rep.to_json(), "x": [x.x, x.y], "spectrum": spec.to_json()}
     rows = list(zip(rep.radii, rep.tau, rep.ratios, [int(c) for c in rep.censored]))
     return res, ["r", "tau", "ratio", "censored"], rows
 
 
-def _run_nonlacunarity(cfg: ExperimentConfig):
-    p = cfg.parameters
-    rng = np.random.default_rng(cfg.seed)
-    x = _seed_point(cfg.system, rng, p["x0"])
+def _run_nonlacunarity(system, p, seed):
+    rng = np.random.default_rng(seed)
+    x = _seed_point(system, rng, p["x0"])
     radius = p["radius"]
     if radius is None:
         radius = math.sqrt(0.05 / math.pi)  # ball of area 0.05
-    gamma = SetSpec.ball(x, float(radius))
+    gamma = SetSpec.ball(x, radius)
     seq = return_times(
-        cfg.system, x, gamma, count_fwd=p["count_fwd"], count_bwd=p["count_bwd"], horizon=p["horizon"]
+        system, x, gamma, count_fwd=p["count_fwd"], count_bwd=p["count_bwd"], horizon=p["horizon"]
     )
     prof = nonlacunarity_profile(seq, thresholds=tuple(p["thresholds"]))
-    hit_N = interval_hit_check(seq, float(p["hit_epsilon"]), N_start=p["N_start"])
-    area = birkhoff_indicator_average(cfg.system, x, gamma, horizon=min(p["horizon"], 200_000))
+    hit_N = interval_hit_check(seq, p["hit_epsilon"], N_start=p["N_start"])
+    area = birkhoff_indicator_average(system, x, gamma, horizon=min(p["horizon"], 200_000))
     res = {
         "x": [x.x, x.y],
         "radius": radius,
@@ -414,33 +462,25 @@ def _run_nonlacunarity(cfg: ExperimentConfig):
     return res, ["i", "t_i", "ratio"], rows
 
 
-def _cat_rational_orbit(period_min, period_max):
-    """The orbit of (1, 0)/q under the cat map for the least q whose period
-    lies in range."""
-    for q in range(3, 600):
-        period, pts = cat_rational_orbit(q)
-        if period_min <= period <= period_max:
-            return q, period, pts
-    raise NuspecError(f"no rational cat orbit with period in [{period_min}, {period_max}]")
-
-
-def _run_shadow(cfg: ExperimentConfig):
-    p = cfg.parameters
-    system = cfg.system
-    if system.kind not in (SystemKind.CAT_MAP, SystemKind.PERTURBED_CAT_MAP):
-        raise ConfigError("shadow experiment supports CatMap and PerturbedCatMap", field="system.kind")
-    rng = np.random.default_rng(cfg.seed)
-    q_den, period, guess = _cat_rational_orbit(p["period_min"], p["period_max"])
+def _run_shadow(system, p, seed):
+    rng = np.random.default_rng(seed)
+    # the orbit of (1, 0)/q under the cat map for the least q whose period lies in range
+    for q_den in range(3, 600):
+        period, guess = cat_rational_orbit(q_den)
+        if p["period_min"] <= period <= p["period_max"]:
+            break
+    else:
+        raise NuspecError(f"no rational cat orbit with period in [{p['period_min']}, {p['period_max']}]")
 
     po0 = assemble([np.vstack([guess, guess[:1]])], system)
     ref = newton_refine_periodic(system, po0, tol=1e-12, max_iter=40)
     n1 = period // 2
-    po = displaced_pseudo_orbit(system, ref.points, n1, float(p["jitter"]))
+    po = displaced_pseudo_orbit(system, ref.points, n1, p["jitter"])
 
-    sol = newton_refine_periodic(system, po, tol=float(p["newton_tol"]), max_iter=p["max_iter"])
+    sol = newton_refine_periodic(system, po, tol=p["newton_tol"], max_iter=p["max_iter"])
     spec = _spectrum_for(system, rng, p["spectrum_N"])
-    epsilon = float(p["epsilon_factor"]) * spec.lambda_u
-    tau = float(p["tau_factor"]) * po.delta
+    epsilon = p["epsilon_factor"] * spec.lambda_u
+    tau = p["tau_factor"] * po.delta
     prof = shadowing_profile(system, sol, po, tau=tau, epsilon=epsilon)
     res = {
         "rational_denominator": q_den,
@@ -465,33 +505,29 @@ def _pick_block_point(ctx, rng) -> Point2:
     return pts[int(rng.integers(0, len(pts)))]
 
 
-def _run_ns_cert(cfg: ExperimentConfig):
-    p = cfg.parameters
-    system = cfg.system
-    rng = np.random.default_rng(cfg.seed)
-    eta_ratio = float(p["eta_ratio"])
+def _run_ns_cert(system, p, seed):
+    rng = np.random.default_rng(seed)
     if p["fixed_point"]:
-        fp = Point2(0.0, 0.0, system.space)
+        x = Point2(0.0, 0.0, system.space)
         spec = _spectrum_for(system, rng, p["spectrum_N"])
         eps = 0.1 * min(abs(spec.lambda_s), spec.lambda_u)
-        ctx = fixed_point_context(system, fp, epsilon=eps)
-        x = fp
+        ctx = fixed_point_context(system, x, epsilon=eps)
     else:
-        ctx = _build_ctx(system, cfg.seed, p)
+        ctx = _build_ctx(system, seed, p)
         x = Point2(*p["x"], system.space) if p["x"] is not None else _pick_block_point(ctx, rng)
-    eta = eta_ratio * ctx.epsilon
+    eta = p["eta_ratio"] * ctx.epsilon
     q = _q_from_param(p["q"], eta)
     cert = ns_certificate(
         system,
         x,
         p["m"],
         p["n"],
-        float(p["theta"]),
+        p["theta"],
         eta,
         q,
         ctx,
         connector_gap=p["connector_gap"],
-        newton_tol=float(p["newton_tol"]),
+        newton_tol=p["newton_tol"],
     )
     res = {"certificate": cert.to_json(include_margins=False), "context": ctx.to_json()}
     rows = list(
@@ -504,30 +540,28 @@ def _run_ns_cert(cfg: ExperimentConfig):
     return res, ["j", "distance", "allowance"], rows
 
 
-def _run_gns_cert(cfg: ExperimentConfig):
-    p = cfg.parameters
-    system = cfg.system
-    rng = np.random.default_rng(cfg.seed)
-    ctx = _build_ctx(system, cfg.seed, p)
-    eta = float(p["eta_ratio"]) * ctx.epsilon
+def _run_gns_cert(system, p, seed):
+    rng = np.random.default_rng(seed)
+    ctx = _build_ctx(system, seed, p)
+    eta = p["eta_ratio"] * ctx.epsilon
     q = _q_from_param(p["q"], eta)
     k = p["k"]
     ms = p["m"] if isinstance(p["m"], list) else [p["m"]] * k
     ns = p["n"] if isinstance(p["n"], list) else [p["n"]] * k
     if p["segment_points"] is not None:
-        xs = [Point2(float(a), float(b), system.space) for a, b in p["segment_points"]]
+        xs = [Point2(*pt, system.space) for pt in p["segment_points"]]
     else:
         xs = [_pick_block_point(ctx, rng) for _ in range(k)]
-    segments = [(xs[i], ms[i], ns[i]) for i in range(k)]
+    segments = list(zip(xs, ms, ns))
     cert = gns_certificate(
         system,
         segments,
-        float(p["theta"]),
+        p["theta"],
         eta,
         q,
         ctx,
         target_total_gap=p["target_total_gap"],
-        newton_tol=float(p["newton_tol"]),
+        newton_tol=p["newton_tol"],
     )
     res = {"certificate": cert.to_json(include_margins=False), "context": ctx.to_json()}
     rows = []
@@ -537,43 +571,36 @@ def _run_gns_cert(cfg: ExperimentConfig):
     return res, ["segment", "j", "distance", "allowance"], rows
 
 
-def _run_sublinearity(cfg: ExperimentConfig):
-    p = cfg.parameters
-    system = cfg.system
-    rng = np.random.default_rng(cfg.seed)
-    ctx = _build_ctx(system, cfg.seed, p)
+def _run_sublinearity(system, p, seed):
+    rng = np.random.default_rng(seed)
+    ctx = _build_ctx(system, seed, p)
     x = Point2(*p["x"], system.space) if p["x"] is not None else _pick_block_point(ctx, rng)
-    base_eta = float(p["eta_ratios"][0]) * ctx.epsilon
-    q = _q_from_param(p["q"], base_eta)
-    eta_list = [float(r) * ctx.epsilon for r in p["eta_ratios"]]
-    mn_list = [tuple(int(v) for v in mn) for mn in p["mn_list"]]
+    eta_list = [r * ctx.epsilon for r in p["eta_ratios"]]
+    q = _q_from_param(p["q"], eta_list[0])
     table = sublinearity_scan(
         system,
         x,
-        float(p["theta"]),
+        p["theta"],
         eta_list,
-        mn_list,
+        p["mn_list"],
         q,
         ctx,
-        newton_tol=float(p["newton_tol"]),
+        newton_tol=p["newton_tol"],
     )
     res = {"table": table.to_json(), "x": [x.x, x.y], "epsilon": ctx.epsilon, "context": ctx.to_json()}
     rows = [(r.m, r.n, r.eta, r.K, r.ratio, int(r.in_ball)) for r in table.rows]
     return res, ["m", "n", "eta", "K", "ratio", "in_ball"], rows
 
 
-def _run_domination(cfg: ExperimentConfig):
-    p = cfg.parameters
-    system = cfg.system
-    rng = np.random.default_rng(cfg.seed)
+def _run_domination(system, p, seed):
+    rng = np.random.default_rng(seed)
     x = _seed_point(system, rng, p["x0"])
-    S_list = [int(s) for s in p["S_list"]]
-    n_pts = p["n_points"] + max(S_list)
+    n_pts = p["n_points"] + max(p["S_list"])
     pts, vu, vs, _, _ = _transport_sweeps(system, x.as_array()[None], 0, n_pts)
     pts, vu, vs = pts[:, 0], vu[:, 0], vs[:, 0]
     E, F = (vu, vs) if p["swap"] else (vs, vu)
-    rep = check_domination(system, pts, E, F, S0=p["S0"], lam=float(p["lam"]), S_list=S_list)
-    res = {"x": [x.x, x.y], "swap": bool(p["swap"]), "lam": p["lam"], **rep.to_json()}
+    rep = check_domination(system, pts, E, F, S0=p["S0"], lam=p["lam"], S_list=p["S_list"])
+    res = {"x": [x.x, x.y], "swap": p["swap"], "lam": p["lam"], **rep.to_json()}
     return res, None, None
 
 
@@ -589,10 +616,15 @@ _RUNNERS = {
 }
 
 
+def _error_report(err, manifest=None) -> dict:
+    """The report of a run refused or ended by err: the manifest if any, the error, "partial": true."""
+    error = {"type": type(err).__name__, "message": str(err), "field": getattr(err, "field", None)}
+    return {**(manifest or {}), "error": error, "partial": True}
+
+
 def run(cfg: ExperimentConfig) -> int:
     """Execute one experiment; returns the process exit status."""
     outd = cfg.output_dir
-    outd.mkdir(parents=True, exist_ok=True)
     manifest = {
         "experiment": cfg.experiment,
         "seed": cfg.seed,
@@ -602,21 +634,12 @@ def run(cfg: ExperimentConfig) -> int:
     }
     _write_json(outd / "manifest.json", manifest)
     try:
-        results, header, rows = _RUNNERS[cfg.experiment](cfg)
+        results, header, rows = _RUNNERS[cfg.experiment](cfg.system, cfg.parameters, cfg.seed)
     except (NuspecError, ValueError) as err:
-        report = dict(manifest)
-        report["error"] = {
-            "type": type(err).__name__,
-            "message": str(err),
-            "field": getattr(err, "field", None),
-        }
-        report["partial"] = True
-        _write_json(outd / "report.json", report)
+        _write_json(outd / "report.json", _error_report(err, manifest))
         print(f"error: {err}", file=sys.stderr)
         return 1
-    report = dict(manifest)
-    report["results"] = results
-    _write_json(outd / "report.json", report)
+    _write_json(outd / "report.json", {**manifest, "results": results})
     if header is not None:
         _write_csv(outd / "data.csv", header, rows)
     return 0
@@ -630,10 +653,13 @@ def compare_to_bound(recurrence_report: dict, lyapunov_report: dict, tolerance: 
     """Compare a measured ball-return limsup against 1/lambda_u - 1/lambda_s.
 
     Refuses mismatched system fingerprints and non-hyperbolic spectra."""
-    if recurrence_report.get("experiment") != "recurrence-scaling":
-        raise ConfigError("first report must come from recurrence-scaling")
-    if lyapunov_report.get("experiment") != "lyapunov":
-        raise ConfigError("second report must come from lyapunov")
+    for experiment, report in (("recurrence-scaling", recurrence_report), ("lyapunov", lyapunov_report)):
+        if not isinstance(report, dict) or report.get("experiment") != experiment:
+            raise ConfigError(f"expected a report of {experiment}")
+        if "results" not in report:
+            raise ConfigError(f"the {experiment} report is partial: its run ended in an error")
+    if not 0 <= tolerance < math.inf:
+        raise ConfigError(f"tolerance must be a finite number >= 0, got {tolerance}", field="tolerance")
     if recurrence_report.get("system") != lyapunov_report.get("system"):
         raise ConfigError("mismatched system fingerprints between reports")
     lam_res = lyapunov_report["results"]
@@ -642,20 +668,15 @@ def compare_to_bound(recurrence_report: dict, lyapunov_report: dict, tolerance: 
     if lam_s is None or lam_u is None or not (lam_s < 0 < lam_u):
         raise ConfigError("not hyperbolic: spectrum lacks exponents of both signs")
     bound = 1.0 / lam_u - 1.0 / lam_s
-    measured = recurrence_report["results"]["limsup_estimate"]
+    rec = recurrence_report["results"]
+    measured = rec["limsup_estimate"]
     return {
         "system": recurrence_report["system"],
         "measured_limsup": measured,
         "bound": bound,
         "tolerance": tolerance,
         "pass": bool(measured is not None and measured <= bound * (1.0 + tolerance)),
-        "censored_radii": [
-            r
-            for r, c in zip(
-                recurrence_report["results"]["radii"], recurrence_report["results"]["censored"]
-            )
-            if c
-        ],
+        "censored_radii": [r for r, c in zip(rec["radii"], rec["censored"]) if c],
     }
 
 
@@ -680,44 +701,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.command == "compare":
         try:
-            with open(args.recurrence, encoding="utf-8") as fh:
-                rec = json.load(fh)
-            with open(args.lyapunov, encoding="utf-8") as fh:
-                lya = json.load(fh)
+            rec, lya = (json.loads(Path(f).read_text(encoding="utf-8")) for f in (args.recurrence, args.lyapunov))
             table = compare_to_bound(rec, lya, tolerance=args.tolerance)
-        except (NuspecError, OSError, json.JSONDecodeError) as err:
+        except (NuspecError, OSError, ValueError, KeyError, TypeError) as err:
             print(f"refusal: {err}", file=sys.stderr)
             return 1
         print(f"{'measured':>12} {'bound':>12} {'pass':>6}")
-        print(f"{table['measured_limsup']:>12.4f} {table['bound']:>12.4f} {str(table['pass']):>6}")
+        measured = "n/a" if table["measured_limsup"] is None else f"{table['measured_limsup']:.4f}"
+        print(f"{measured:>12} {table['bound']:>12.4f} {str(table['pass']):>6}")
         if args.out:
-            outd = Path(args.out)
-            outd.mkdir(parents=True, exist_ok=True)
-            _write_json(outd / "summary.json", table)
+            _write_json(Path(args.out) / "summary.json", table)
         return 0
 
-    overrides = []
-    for item in args.set:
-        if "=" not in item:
-            print(f"error: --set expects KEY=VALUE, got {item!r}", file=sys.stderr)
-            return 2
-        k, _, v = item.partition("=")
-        overrides.append((k, _parse_set_value(v)))
     try:
-        cfg = load_config(args.command, args.config, overrides, args.out)
-    except (ConfigError, OSError, json.JSONDecodeError) as err:
-        payload = {
-            "error": {
-                "type": type(err).__name__,
-                "message": str(err),
-                "field": getattr(err, "field", None),
-            },
-            "partial": True,
-        }
+        cfg = load_config(args.command, args.config, [_parse_set(item) for item in args.set], args.out)
+    except (ConfigError, OSError, ValueError) as err:
         if args.out:
-            outd = Path(args.out)
-            outd.mkdir(parents=True, exist_ok=True)
-            _write_json(outd / "report.json", payload)
+            _write_json(Path(args.out) / "report.json", _error_report(err))
         print(f"config error: {err}", file=sys.stderr)
         return 2
     return run(cfg)

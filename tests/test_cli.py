@@ -2,11 +2,15 @@ import csv
 import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nuspec.cli import _write_json, compare_to_bound, main
+from nuspec.cli import SCHEMAS, _field, _write_json, compare_to_bound, load_config, main
 from nuspec.errors import ConfigError
 from nuspec.shadowing import ShadowingProfile
 
@@ -91,7 +95,8 @@ def test_ns_cert_rejects_plane_system(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": {"kind": "Henon", "params": {"a": 1.4, "b": 0.3}}}))
     out = tmp_path / "ns"
-    assert run_cli(["ns-cert", "--config", cfg, "--out", out]) == 1
+    # refused at the door (config exit 2), before any spectrum is computed
+    assert run_cli(["ns-cert", "--config", cfg, "--out", out]) == 2
     rep = read_json(out / "report.json")
     assert rep["partial"] is True
     assert rep["error"]["type"] == "ConfigError"
@@ -169,6 +174,10 @@ def test_gns_cert_segment_list_length_refused(tmp_path, monkeypatch, args, field
     assert rep["error"]["field"] == field
 
 
+HENON = {"system": {"kind": "Henon", "params": {"a": 1.4, "b": 0.3}}}
+STANDARD = {"system": {"kind": "StandardMap", "params": {"K_s": 1.2}}}
+
+
 @pytest.mark.parametrize(
     "experiment, args, field",
     [
@@ -216,6 +225,41 @@ def test_gns_cert_segment_list_length_refused(tmp_path, monkeypatch, args, field
         ("ns-cert", ["--set", 'q={"kind": "modulated", "frequency": 0.5}'], "q.frequency"),
         ("ns-cert", ["--set", "fixed_point=true", "--set", 'q={"kind": "modulated", "frequency": 0.5}'], "q.frequency"),
         ("sublinearity", ["--set", 'q={"kind": "modulated", "frequency": true}'], "q.frequency"),
+        # the diagnostics and the top-level fields once went unchecked: these
+        # ended in a traceback (qr_period=0, x0=[1], an inverted radii range,
+        # count_fwd=0, x=[0.1], a non-object parameters) ...
+        ("lyapunov", ["--set", "qr_period=0"], "qr_period"),
+        ("lyapunov", ["--set", "x0=[1]"], "x0"),
+        ("recurrence-scaling", ["--set", "radii_log2_min=10", "--set", "radii_log2_max=2"], "radii_log2_max"),
+        ("nonlacunarity", ["--set", "count_fwd=0"], "count_fwd"),
+        ("ns-cert", ["--set", "x=[0.1]"], "x"),
+        ("lyapunov", ["--config", {"parameters": 5}], "parameters"),
+        # ... these ran to exit 0 on a meaningless input ...
+        ("nonlacunarity", ["--set", "radius=-1"], "radius"),
+        ("domination", ["--set", "n_points=0"], "n_points"),
+        ("nonlacunarity", ["--set", "thresholds=[]"], "thresholds"),
+        ("ns-cert", ["--set", "fixed_point=1"], "fixed_point"),
+        ("lyapunov", ["--config", {"seed": True}], "seed"),
+        # ... and these were refused only after the work had started
+        ("ns-cert", ["--set", "eta_ratio=-1"], "eta_ratio"),
+        ("ns-cert", ["--set", "fixed_point=true", "--set", "eta_ratio=0"], "eta_ratio"),
+        ("ns-cert", ["--set", "fixed_point=true", "--set", "eta_ratio=1"], "eta_ratio"),
+        ("sublinearity", ["--set", "eta_ratios=[]"], "eta_ratios"),
+        ("sublinearity", ["--set", "mn_list=[]"], "mn_list"),
+        ("domination", ["--set", "S_list=[]"], "S_list"),
+        ("domination", ["--set", "S0=2"], "S_list"),
+        ("lyapunov", ["--set", "N=5"], "N"),
+        ("shadow", ["--set", "period_min=80", "--set", "period_max=60"], "period_max"),
+        ("lyapunov", ["--config", {"seed": -1}], "seed"),
+        ("ns-cert", ["--config", HENON, "--set", "fixed_point=true"], "system.kind"),
+        ("shadow", ["--config", STANDARD], "system.kind"),
+        ("recurrence-scaling", ["--config", STANDARD, "--set", "method=segment"], "system.kind"),
+        ("recurrence-scaling", ["--set", "method=grid"], "method"),
+        ("recurrence-scaling", ["--set", "radii_log2_max=20"], "radii_log2_max"),
+        ("lyapunov", ["--set", "transient=-1"], "transient"),
+        ("shadow", ["--set", "jitter=0"], "jitter"),
+        ("nonlacunarity", ["--set", "radius=0.6"], "radius"),
+        ("lyapunov", ["--config", {"output_dir": 5}], "output_dir"),
     ],
 )
 def test_out_of_range_cover_parameter_refused(tmp_path, monkeypatch, experiment, args, field):
@@ -226,16 +270,103 @@ def test_out_of_range_cover_parameter_refused(tmp_path, monkeypatch, experiment,
     import nuspec.cli
 
     def no_work(*a, **kw):
-        raise AssertionError("a spectrum or a cover context was computed")
+        raise AssertionError("a spectrum, context, orbit or Newton solve was computed")
 
-    for name in ("lyapunov_spectrum", "build_cover_context", "fixed_point_context"):
+    stages = ["lyapunov_spectrum", "build_cover_context", "fixed_point_context", "return_times", "_transport_sweeps"]
+    stages += ["newton_refine_periodic", "orbit_array"]
+    for name in stages:
         monkeypatch.setattr(nuspec.cli, name, no_work)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(next((a for a in args if isinstance(a, dict)), {})))
+    args = [cfg if isinstance(a, dict) else a for a in args]
     out = tmp_path / "run"
     assert run_cli([experiment] + args + ["--out", out]) == 2
     rep = read_json(out / "report.json")
     assert rep["partial"] is True
     assert rep["error"]["type"] == "ConfigError"
     assert rep["error"]["field"] == field
+
+
+def test_set_item_without_value_writes_typed_error(tmp_path):
+    # once exit 2 with no report.json, unlike every other refusal
+    out = tmp_path / "run"
+    assert run_cli(["lyapunov", "--out", out, "--set", "N"]) == 2
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True
+    assert (rep["error"]["type"], rep["error"]["field"]) == ("ConfigError", "--set")
+
+
+def test_table_defaults_pass_their_kinds():
+    for experiment, fields in SCHEMAS.items():
+        defaults = {}
+        for name, spec in fields.items():
+            defaults[name], kind = _field(spec)
+            assert kind(name, defaults[name]) == defaults[name], (experiment, name)
+        # and the cross-field and system rules hold at the defaults on CatMap
+        assert load_config(experiment, None, [], None).parameters == defaults
+
+
+# one setting per experiment that keeps an accepted draw to milliseconds
+TINY_COVER = {"spectrum_N": 200, "sampling_orbit_length": 600, "h_cap": 40, "block_samples": 4, "max_centers": 8}
+TINY = {
+    "lyapunov": {"N": 200},
+    "recurrence-scaling": {"spectrum_N": 200, "radii_log2_max": 6, "T_max": 50},
+    "nonlacunarity": {"count_fwd": 20, "count_bwd": 5, "horizon": 2000},
+    "shadow": {"spectrum_N": 200},
+    "ns-cert": dict(TINY_COVER, fixed_point=True, m=5, n=5, block_window=[20, 20, 5]),
+    "gns-cert": dict(TINY_COVER, m=5, n=5, block_window=[20, 20, 5]),
+    "sublinearity": dict(TINY_COVER, mn_list=[[5, 5]], block_window=[20, 20, 5]),
+    "domination": {"n_points": 5, "S_list": [1, 2]},
+}
+# wrong types, boundary and out-of-range values, all small
+PROBES = [1e999, "1", "lattice", None, [], [0.1, 0.2], [[0.1, 0.2], [0.3, 0.4]], {"kind": "modulated", "amplitude": 0.1}]
+SYSTEMS = [{"kind": "CatMap", "params": {}}, {"kind": "PerturbedCatMap", "params": {"kappa": 0.05}}, HENON["system"]]
+
+
+def field_values(default):
+    """Small values of the default's type (its boundary values and beyond)
+    or a probe of another type; none of them makes an accepted run slow."""
+    own = st.nothing()
+    if type(default) is bool:
+        own = st.booleans()
+    elif type(default) is int:
+        own = st.integers(-1, 4)
+    elif type(default) is float:
+        own = st.sampled_from([-0.1, 0.0, 1e-3, 0.05, 0.3, 0.5, 0.6, 2.5])
+    elif isinstance(default, list):
+        own = st.lists(field_values(default[0]), max_size=3)
+    return st.one_of(own, st.sampled_from(PROBES))
+
+
+@st.composite
+def table_configs(draw):
+    experiment = draw(st.sampled_from(sorted(SCHEMAS)))
+    fields = {name: _field(spec)[0] for name, spec in SCHEMAS[experiment].items()}
+    params = dict(TINY[experiment])
+    for name in draw(st.lists(st.sampled_from(sorted(fields) + ["seed"]), min_size=1, max_size=2)):
+        params[name] = draw(field_values(fields.get(name, 0)))
+    seed = params.pop("seed", 0)
+    return experiment, {"system": draw(st.sampled_from(SYSTEMS)), "seed": seed, "parameters": params}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(table_configs())
+def test_table_drawn_config_ends_in_report(case):
+    # exit 0 with a full report, or a nonzero exit with a typed partial one;
+    # an exception escaping main fails the test
+    experiment, config = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "cfg.json", Path(tmp) / "run"
+        cfg.write_text(json.dumps(config))
+        rc = run_cli([experiment, "--config", cfg, "--out", out])
+        rep = read_json(out / "report.json")
+    if rc == 0:
+        assert "results" in rep and "partial" not in rep
+        return
+    assert rc in (1, 2) and rep["partial"] is True and rep["error"]["type"]
+    if rc == 2:
+        assert rep["error"]["type"] == "ConfigError"
+        assert rep["error"]["field"].split(".")[0] in set(SCHEMAS[experiment]) | {"seed", "system"}
 
 
 def test_modulated_q_stored_as_given(tmp_path):
@@ -258,9 +389,6 @@ def test_integral_float_parameter_runs_as_int(tmp_path):
     rep = read_json(out / "report.json")
     assert rep["parameters"]["m"] == 30 and isinstance(rep["parameters"]["m"], int)
     assert rep["results"]["certificate"]["m"] == 30
-
-
-HENON = {"system": {"kind": "Henon", "params": {"a": 1.4, "b": 0.3}}}
 
 
 @pytest.mark.parametrize("experiment", ["domination", "nonlacunarity"])
@@ -366,6 +494,64 @@ def test_compare_refuses_non_hyperbolic(tmp_path):
     lyr["results"]["lambda_s"] = 0.4  # both exponents "positive"
     with pytest.raises(ConfigError, match="not hyperbolic"):
         compare_to_bound(read_json(rec / "report.json"), lyr)
+
+
+def test_compare_refuses_partial_report(tmp_path, capsys):
+    # a lyapunov run that ended in an error once raised KeyError: 'results'
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(HENON))
+    ly, rec = tmp_path / "ly", tmp_path / "rec"
+    assert run_cli(["lyapunov", "--config", cfg, "--set", "x0=[100, 100]", "--out", ly]) == 1
+    assert read_json(ly / "report.json")["partial"] is True
+    assert run_cli(["recurrence-scaling", "--config", cfg, "--set", "spectrum_N=2000", "--out", rec]) == 0
+    capsys.readouterr()
+    assert run_cli(["compare", "--recurrence", rec / "report.json", "--lyapunov", ly / "report.json"]) == 1
+    assert "refusal:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("malformed", ["not an object", "no lambda_s"])
+def test_compare_refuses_malformed_report(tmp_path, capsys, malformed):
+    ly, rec = tmp_path / "ly", tmp_path / "rec"
+    assert run_cli(["lyapunov", "--set", "N=2000", "--out", ly]) == 0
+    assert run_cli(["recurrence-scaling", "--set", "spectrum_N=2000", "--set", "radii_log2_max=8", "--out", rec]) == 0
+    lyr = read_json(ly / "report.json")
+    if malformed == "not an object":
+        lyr = [lyr]
+    else:
+        del lyr["results"]["lambda_s"]
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(lyr))
+    capsys.readouterr()
+    assert run_cli(["compare", "--recurrence", rec / "report.json", "--lyapunov", doctored]) == 1
+    assert "refusal:" in capsys.readouterr().err
+
+
+def test_compare_all_radii_censored(tmp_path, capsys):
+    # no uncensored radius leaves limsup_estimate null; the summary line once
+    # raised TypeError formatting it
+    ly, rec = tmp_path / "ly", tmp_path / "rec"
+    assert run_cli(["lyapunov", "--set", "N=2000", "--out", ly]) == 0
+    args = ["--set", "T_max=1", "--set", "radii_log2_min=8", "--set", "radii_log2_max=10", "--set", "spectrum_N=2000"]
+    assert run_cli(["recurrence-scaling", "--out", rec] + args) == 0
+    assert read_json(rec / "report.json")["results"]["limsup_estimate"] is None
+    cmp_out = tmp_path / "cmp"
+    argv = ["compare", "--recurrence", rec / "report.json", "--lyapunov", ly / "report.json", "--out", cmp_out]
+    assert run_cli(argv) == 0
+    assert "n/a" in capsys.readouterr().out
+    summary = read_json(cmp_out / "summary.json")
+    assert summary["pass"] is False and summary["measured_limsup"] is None
+    assert len(summary["censored_radii"]) == 3
+
+
+@pytest.mark.parametrize("tolerance", ["-0.1", "nan", "inf"])
+def test_compare_refuses_bad_tolerance(tmp_path, capsys, tolerance):
+    ly, rec = tmp_path / "ly", tmp_path / "rec"
+    assert run_cli(["lyapunov", "--set", "N=2000", "--out", ly]) == 0
+    assert run_cli(["recurrence-scaling", "--set", "spectrum_N=2000", "--set", "radii_log2_max=8", "--out", rec]) == 0
+    capsys.readouterr()
+    argv = ["compare", "--recurrence", rec / "report.json", "--lyapunov", ly / "report.json"]
+    assert run_cli(argv + [f"--tolerance={tolerance}"]) == 1
+    assert "refusal:" in capsys.readouterr().err
 
 
 def test_compare_fixed_point_recurrence(tmp_path):
