@@ -13,7 +13,11 @@ ns_certificate is the one-window cycle of gns_certificate.
 
 from __future__ import annotations
 
+import gc
 import math
+import os
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -298,24 +302,17 @@ def _level_scan(et: np.ndarray, ei: np.ndarray, r: int, T_floor: int, h_cap: int
 def estimate_transitions(
     system: SystemSpec,
     cover: SetSpec,
-    sampling_orbit_length: int,
+    orbit: np.ndarray,
     mixing_mode: bool = False,
     T_floor: int = 1,
-    seed: int = 0,
     h_cap: int = 512,
-    x0: Point2 | None = None,
 ) -> TransitionBounds:
-    """Iterate one long orbit and record witnessed ball-to-ball transition
-    gaps.  Raises IncompleteMixingError (listing the missing pairs) if some
-    pair is never witnessed within h_cap."""
+    """Record witnessed ball-to-ball transition gaps along one long sampling
+    orbit, an (L, 2) array.  Raises IncompleteMixingError (listing the
+    missing pairs) if some pair is never witnessed within h_cap."""
     if T_floor < 1:
         raise ValueError("T_floor must be >= 1")
     r = cover.r_count
-    if x0 is None:
-        x, y = orbit_array(system, *np.random.default_rng(seed).random(2), n_fwd=100)[-1]
-    else:
-        x, y = x0.x, x0.y
-    orbit = orbit_array(system, x, y, n_fwd=sampling_orbit_length - 1)
     et, ei = _cover_events(orbit, cover)
 
     X = _level_scan(et, ei, r, T_floor, h_cap, mixing_mode)
@@ -327,7 +324,7 @@ def estimate_transitions(
         pairs = [tuple(int(v) for v in p) for p in np.argwhere(missing)[:20]]
         raise IncompleteMixingError(
             f"{int(missing.sum())} cover pair(s) never witnessed within h_cap="
-            f"{h_cap} over {sampling_orbit_length} steps; first missing (i, j): {pairs}",
+            f"{h_cap} over {len(orbit)} steps; first missing (i, j): {pairs}",
             missing_pairs=pairs,
         )
     return TransitionBounds(
@@ -368,6 +365,68 @@ class CoverContext:
         return out
 
 
+@contextmanager
+def _orbit_in_child(system: SystemSpec, x: float, y: float, n_fwd: int):
+    """Iterate orbit_array(system, x, y, n_fwd=n_fwd) in a forked child while
+    the with-block runs; yields a function that returns the orbit.
+
+    The child steps the same Python floats the parent would, writes the raw
+    float64 bytes to a pipe and leaves by os._exit, so it writes nothing to
+    the stdout or stderr it inherits and runs no exit handler.  The orbit is
+    computed inline instead when the child fails (a nonzero exit or a short
+    read), and from the start when there is no os.fork, no process to spare
+    or one usable CPU.  The child is reaped before the block is left, and
+    killed first if the block ends before the orbit was read."""
+
+    def inline():
+        return orbit_array(system, x, y, n_fwd=n_fwd)
+
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
+    pid = None
+    if hasattr(os, "fork") and len(cpus) > 1:
+        rfd, wfd = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(rfd)
+            os.close(wfd)
+    if pid is None:
+        yield inline
+        return
+    if pid == 0:
+        status = 1
+        try:
+            gc.disable()  # no finalizer of the parent's garbage runs twice
+            os.close(rfd)
+            with open(wfd, "wb") as pipe:
+                pipe.write(inline())
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(wfd)
+    reaped = False
+
+    def read():
+        nonlocal reaped
+        out = np.empty((max(n_fwd + 1, 0), 2))
+        view = memoryview(out).cast("B")
+        got = 0
+        with open(rfd, "rb", buffering=0, closefd=False) as pipe:
+            while got < len(view) and (n := pipe.readinto(view[got:])):
+                got += n
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        return out if status == 0 and got == len(view) else inline()
+
+    try:
+        yield read
+    finally:
+        os.close(rfd)
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def build_cover_context(
     system: SystemSpec,
     theta: float,
@@ -390,27 +449,24 @@ def build_cover_context(
     from .lyapunov import PesinBlockParams, block_sample, lyapunov_spectrum
 
     _require_torus(system)
-    rng = np.random.default_rng(seed)
-    if spectrum is None:
-        x0 = Point2(rng.random(), rng.random(), system.space)
-        spectrum = lyapunov_spectrum(system, x0, N=spectrum_N, qr_period=10)
-    params = PesinBlockParams.from_spectrum(spectrum, epsilon_ratio=epsilon_ratio, window=block_window)
-    samples = block_sample(system, params, block_samples, seed=seed + 1)
-    classified = [(p, k) for p, k in samples if k is not None]
-    if not classified:
-        raise PreconditionError("no block points found; cannot build a cover")
-    if delta is None:
-        delta = 2.0 * theta
-    cover = build_cover(system, np.array([[p.x, p.y] for p, _ in classified]), delta, max_centers=max_centers)
-    bounds = estimate_transitions(
-        system,
-        cover,
-        sampling_orbit_length,
-        mixing_mode=mixing_mode,
-        T_floor=T_floor,
-        seed=seed + 2,
-        h_cap=h_cap,
-    )
+    # the sampling orbit depends on seed + 2 alone, so a child iterates it
+    # while the spectrum, block points and cover are measured here
+    start = orbit_array(system, *np.random.default_rng(seed + 2).random(2), n_fwd=100)[-1]
+    with _orbit_in_child(system, *start, sampling_orbit_length - 1) as sampling_orbit:
+        rng = np.random.default_rng(seed)
+        if spectrum is None:
+            x0 = Point2(rng.random(), rng.random(), system.space)
+            spectrum = lyapunov_spectrum(system, x0, N=spectrum_N, qr_period=10)
+        params = PesinBlockParams.from_spectrum(spectrum, epsilon_ratio=epsilon_ratio, window=block_window)
+        samples = block_sample(system, params, block_samples, seed=seed + 1)
+        classified = [(p, k) for p, k in samples if k is not None]
+        if not classified:
+            raise PreconditionError("no block points found; cannot build a cover")
+        if delta is None:
+            delta = 2.0 * theta
+        cover = build_cover(system, np.array([[p.x, p.y] for p, _ in classified]), delta, max_centers=max_centers)
+        orbit = sampling_orbit()
+    bounds = estimate_transitions(system, cover, orbit, mixing_mode=mixing_mode, T_floor=T_floor, h_cap=h_cap)
     return CoverContext(
         system=system,
         cover=cover,
@@ -438,9 +494,8 @@ def fixed_point_context(system: SystemSpec, fp: Point2, epsilon: float, radius: 
     at the fixed point, every transition gap witnessed trivially."""
     _require_torus(system)
     cover = SetSpec.ball(fp, radius)
-    bounds = estimate_transitions(
-        system, cover, length, mixing_mode=True, T_floor=1, h_cap=64, x0=fp
-    )
+    orbit = orbit_array(system, fp.x, fp.y, n_fwd=length - 1)
+    bounds = estimate_transitions(system, cover, orbit, mixing_mode=True, T_floor=1, h_cap=64)
     return CoverContext(system=system, cover=cover, delta=2 * radius / 0.98, bounds=bounds, epsilon=epsilon)
 
 

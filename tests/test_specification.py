@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuspec.dynamics import Point2, Space, dist_rows, orbit_array
+from nuspec.dynamics import Point2, Space, SystemSpec, dist_rows, orbit_array
 from nuspec.errors import (
     ConfigError,
     GapInfeasibleError,
@@ -47,6 +47,13 @@ def block_point(ctx, i):
 
 def const_q(ctx, ratio=0.1):
     return SlowVaryingFn.constant(1.0, ratio * ctx.epsilon)
+
+
+def seeded_orbit(system, length, seed):
+    # a sampling orbit as a cover context starts one: a seeded point, then a
+    # 100-step warm-up
+    start = orbit_array(system, *np.random.default_rng(seed).random(2), n_fwd=100)[-1]
+    return orbit_array(system, *start, n_fwd=length - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +167,10 @@ def test_cover_events_match_all_pairs_oracle(centers, radius, free, edges, near,
 
 
 def test_transitions_fixed_point_self_gap(cat):
-    fp = torus(0.0, 0.0)
+    orbit = orbit_array(cat, 0.0, 0.0, n_fwd=2999)
     for t_floor in (1, 5):
         cover = build_cover(cat, np.zeros((1, 2)), delta=0.05)
-        bounds = estimate_transitions(
-            cat, cover, 3000, mixing_mode=False, T_floor=t_floor, x0=fp
-        )
+        bounds = estimate_transitions(cat, cover, orbit, mixing_mode=False, T_floor=t_floor)
         assert bounds.X[0, 0] == max(1, t_floor)
         assert bounds.M_k == max(1, t_floor)
 
@@ -176,7 +181,7 @@ def test_mixing_transitions_past_128_balls(cat):
     rng = np.random.default_rng(7)
     cover = SetSpec(rng.uniform(-0.01, 0.01, (130, 2)) % 1.0, 0.05)
     for t_floor in (1, 3):
-        bounds = estimate_transitions(cat, cover, 200, mixing_mode=True, T_floor=t_floor, h_cap=32, x0=torus(0.0, 0.0))
+        bounds = estimate_transitions(cat, cover, orbit_array(cat, 0.0, 0.0, n_fwd=199), mixing_mode=True, T_floor=t_floor, h_cap=32)
         assert (bounds.X == t_floor).all()
 
 
@@ -184,7 +189,7 @@ def test_transitions_two_balls(cat):
     centers = np.array([[0.2, 0.3], [0.7, 0.8]])
     cover = build_cover(cat, centers, delta=0.2)
     assert cover.r_count == 2
-    bounds = estimate_transitions(cat, cover, 100_000, seed=4)
+    bounds = estimate_transitions(cat, cover, seeded_orbit(cat, 100_000, seed=4))
     assert (bounds.X < 2**62).all()
     assert bounds.M_k <= 200
     # Monte-Carlo cross-check of the per-step pair-hit rate mu(U_i) mu(U_j):
@@ -225,7 +230,7 @@ def test_transitions_incomplete_mixing(cat):
     covers = np.array([[0.1, 0.1], [0.6, 0.6]])
     cover = build_cover(cat, covers, delta=0.04)
     with pytest.raises(IncompleteMixingError) as exc:
-        estimate_transitions(cat, cover, 800, seed=2)
+        estimate_transitions(cat, cover, seeded_orbit(cat, 800, seed=2))
     assert len(exc.value.missing_pairs) >= 1
 
 
@@ -298,10 +303,11 @@ def test_transitions_unreachable_ball_fails_fast(cat):
     # witnessed; the open pairs must not make the scan walk all h_cap levels
     # over the 400k events (a large h_cap makes that walk take many seconds)
     cover = SetSpec(np.array([[0.0, 0.0], [0.5, 0.5]]), 1e-3)
+    orbit = orbit_array(cat, 0.0, 0.0, n_fwd=399_999)
     for mixing in (False, True):
         start = time.perf_counter()
         with pytest.raises(IncompleteMixingError) as exc:
-            estimate_transitions(cat, cover, 400_000, mixing_mode=mixing, x0=torus(0.0, 0.0), h_cap=4096)
+            estimate_transitions(cat, cover, orbit, mixing_mode=mixing, h_cap=4096)
         assert time.perf_counter() - start < 4.0
         assert exc.value.missing_pairs == [(0, 1), (1, 0), (1, 1)]
 
@@ -326,6 +332,140 @@ def test_level_scan_rare_ball_fails_fast():
             assert np.array_equal(X[:5, :5], np.where((i - j) % 5 == 4096 % 5, 4096, 2**62))
         else:
             assert (X[:5, :5] <= 5).all()
+
+
+# ---------------------------------------------------------------------------
+# sampling orbit iterated in a forked child
+
+# the gns-cert context but for a 20 000-step orbit, in CatMap mixing mode
+MIX_CONTEXT = dict(theta=0.1, block_samples=100, sampling_orbit_length=20_000, mixing_mode=True)
+
+
+def _usable_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _count_forks(monkeypatch):
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _assert_same_transitions(a, b):
+    assert a.bounds.sampling_orbit.tobytes() == b.bounds.sampling_orbit.tobytes()
+    assert np.array_equal(a.bounds.X, b.bounds.X) and a.bounds.M_k == b.bounds.M_k
+    assert len(a.bounds.ball_times) == len(b.bounds.ball_times)
+    assert all(np.array_equal(s, t) for s, t in zip(a.bounds.ball_times, b.bounds.ball_times))
+
+
+@pytest.fixture(scope="module")
+def inline_mix_ctx():
+    with pytest.MonkeyPatch.context() as mp:
+        _usable_cpus(mp, 1)
+        return build_cover_context(SystemSpec.cat_map(), **MIX_CONTEXT)
+
+
+@pytest.mark.parametrize(
+    "system, kwargs",
+    [
+        (SystemSpec.perturbed_cat_map(0.05), dict(theta=0.05, seed=0)),
+        (SystemSpec.perturbed_cat_map(0.05), dict(theta=0.05, seed=1)),
+        (SystemSpec.cat_map(), MIX_CONTEXT),
+    ],
+    ids=["perturbed-seed0", "perturbed-seed1", "cat-mixing"],
+)
+def test_forked_sampling_orbit_matches_inline(monkeypatch, system, kwargs):
+    forks = _count_forks(monkeypatch)
+    _usable_cpus(monkeypatch, 2)
+    forked = build_cover_context(system, **kwargs)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    _usable_cpus(monkeypatch, 1)
+    inline = build_cover_context(system, **kwargs)
+    assert len(forks) == 1
+    _assert_same_transitions(forked, inline)
+
+
+def _interrupted(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize(
+    "system, kwargs, error",
+    [
+        (SystemSpec.cat_map(), MIX_CONTEXT, None),
+        (SystemSpec.cat_map(), dict(theta=0.05, max_centers=1), ResolutionError),
+        (SystemSpec.standard_map(1.2), dict(theta=0.05), PreconditionError),
+        (SystemSpec.cat_map(), dict(theta=0.05, block_samples=20, sampling_orbit_length=600, h_cap=40), IncompleteMixingError),
+        (SystemSpec.cat_map(), dict(theta=0.05), KeyboardInterrupt),
+    ],
+    ids=["built", "resolution", "no-block-points", "incomplete-mixing", "interrupted"],
+)
+def test_no_child_process_outlives_the_build(monkeypatch, system, kwargs, error):
+    # the child iterates a 400k-step orbit in all but the first and fourth
+    # cases, so the error ends the build while it still runs
+    forks = _count_forks(monkeypatch)
+    _usable_cpus(monkeypatch, 2)
+    if error is KeyboardInterrupt:
+        monkeypatch.setattr("nuspec.lyapunov.block_sample", _interrupted)
+    if error is None:
+        build_cover_context(system, **kwargs)
+    else:
+        with pytest.raises(error):
+            build_cover_context(system, **kwargs)
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("failure", ["exit", "short"])
+def test_failed_child_falls_back_inline(monkeypatch, inline_mix_ctx, failure):
+    # the child exits nonzero before it writes, or exits cleanly after
+    # writing too few rows; either way the parent iterates the orbit itself
+    parent = os.getpid()
+
+    def orbit_in_parent_only(*args, **kwargs):
+        if os.getpid() == parent:
+            return orbit_array(*args, **kwargs)
+        if failure == "exit":
+            os._exit(3)
+        return orbit_array(*args, **kwargs)[:10]
+
+    monkeypatch.setattr(specification, "orbit_array", orbit_in_parent_only)
+    forks = _count_forks(monkeypatch)
+    _usable_cpus(monkeypatch, 2)
+    ctx = build_cover_context(SystemSpec.cat_map(), **MIX_CONTEXT)
+    assert len(forks) == 1
+    _assert_no_child_left()
+    _assert_same_transitions(ctx, inline_mix_ctx)
+
+
+def _fork_refused():
+    raise BlockingIOError("no process to spare")
+
+
+@pytest.mark.parametrize("reason", ["one-cpu", "no-fork", "fork-refused"])
+def test_sampling_orbit_inline_without_a_second_cpu_or_fork(monkeypatch, inline_mix_ctx, reason):
+    forks = _count_forks(monkeypatch)
+    _usable_cpus(monkeypatch, 1 if reason == "one-cpu" else 2)
+    if reason == "no-fork":
+        monkeypatch.delattr(os, "fork")
+    elif reason == "fork-refused":
+        monkeypatch.setattr(os, "fork", _fork_refused)
+    ctx = build_cover_context(SystemSpec.cat_map(), **MIX_CONTEXT)
+    assert forks == []
+    _assert_no_child_left()
+    _assert_same_transitions(ctx, inline_mix_ctx)
 
 
 # ---------------------------------------------------------------------------
