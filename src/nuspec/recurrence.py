@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +39,9 @@ _SQRT5 = math.sqrt(5.0)
 _CAT_VU = np.array([1.0, (_SQRT5 - 1.0) / 2.0])
 _CAT_VU /= np.linalg.norm(_CAT_VU)
 
+# points one incidence step tests at a time; bounds its temporaries
+_EVENT_CHUNK = 1 << 14
+
 
 @dataclass(frozen=True, eq=False)
 class SetSpec:
@@ -46,7 +50,8 @@ class SetSpec:
     Every test against the set measures the displacement point - center,
     wrapped to (-1/2, 1/2] on the torus, in the one helper _dist2, so
     membership, locate, the cover's greedy net and its event scan agree on
-    every ball's boundary."""
+    every ball's boundary.  Every array scan goes through incidences, which
+    tests a point only against its cell's balls in one grid index cached per set."""
 
     centers: np.ndarray  # (r, 2)
     radius: float
@@ -69,9 +74,48 @@ class SetSpec:
             d = wrap_half(d)
         return (d * d).sum(axis=2)
 
+    @cached_property
+    def _grid(self):
+        """Candidate index (g, listed, count, first) on a g x g grid of the
+        unit square, g = int(4 / radius) capped at 256: cell c lists count[c]
+        balls from listed[first[c]], ascending, whose bounding boxes meet it;
+        the last cell, g * g, lists every ball."""
+        g = max(1, int(4.0 / max(self.radius, 4.0 / 256)))
+        reach = self.radius + 1e-9  # a margin that absorbs rounding at cell edges
+        lo = np.floor((self.centers - reach) * g).astype(np.int64)
+        span = np.minimum(np.floor((self.centers + reach) * g).astype(np.int64) - lo + 1, g)
+        off = np.arange(int(span.max(initial=0)))
+        axis = (lo[:, :, None] + off) % g  # (ball, coordinate, offset)
+        inside = off < span[:, :, None]
+        mask = inside[:, 0, :, None] & inside[:, 1, None, :]
+        cell = np.concatenate(((axis[:, 0, :, None] * g + axis[:, 1, None, :])[mask], np.full(self.r_count, g * g)))
+        # ball-major, so the stable sort by cell keeps each cell's balls ascending
+        listed = np.concatenate((np.nonzero(mask)[0], np.arange(self.r_count)))[np.argsort(cell, kind="stable")]
+        count = np.bincount(cell, minlength=g * g + 1)
+        return g, listed, count, np.cumsum(count) - count
+
+    def incidences(self, pts: np.ndarray):
+        """All (row, ball) incidences of an (n, 2) array with the set, sorted by
+        (row, ball).  The grid only picks candidates: a row with a coordinate
+        outside (-2^16, 2^16), which rounding could fold wrongly, takes all."""
+        g, listed, count, first = self._grid
+        ev_t, ev_i = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
+        for start in range(0, len(pts), _EVENT_CHUNK):
+            p = pts[start : start + _EVENT_CHUNK]
+            c = np.floor(p * g).astype(np.int64) % g
+            cid = np.where((np.abs(p) < 2.0**16).all(axis=1), c[:, 0] * g + c[:, 1], g * g)
+            # one (row, candidate) pair per ball listed for the row's cell
+            k = count[cid]
+            t = np.repeat(np.arange(len(p)), k)
+            ball = listed[np.arange(len(t)) + np.repeat(first[cid] - (np.cumsum(k) - k), k)]
+            hit = self._dist2(p[t], ball[:, None])[:, 0] <= self.radius * self.radius
+            ev_t.append(t[hit] + start)
+            ev_i.append(ball[hit])
+        return np.concatenate(ev_t), np.concatenate(ev_i)
+
     def membership_rows(self, pts: np.ndarray) -> np.ndarray:
         """Vectorized membership for an (n, 2) array of coordinates."""
-        return (self._dist2(pts) <= self.radius * self.radius).any(axis=1)
+        return np.bincount(self.incidences(pts)[0], minlength=len(pts)) > 0
 
     def membership(self, p: Point2) -> bool:
         return bool(self.membership_rows(p.as_array()[None, :])[0])
@@ -87,11 +131,14 @@ class SetSpec:
 
 @dataclass
 class ReturnTimeSequence:
-    """Two-sided visit times of an orbit to a set; t_0 = 0 is implicit."""
+    """Two-sided visit times of an orbit to a set; t_0 = 0 is implicit.
+    return_times keeps the iterates it walked: row origin + t of orbit is f^t(x)."""
 
     forward: np.ndarray  # strictly increasing positive ints
     backward: np.ndarray  # strictly decreasing negative ints
     horizon: int
+    orbit: np.ndarray | None = None
+    origin: int = 0
 
     def t(self, i: int) -> int:
         """Visit time t_i, with t_0 = 0."""
@@ -122,8 +169,8 @@ def return_times(
     gamma within +-horizon (partial if the budget runs out first)."""
     if not gamma.membership(x):
         raise PreconditionError("return_times requires x in gamma (t_0 = 0)")
-    fwd = _visit_times(system, x, gamma, count_fwd, horizon, forward=True)
-    bwd = _visit_times(system, x, gamma, count_bwd, horizon, forward=False)
+    fwd, ahead = _visit_times(system, x, gamma, count_fwd, horizon, forward=True)
+    bwd, behind = _visit_times(system, x, gamma, count_bwd, horizon, forward=False)
     # when the count budget binds before the time budget, the sequence is
     # only complete up to its last listed time
     eff_horizon = horizon if len(fwd) < count_fwd else min(horizon, fwd[-1])
@@ -131,6 +178,8 @@ def return_times(
         forward=np.asarray(fwd, dtype=np.int64),
         backward=-np.asarray(bwd, dtype=np.int64),
         horizon=eff_horizon,
+        orbit=np.concatenate((behind[::-1], x.as_array()[None], ahead)),
+        origin=len(behind),
     )
 
 
@@ -151,15 +200,14 @@ def _orbit_chunks(system, x, steps, forward=True, chunk=4096):
 
 
 def _visit_times(system, x, gamma, count, horizon, forward):
-    times = []
-    if count <= 0:
-        return times
-    for t, pts in _orbit_chunks(system, x, horizon, forward):
+    times, walked = [], [np.empty((0, 2))]
+    for t, pts in _orbit_chunks(system, x, horizon if count > 0 else 0, forward):
+        walked.append(pts)
         hits = np.flatnonzero(gamma.membership_rows(pts))[: count - len(times)]
         times += (hits + (t + 1)).tolist()
         if len(times) >= count:
             break
-    return times
+    return times, np.concatenate(walked)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,8 @@ _BIG = np.int64(2**62)
 # temporaries and how far a level runs past the hit that completes it
 _JOIN_CHUNK = 4096
 
-# orbit points one cover-event step tests at a time; bounds its temporaries
-_EVENT_CHUNK = 1 << 14
+# the transition scan's incidences, by a name a trace can time apart from membership scans
+_cover_events = SetSpec.incidences
 
 
 # ---------------------------------------------------------------------------
@@ -181,44 +181,6 @@ class TransitionBounds:
         }
 
 
-def _cover_events(orbit: np.ndarray, cover: SetSpec):
-    """All (time, ball) incidences of the orbit with the cover, sorted by
-    (time, ball).  Each point is tested only against the balls listed for
-    its cell of a g x g grid, g = int(4 / radius) capped at 256: the
-    candidate list holds, cell by cell and in ascending order, every ball
-    whose bounding box meets the cell, and count[c] balls for cell c."""
-    centers, radius = cover.centers, cover.radius
-    g = max(1, int(4.0 / max(radius, 4.0 / 256)))
-    # the boxes reach past radius by a margin that absorbs rounding at cell edges
-    reach = radius + 1e-9
-    lo = np.floor((centers - reach) * g).astype(np.int64)
-    span = np.minimum(np.floor((centers + reach) * g).astype(np.int64) - lo + 1, g)
-    off = np.arange(int(span.max()))
-    axis = (lo[:, :, None] + off) % g  # (ball, coordinate, offset)
-    inside = off < span[:, :, None]
-    mask = inside[:, 0, :, None] & inside[:, 1, None, :]
-    cell = (axis[:, 0, :, None] * g + axis[:, 1, None, :])[mask]
-    # ball-major, so the stable sort by cell keeps each cell's balls ascending
-    listed = np.nonzero(mask)[0][np.argsort(cell, kind="stable")]
-    count = np.bincount(cell, minlength=g * g)
-    first = np.cumsum(count) - count
-
-    ev_t = [np.empty(0, np.int64)]
-    ev_i = [np.empty(0, np.int64)]
-    r2 = radius * radius
-    for start in range(0, len(orbit), _EVENT_CHUNK):
-        pts = orbit[start : start + _EVENT_CHUNK]
-        cid = (np.floor(pts[:, 0] * g).astype(np.int64) % g) * g + np.floor(pts[:, 1] * g).astype(np.int64) % g
-        # one (point, candidate) row per ball listed for the point's cell
-        k = count[cid]
-        t = np.repeat(np.arange(len(pts)), k)
-        ball = listed[np.arange(len(t)) + np.repeat(first[cid] - (np.cumsum(k) - k), k)]
-        hit = cover._dist2(pts[t], ball[:, None])[:, 0] <= r2
-        ev_t.append(t[hit] + start)
-        ev_i.append(ball[hit])
-    return np.concatenate(ev_t), np.concatenate(ev_i)
-
-
 def _time_index(et: np.ndarray, pad: int):
     """Dense index of the time-sorted events by time, padded by pad empty
     slots on each side: with k = t + pad, the events at time t are
@@ -313,7 +275,7 @@ def estimate_transitions(
     if T_floor < 1:
         raise ValueError("T_floor must be >= 1")
     r = cover.r_count
-    et, ei = _cover_events(orbit, cover)
+    et, ei = _cover_events(cover, orbit)
 
     X = _level_scan(et, ei, r, T_floor, h_cap, mixing_mode)
     missing = X == _BIG
@@ -718,7 +680,7 @@ def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> 
     l1, s1, l2, s2 = indices
     t_minus = seq.t(-(l1 + s1))
     t_plus = seq.t(l2 + s2)
-    xs = orbit_array(system, x.x, x.y, n_fwd=t_plus, n_bwd=-t_minus)
+    xs = seq.orbit[seq.origin + t_minus : seq.origin + t_plus + 1].copy()
     lo = max(0, (-m - 1) - t_minus)
     hi = min(len(xs) - 1, (n + 1) - t_minus)
     ok, worst = _slow_varying(q, xs[lo : hi + 1])

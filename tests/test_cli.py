@@ -660,6 +660,8 @@ REPORT_DIGESTS = {
     "recurrence-scaling": "87faa0aeb0d7be77f66a9fdd0b483e4237f84647feabbafd33346213b8ead7d9",
     "nonlacunarity": "4879a305041bd53e90d6071549c8e450cec77f6591367f0242ed730dfaaab511",
     "domination": "cfb2fd62bc9e810ec226a8bc58eaa4584f2be37e9c678c4e9d8b5e76a26ed4ed",
+    # plane balls: Henon forward visits through the cell fold of the ball's candidate index
+    "nonlacunarity Henon": "d21b82e9427bd367bf32558667d577b5ed5e7431a2a7a35be6458819fffc96d3",
 }
 
 
@@ -684,4 +686,9 @@ def test_report_digests_pinned(tmp_path, shadow_run):
     for exp in ("lyapunov", "recurrence-scaling", "nonlacunarity", "domination"):
         assert run_cli([exp, "--out", tmp_path / exp]) == 0
         digests[exp] = hashlib.sha256((tmp_path / exp / "report.json").read_bytes()).hexdigest()
+    henon = tmp_path / "henon.json"
+    henon.write_text(json.dumps({**HENON, "seed": 0}))
+    hen = tmp_path / "nonlacunarity-henon"
+    assert run_cli(["nonlacunarity", "--config", henon, "--set", "count_bwd=0", "--out", hen]) == 0
+    digests["nonlacunarity Henon"] = hashlib.sha256((hen / "report.json").read_bytes()).hexdigest()
     assert digests == REPORT_DIGESTS

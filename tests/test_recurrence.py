@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from nuspec.dynamics import CAT_EXPONENT, Point2, Space, orbit_array, step_xy
 from nuspec.errors import PreconditionError
+from nuspec import recurrence
 from nuspec.lyapunov import LyapunovSpectrum
 from nuspec.recurrence import (
     ReturnTimeSequence,
@@ -137,6 +140,89 @@ def test_cocycle_identity(cat):
         shifted = torus(pts[t_i, 0], pts[t_i, 1])
         sub = return_times(cat, shifted, gamma, count_fwd=1, count_bwd=0, horizon=20_000)
         assert int(sub.forward[0]) == int(seq.forward[i + 1]) - t_i
+
+
+def test_return_times_keep_the_walked_orbit(cat):
+    # the backward walk crosses a chunk restart; the forward one stops early
+    x = torus(0.2, 0.3)
+    seq = return_times(cat, x, SetSpec.ball(x, 0.1), count_fwd=5, count_bwd=5000, horizon=5000)
+    n_bwd, n_fwd = seq.origin, len(seq.orbit) - 1 - seq.origin
+    assert n_bwd == 5000 and seq.forward[-1] <= n_fwd < 5000
+    assert seq.orbit.tobytes() == orbit_array(cat, x.x, x.y, n_fwd=n_fwd, n_bwd=n_bwd).tobytes()
+
+
+_unit = st.floats(0.0, 1.0, exclude_max=True)
+_wide = st.floats(-2.0, 2.0)
+_far = st.sampled_from([2.0**16, -(2.0**16), 70000.25, 2.0**41, 1e17, -1e300, math.inf, math.nan])
+
+
+@st.composite
+def _ball_sets(draw):
+    """A torus or plane ball set, possibly empty, with radii near 1/2 and
+    past it, and points on cell edges, a few ulps from a circle, or far out."""
+    plane = draw(st.booleans())
+    coord = _wide if plane else _unit
+    centers = draw(st.lists(st.tuples(coord, coord), max_size=8))
+    radius = draw(st.one_of(st.floats(1e-3, 0.75), st.sampled_from([math.nextafter(0.5, 0), 0.5, 0.51])))
+    pts = draw(st.lists(st.tuples(coord, coord), max_size=30))
+    g = max(1, int(4.0 / max(radius, 4.0 / 256)))  # the grid SetSpec._grid uses
+    for i, j in draw(st.lists(st.tuples(st.integers(-300, 300), st.integers(-300, 300)), max_size=20)):
+        pts.append((i / g, j / g) if plane else ((i % g) / g, (j % g) / g))
+    for c, angle, ux, uy in draw(
+        st.lists(st.tuples(st.integers(0, 7), st.floats(0.0, 2 * math.pi), st.integers(-3, 3), st.integers(-3, 3)), max_size=30)
+    ):
+        if not centers:
+            break
+        cx, cy = centers[c % len(centers)]
+        p = [cx + radius * math.cos(angle), cy + radius * math.sin(angle)]
+        for i, k in enumerate((ux, uy)):
+            for _ in range(abs(k)):
+                p[i] = math.nextafter(p[i], math.copysign(math.inf, k))
+        pts.append(tuple(p) if plane else (p[0] % 1.0, p[1] % 1.0))
+    # far rows: far coordinates, and on the torus a row moved by whole turns
+    for f, i in draw(st.lists(st.tuples(_far, st.integers(0, 99)), max_size=6)):
+        if not plane and math.isfinite(f):
+            px, py = pts[i % len(pts)] if pts else (0.5, 0.5)
+            pts.append((px + float(round(f)), py))
+        pts.append((f, 0.25))
+    space = Space.PLANE if plane else Space.TORUS2
+    return SetSpec(np.array(centers, dtype=float).reshape(-1, 2), radius, space), np.array(pts, dtype=float).reshape(-1, 2)
+
+
+@given(case=_ball_sets(), chunk=st.sampled_from([1, 7, recurrence._EVENT_CHUNK]))
+@settings(max_examples=300, deadline=None)
+def test_membership_rows_match_dense_oracle(case, chunk):
+    gamma, pts = case
+    with np.errstate(all="ignore"), mock.patch.object(recurrence, "_EVENT_CHUNK", chunk):
+        dense = gamma._dist2(pts) <= gamma.radius * gamma.radius
+        got = gamma.membership_rows(pts)
+        rows, balls = gamma.incidences(pts)
+    assert got.dtype == bool and np.array_equal(got, dense.any(axis=1))
+    want_rows, want_balls = np.nonzero(dense)
+    assert np.array_equal(rows, want_rows) and np.array_equal(balls, want_balls)
+
+
+def test_far_torus_row_is_tested_against_every_ball():
+    # 2^41 turns out, rounding p * g folds this hit one cell past its ball's box
+    gamma = SetSpec(np.array([[0.5, 0.5]]), 0.1 - 2e-9)
+    pts = np.array([[2199023255551.5999, 0.5]])
+    assert (gamma._dist2(pts) <= gamma.radius * gamma.radius).all()
+    assert gamma.membership_rows(pts).all()
+
+
+def test_membership_rows_allocate_per_candidate():
+    # a dense scan of 8192 points against 256 balls holds (n, r, 2) float
+    # temporaries of about 34 MB each; the candidate index needs far less
+    rng = np.random.default_rng(3)
+    cover = SetSpec(rng.random((256, 2)), 0.02)
+    pts = rng.random((8192, 2))
+    tracemalloc.start()
+    try:
+        inside = cover.membership_rows(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inside.any() and peak < 8 * 2**20
 
 
 def test_birkhoff_whole_and_empty(cat):

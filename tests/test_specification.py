@@ -23,7 +23,7 @@ from nuspec.errors import (
     ResolutionError,
 )
 from nuspec.recurrence import ReturnTimeSequence, SetSpec
-from nuspec import specification
+from nuspec import recurrence, specification
 from nuspec.specification import (
     SlowVaryingFn,
     build_cover,
@@ -95,7 +95,7 @@ def _assert_cover_tests_agree(center, radius, point):
         located = cover.locate(pt[0]) == 0
     except ValueError:
         located = False
-    et, _ = specification._cover_events(pt, cover)
+    et, _ = specification._cover_events(cover, pt)
     assert located == inside
     assert (len(et) == 1) == inside
 
@@ -136,14 +136,14 @@ _unit = st.floats(0.0, 1.0, exclude_max=True)
         st.tuples(st.integers(0, 7), st.floats(0.0, 2 * math.pi), st.integers(-3, 3), st.integers(-3, 3)),
         max_size=30,
     ),
-    chunk=st.sampled_from([1, 7, specification._EVENT_CHUNK]),
+    chunk=st.sampled_from([1, 7, recurrence._EVENT_CHUNK]),
 )
 @settings(max_examples=200, deadline=None)
 def test_cover_events_match_all_pairs_oracle(centers, radius, free, edges, near, chunk):
     # random points, points on grid-cell edges, and points within a few ulps
     # of a circle; radii near 1/2 make the cells of one ball wrap the grid
     cover = SetSpec(np.array(centers), radius, Space.TORUS2)
-    g = max(1, int(4.0 / max(radius, 4.0 / 256)))  # the grid _cover_events uses
+    g = max(1, int(4.0 / max(radius, 4.0 / 256)))  # the grid SetSpec._grid uses
     pts = list(free) + [((i % g) / g, (j % g) / g) for i, j in edges]
     for c, angle, ux, uy in near:
         cx, cy = centers[c % len(centers)]
@@ -153,8 +153,8 @@ def test_cover_events_match_all_pairs_oracle(centers, radius, free, edges, near,
                 p[i] = math.nextafter(p[i], math.copysign(math.inf, k))
         pts.append((p[0] % 1.0, p[1] % 1.0))
     orbit = np.array(pts, dtype=float).reshape(-1, 2)
-    with mock.patch.object(specification, "_EVENT_CHUNK", chunk):
-        et, ei = specification._cover_events(orbit, cover)
+    with mock.patch.object(recurrence, "_EVENT_CHUNK", chunk):
+        et, ei = specification._cover_events(cover, orbit)
     want_t, want_i = np.nonzero(cover._dist2(orbit) <= radius * radius)
     assert np.array_equal(et, want_t) and np.array_equal(ei, want_i)
     # strictly ascending in (t, ball): sorted, no duplicates
