@@ -250,10 +250,11 @@ def _per_segment(name):
 
 # cross-field rules (field, holds, condition), checked on each experiment
 # that has the field: the transition scan covers gaps T_floor..h_cap on an
-# orbit longer than h_cap
+# orbit longer than h_cap; the fixed-point certificate sits at (0, 0), not x
 _RULES = [
     ("h_cap", lambda p: p["h_cap"] >= p["T_floor"], "h_cap >= T_floor"),
     ("sampling_orbit_length", lambda p: p["sampling_orbit_length"] > p["h_cap"], "sampling_orbit_length > h_cap"),
+    ("x", lambda p: p["x"] is None or not p.get("fixed_point"), "no x with fixed_point true"),
     ("N", lambda p: p["N"] >= 10 * p["qr_period"], "N >= 10 * qr_period"),
     ("radii_log2_max", lambda p: p["radii_log2_max"] >= p["radii_log2_min"], "radii_log2_max >= radii_log2_min"),
     ("period_max", lambda p: p["period_max"] >= p["period_min"], "period_max >= period_min"),
@@ -369,14 +370,12 @@ def _write_csv(path: Path, header, rows) -> None:
             w.writerow(["" if v is None else v for v in row])
 
 
-def _seed_point(system: SystemSpec, rng, x0_param, transient=0) -> Point2:
+def _seed_point(system: SystemSpec, rng, x0_param) -> np.ndarray:
     if x0_param is not None:
         return Point2(*x0_param, system.space)
     if system.kind is SystemKind.HENON:
-        x, y = orbit_array(system, 0.1, 0.1, n_fwd=max(transient, 1000))[-1].tolist()
-        return Point2(x, y, system.space)
-    p = rng.random(2)
-    return Point2(float(p[0]), float(p[1]), system.space)
+        return orbit_array(system, 0.1, 0.1, n_fwd=1000)[-1]
+    return rng.random(2)
 
 
 def _spectrum_for(system, rng, N) -> LyapunovSpectrum:
@@ -414,7 +413,7 @@ def _run_lyapunov(system, p, seed):
         transient = 1000 if system.kind is SystemKind.HENON else 0
     x0 = _seed_point(system, rng, p["x0"])
     spec = lyapunov_spectrum(system, x0, N=p["N"], qr_period=p["qr_period"], transient=transient)
-    return {**spec.to_json(), "x0": [x0.x, x0.y], "sum": sum(spec.exponents)}, None, None
+    return {**spec.to_json(), "x0": x0.tolist(), "sum": sum(spec.exponents)}, None, None
 
 
 def _run_recurrence_scaling(system, p, seed):
@@ -425,7 +424,7 @@ def _run_recurrence_scaling(system, p, seed):
     rep = recurrence_scaling(
         system, x, radii, grid=p["grid"], T_max=p["T_max"], spectrum=spec, method=p["method"]
     )
-    res = {**rep.to_json(), "x": [x.x, x.y], "spectrum": spec.to_json()}
+    res = {**rep.to_json(), "x": x.tolist(), "spectrum": spec.to_json()}
     rows = list(zip(rep.radii, rep.tau, rep.ratios, [int(c) for c in rep.censored]))
     return res, ["r", "tau", "ratio", "censored"], rows
 
@@ -436,7 +435,7 @@ def _run_nonlacunarity(system, p, seed):
     radius = p["radius"]
     if radius is None:
         radius = math.sqrt(0.05 / math.pi)  # ball of area 0.05
-    gamma = SetSpec.ball(x, radius)
+    gamma = SetSpec.ball(x, radius, system.space)
     seq = return_times(
         system, x, gamma, count_fwd=p["count_fwd"], count_bwd=p["count_bwd"], horizon=p["horizon"]
     )
@@ -444,7 +443,7 @@ def _run_nonlacunarity(system, p, seed):
     hit_N = interval_hit_check(seq, p["hit_epsilon"], N_start=p["N_start"])
     area = birkhoff_indicator_average(system, x, gamma, horizon=min(p["horizon"], 200_000))
     res = {
-        "x": [x.x, x.y],
+        "x": x.tolist(),
         "radius": radius,
         "n_forward": int(seq.count_fwd),
         "n_backward": int(seq.count_bwd),
@@ -500,15 +499,14 @@ def _run_shadow(system, p, seed):
     return res, ["index", "distance", "bound"], rows
 
 
-def _pick_block_point(ctx, rng) -> Point2:
-    pts = [p for p, _ in ctx.block_points]
-    return pts[int(rng.integers(0, len(pts)))]
+def _pick_block_point(ctx, rng) -> np.ndarray:
+    return ctx.block_points[int(rng.integers(0, len(ctx.block_points)))][0]
 
 
 def _run_ns_cert(system, p, seed):
     rng = np.random.default_rng(seed)
     if p["fixed_point"]:
-        x = Point2(0.0, 0.0, system.space)
+        x = np.zeros(2)
         spec = _spectrum_for(system, rng, p["spectrum_N"])
         eps = 0.1 * min(abs(spec.lambda_s), spec.lambda_u)
         ctx = fixed_point_context(system, x, epsilon=eps)
@@ -587,7 +585,7 @@ def _run_sublinearity(system, p, seed):
         ctx,
         newton_tol=p["newton_tol"],
     )
-    res = {"table": table.to_json(), "x": [x.x, x.y], "epsilon": ctx.epsilon, "context": ctx.to_json()}
+    res = {"table": table.to_json(), "x": x.tolist(), "epsilon": ctx.epsilon, "context": ctx.to_json()}
     rows = [(r.m, r.n, r.eta, r.K, r.ratio, int(r.in_ball)) for r in table.rows]
     return res, ["m", "n", "eta", "K", "ratio", "in_ball"], rows
 
@@ -596,11 +594,11 @@ def _run_domination(system, p, seed):
     rng = np.random.default_rng(seed)
     x = _seed_point(system, rng, p["x0"])
     n_pts = p["n_points"] + max(p["S_list"])
-    pts, vu, vs, _, _ = _transport_sweeps(system, x.as_array()[None], 0, n_pts)
+    pts, vu, vs, _, _ = _transport_sweeps(system, x[None], 0, n_pts)
     pts, vu, vs = pts[:, 0], vu[:, 0], vs[:, 0]
     E, F = (vu, vs) if p["swap"] else (vs, vu)
     rep = check_domination(system, pts, E, F, S0=p["S0"], lam=p["lam"], S_list=p["S_list"])
-    res = {"x": [x.x, x.y], "swap": p["swap"], "lam": p["lam"], **rep.to_json()}
+    res = {"x": x.tolist(), "swap": p["swap"], "lam": p["lam"], **rep.to_json()}
     return res, None, None
 
 

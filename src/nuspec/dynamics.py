@@ -2,6 +2,10 @@
 family (cat map, perturbed cat map, standard map, Henon), exact Jacobians,
 wrapped metric, and orbit generation.
 
+A point is a (2,) float row, like each row of an orbit, arc or cover array;
+its space is the map's (system.space), never the point's own.  Point2 is
+the check a point passes where it comes in from outside.
+
 All maps are invertible; inverses are closed-form except the perturbed cat
 map, which is inverted by Newton iteration on the forward map.  Torus
 coordinates are always stored canonically in [0, 1) and displacement vectors
@@ -47,23 +51,14 @@ class SystemKind(enum.Enum):
     HENON = "Henon"
 
 
-@dataclass(frozen=True)
-class Point2:
-    """A phase-space point; torus coordinates are canonicalized to [0,1)."""
-
-    x: float
-    y: float
-    space: Space = Space.TORUS2
-
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise NonFiniteError(f"non-finite point ({self.x}, {self.y})")
-        if self.space is Space.TORUS2:
-            object.__setattr__(self, "x", self.x % 1.0)
-            object.__setattr__(self, "y", self.y % 1.0)
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
+def Point2(x: float, y: float, space: Space = Space.TORUS2) -> np.ndarray:
+    """A point from outside as a (2,) float row: NonFiniteError unless both
+    coordinates are finite; torus coordinates are folded into [0, 1)."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise NonFiniteError(f"non-finite point ({x}, {y})")
+    if space is Space.TORUS2:
+        x, y = x % 1.0, y % 1.0
+    return np.array([x, y], dtype=float)
 
 
 def wrap_half(d):

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    Point2,
     Space,
     SystemSpec,
     jac_array,
@@ -126,7 +125,7 @@ class PesinBlockParams:
 
 
 def lyapunov_spectrum(
-    system: SystemSpec, x0: Point2, N: int, qr_period: int = 10, transient: int = 0
+    system: SystemSpec, x0: np.ndarray, N: int, qr_period: int = 10, transient: int = 0
 ) -> LyapunovSpectrum:
     """Both exponents along the orbit of x0 over N steps.
 
@@ -136,7 +135,7 @@ def lyapunov_spectrum(
     """
     if N < 10 * qr_period:
         raise ValueError("need N >= 10 * qr_period")
-    x, y = orbit_array(system, x0.x, x0.y, n_fwd=transient)[-1].tolist()
+    x, y = orbit_array(system, *x0.tolist(), n_fwd=transient)[-1].tolist()
     step, _, jac = system.maps()
     blocks = N // qr_period
     n_used = blocks * qr_period
@@ -297,10 +296,10 @@ def _block_indices(system: SystemSpec, base: np.ndarray, params: PesinBlockParam
     return out
 
 
-def pesin_block_index(system: SystemSpec, x: Point2, params: PesinBlockParams):
+def pesin_block_index(system: SystemSpec, x: np.ndarray, params: PesinBlockParams):
     """Smallest block index k >= 1 whose inequalities hold over the window,
     or None if no k <= MAX_BLOCK_INDEX suffices."""
-    return _block_indices(system, x.as_array()[None], params)[0]
+    return _block_indices(system, x[None], params)[0]
 
 
 def block_sample(
@@ -312,16 +311,14 @@ def block_sample(
     transient: int = 200,
 ):
     """Classify sample_size points drawn from one long orbit, spaced
-    `spacing` iterates apart.  Returns a list of (Point2, index-or-None).
+    `spacing` iterates apart.  Returns a list of ((2,) row, index-or-None).
 
     The whole sample is classified in one sweep."""
     if sample_size < 1:
         raise ValueError("sample_size must be >= 1")
     x, y = np.random.default_rng(seed).random(2)
     orb = orbit_array(system, x, y, n_fwd=transient + spacing * (sample_size - 1))
-    sp = system.space
-    points = [Point2(px, py, sp) for px, py in orb[transient::spacing].tolist()]
-    base = np.array([[p.x, p.y] for p in points])
+    base = orb[transient::spacing].copy()
     try:
         ks = _block_indices(system, base, params)
     except (NuspecError, ArithmeticError, ValueError):
@@ -330,4 +327,4 @@ def block_sample(
         for row in base:
             _block_indices(system, row[None], params)
         raise
-    return list(zip(points, ks))
+    return list(zip(base, ks))

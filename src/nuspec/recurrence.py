@@ -23,7 +23,6 @@ import numpy as np
 from .dynamics import (
     CAT_LAMBDA_S,
     CAT_LAMBDA_U,
-    Point2,
     Space,
     SystemKind,
     SystemSpec,
@@ -58,8 +57,8 @@ class SetSpec:
     space: Space = Space.TORUS2
 
     @classmethod
-    def ball(cls, center: Point2, radius: float) -> "SetSpec":
-        return cls(center.as_array()[None, :], float(radius), center.space)
+    def ball(cls, center: np.ndarray, radius: float, space: Space) -> "SetSpec":
+        return cls(np.array([center], dtype=float), float(radius), space)
 
     @property
     def r_count(self) -> int:
@@ -117,8 +116,8 @@ class SetSpec:
         """Vectorized membership for an (n, 2) array of coordinates."""
         return np.bincount(self.incidences(pts)[0], minlength=len(pts)) > 0
 
-    def membership(self, p: Point2) -> bool:
-        return bool(self.membership_rows(p.as_array()[None, :])[0])
+    def membership(self, p: np.ndarray) -> bool:
+        return bool(self.membership_rows(p[None, :])[0])
 
     def locate(self, xy: np.ndarray) -> int:
         """Index of the nearest center; ValueError if xy lies in no ball."""
@@ -159,7 +158,7 @@ class ReturnTimeSequence:
 
 def return_times(
     system: SystemSpec,
-    x: Point2,
+    x: np.ndarray,
     gamma: SetSpec,
     count_fwd: int,
     count_bwd: int,
@@ -178,7 +177,7 @@ def return_times(
         forward=np.asarray(fwd, dtype=np.int64),
         backward=-np.asarray(bwd, dtype=np.int64),
         horizon=eff_horizon,
-        orbit=np.concatenate((behind[::-1], x.as_array()[None], ahead)),
+        orbit=np.concatenate((behind[::-1], x[None], ahead)),
         origin=len(behind),
     )
 
@@ -188,7 +187,7 @@ def _orbit_chunks(system, x, steps, forward=True, chunk=4096):
     yields (t, pts) with row i of pts equal to f^(+-(t + i + 1))(x).  Each
     chunk restarts from the last row of the one before, so the iterates are
     the floats of one unbroken orbit_array call."""
-    cx, cy = x.x, x.y
+    cx, cy = x.tolist()
     for t in range(0, steps, chunk):
         n = min(chunk, steps - t)
         if forward:
@@ -216,7 +215,7 @@ def _visit_times(system, x, gamma, count, horizon, forward):
 
 def first_return_time_ball(
     system: SystemSpec,
-    x: Point2,
+    x: np.ndarray,
     r: float,
     grid: int = 5,
     T_max: int = 1000,
@@ -256,10 +255,10 @@ def first_return_time_ball(
         offsets = offsets[(offsets**2).sum(axis=1) <= r * r]
         if not (offsets == 0.0).all(axis=1).any():
             offsets = np.vstack(([0.0, 0.0], offsets))
-    pts = x.as_array()[None, :] + offsets
+    pts = x[None, :] + offsets
     if system.space is Space.TORUS2:
         pts = pts % 1.0
-    target = x.as_array()[None, :]
+    target = x[None, :]
     for k in range(1, T_max + 1):
         pts = step_array(system, pts)
         d = dist_rows(system.space, pts, target)
@@ -268,8 +267,7 @@ def first_return_time_ball(
     return None
 
 
-def _return_time_segment(x, r, T_max):
-    c = x.as_array()
+def _return_time_segment(c, r, T_max):
     z = c.copy()
     A = np.array([[2.0, 1.0], [1.0, 1.0]])
     for k in range(1, T_max + 1):
@@ -340,7 +338,7 @@ class RecurrenceScalingReport:
 
 def recurrence_scaling(
     system: SystemSpec,
-    x: Point2,
+    x: np.ndarray,
     radii,
     grid: int,
     T_max: int,
@@ -452,7 +450,7 @@ def interval_hit_check(seq: ReturnTimeSequence, epsilon: float, N_start: int = 1
     return last_fail + 1
 
 
-def birkhoff_indicator_average(system: SystemSpec, x: Point2, gamma: SetSpec, horizon: int) -> float:
+def birkhoff_indicator_average(system: SystemSpec, x: np.ndarray, gamma: SetSpec, horizon: int) -> float:
     """Fraction of the first `horizon` forward iterates (starting at x itself)
     that land in gamma."""
     if horizon < 1:

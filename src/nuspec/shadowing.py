@@ -26,7 +26,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dynamics import (
-    Point2,
     Space,
     SystemSpec,
     dist_rows,
@@ -61,12 +60,7 @@ class PeriodicOrbitSolution:
     period: int
     residual: float  # max distance(f(z_j), z_{j+1 mod p})
     newton_iters: int
-    space: Space
     residual_history: list = None  # residual before each Newton step, then final
-
-    def point(self, i: int) -> Point2:
-        r = self.points[i % self.period]
-        return Point2(float(r[0]), float(r[1]), self.space)
 
     def to_json(self) -> dict:
         return {
@@ -169,7 +163,6 @@ def newton_refine_periodic(
                 period=p,
                 residual=residual,
                 newton_iters=iters,
-                space=system.space,
                 residual_history=history,
             )
         if iters == max_iter:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Point2, Space, SystemSpec, dist_rows, orbit_array
+from .dynamics import Space, SystemSpec, dist_rows, orbit_array
 from .errors import (
     ConfigError,
     GapInfeasibleError,
@@ -417,8 +417,7 @@ def build_cover_context(
     with _orbit_in_child(system, *start, sampling_orbit_length - 1) as sampling_orbit:
         rng = np.random.default_rng(seed)
         if spectrum is None:
-            x0 = Point2(rng.random(), rng.random(), system.space)
-            spectrum = lyapunov_spectrum(system, x0, N=spectrum_N, qr_period=10)
+            spectrum = lyapunov_spectrum(system, rng.random(2), N=spectrum_N, qr_period=10)
         params = PesinBlockParams.from_spectrum(spectrum, epsilon_ratio=epsilon_ratio, window=block_window)
         samples = block_sample(system, params, block_samples, seed=seed + 1)
         classified = [(p, k) for p, k in samples if k is not None]
@@ -426,7 +425,7 @@ def build_cover_context(
             raise PreconditionError("no block points found; cannot build a cover")
         if delta is None:
             delta = 2.0 * theta
-        cover = build_cover(system, np.array([[p.x, p.y] for p, _ in classified]), delta, max_centers=max_centers)
+        cover = build_cover(system, np.array([p for p, _ in classified]), delta, max_centers=max_centers)
         orbit = sampling_orbit()
     bounds = estimate_transitions(system, cover, orbit, mixing_mode=mixing_mode, T_floor=T_floor, h_cap=h_cap)
     return CoverContext(
@@ -451,12 +450,12 @@ def _require_torus(system: SystemSpec):
         )
 
 
-def fixed_point_context(system: SystemSpec, fp: Point2, epsilon: float, radius: float = 0.02, length: int = 2000) -> CoverContext:
+def fixed_point_context(system: SystemSpec, fp: np.ndarray, epsilon: float, radius: float = 0.02, length: int = 2000) -> CoverContext:
     """Degenerate context for a fixed point: one ball, sampling orbit pinned
     at the fixed point, every transition gap witnessed trivially."""
     _require_torus(system)
-    cover = SetSpec.ball(fp, radius)
-    orbit = orbit_array(system, fp.x, fp.y, n_fwd=length - 1)
+    cover = SetSpec.ball(fp, radius, system.space)
+    orbit = orbit_array(system, *fp.tolist(), n_fwd=length - 1)
     bounds = estimate_transitions(system, cover, orbit, mixing_mode=True, T_floor=1, h_cap=64)
     return CoverContext(system=system, cover=cover, delta=2 * radius / 0.98, bounds=bounds, epsilon=epsilon)
 
@@ -526,7 +525,7 @@ class Window:
     orbit of x, and the allowance theta * q^-2, at j = -m..n.  A margin holds
     when distance < allowance, so a NaN distance is a violation."""
 
-    x: Point2
+    x: np.ndarray
     m: int
     n: int
     indices: tuple  # (l1, s1, l2, s2)
@@ -552,7 +551,7 @@ class Window:
 
     def to_json(self, include_margins=False) -> dict:
         out = {
-            "x": [self.x.x, self.x.y],
+            "x": self.x.tolist(),
             "m": self.m,
             "n": self.n,
             "t_minus": self.t_minus,
@@ -578,10 +577,10 @@ class NsCertificate(Window):
     theta: float
     eta: float
     q: SlowVaryingFn
-    connector: tuple  # (N, y Point2)
+    connector: tuple  # (N, y row)
     M_k: int
     period: int
-    z: Point2
+    z: np.ndarray
     residual: float
     newton_iters: int
     delta: float  # pseudo-orbit junction gap
@@ -604,11 +603,11 @@ class NsCertificate(Window):
             eta=self.eta,
             q=self.q.to_json(),
             indices=dict(zip(("l1", "s1", "l2", "s2"), self.indices)),
-            connector={"y": [y.x, y.y], "N": N},
+            connector={"y": y.tolist(), "N": N},
             sets={"dest": self.dest, "src": self.src},
             M_k=self.M_k,
             period=self.period,
-            z=[self.z.x, self.z.y],
+            z=self.z.tolist(),
             ratio=self.ratio,
             residual=self.residual,
             newton_iters=self.newton_iters,
@@ -622,9 +621,9 @@ class NsCertificate(Window):
 class GnsCertificate:
     segments: list  # of Window
     gaps: list  # p_i
-    connectors: list  # (N_i, y Point2)
+    connectors: list  # (N_i, y row)
     offsets: list
-    z: Point2
+    z: np.ndarray
     period: int
     gap_budget: int  # sum of K_i
     sum_gaps: int
@@ -642,9 +641,9 @@ class GnsCertificate:
         return {
             "segments": [s.to_json(include_margins) for s in self.segments],
             "gaps": self.gaps,
-            "connectors": [{"N": N, "y": [y.x, y.y]} for N, y in self.connectors],
+            "connectors": [{"N": N, "y": y.tolist()} for N, y in self.connectors],
             "offsets": self.offsets,
-            "z": [self.z.x, self.z.y],
+            "z": self.z.tolist(),
             "period": self.period,
             "gap_budget": self.gap_budget,
             "sum_gaps": self.sum_gaps,
@@ -704,7 +703,6 @@ def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
     window is p <= m + n + K.  Returns (GnsCertificate, Newton solution,
     pseudo-orbit junction gap)."""
     bounds = ctx.bounds
-    sp = system.space
     nxt = windows[1:] + windows[:1]
     arcs, conns = [], []
     for i, (w, v) in enumerate(zip(windows, nxt)):
@@ -715,7 +713,7 @@ def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
         N, t_w = hit
         y_pts = bounds.sampling_orbit[t_w : t_w + N + 1].copy()
         arcs += [w.xs, y_pts]
-        conns.append((N, Point2(float(y_pts[0, 0]), float(y_pts[0, 1]), sp)))
+        conns.append((N, y_pts[0]))
     po = assemble(arcs, system)
     sol = newton_refine_periodic(system, po, tol=newton_tol)
     p = sol.period
@@ -742,7 +740,7 @@ def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
     for w, start, K, off in zip(windows, pos, K_list, offsets):
         j = np.arange(-w.m, w.n + 1)
         xrows = w.xs[j - w.t_minus]
-        dist = dist_rows(sp, sol.points[(start + j) % p], xrows)
+        dist = dist_rows(system.space, sol.points[(start + j) % p], xrows)
         allowance = theta * q.value_rows(xrows) ** (-2.0)
         segments.append(replace(w, K=K, offset=off, margins_j=j, margins_distance=dist, margins_allowance=allowance))
     cert = GnsCertificate(
@@ -750,7 +748,7 @@ def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
         gaps=gaps,
         connectors=conns,
         offsets=offsets,
-        z=sol.point(pos[0]),
+        z=sol.points[pos[0] % p],
         period=p,
         gap_budget=sum(K_list),
         sum_gaps=sum(gaps),
@@ -765,7 +763,7 @@ def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
 
 def ns_certificate(
     system: SystemSpec,
-    x: Point2,
+    x: np.ndarray,
     m: int,
     n: int,
     theta: float,
@@ -893,7 +891,7 @@ class SublinearityTable:
 
 def sublinearity_scan(
     system: SystemSpec,
-    x: Point2,
+    x: np.ndarray,
     theta: float,
     eta_list,
     mn_list,

@@ -58,7 +58,7 @@ def test_criterion_2_recurrence_bound(cat, cat_spectrum):
 
 def test_criterion_3_nonlacunarity(cat):
     x = torus(0.2917, 0.6204)
-    gamma = SetSpec.ball(x, math.sqrt(0.05 / math.pi))
+    gamma = SetSpec.ball(x, math.sqrt(0.05 / math.pi), Space.TORUS2)
     seq = return_times(cat, x, gamma, count_fwd=500, count_bwd=5, horizon=120_000)
     assert seq.count_fwd == 500
     prof = nonlacunarity_profile(seq, thresholds=(100,))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nuspec.cli import SCHEMAS, _field, _write_json, compare_to_bound, load_config, main
+from nuspec.dynamics import SystemSpec, orbit_array
 from nuspec.errors import ConfigError
 from nuspec.shadowing import ShadowingProfile
 
@@ -260,6 +261,9 @@ STANDARD = {"system": {"kind": "StandardMap", "params": {"K_s": 1.2}}}
         ("shadow", ["--set", "jitter=0"], "jitter"),
         ("nonlacunarity", ["--set", "radius=0.6"], "radius"),
         ("lyapunov", ["--config", {"output_dir": 5}], "output_dir"),
+        # the fixed-point certificate sits at (0, 0): a given x once ran to
+        # exit 0 and was echoed in the report as if it had been used
+        ("ns-cert", ["--set", "fixed_point=true", "--set", "x=[0.3, 0.7]"], "x"),
     ],
 )
 def test_out_of_range_cover_parameter_refused(tmp_path, monkeypatch, experiment, args, field):
@@ -411,6 +415,22 @@ def test_forward_nonlacunarity_runs_on_plane_system(tmp_path):
     out = tmp_path / "run"
     assert run_cli(["nonlacunarity", "--config", cfg, "--out", out, "--set", "count_bwd=0"]) == 0
     assert read_json(out / "report.json")["results"]["n_backward"] == 0
+
+
+def test_nonlacunarity_plane_ball_does_not_wrap(tmp_path):
+    # from this x0 a Henon orbit comes within the radius of x0 - (1, 0) at
+    # step 19, which only a torus ball counts; the plane ball's first visit
+    # is the first plane distance within the radius
+    x0 = [0.0874, -0.2859]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(HENON))
+    out = tmp_path / "run"
+    args = ["--set", "count_bwd=0", "--set", "count_fwd=3", "--set", "horizon=2000", "--set", f"x0={x0}"]
+    assert run_cli(["nonlacunarity", "--config", cfg, "--out", out] + args) == 0
+    res = read_json(out / "report.json")["results"]
+    orbit = orbit_array(SystemSpec.henon(1.4, 0.3), *x0, n_fwd=2000)
+    d = np.hypot(*(orbit[1:] - orbit[0]).T)
+    assert res["t_first"] == int(np.flatnonzero(d <= res["radius"])[0]) + 1 == 63
 
 
 def test_non_finite_system_parameter_rejected(tmp_path):

@@ -47,10 +47,10 @@ def test_round_trips(all_systems):
                 p = Point2(*rng.random(2), sp)
             else:
                 p = Point2(rng.uniform(-1.0, 1.0), rng.uniform(-0.3, 0.3), sp)
-            q = Point2(*step_inverse_xy(system, *step_xy(system, p.x, p.y)), sp)
-            assert dist_rows(sp, p.as_array()[None], q.as_array()[None])[0] <= 1e-10
-            w = Point2(*step_xy(system, *step_inverse_xy(system, p.x, p.y)), sp)
-            assert dist_rows(sp, p.as_array()[None], w.as_array()[None])[0] <= 1e-10
+            q = Point2(*step_inverse_xy(system, *step_xy(system, *p.tolist())), sp)
+            assert dist_rows(sp, p[None], q[None])[0] <= 1e-10
+            w = Point2(*step_xy(system, *step_inverse_xy(system, *p.tolist())), sp)
+            assert dist_rows(sp, p[None], w[None])[0] <= 1e-10
 
 
 def test_cat_differential_constant(cat):
@@ -213,9 +213,31 @@ def test_henon_escape_raises(henon):
         step_xy(henon, 1e30, 0.0)
 
 
+# (x, y), space, folded (x, y) or the error raised; the door keeps Python's
+# float %, which rounds -1e-300 + 1 to 1.0
+_DOOR_CASES = [
+    ((-0.25, 1.75), Space.TORUS2, (0.75, 0.75)),
+    ((-0.0, 1.0), Space.TORUS2, (0.0, 0.0)),
+    ((1.0, -0.0), Space.TORUS2, (0.0, 0.0)),
+    ((-1e-300, 0.5), Space.TORUS2, (1.0, 0.5)),
+    ((-0.25, 1.75), Space.PLANE, (-0.25, 1.75)),
+    ((-0.0, 1e300), Space.PLANE, (-0.0, 1e300)),
+    ((math.nan, 0.5), Space.TORUS2, NonFiniteError),
+    ((0.5, math.inf), Space.TORUS2, NonFiniteError),
+    ((-math.inf, 0.0), Space.PLANE, NonFiniteError),
+]
+
+
 def test_torus_canonicalization():
-    p = Point2(-0.25, 1.75, Space.TORUS2)
-    assert (p.x, p.y) == (0.75, 0.75)
+    for xy, space, want in _DOOR_CASES:
+        if want is NonFiniteError:
+            with pytest.raises(NonFiniteError):
+                Point2(*xy, space)
+            continue
+        p = Point2(*xy, space)
+        assert type(p) is np.ndarray and p.shape == (2,) and p.dtype == np.float64
+        assert p.tolist() == list(want), xy
+        assert [math.copysign(1.0, v) for v in p.tolist()] == [math.copysign(1.0, v) for v in want], xy
 
 
 def test_step_inverse_array_rows_equal_scalar(all_systems):

@@ -70,7 +70,7 @@ def line_angle(u, v) -> float:
 def directions(system, x, warm):
     """Expanding and contracting unit directions at x, each transported over
     warm steps toward x."""
-    _, vu, vs, _, _ = _transport_sweeps(system, x.as_array()[None], 0, 0, warm=warm)
+    _, vu, vs, _, _ = _transport_sweeps(system, x[None], 0, 0, warm=warm)
     return vu[0, 0], vs[0, 0]
 
 
@@ -90,9 +90,9 @@ def test_direction_equivariance(cat, perturbed):
         for _ in range(100):
             x = torus(*rng.random(2))
             Eu, Es = directions(system, x, warm=60)
-            fx = torus(*step_xy(system, x.x, x.y))
+            fx = torus(*step_xy(system, *x.tolist()))
             Eu_next, Es_next = directions(system, fx, warm=60)
-            J = jac_array(system, x.as_array()[None])[0]
+            J = jac_array(system, x[None])[0]
             assert line_angle(J @ Eu, Eu_next) <= 1e-6
             assert line_angle(J @ Es, Es_next) <= 1e-6
 
@@ -123,7 +123,7 @@ def test_block_nesting(perturbed):
     k = pesin_block_index(perturbed, x, params)
     assert k is not None
     # the largest of the three defects at x is within epsilon * k' for every k' >= k
-    worst = max(float(d[0]) for d in block_defects(perturbed, x.as_array()[None], params))
+    worst = max(float(d[0]) for d in block_defects(perturbed, x[None], params))
     for k_prime in (k, k + 1, k + 7, 60):
         assert worst <= params.epsilon * k_prime + 1e-12
 
@@ -136,7 +136,7 @@ def test_block_drift(perturbed):
     for x, k in samples:
         if k is None:
             continue
-        for neighbor in (torus(*step_xy(perturbed, x.x, x.y)), torus(*step_inverse_xy(perturbed, x.x, x.y))):
+        for neighbor in (torus(*step_xy(perturbed, *x.tolist())), torus(*step_inverse_xy(perturbed, *x.tolist()))):
             k_n = pesin_block_index(perturbed, neighbor, params)
             assert k_n is not None and k_n <= k + 1
         checked += 1

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nuspec.dynamics import CAT_EXPONENT, Point2, Space, orbit_array, step_xy
@@ -33,10 +33,10 @@ PERIOD3 = torus(0.75, 0.5)  # (A^3 - I) kills (3/4, 1/2); orbit {.., (0,.25), (.
 
 
 def test_period3_point_is_periodic(cat):
-    p = (PERIOD3.x, PERIOD3.y)
+    p = tuple(PERIOD3.tolist())
     for _ in range(3):
         p = step_xy(cat, *p)
-    assert p == (PERIOD3.x, PERIOD3.y)
+    assert p == tuple(PERIOD3.tolist())
 
 
 def test_return_fixed_point(cat):
@@ -100,7 +100,7 @@ def test_scaling_shift_invariance(cat, cat_spectrum):
     # moving the base point one step along the orbit changes tau(r) by less
     # than the return time of the half-radius ball
     x = torus(0.7364, 0.2146)
-    fx = torus(*step_xy(cat, x.x, x.y))
+    fx = torus(*step_xy(cat, *x.tolist()))
     radii = [2.0**-e for e in range(4, 11)]
     rep_x = recurrence_scaling(cat, x, radii, grid=5, T_max=600, spectrum=cat_spectrum)
     rep_fx = recurrence_scaling(cat, fx, radii, grid=5, T_max=600, spectrum=cat_spectrum)
@@ -110,7 +110,7 @@ def test_scaling_shift_invariance(cat, cat_spectrum):
 
 
 def test_return_times_periodic_orbit(cat):
-    gamma = SetSpec.ball(PERIOD3, 0.05)
+    gamma = SetSpec.ball(PERIOD3, 0.05, Space.TORUS2)
     seq = return_times(cat, PERIOD3, gamma, count_fwd=5, count_bwd=3, horizon=100)
     assert seq.forward.tolist() == [3, 6, 9, 12, 15]
     assert seq.backward.tolist() == [-3, -6, -9]
@@ -118,23 +118,23 @@ def test_return_times_periodic_orbit(cat):
 
 def test_return_times_whole_torus(cat):
     x = torus(0.31, 0.62)
-    gamma = SetSpec.ball(x, 0.8)  # torus diameter is sqrt(0.5) < 0.8
+    gamma = SetSpec.ball(x, 0.8, Space.TORUS2)  # torus diameter is sqrt(0.5) < 0.8
     seq = return_times(cat, x, gamma, count_fwd=6, count_bwd=4, horizon=50)
     assert seq.forward.tolist() == [1, 2, 3, 4, 5, 6]
     assert seq.backward.tolist() == [-1, -2, -3, -4]
 
 
 def test_return_times_requires_membership(cat):
-    gamma = SetSpec.ball(torus(0.0, 0.0), 0.01)
+    gamma = SetSpec.ball(torus(0.0, 0.0), 0.01, Space.TORUS2)
     with pytest.raises(PreconditionError):
         return_times(cat, torus(0.5, 0.5), gamma, 3, 3, 100)
 
 
 def test_cocycle_identity(cat):
     x = torus(0.1729, 0.4104)
-    gamma = SetSpec.ball(x, 0.12)
+    gamma = SetSpec.ball(x, 0.12, Space.TORUS2)
     seq = return_times(cat, x, gamma, count_fwd=30, count_bwd=0, horizon=20_000)
-    pts = orbit_array(cat, x.x, x.y, n_fwd=int(seq.forward[-1]))
+    pts = orbit_array(cat, *x.tolist(), n_fwd=int(seq.forward[-1]))
     for i in range(min(10, seq.count_fwd - 1)):
         t_i = int(seq.forward[i])
         shifted = torus(pts[t_i, 0], pts[t_i, 1])
@@ -145,10 +145,10 @@ def test_cocycle_identity(cat):
 def test_return_times_keep_the_walked_orbit(cat):
     # the backward walk crosses a chunk restart; the forward one stops early
     x = torus(0.2, 0.3)
-    seq = return_times(cat, x, SetSpec.ball(x, 0.1), count_fwd=5, count_bwd=5000, horizon=5000)
+    seq = return_times(cat, x, SetSpec.ball(x, 0.1, Space.TORUS2), count_fwd=5, count_bwd=5000, horizon=5000)
     n_bwd, n_fwd = seq.origin, len(seq.orbit) - 1 - seq.origin
     assert n_bwd == 5000 and seq.forward[-1] <= n_fwd < 5000
-    assert seq.orbit.tobytes() == orbit_array(cat, x.x, x.y, n_fwd=n_fwd, n_bwd=n_bwd).tobytes()
+    assert seq.orbit.tobytes() == orbit_array(cat, *x.tolist(), n_fwd=n_fwd, n_bwd=n_bwd).tobytes()
 
 
 _unit = st.floats(0.0, 1.0, exclude_max=True)
@@ -189,7 +189,11 @@ def _ball_sets(draw):
     return SetSpec(np.array(centers, dtype=float).reshape(-1, 2), radius, space), np.array(pts, dtype=float).reshape(-1, 2)
 
 
+# rim hits whose cell lies past the ball's box without the 1e-9 reach
+# margin of SetSpec._grid
 @given(case=_ball_sets(), chunk=st.sampled_from([1, 7, recurrence._EVENT_CHUNK]))
+@example(case=(SetSpec(np.array([[0.049999999999999975, 0.5]]), 0.1), np.array([[0.15, 0.5]])), chunk=1)
+@example(case=(SetSpec(np.array([[0.02499999999999998, 0.5]]), 0.1), np.array([[0.125, 0.5]])), chunk=1)
 @settings(max_examples=300, deadline=None)
 def test_membership_rows_match_dense_oracle(case, chunk):
     gamma, pts = case
@@ -200,6 +204,12 @@ def test_membership_rows_match_dense_oracle(case, chunk):
     assert got.dtype == bool and np.array_equal(got, dense.any(axis=1))
     want_rows, want_balls = np.nonzero(dense)
     assert np.array_equal(rows, want_rows) and np.array_equal(balls, want_balls)
+
+
+def test_ball_wraps_only_on_the_torus():
+    far = np.array([1.1, 0.1])
+    assert not SetSpec.ball(np.array([0.1, 0.1]), 0.05, Space.PLANE).membership(far)
+    assert SetSpec.ball(np.array([0.1, 0.1]), 0.05, Space.TORUS2).membership(far)
 
 
 def test_far_torus_row_is_tested_against_every_ball():
@@ -227,7 +237,7 @@ def test_membership_rows_allocate_per_candidate():
 
 def test_birkhoff_whole_and_empty(cat):
     x = torus(0.2, 0.3)
-    assert birkhoff_indicator_average(cat, x, SetSpec.ball(x, 0.8), 500) == 1.0
+    assert birkhoff_indicator_average(cat, x, SetSpec.ball(x, 0.8, Space.TORUS2), 500) == 1.0
     assert birkhoff_indicator_average(cat, x, SetSpec(np.empty((0, 2)), 0.8), 500) == 0.0
 
 
@@ -235,7 +245,7 @@ def test_birkhoff_ball_area(cat):
     # ergodic average of the indicator converges to the ball area; the
     # Monte-Carlo estimate over random points is the independent oracle
     x = torus(0.7, 0.15)
-    ball = SetSpec.ball(torus(0.37, 0.52), 0.1)
+    ball = SetSpec.ball(torus(0.37, 0.52), 0.1, Space.TORUS2)
     avg = birkhoff_indicator_average(cat, x, ball, 1_000_000)
     rng = np.random.default_rng(5)
     mc = ball.membership_rows(rng.random((200_000, 2))).mean()
@@ -246,7 +256,7 @@ def test_birkhoff_ball_area(cat):
 
 def test_birkhoff_matches_return_count(cat):
     x = torus(0.1729, 0.4104)
-    gamma = SetSpec.ball(x, 0.15)
+    gamma = SetSpec.ball(x, 0.15, Space.TORUS2)
     horizon = 5000
     seq = return_times(cat, x, gamma, count_fwd=horizon, count_bwd=0, horizon=horizon)
     avg = birkhoff_indicator_average(cat, x, gamma, horizon)
@@ -274,7 +284,7 @@ def test_nonlacunarity_periodic():
 
 def test_tail_deviation_non_increasing(cat):
     x = torus(0.8314, 0.1593)
-    gamma = SetSpec.ball(x, 0.15)
+    gamma = SetSpec.ball(x, 0.15, Space.TORUS2)
     seq = return_times(cat, x, gamma, count_fwd=200, count_bwd=0, horizon=50_000)
     prof = nonlacunarity_profile(seq, thresholds=(10, 20, 50, 100))
     devs = [prof.tail_deviation[i] for i in (10, 20, 50, 100)]
@@ -284,7 +294,7 @@ def test_tail_deviation_non_increasing(cat):
 
 def test_nonlacunarity_cat_ball(cat):
     x = torus(0.2917, 0.6204)
-    gamma = SetSpec.ball(x, math.sqrt(0.05 / math.pi))
+    gamma = SetSpec.ball(x, math.sqrt(0.05 / math.pi), Space.TORUS2)
     seq = return_times(cat, x, gamma, count_fwd=500, count_bwd=5, horizon=100_000)
     assert seq.count_fwd == 500
     prof = nonlacunarity_profile(seq, thresholds=(100,))
@@ -320,7 +330,7 @@ def test_interval_hit_periodic():
 
 def test_interval_hit_whole_space(cat):
     x = torus(0.4, 0.9)
-    seq = return_times(cat, x, SetSpec.ball(x, 0.8), count_fwd=300, count_bwd=0, horizon=300)
+    seq = return_times(cat, x, SetSpec.ball(x, 0.8, Space.TORUS2), count_fwd=300, count_bwd=0, horizon=300)
     assert interval_hit_check(seq, 0.5, N_start=1) == 1
 
 
@@ -348,7 +358,7 @@ def test_interval_hit_vs_nonlacunarity(cat):
     for _ in range(50):
         x = torus(*rng.random(2))
         radius = rng.uniform(0.08, 0.2)
-        seq = return_times(cat, x, SetSpec.ball(x, radius), count_fwd=250, count_bwd=0, horizon=120_000)
+        seq = return_times(cat, x, SetSpec.ball(x, radius, Space.TORUS2), count_fwd=250, count_bwd=0, horizon=120_000)
         if seq.count_fwd < 60:
             continue
         prof = nonlacunarity_profile(seq, thresholds=(40,))

@@ -114,7 +114,7 @@ def test_newton_degenerate_orbit(standard):
 
     twist = SystemSpec.standard_map(0.0)
     x = torus(0.1, 0.25)  # rational rotation number 1/4
-    pts = orbit_array(twist, x.x, x.y, n_fwd=4)
+    pts = orbit_array(twist, *x.tolist(), n_fwd=4)
     rng = np.random.default_rng(2)
     arc = (pts + 1e-5 * rng.standard_normal(pts.shape)) % 1.0
     po = assemble([arc], twist)

@@ -75,7 +75,7 @@ def test_cover_size_and_coverage(cat_ctx):
     cover = cat_ctx.cover
     assert 40 <= cover.r_count <= 130
     # every block point within the net radius of some center
-    pts = np.array([[p.x, p.y] for p, _ in cat_ctx.block_points])
+    pts = np.array([p for p, _ in cat_ctx.block_points])
     d = dist_rows(Space.TORUS2, pts[:, None, :], cover.centers[None, :, :]).min(axis=1)
     assert (d <= cover.radius + 1e-12).all()
 
@@ -556,7 +556,7 @@ def test_select_indices_insufficient_horizon():
 
 def _q_along_orbit(q, system, x, m, n):
     # q along the orbit of x over [-m-1, n]
-    return specification._slow_varying(q, orbit_array(system, x.x, x.y, n_fwd=n, n_bwd=m + 1))
+    return specification._slow_varying(q, orbit_array(system, *x.tolist(), n_fwd=n, n_bwd=m + 1))
 
 
 def test_check_slow_varying_constant(cat):
@@ -588,7 +588,7 @@ def test_ns_fixed_point(cat, cat_spectrum):
     eta = eps / 10
     cert = ns_certificate(cat, fp, 30, 30, 1e-6, eta, SlowVaryingFn.constant(1.0, eta), ctx)
     assert cert.in_ball
-    assert (cert.z.x, cert.z.y) == (0.0, 0.0)
+    assert cert.z.tolist() == [0.0, 0.0]
     assert cert.margins_distance.max() == 0.0
     assert cert.period <= cert.m + cert.n + cert.K
 
@@ -622,7 +622,7 @@ def test_ns_margin_dominance_chain(cat, cat_ctx):
     theta = 0.05
     cert = ns_certificate(cat, x, 150, 150, theta, q.eta, q, cat_ctx)
     assert cert.in_ball
-    qx = q.value_rows(x.as_array()[None])[0]
+    qx = q.value_rows(x[None])[0]
     mid = theta * qx**-2 * np.exp(-2.0 * np.abs(cert.margins_j) * cert.eta)
     assert (cert.margins_distance <= mid + 1e-15).all()
     assert (mid <= cert.margins_allowance + 1e-15).all()
@@ -741,7 +741,7 @@ def test_gns_fixed_point_pair(cat, cat_spectrum):
     q = SlowVaryingFn.constant(1.0, eta)
     cert = gns_certificate(cat, [(fp, 20, 20), (fp, 20, 20)], 1e-6, eta, q, ctx)
     assert cert.all_in_ball
-    assert (cert.z.x, cert.z.y) == (0.0, 0.0)
+    assert cert.z.tolist() == [0.0, 0.0]
     assert cert.sum_gaps <= cert.gap_budget
     assert cert.bookkeeping_ok
 
