@@ -20,8 +20,8 @@ from .lyapunov import (
 from .recurrence import (
     ReturnTimeSequence,
     SetSpec,
+    ball_return_times,
     birkhoff_indicator_average,
-    first_return_time_ball,
     interval_hit_check,
     nonlacunarity_profile,
     recurrence_scaling,

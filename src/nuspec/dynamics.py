@@ -56,9 +56,16 @@ def Point2(x: float, y: float, space: Space = Space.TORUS2) -> np.ndarray:
     coordinates are finite; torus coordinates are folded into [0, 1)."""
     if not (math.isfinite(x) and math.isfinite(y)):
         raise NonFiniteError(f"non-finite point ({x}, {y})")
-    if space is Space.TORUS2:
-        x, y = x % 1.0, y % 1.0
-    return np.array([x, y], dtype=float)
+    p = np.array([x, y], dtype=float)
+    return fold_torus(p) if space is Space.TORUS2 else p
+
+
+def fold_torus(a: np.ndarray) -> np.ndarray:
+    """Fold a float array into [0, 1) in place and return it.  % 1.0 rounds
+    a tiny negative coordinate up to 1.0, which is the coordinate 0.0."""
+    a %= 1.0
+    a[a == 1.0] = 0.0
+    return a
 
 
 def wrap_half(d):

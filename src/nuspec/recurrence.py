@@ -1,9 +1,11 @@
 """Return times to sets, ball-return scaling against the exponent bound,
 nonlacunarity diagnostics, and Birkhoff indicator averages.
 
-The ball-return time has two estimators.  The lattice estimator marches a
-grid of sample points from inside the ball and reports the first step at
-which a sample comes back within the radius; it is the generic method and
+The ball-return time has two estimators, and each answers a whole list of
+radii in one pass.  The lattice estimator marches one grid of sample points
+over the largest radius's ball (grid=1: the center alone, a center-return
+proxy) and reports, per radius, the first step at which a sample within that
+radius of the center comes back within it; it is the generic method and
 converges to the set-return time from above as the grid grows.  For the
 linear cat map the image of the ball is known exactly (an ellipse flattened
 onto the unstable line), so a segment estimator measures the wrapped
@@ -213,71 +215,83 @@ def _visit_times(system, x, gamma, count, horizon, forward):
 # ball return times
 
 
-def first_return_time_ball(
+def ball_return_times(
     system: SystemSpec,
     x: np.ndarray,
-    r: float,
+    radii,
     grid: int = 5,
     T_max: int = 1000,
-    master_radius: float | None = None,
     method: str = "lattice",
-):
-    """Least k <= T_max at which the forward image of B(x, r) meets B(x, r)
-    again, or None.
+) -> list:
+    """For each of the strictly descending radii r, the least k <= T_max at
+    which the forward image of B(x, r) meets B(x, r) again, or None.
 
-    method="lattice": march a grid x grid lattice of samples from the ball
-    (the center is always a sample) and detect a sample returning within r
-    of x.  When master_radius is given the lattice lives on the absolute
-    grid of the master ball and is filtered to radius r, which makes sample
-    sets nested across radii.
+    method="lattice": march one grid x grid lattice spanning the largest
+    ball, with the center always a sample (grid=1 is the center alone), and
+    detect a sample returning within r of x; radius r reads the samples
+    within r of x, so the sample sets are nested across radii.  Rows that no
+    unresolved radius reads are dropped as the radii resolve.
 
     method="segment": cat map only; treats f^k(B) as the exact line segment
     of half-length r * lambda_u^k along the unstable eigendirection and
     measures its wrapped distance to x, inflated by the r * lambda_s^k
     stable thickness.
     """
-    if r <= 0 or grid < 1 or T_max < 1:
+    radii = [float(r) for r in radii]
+    if any(b >= a for a, b in zip(radii, radii[1:])):
+        raise ValueError("radii must be strictly descending")
+    if not radii or not all(r > 0 for r in radii) or grid < 1 or T_max < 1:
         raise ValueError("need r > 0, grid >= 1, T_max >= 1")
+    taus = [None] * len(radii)
     if method == "segment":
         if system.kind is not SystemKind.CAT_MAP:
             raise ValueError("segment method requires the linear cat map")
-        return _return_time_segment(x, r, T_max)
+        A = np.array([[2.0, 1.0], [1.0, 1.0]])
+        z = x.copy()
+        for k in range(1, T_max + 1):
+            z = (A @ z) % 1.0
+            delta = wrap_half(z - x)
+            for i, r in enumerate(radii):
+                half_len = r * CAT_LAMBDA_U**k
+                if taus[i] is None and _segment_lattice_distance(delta, half_len) <= r * (1.0 + CAT_LAMBDA_S**k):
+                    taus[i] = k
+        return taus
     if method != "lattice":
         raise ValueError(f"unknown method {method!r}")
 
-    R = r if master_radius is None else float(master_radius)
     if grid == 1:
         offsets = np.zeros((1, 2))
     else:
-        g = np.linspace(-R, R, grid)
+        g = np.linspace(-radii[0], radii[0], grid)
         ox, oy = np.meshgrid(g, g, indexing="ij")
         offsets = np.column_stack((ox.ravel(), oy.ravel()))
-        offsets = offsets[(offsets**2).sum(axis=1) <= r * r]
         if not (offsets == 0.0).all(axis=1).any():
             offsets = np.vstack(([0.0, 0.0], offsets))
-    pts = x[None, :] + offsets
+    # radius i reads the rows whose offset lies within r_i; the unresolved
+    # radii are always the smallest ones, since a sample within r_i of x
+    # returning within r_i counts for every larger radius too
+    rad = np.array(radii)
+    rr = rad * rad
+    n2 = (offsets**2).sum(axis=1)
+    keep = n2 <= rr[0]
+    pts, n2 = x[None, :] + offsets[keep], n2[keep]
     if system.space is Space.TORUS2:
         pts = pts % 1.0
     target = x[None, :]
+    lo = 0  # the first unresolved radius
     for k in range(1, T_max + 1):
         pts = step_array(system, pts)
         d = dist_rows(system.space, pts, target)
-        if (d <= r).any():
-            return k
-    return None
-
-
-def _return_time_segment(c, r, T_max):
-    z = c.copy()
-    A = np.array([[2.0, 1.0], [1.0, 1.0]])
-    for k in range(1, T_max + 1):
-        z = (A @ z) % 1.0
-        delta = wrap_half(z - c)
-        half_len = r * CAT_LAMBDA_U**k
-        d = _segment_lattice_distance(delta, half_len)
-        if d <= r * (1.0 + CAT_LAMBDA_S**k):
-            return k
-    return None
+        hit = ((n2[:, None] <= rr[lo:]) & (d[:, None] <= rad[lo:])).any(axis=0)
+        if hit.any():
+            upto = lo + int(np.flatnonzero(hit)[-1]) + 1
+            taus[lo:upto] = [k] * (upto - lo)
+            lo = upto
+            if lo == len(radii):
+                break
+            keep = n2 <= rr[lo]
+            pts, n2 = pts[keep], n2[keep]
+    return taus
 
 
 def _segment_lattice_distance(c, T, chunk=2_000_000):
@@ -350,23 +364,13 @@ def recurrence_scaling(
     three uncensored ratios.  Censored radii (no return by T_max) are
     flagged and excluded, never clamped."""
     radii = [float(r) for r in radii]
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ValueError("radii must be strictly descending")
-    if radii[-1] < 1e-6:
+    if any(r < 1e-6 for r in radii):
         raise ValueError("smallest radius below the 1e-6 floating-point floor")
     if method == "auto":
         method = "segment" if system.kind is SystemKind.CAT_MAP else "lattice"
-    master = radii[0] if method == "lattice" else None
-    taus = []
-    ratios = []
-    censored = []
-    for r in radii:
-        tau = first_return_time_ball(
-            system, x, r, grid=grid, T_max=T_max, master_radius=master, method=method
-        )
-        taus.append(tau)
-        censored.append(tau is None)
-        ratios.append(None if tau is None else tau / (-math.log(r)))
+    taus = ball_return_times(system, x, radii, grid=grid, T_max=T_max, method=method)
+    censored = [tau is None for tau in taus]
+    ratios = [None if tau is None else tau / (-math.log(r)) for r, tau in zip(radii, taus)]
     good = [q for q in ratios if q is not None]
     limsup = max(good[-3:]) if good else math.nan
     bound = 1.0 / spectrum.lambda_u - 1.0 / spectrum.lambda_s
@@ -393,13 +397,6 @@ class NonlacunarityProfile:
     ratios_fwd: np.ndarray  # entry i-1 is t_{i+1} / t_i
     ratios_two_sided: np.ndarray  # entry i-1 is (t_{i+1} - t_{-i-1}) / (t_i - t_{-i})
     tail_deviation: dict  # threshold i0 -> sup_{i >= i0} |ratio_fwd - 1|
-
-    def to_json(self) -> dict:
-        return {
-            "ratios_fwd": self.ratios_fwd.tolist(),
-            "ratios_two_sided": self.ratios_two_sided.tolist(),
-            "tail_deviation": {str(k): v for k, v in self.tail_deviation.items()},
-        }
 
 
 def nonlacunarity_profile(seq: ReturnTimeSequence, thresholds=(10, 20, 50, 100)) -> NonlacunarityProfile:

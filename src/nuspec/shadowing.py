@@ -29,6 +29,7 @@ from .dynamics import (
     Space,
     SystemSpec,
     dist_rows,
+    fold_torus,
     jac_array,
     step_array,
     wrap_half,
@@ -158,8 +159,10 @@ def newton_refine_periodic(
         residual = float(np.hypot(diffs[:, 0], diffs[:, 1]).max())
         history.append(residual)
         if residual <= tol:
+            # folded on the way out only: folding each update moves the
+            # iterates' rounding, and so the bits of every later step
             return PeriodicOrbitSolution(
-                points=Z,
+                points=fold_torus(Z) if torus else Z,
                 period=p,
                 residual=residual,
                 newton_iters=iters,

@@ -393,7 +393,6 @@ def build_cover_context(
     system: SystemSpec,
     theta: float,
     seed: int = 0,
-    spectrum=None,
     block_samples: int = 200,
     delta: float | None = None,
     max_centers: int = 256,
@@ -416,8 +415,7 @@ def build_cover_context(
     start = orbit_array(system, *np.random.default_rng(seed + 2).random(2), n_fwd=100)[-1]
     with _orbit_in_child(system, *start, sampling_orbit_length - 1) as sampling_orbit:
         rng = np.random.default_rng(seed)
-        if spectrum is None:
-            spectrum = lyapunov_spectrum(system, rng.random(2), N=spectrum_N, qr_period=10)
+        spectrum = lyapunov_spectrum(system, rng.random(2), N=spectrum_N, qr_period=10)
         params = PesinBlockParams.from_spectrum(spectrum, epsilon_ratio=epsilon_ratio, window=block_window)
         samples = block_sample(system, params, block_samples, seed=seed + 1)
         classified = [(p, k) for p, k in samples if k is not None]
@@ -450,14 +448,15 @@ def _require_torus(system: SystemSpec):
         )
 
 
-def fixed_point_context(system: SystemSpec, fp: np.ndarray, epsilon: float, radius: float = 0.02, length: int = 2000) -> CoverContext:
-    """Degenerate context for a fixed point: one ball, sampling orbit pinned
-    at the fixed point, every transition gap witnessed trivially."""
+def fixed_point_context(system: SystemSpec, fp: np.ndarray, epsilon: float) -> CoverContext:
+    """Degenerate context for a fixed point: one ball of radius 0.02, a
+    2000-point sampling orbit pinned at the fixed point, every transition
+    gap witnessed trivially."""
     _require_torus(system)
-    cover = SetSpec.ball(fp, radius, system.space)
-    orbit = orbit_array(system, *fp.tolist(), n_fwd=length - 1)
+    cover = SetSpec.ball(fp, 0.02, system.space)
+    orbit = orbit_array(system, *fp.tolist(), n_fwd=1999)
     bounds = estimate_transitions(system, cover, orbit, mixing_mode=True, T_floor=1, h_cap=64)
-    return CoverContext(system=system, cover=cover, delta=2 * radius / 0.98, bounds=bounds, epsilon=epsilon)
+    return CoverContext(system=system, cover=cover, delta=2 * 0.02 / 0.98, bounds=bounds, epsilon=epsilon)
 
 
 # ---------------------------------------------------------------------------
@@ -474,41 +473,30 @@ def select_indices(seq: ReturnTimeSequence, m: int, n: int, eta: float, epsilon:
     if not (0 < eta <= epsilon / 2):
         raise PreconditionError("need 0 < eta <= epsilon/2")
     factor = 1.0 + 2.0 * eta / epsilon
-    fwd = seq.forward
-    pos = -seq.backward  # ascending positive magnitudes of backward times
-
-    idx = int(np.searchsorted(fwd, n, side="right"))
-    if idx >= len(fwd):
-        raise InsufficientHorizonError(
-            f"forward sequence exhausted before exceeding n={n}",
-            required_horizon=int(factor * (n + 1) * 2) + 64,
-        )
-    l2 = idx + 1
-    target_f = factor * float(fwd[l2 - 1])
-    idx2 = int(np.searchsorted(fwd, target_f, side="left"))
-    if idx2 >= len(fwd):
-        raise InsufficientHorizonError(
-            f"forward sequence exhausted before reaching {target_f:.0f}",
-            required_horizon=int(target_f * 1.5) + 64,
-        )
-    s2 = idx2 - (l2 - 1)
-
-    idx = int(np.searchsorted(pos, m, side="right"))
-    if idx >= len(pos):
-        raise InsufficientHorizonError(
-            f"backward sequence exhausted before exceeding m={m}",
-            required_horizon=int(factor * (m + 1) * 2) + 64,
-        )
-    l1 = idx + 1
-    target_b = factor * float(pos[l1 - 1])
-    idx2 = int(np.searchsorted(pos, target_b, side="left"))
-    if idx2 >= len(pos):
-        raise InsufficientHorizonError(
-            f"backward sequence exhausted before reaching -{target_b:.0f}",
-            required_horizon=int(target_b * 1.5) + 64,
-        )
-    s1 = idx2 + 1 - l1
+    l2, s2 = _select_side(seq.forward, n, factor, "forward")
+    # backward times as ascending positive magnitudes
+    l1, s1 = _select_side(-seq.backward, m, factor, "backward")
     return l1, s1, l2, s2
+
+
+def _select_side(times, bound, factor, side):
+    """(l, s) on one side, times ascending: times[l-1] is the first past
+    bound, and times[l+s-1] the first at or past factor * times[l-1]."""
+    name, sign = ("n", "") if side == "forward" else ("m", "-")
+    idx = int(np.searchsorted(times, bound, side="right"))
+    if idx >= len(times):
+        raise InsufficientHorizonError(
+            f"{side} sequence exhausted before exceeding {name}={bound}",
+            required_horizon=int(factor * (bound + 1) * 2) + 64,
+        )
+    target = factor * float(times[idx])
+    idx2 = int(np.searchsorted(times, target, side="left"))
+    if idx2 >= len(times):
+        raise InsufficientHorizonError(
+            f"{side} sequence exhausted before reaching {sign}{target:.0f}",
+            required_horizon=int(target * 1.5) + 64,
+        )
+    return idx + 1, idx2 - idx
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 import csv
 import hashlib
+import importlib
+import importlib.util
 import json
 import math
 import tempfile
@@ -682,6 +684,10 @@ REPORT_DIGESTS = {
     "domination": "cfb2fd62bc9e810ec226a8bc58eaa4584f2be37e9c678c4e9d8b5e76a26ed4ed",
     # plane balls: Henon forward visits through the cell fold of the ball's candidate index
     "nonlacunarity Henon": "d21b82e9427bd367bf32558667d577b5ed5e7431a2a7a35be6458819fffc96d3",
+    # ball-return lattices: the odd default grid, which holds the center, and
+    # an even grid, which misses it and prepends it
+    "recurrence-scaling PerturbedCatMap": "0caff35653dc42cf17629b1eca2c2e173d23a5864c410ff58ed3196b601a049f",
+    "recurrence-scaling CatMap lattice grid=4": "97786cedea2c715f3097941adb4d75d382722a600af0431735465ee92f4ac585",
 }
 
 
@@ -711,4 +717,23 @@ def test_report_digests_pinned(tmp_path, shadow_run):
     hen = tmp_path / "nonlacunarity-henon"
     assert run_cli(["nonlacunarity", "--config", henon, "--set", "count_bwd=0", "--out", hen]) == 0
     digests["nonlacunarity Henon"] = hashlib.sha256((hen / "report.json").read_bytes()).hexdigest()
+    lattice_runs = {
+        "recurrence-scaling PerturbedCatMap": ["--config", cfg],
+        "recurrence-scaling CatMap lattice grid=4": ["--set", "method=lattice", "--set", "grid=4"],
+    }
+    for i, (name, args) in enumerate(lattice_runs.items()):
+        rec = tmp_path / f"lattice-{i}"
+        assert run_cli(["recurrence-scaling", *args, "--out", rec]) == 0
+        digests[name] = hashlib.sha256((rec / "report.json").read_bytes()).hexdigest()
     assert digests == REPORT_DIGESTS
+
+
+def test_traced_layers_resolve():
+    # a renamed layer would drop out of the benchmark's trace without an error
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = {(mod, attr) for mod, attr, _ in tracing.TARGETS if not hasattr(importlib.import_module(mod), attr)}
+    # the cycle-degeneracy layer is not split out of _solve_cyclic yet
+    assert missing <= {("nuspec.shadowing", "_cycle_degeneracy")}

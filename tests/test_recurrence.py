@@ -7,15 +7,26 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nuspec.dynamics import CAT_EXPONENT, Point2, Space, orbit_array, step_xy
+from nuspec.dynamics import (
+    CAT_EXPONENT,
+    CAT_LAMBDA_S,
+    CAT_LAMBDA_U,
+    Point2,
+    Space,
+    SystemKind,
+    dist_rows,
+    orbit_array,
+    step_xy,
+    wrap_half,
+)
 from nuspec.errors import PreconditionError
 from nuspec import recurrence
 from nuspec.lyapunov import LyapunovSpectrum
 from nuspec.recurrence import (
     ReturnTimeSequence,
     SetSpec,
+    ball_return_times,
     birkhoff_indicator_average,
-    first_return_time_ball,
     interval_hit_check,
     nonlacunarity_profile,
     recurrence_scaling,
@@ -23,6 +34,7 @@ from nuspec.recurrence import (
 )
 
 BOUND_CAT = 2.0 / CAT_EXPONENT  # 1/lambda_u - 1/lambda_s with symmetric spectrum
+_unit = st.floats(0.0, 1.0, exclude_max=True)
 
 
 def torus(x, y):
@@ -40,24 +52,19 @@ def test_period3_point_is_periodic(cat):
 
 
 def test_return_fixed_point(cat):
-    assert first_return_time_ball(cat, torus(0.0, 0.0), 0.1, grid=3, T_max=10) == 1
+    assert ball_return_times(cat, torus(0.0, 0.0), [0.1], grid=3, T_max=10) == [1]
 
 
 def test_return_period3_center_proxy(cat):
-    tau = first_return_time_ball(cat, PERIOD3, 0.05, grid=1, T_max=50)
-    assert tau == 3
+    assert ball_return_times(cat, PERIOD3, [0.05], grid=1, T_max=50) == [3]
 
 
 def test_return_monotone_in_radius(cat):
-    # nested sample sets via a shared master lattice
+    # nested sample sets: every radius reads the largest radius's lattice
     rng = np.random.default_rng(17)
     for _ in range(5):
         x = torus(*rng.random(2))
-        taus = []
-        for r in (0.2, 0.1, 0.05):
-            taus.append(
-                first_return_time_ball(cat, x, r, grid=7, T_max=3000, master_radius=0.2)
-            )
+        taus = ball_return_times(cat, x, [0.2, 0.1, 0.05], grid=7, T_max=3000)
         assert all(t is not None for t in taus)
         assert taus[0] <= taus[1] <= taus[2]
 
@@ -66,10 +73,98 @@ def test_return_never_beats_center(cat):
     rng = np.random.default_rng(23)
     for _ in range(5):
         x = torus(*rng.random(2))
-        t_grid = first_return_time_ball(cat, x, 0.08, grid=5, T_max=5000)
-        t_center = first_return_time_ball(cat, x, 0.08, grid=1, T_max=5000)
+        [t_grid] = ball_return_times(cat, x, [0.08], grid=5, T_max=5000)
+        [t_center] = ball_return_times(cat, x, [0.08], grid=1, T_max=5000)
         assert t_grid is not None and t_center is not None
         assert t_grid <= t_center
+
+
+def _first_return_reference(system, x, r, grid, T_max, largest, method):
+    """The per-radius march: one radius, its own copy of the largest radius's
+    lattice filtered to r (or, for the cat map segment, its own iteration of x)."""
+    if method == "segment":
+        z = x.copy()
+        A = np.array([[2.0, 1.0], [1.0, 1.0]])
+        for k in range(1, T_max + 1):
+            z = (A @ z) % 1.0
+            d = recurrence._segment_lattice_distance(wrap_half(z - x), r * CAT_LAMBDA_U**k)
+            if d <= r * (1.0 + CAT_LAMBDA_S**k):
+                return k
+        return None
+    if grid == 1:
+        offsets = np.zeros((1, 2))
+    else:
+        g = np.linspace(-largest, largest, grid)
+        ox, oy = np.meshgrid(g, g, indexing="ij")
+        offsets = np.column_stack((ox.ravel(), oy.ravel()))
+        offsets = offsets[(offsets**2).sum(axis=1) <= r * r]
+        if not (offsets == 0.0).all(axis=1).any():
+            offsets = np.vstack(([0.0, 0.0], offsets))
+    pts = (x[None, :] + offsets) % 1.0
+    for k in range(1, T_max + 1):
+        pts = recurrence.step_array(system, pts)
+        if (dist_rows(system.space, pts, x[None, :]) <= r).any():
+            return k
+    return None
+
+
+# points whose center returns early: the origin is fixed under all three
+# maps, and the rationals are cat map cycles
+_PERIODIC = [(0.0, 0.0), (0.75, 0.5), (0.25, 0.25), (0.2, 0.4)]
+
+
+@given(
+    kind=st.sampled_from(["cat", "perturbed", "standard"]),
+    xy=st.one_of(st.tuples(_unit, _unit), st.sampled_from(_PERIODIC)),
+    radii=st.lists(st.floats(2.0**-10, 0.3), min_size=1, max_size=6, unique=True),
+    grid=st.one_of(st.integers(1, 7), st.just(30)),
+    T_max=st.integers(1, 120),
+    method=st.sampled_from(["lattice", "segment"]),
+)
+# an even grid misses the center; only the prepended center serves 0.01
+@example(kind="cat", xy=(0.75, 0.5), radii=[0.2, 0.01], grid=4, T_max=10, method="lattice")
+@settings(max_examples=150, deadline=None)
+def test_ball_return_times_match_per_radius_march(cat, perturbed, standard, kind, xy, radii, grid, T_max, method):
+    system = {"cat": cat, "perturbed": perturbed, "standard": standard}[kind]
+    x = torus(*xy)
+    radii = sorted(radii, reverse=True)
+    if method == "segment" and system.kind is not SystemKind.CAT_MAP:
+        with pytest.raises(ValueError, match="segment"):
+            ball_return_times(system, x, radii, grid=grid, T_max=T_max, method=method)
+        return
+    original, stepped = recurrence.step_array, []
+
+    def counting_step(system, pts):
+        stepped.append(len(pts))
+        return original(system, pts)
+
+    with mock.patch.object(recurrence, "step_array", counting_step):
+        got = ball_return_times(system, x, radii, grid=grid, T_max=T_max, method=method)
+        got_rows, got_calls = sum(stepped), len(stepped)
+        stepped.clear()
+        want = [_first_return_reference(system, x, r, grid, T_max, radii[0], method) for r in radii]
+    assert got == want
+    # one march never steps more rows, nor makes more calls, than one per radius
+    assert got_rows <= sum(stepped) and got_calls <= len(stepped)
+
+
+@pytest.mark.parametrize(
+    "radii, grid, T_max, method, message",
+    [
+        ([], 3, 10, "lattice", "r > 0"),
+        ([0.1, 0.2], 3, 10, "lattice", "descending"),
+        ([0.1, 0.1], 3, 10, "lattice", "descending"),
+        ([0.1, 0.0], 3, 10, "lattice", "r > 0"),
+        ([0.1, -0.05], 3, 10, "lattice", "r > 0"),
+        ([math.nan], 3, 10, "lattice", "r > 0"),
+        ([0.1], 0, 10, "lattice", "grid"),
+        ([0.1], 3, 0, "segment", "T_max"),
+        ([0.1], 3, 10, "grid", "unknown method"),
+    ],
+)
+def test_ball_return_times_refuses_bad_input(cat, radii, grid, T_max, method, message):
+    with pytest.raises(ValueError, match=message):
+        ball_return_times(cat, torus(0.1, 0.2), radii, grid=grid, T_max=T_max, method=method)
 
 
 def test_recurrence_scaling_cat(cat, cat_spectrum):
@@ -105,7 +200,7 @@ def test_scaling_shift_invariance(cat, cat_spectrum):
     rep_x = recurrence_scaling(cat, x, radii, grid=5, T_max=600, spectrum=cat_spectrum)
     rep_fx = recurrence_scaling(cat, fx, radii, grid=5, T_max=600, spectrum=cat_spectrum)
     for r, t1, t2 in zip(radii, rep_x.tau, rep_fx.tau):
-        t_half = first_return_time_ball(cat, x, r / 2, grid=5, T_max=600, method="segment")
+        [t_half] = ball_return_times(cat, x, [r / 2], grid=5, T_max=600, method="segment")
         assert abs(t1 - t2) <= t_half
 
 
@@ -151,7 +246,6 @@ def test_return_times_keep_the_walked_orbit(cat):
     assert seq.orbit.tobytes() == orbit_array(cat, *x.tolist(), n_fwd=n_fwd, n_bwd=n_bwd).tobytes()
 
 
-_unit = st.floats(0.0, 1.0, exclude_max=True)
 _wide = st.floats(-2.0, 2.0)
 _far = st.sampled_from([2.0**16, -(2.0**16), 70000.25, 2.0**41, 1e17, -1e300, math.inf, math.nan])
 
@@ -378,3 +472,5 @@ def test_radii_validation(cat, cat_spectrum):
         recurrence_scaling(cat, torus(0.1, 0.2), [0.1, 0.2], 3, 50, cat_spectrum)
     with pytest.raises(ValueError):
         recurrence_scaling(cat, torus(0.1, 0.2), [0.1, 1e-8], 3, 50, cat_spectrum)
+    with pytest.raises(ValueError):
+        recurrence_scaling(cat, torus(0.1, 0.2), [], 3, 50, cat_spectrum)

@@ -22,6 +22,12 @@ def torus(x, y):
     return Point2(x, y, Space.TORUS2)
 
 
+def _canonical(sol):
+    # a torus solution's coordinates lie in [0, 1), never at 1.0
+    assert ((sol.points >= 0.0) & (sol.points < 1.0)).all(), sol.points
+    return sol
+
+
 def _dyadic_cycle(cat):
     # (1/16, 0) has period 12 under the cat map; dyadic rationals make the
     # float orbit exact, so it returns to its start bit for bit
@@ -59,11 +65,13 @@ def test_assemble_refuses_malformed_arcs(cat, arcs):
 
 
 def test_newton_fixed_point_from_jitter(cat):
-    po = assemble([orbit_array(cat, 1e-3, -1e-3, n_fwd=1)], cat)
-    sol = newton_refine_periodic(cat, po, tol=1e-12)
-    assert sol.period == 1
-    assert sol.residual <= 1e-12
-    assert dist_rows(Space.TORUS2, sol.points[:1], np.zeros((1, 2)))[0] <= 1e-12
+    # at the second start the last update rounds a tiny negative coordinate up to 1.0
+    for jitter in ((1e-3, -1e-3), (1.257302210933933e-4, -1.3210486329130188e-4)):
+        po = assemble([orbit_array(cat, *jitter, n_fwd=1)], cat)
+        sol = _canonical(newton_refine_periodic(cat, po, tol=1e-12))
+        assert sol.period == 1
+        assert sol.residual <= 1e-12
+        assert dist_rows(Space.TORUS2, sol.points[:1], np.zeros((1, 2)))[0] <= 1e-12
 
 
 def test_newton_recovers_rational_orbit(cat):
@@ -72,7 +80,7 @@ def test_newton_recovers_rational_orbit(cat):
     jittered = (pts + 1e-5 * rng.standard_normal(pts.shape)) % 1.0
     arc = np.vstack([jittered, jittered[:1]])
     po = assemble([arc], cat)
-    sol = newton_refine_periodic(cat, po, tol=1e-12)
+    sol = _canonical(newton_refine_periodic(cat, po, tol=1e-12))
     err = np.abs(sol.points * 5 - np.round(sol.points * 5)).max()
     assert err <= 1e-10 * 5
     assert np.abs(sol.points - pts).max() <= 1e-10
@@ -84,11 +92,11 @@ def test_newton_glued_perturbed_p60(perturbed):
     assert period == 60
     arc0 = np.vstack([guess, guess[:1]])
     po0 = assemble([arc0], perturbed)
-    ref = newton_refine_periodic(perturbed, po0, tol=1e-12, max_iter=40)
+    ref = _canonical(newton_refine_periodic(perturbed, po0, tol=1e-12, max_iter=40))
 
     po = displaced_pseudo_orbit(perturbed, ref.points, period // 2, jitter=2e-5)
     assert po.delta <= 1e-4
-    sol = newton_refine_periodic(perturbed, po, tol=1e-11, max_iter=10)
+    sol = _canonical(newton_refine_periodic(perturbed, po, tol=1e-11, max_iter=10))
     assert sol.residual <= 1e-11
     assert sol.newton_iters <= 10
     # quadratic contraction once inside the basin
@@ -164,10 +172,10 @@ def test_refinement_idempotent(cat):
     period, pts = cat_rational_orbit(7)
     arc = np.vstack([pts, pts[:1]])
     po = assemble([arc], cat)
-    sol = newton_refine_periodic(cat, po, tol=1e-11)
+    sol = _canonical(newton_refine_periodic(cat, po, tol=1e-11))
     arc2 = np.vstack([sol.points, sol.points[:1]])
     po2 = assemble([arc2], cat)
-    again = newton_refine_periodic(cat, po2, tol=1e-11)
+    again = _canonical(newton_refine_periodic(cat, po2, tol=1e-11))
     assert again.newton_iters <= 1
     assert np.abs(again.points - sol.points).max() <= 1e-11
 
@@ -181,7 +189,7 @@ def test_forward_consistency_small_periods(cat, perturbed):
         assert period <= 12
         arc = np.vstack([pts, pts[:1]])
         po = assemble([arc], system)
-        sol = newton_refine_periodic(system, po, tol=tol, max_iter=40)
+        sol = _canonical(newton_refine_periodic(system, po, tol=tol, max_iter=40))
         w = tuple(sol.points[0])
         for _ in range(sol.period):
             w = step_xy(system, *w)
@@ -197,7 +205,7 @@ def test_cat_rationality_of_refined_orbits(cat):
         jittered = (pts + 1e-6 * rng.standard_normal(pts.shape)) % 1.0
         arc = np.vstack([jittered, jittered[:1]])
         po = assemble([arc], cat)
-        sol = newton_refine_periodic(cat, po, tol=1e-12, max_iter=40)
+        sol = _canonical(newton_refine_periodic(cat, po, tol=1e-12, max_iter=40))
         Ap = np.linalg.matrix_power(CAT_A, period)
         denom = abs(2 - int(Ap[0, 0] + Ap[1, 1]))
         frac = np.abs(sol.points * denom - np.round(sol.points * denom))
