@@ -594,10 +594,9 @@ def _run_domination(system, p, seed):
     rng = np.random.default_rng(seed)
     x = _seed_point(system, rng, p["x0"])
     n_pts = p["n_points"] + max(p["S_list"])
-    pts, vu, vs, _, _ = _transport_sweeps(system, x[None], 0, n_pts)
-    pts, vu, vs = pts[:, 0], vu[:, 0], vs[:, 0]
-    E, F = (vu, vs) if p["swap"] else (vs, vu)
-    rep = check_domination(system, pts, E, F, S0=p["S0"], lam=p["lam"], S_list=p["S_list"])
+    *_, log_u, log_s = _transport_sweeps(system, x[None], 0, n_pts)
+    log_E, log_F = (log_u[:, 0], log_s[:, 0]) if p["swap"] else (log_s[:, 0], log_u[:, 0])
+    rep = check_domination(log_E, log_F, S0=p["S0"], lam=p["lam"], S_list=p["S_list"])
     res = {"x": x.tolist(), "swap": p["swap"], "lam": p["lam"], **rep.to_json()}
     return res, None, None
 

@@ -404,6 +404,8 @@ def nonlacunarity_profile(seq: ReturnTimeSequence, thresholds=(10, 20, 50, 100))
     t = seq.forward.astype(float)
     if len(t) < 3:
         raise PreconditionError("need at least 3 forward visit times")
+    if any(i0 < 1 for i0 in thresholds):
+        raise ValueError("every threshold must be >= 1")
     ratios_fwd = t[1:] / t[:-1]
     nb = min(len(t) - 1, len(seq.backward) - 1)
     if nb > 0:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nuspec.cli import main as cli_main
-from nuspec.dynamics import CAT_EXPONENT, Point2, Space, orbit_array
+from nuspec.dynamics import CAT_EXPONENT, Point2, Space
 from nuspec.lyapunov import lyapunov_spectrum
 from nuspec.recurrence import SetSpec, interval_hit_check, nonlacunarity_profile, recurrence_scaling, return_times
 from nuspec.shadowing import assemble, check_domination, newton_refine_periodic, shadowing_profile
@@ -191,17 +191,13 @@ def test_criterion_8_mixing_periods(cat, mix_ctx):
     _report(8, f"consecutive periods {periods} >= m+n+K = {floor}")
 
 
-def test_criterion_9_domination(cat):
-    pts = orbit_array(cat, 0.317, 0.203, n_fwd=40)
-    vu = np.array([1.0, (math.sqrt(5) - 1) / 2])
-    vs = np.array([1.0, -(math.sqrt(5) + 1) / 2])
-    vu /= np.linalg.norm(vu)
-    vs /= np.linalg.norm(vs)
-    E = np.tile(vs, (len(pts), 1))
-    F = np.tile(vu, (len(pts), 1))
-    rep = check_domination(cat, pts, E, F, S0=1, lam=0.9, S_list=[1, 5, 10])
+def test_criterion_9_domination(cat_eigen_logs):
+    log_s, log_u = cat_eigen_logs
+    rep = check_domination(log_s, log_u, S0=1, lam=0.9, S_list=[1, 5, 10])
     assert rep.ok
-    swapped = check_domination(cat, pts, F, E, S0=1, lam=0.9, S_list=[1, 5, 10])
+    expected = 2 * CAT_EXPONENT - 1.8
+    assert all(abs(m - expected) <= 1e-9 for m in rep.margins.values())
+    swapped = check_domination(log_u, log_s, S0=1, lam=0.9, S_list=[1, 5, 10])
     assert not swapped.ok and all(m < 0 for m in swapped.margins.values())
     _report(9, f"margins {dict((k, round(v, 4)) for k, v in rep.margins.items())}; swapped fails")
 

@@ -592,7 +592,7 @@ def test_compare_fixed_point_recurrence(tmp_path):
     assert read_json(cmp_out / "summary.json")["pass"] is True
 
 
-def test_gns_cli_round_trip(tmp_path):
+def test_gns_cli_round_trip(tmp_path, newton_solutions, cat_exact_distance):
     out = tmp_path / "gns"
     rc = run_cli(
         [
@@ -612,6 +612,7 @@ def test_gns_cli_round_trip(tmp_path):
     cert = rep["results"]["certificate"]
     assert cert["all_in_ball"] is True
     assert cert["sum_gaps"] <= cert["gap_budget"]
+    assert cat_exact_distance(newton_solutions[0]) < 1e-12
 
 
 def test_report_json_is_rfc8259(tmp_path):
@@ -667,6 +668,14 @@ def test_shadow_run(shadow_run):
     assert res["profile"]["passed"] == all(float(d) < float(b) for _, d, b in rows)
 
 
+def test_shadow_cat_exact_orbit(tmp_path, newton_solutions, cat_exact_distance):
+    # on CatMap both refinements, the rational cycle and the shadow solution,
+    # lie on their exact periodic orbits
+    assert run_cli(["shadow", "--set", "spectrum_N=200", "--out", tmp_path / "shadow"]) == 0
+    assert len(newton_solutions) == 2
+    assert max(map(cat_exact_distance, newton_solutions)) < 1e-12
+
+
 # sha256 of report.json for fast seed-0 runs, PerturbedCatMap(0.05) unless
 # named; a change that is meant to keep reports byte-identical must keep these
 REPORT_DIGESTS = {
@@ -681,7 +690,7 @@ REPORT_DIGESTS = {
     "lyapunov": "c83f66f21fad30c613939114a57e36b5a32984ccdc2be2470f7120f2fd9b5c5a",
     "recurrence-scaling": "87faa0aeb0d7be77f66a9fdd0b483e4237f84647feabbafd33346213b8ead7d9",
     "nonlacunarity": "4879a305041bd53e90d6071549c8e450cec77f6591367f0242ed730dfaaab511",
-    "domination": "cfb2fd62bc9e810ec226a8bc58eaa4584f2be37e9c678c4e9d8b5e76a26ed4ed",
+    "domination": "8a4fb62e0b4bd844db078b0eb7b4b9e7a349cab7fd228c3a8948d16ebc2f9d46",
     # plane balls: Henon forward visits through the cell fold of the ball's candidate index
     "nonlacunarity Henon": "d21b82e9427bd367bf32558667d577b5ed5e7431a2a7a35be6458819fffc96d3",
     # ball-return lattices: the odd default grid, which holds the center, and

@@ -374,6 +374,10 @@ def test_nonlacunarity_periodic():
     assert prof.tail_deviation[20] <= 0.05 + 1e-12  # sup attained at i=20: 21/20 - 1
     # two-sided diagonal ratios for the symmetric sequence
     assert np.allclose(prof.ratios_two_sided, expected)
+    # a threshold below 1 has no tail; it would read from the last ratio
+    for thresholds in ((0, 1), (-5,)):
+        with pytest.raises(ValueError):
+            nonlacunarity_profile(seq, thresholds=thresholds)
 
 
 def test_tail_deviation_non_increasing(cat):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from nuspec.dynamics import Point2, Space, dist_rows, orbit_array, step_xy
+from nuspec.dynamics import Point2, Space, SystemSpec, dist_rows, jac_array, orbit_array, step_xy
 from nuspec.errors import DegenerateOrbitError, NonConvergenceError
+from nuspec.lyapunov import _transport_sweeps
 from nuspec.shadowing import (
     _solve_cyclic,
     assemble,
@@ -254,26 +255,85 @@ def test_profile_monotone_in_tau_epsilon(cat):
     assert shadowing_profile(cat, sol, po, tau=1e-3, epsilon=0.5).passed
 
 
-def _cat_eigenfields(n):
-    vu = np.array([1.0, (math.sqrt(5) - 1) / 2])
-    vs = np.array([1.0, -(math.sqrt(5) + 1) / 2])
-    vu /= np.linalg.norm(vu)
-    vs /= np.linalg.norm(vs)
-    return np.tile(vs, (n, 1)), np.tile(vu, (n, 1))
+def _domination_by_jacobians(system, pts, E, F, lam, S_list):
+    """Reference for check_domination: push both unit fields S steps forward
+    with the Jacobians at every window start t < len(pts) - S and take the
+    worst margin -2 lam - (1/S) log(|Df^S E_t| / |Df^S F_t|)."""
+    jacs = jac_array(system, pts)
+    margins = {}
+    for S in S_list:
+        worst = math.inf
+        for t in range(len(pts) - S):
+            v, w = E[t], F[t]
+            for s in range(S):
+                v = jacs[t + s] @ v
+                w = jacs[t + s] @ w
+            worst = min(worst, -2.0 * lam - (math.log(np.linalg.norm(v)) - math.log(np.linalg.norm(w))) / S)
+        margins[S] = worst
+    return all(m >= 0 for m in margins.values()), margins
 
 
-def test_domination_cat_eigenfields(cat):
-    pts = orbit_array(cat, 0.317, 0.203, n_fwd=40)
-    E, F = _cat_eigenfields(len(pts))
-    rep = check_domination(cat, pts, E, F, S0=1, lam=0.9, S_list=[1, 5, 10])
+@pytest.mark.parametrize(
+    "system",
+    [
+        SystemSpec.cat_map(),
+        SystemSpec.perturbed_cat_map(0.05),
+        SystemSpec.perturbed_cat_map(0.12),
+        SystemSpec.standard_map(1.2),
+    ],
+    ids=["CatMap", "PerturbedCatMap-0.05", "PerturbedCatMap-0.12", "StandardMap-1.2"],
+)
+@pytest.mark.parametrize("swap", [False, True])
+def test_domination_matches_jacobian_loop(system, swap):
+    # the stretch logs of the block sweep give the loop's margins and flags
+    # on the CLI's default orbit: 40 points plus the largest S
+    S_list = [1, 5, 10]
+    for x in ((0.317, 0.203), (0.731, 0.562)):
+        pts, vu, vs, log_u, log_s = (a[:, 0] for a in _transport_sweeps(system, np.array([x]), 0, 50))
+        E, F, log_E, log_F = (vu, vs, log_u, log_s) if swap else (vs, vu, log_s, log_u)
+        for lam in (0.0, 0.1, 0.9):
+            rep = check_domination(log_E, log_F, S0=1, lam=lam, S_list=S_list)
+            ok, margins = _domination_by_jacobians(system, pts, E, F, lam, S_list)
+            assert rep.ok == ok
+            assert rep.margins.keys() == margins.keys()
+            assert all(abs(rep.margins[S] - margins[S]) <= 1e-9 for S in S_list)
+
+
+def test_domination_cat_eigenfields(cat_eigen_logs):
+    log_s, log_u = cat_eigen_logs
+    rep = check_domination(log_s, log_u, S0=1, lam=0.9, S_list=[1, 5, 10])
     assert rep.ok
     expected = 2 * math.log((3 + math.sqrt(5)) / 2) - 1.8
     for S in (1, 5, 10):
         assert abs(rep.margins[S] - expected) <= 1e-9
 
-    swapped = check_domination(cat, pts, F, E, S0=1, lam=0.9, S_list=[1, 5, 10])
+    swapped = check_domination(log_u, log_s, S0=1, lam=0.9, S_list=[1, 5, 10])
     assert not swapped.ok
     assert all(m < 0 for m in swapped.margins.values())
 
-    lax = check_domination(cat, pts, E, F, S0=1, lam=0.0, S_list=[1, 5, 10])
+    lax = check_domination(log_s, log_u, S0=1, lam=0.0, S_list=[1, 5, 10])
     assert lax.ok
+
+
+@pytest.mark.parametrize(
+    "n_E, n_F, S0, S_list",
+    [
+        (41, 41, 0, [0]),  # no window of 0 steps
+        (41, 41, -2, [-1, 5]),
+        (11, 11, 1, [20]),  # no window start: 11 logs hold no 20-step window
+        (11, 11, 1, [5, 11]),
+        (41, 40, 1, [1, 5]),  # the two fields need logs at the same points
+        (3, 41, 1, [1]),
+        (41, 41, 2, [1, 5]),  # S below S0
+    ],
+)
+def test_domination_refuses_bad_input(n_E, n_F, S0, S_list):
+    with pytest.raises(ValueError):
+        check_domination(np.zeros(n_E), np.zeros(n_F), S0=S0, lam=0.9, S_list=S_list)
+
+
+def test_domination_longest_window():
+    # S = n - 1 has the one window t = 0; its margin reads the first n - 1 logs
+    log_E = np.array([-1.0, -2.0, -3.0, 50.0])
+    rep = check_domination(log_E, np.zeros(4), S0=1, lam=0.0, S_list=[3])
+    assert rep.margins == {3: 2.0}

@@ -581,7 +581,7 @@ def test_check_slow_varying_modulated_consistent(cat):
 # certificates
 
 
-def test_ns_fixed_point(cat, cat_spectrum):
+def test_ns_fixed_point(cat, cat_spectrum, newton_solutions, cat_exact_distance):
     fp = torus(0.0, 0.0)
     eps = 0.1 * min(abs(cat_spectrum.lambda_s), cat_spectrum.lambda_u)
     ctx = fixed_point_context(cat, fp, epsilon=eps)
@@ -591,9 +591,10 @@ def test_ns_fixed_point(cat, cat_spectrum):
     assert cert.z.tolist() == [0.0, 0.0]
     assert cert.margins_distance.max() == 0.0
     assert cert.period <= cert.m + cert.n + cert.K
+    assert max(map(cat_exact_distance, newton_solutions)) < 1e-12
 
 
-def test_ns_generic_cat(cat, cat_ctx):
+def test_ns_generic_cat(cat, cat_ctx, cat_exact_distance):
     x = block_point(cat_ctx, 3)
     q = const_q(cat_ctx)
     cert = ns_certificate(cat, x, 100, 100, 0.05, q.eta, q, cat_ctx)
@@ -603,6 +604,7 @@ def test_ns_generic_cat(cat, cat_ctx):
     assert cert.period <= 200 + cert.K
     assert cert.residual <= 1e-11
     assert not cert.below_resolution
+    assert cat_exact_distance(cert.solution_points) < 1e-12
 
 
 def test_ns_below_resolution(cat, cat_ctx):
@@ -691,7 +693,7 @@ def test_cover_contexts_reject_plane_systems(henon):
     assert exc.value.field == "system.kind"
 
 
-def test_sublinearity_scan_cat(cat, cat_ctx):
+def test_sublinearity_scan_cat(cat, cat_ctx, newton_solutions, cat_exact_distance):
     x = block_point(cat_ctx, 9)
     q = const_q(cat_ctx)
     eta = q.eta
@@ -702,6 +704,8 @@ def test_sublinearity_scan_cat(cat, cat_ctx):
     assert ratios[(800, 800)] <= ratios[(100, 100)]
     assert table.summaries[eta] <= 2 * eta / cat_ctx.epsilon + 0.15
     assert all(r.in_ball for r in table.rows)
+    assert len(newton_solutions) == 4
+    assert max(map(cat_exact_distance, newton_solutions)) < 1e-12
 
 
 def test_sublinearity_eta_trend(cat, cat_ctx):
@@ -715,7 +719,7 @@ def test_sublinearity_eta_trend(cat, cat_ctx):
     assert s[2] <= s[1] + 0.05
 
 
-def test_sublinearity_fixed_point(cat, cat_spectrum):
+def test_sublinearity_fixed_point(cat, cat_spectrum, newton_solutions, cat_exact_distance):
     fp = torus(0.0, 0.0)
     eps = 0.1 * min(abs(cat_spectrum.lambda_s), cat_spectrum.lambda_u)
     ctx = fixed_point_context(cat, fp, epsilon=eps)
@@ -727,13 +731,14 @@ def test_sublinearity_fixed_point(cat, cat_spectrum):
     assert ratios == sorted(ratios, reverse=True)
     # the gap stays pinned to the stretch factor plus the bounded connector
     assert table.summaries[eps / 10] <= 2 * (eps / 10) / eps + 0.1
+    assert max(map(cat_exact_distance, newton_solutions)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
 # GNS
 
 
-def test_gns_fixed_point_pair(cat, cat_spectrum):
+def test_gns_fixed_point_pair(cat, cat_spectrum, newton_solutions, cat_exact_distance):
     fp = torus(0.0, 0.0)
     eps = 0.1 * min(abs(cat_spectrum.lambda_s), cat_spectrum.lambda_u)
     ctx = fixed_point_context(cat, fp, epsilon=eps)
@@ -744,9 +749,10 @@ def test_gns_fixed_point_pair(cat, cat_spectrum):
     assert cert.z.tolist() == [0.0, 0.0]
     assert cert.sum_gaps <= cert.gap_budget
     assert cert.bookkeeping_ok
+    assert max(map(cat_exact_distance, newton_solutions)) < 1e-12
 
 
-def test_gns_three_segments(cat, mix_ctx):
+def test_gns_three_segments(cat, mix_ctx, newton_solutions, cat_exact_distance):
     pts = [block_point(mix_ctx, i) for i in (0, 7, 13)]
     eta = mix_ctx.epsilon / 10
     q = SlowVaryingFn.constant(1.0, eta)
@@ -759,6 +765,7 @@ def test_gns_three_segments(cat, mix_ctx):
     # offsets: iterating the stored solution one step at a time stays within
     # the solver residual, so each offset lands on the margin-checked point
     assert cert.residual <= 1e-9
+    assert cat_exact_distance(newton_solutions[0]) < 1e-12
 
 
 def test_gns_prescribed_total_gap(cat, mix_ctx):
