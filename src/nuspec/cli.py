@@ -26,6 +26,7 @@ from .dynamics import Point2, Space, SystemKind, SystemSpec, orbit_array
 from .errors import ConfigError, NuspecError
 from .lyapunov import (
     LyapunovSpectrum,
+    PesinBlockParams,
     lyapunov_spectrum,
     _transport_sweeps,
 )
@@ -508,8 +509,7 @@ def _run_ns_cert(system, p, seed):
     if p["fixed_point"]:
         x = np.zeros(2)
         spec = _spectrum_for(system, rng, p["spectrum_N"])
-        eps = 0.1 * min(abs(spec.lambda_s), spec.lambda_u)
-        ctx = fixed_point_context(system, x, epsilon=eps)
+        ctx = fixed_point_context(system, x, epsilon=PesinBlockParams.from_spectrum(spec).epsilon)
     else:
         ctx = _build_ctx(system, seed, p)
         x = Point2(*p["x"], system.space) if p["x"] is not None else _pick_block_point(ctx, rng)

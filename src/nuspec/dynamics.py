@@ -6,10 +6,11 @@ A point is a (2,) float row, like each row of an orbit, arc or cover array;
 its space is the map's (system.space), never the point's own.  Point2 is
 the check a point passes where it comes in from outside.
 
-All maps are invertible; inverses are closed-form except the perturbed cat
-map, which is inverted by Newton iteration on the forward map.  Torus
-coordinates are always stored canonically in [0, 1) and displacement vectors
-are wrapped to the symmetric representative in (-1/2, 1/2].
+All maps are invertible in closed form; the perturbed cat map A o S, a cat
+map A after a shear S, inverts as the cat inverse followed by the inverse
+shear.  Torus coordinates are always stored canonically in [0, 1) and
+displacement vectors are wrapped to the symmetric representative in
+(-1/2, 1/2].
 
 Each map kind is defined once, as an entry of the table _KINDS; its formulas
 run on Python floats and on numpy arrays alike.
@@ -21,12 +22,11 @@ import enum
 import math
 from array import array
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InversionError, NonFiniteError
+from .errors import ConfigError, NonFiniteError
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,10 +71,6 @@ def fold_torus(a: np.ndarray) -> np.ndarray:
 def wrap_half(d):
     """Wrap displacements (scalars or arrays) to the representative in (-1/2, 1/2]."""
     # % maps the +1/2 boundary to -1/2; fold it back so the interval is (-1/2, 1/2].
-    # Python floats skip numpy: float % equals numpy's bit for bit
-    if type(d) is float:
-        r = (d + 0.5) % 1.0 - 0.5
-        return 0.5 if r == -0.5 else r
     r = (np.asarray(d, dtype=float) + 0.5) % 1.0 - 0.5
     if np.ndim(r) == 0:
         return 0.5 if r == -0.5 else float(r)
@@ -201,13 +197,12 @@ def _perturbed_cat(p, xp):
         c = TWO_PI * kappa * xp.cos(TWO_PI * x)
         return 2.0 + c, 1.0, 1.0 + c, 1.0
 
-    def guess(x, y):
-        # the unperturbed inverse with the shear undone there
+    def inverse(x, y):
+        # the cat inverse, then the shear undone
         wx, wy = _cat_inverse(x, y)
         return wx, (wy - kappa * xp.sin(TWO_PI * wx)) % 1.0
 
-    newton = _newton_point if xp is math else _newton_rows
-    return step, partial(newton, step, jac, guess), jac
+    return step, inverse, jac
 
 
 def _standard(p, xp):
@@ -253,42 +248,6 @@ def _plane(what, x, y):
             x, y = x[i], y[i]
         raise NonFiniteError(f"Henon {what} escaped: ({x}, {y})")
     return x, y
-
-
-def _newton_point(step, jac, guess, x, y, tol=1e-13, max_iter=50):
-    # Newton iteration on the forward map, from the kind's first guess
-    zx, zy = guess(x, y)
-    for _ in range(max_iter):
-        fx, fy = step(zx, zy)
-        rx, ry = wrap_half(fx - x), wrap_half(fy - y)
-        if abs(rx) <= tol and abs(ry) <= tol:
-            return zx, zy
-        a11, a12, a21, a22 = jac(zx, zy)
-        det = a11 * a22 - a12 * a21
-        zx = (zx - (a22 * rx - a12 * ry) / det) % 1.0
-        zy = (zy - (-a21 * rx + a11 * ry) / det) % 1.0
-    raise InversionError(f"PerturbedCatMap inverse: Newton failed to converge for ({x}, {y})")
-
-
-def _newton_rows(step, jac, guess, x, y, tol=1e-13, max_iter=50):
-    # _newton_point on every row; a row leaves the iteration at the step
-    # where the one-point loop would return it
-    z = np.column_stack(guess(x, y))
-    active = np.arange(len(z))
-    for _ in range(max_iter):
-        za = z[active]
-        fx, fy = step(za[:, 0], za[:, 1])
-        rx, ry = wrap_half(fx - x[active]), wrap_half(fy - y[active])
-        going = ~((np.abs(rx) <= tol) & (np.abs(ry) <= tol))  # NaN keeps going
-        active, za, rx, ry = active[going], za[going], rx[going], ry[going]
-        if not len(active):
-            return z[:, 0], z[:, 1]
-        a11, a12, a21, a22 = jac(za[:, 0], za[:, 1])
-        det = a11 * a22 - a12 * a21
-        z[active, 0] = (za[:, 0] - (a22 * rx - a12 * ry) / det) % 1.0
-        z[active, 1] = (za[:, 1] - (-a21 * rx + a11 * ry) / det) % 1.0
-    i = active[0]
-    raise InversionError(f"PerturbedCatMap inverse: Newton failed to converge for ({x[i]}, {y[i]})")
 
 
 _KINDS = {

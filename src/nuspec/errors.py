@@ -17,10 +17,6 @@ class NonFiniteError(NuspecError):
     """A plane-map image or coordinate overflowed / became non-finite."""
 
 
-class InversionError(NuspecError):
-    """Newton inversion of a forward map failed to converge."""
-
-
 class DegeneracyError(NuspecError):
     """A tangent vector or QR column collapsed to zero norm."""
 

@@ -255,6 +255,8 @@ def ball_return_times(
                 half_len = r * CAT_LAMBDA_U**k
                 if taus[i] is None and _segment_lattice_distance(delta, half_len) <= r * (1.0 + CAT_LAMBDA_S**k):
                     taus[i] = k
+            if None not in taus:
+                break
         return taus
     if method != "lattice":
         raise ValueError(f"unknown method {method!r}")

@@ -74,6 +74,26 @@ def test_ns_cert_fixed_point(tmp_path):
     assert all(float(r[1]) == 0.0 for r in rows[1:])
 
 
+def test_ns_cert_fixed_point_refuses_non_hyperbolic_spectrum(tmp_path, monkeypatch):
+    # the fixed-point epsilon comes from the block parameters, so a spectrum
+    # with no block parameters ends in a typed report before any context
+    import nuspec.cli
+    from nuspec.lyapunov import LyapunovSpectrum
+
+    def no_context(*a, **kw):
+        raise AssertionError("fixed_point_context reached")
+
+    flat = LyapunovSpectrum.from_exponents((0.0, 0.0), horizon=100)
+    monkeypatch.setattr(nuspec.cli, "_spectrum_for", lambda *a: flat)
+    monkeypatch.setattr(nuspec.cli, "fixed_point_context", no_context)
+    out = tmp_path / "run"
+    assert run_cli(["ns-cert", "--set", "fixed_point=true", "--out", out]) == 1
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True
+    assert rep["error"]["type"] == "ValueError"
+    assert "not hyperbolic" in rep["error"]["message"]
+
+
 def test_invalid_kind_writes_error_json(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": {"kind": "catmap3", "params": {}}}))
@@ -693,6 +713,8 @@ REPORT_DIGESTS = {
     "domination": "8a4fb62e0b4bd844db078b0eb7b4b9e7a349cab7fd228c3a8948d16ebc2f9d46",
     # plane balls: Henon forward visits through the cell fold of the ball's candidate index
     "nonlacunarity Henon": "d21b82e9427bd367bf32558667d577b5ed5e7431a2a7a35be6458819fffc96d3",
+    # count_bwd = 60 walks the scalar perturbed-cat inverse backward
+    "nonlacunarity PerturbedCatMap": "ee6a8c254cbdf02cd343a89a7cf7412b6d53147d1c13668eae687476f8797d67",
     # ball-return lattices: the odd default grid, which holds the center, and
     # an even grid, which misses it and prepends it
     "recurrence-scaling PerturbedCatMap": "0caff35653dc42cf17629b1eca2c2e173d23a5864c410ff58ed3196b601a049f",
@@ -726,6 +748,9 @@ def test_report_digests_pinned(tmp_path, shadow_run):
     hen = tmp_path / "nonlacunarity-henon"
     assert run_cli(["nonlacunarity", "--config", henon, "--set", "count_bwd=0", "--out", hen]) == 0
     digests["nonlacunarity Henon"] = hashlib.sha256((hen / "report.json").read_bytes()).hexdigest()
+    pert = tmp_path / "nonlacunarity-perturbed"
+    assert run_cli(["nonlacunarity", "--config", cfg, "--out", pert]) == 0
+    digests["nonlacunarity PerturbedCatMap"] = hashlib.sha256((pert / "report.json").read_bytes()).hexdigest()
     lattice_runs = {
         "recurrence-scaling PerturbedCatMap": ["--config", cfg],
         "recurrence-scaling CatMap lattice grid=4": ["--set", "method=lattice", "--set", "grid=4"],
