@@ -1,17 +1,20 @@
 """Return times to sets, ball-return scaling against the exponent bound,
 nonlacunarity diagnostics, and Birkhoff indicator averages.
 
-The ball-return time has two estimators, and each answers a whole list of
-radii in one pass.  The lattice estimator marches one grid of sample points
-over the largest radius's ball (grid=1: the center alone, a center-return
-proxy) and reports, per radius, the first step at which a sample within that
-radius of the center comes back within it; it is the generic method and
-converges to the set-return time from above as the grid grows.  For the
-linear cat map the image of the ball is known exactly (an ellipse flattened
-onto the unstable line), so a segment estimator measures the wrapped
-distance from that line segment to the center analytically; this is the
-method of choice for small radii, where any fixed point lattice is far too
-coarse to witness the first set intersection.
+The ball-return time has two estimators, which share one march that
+answers a whole list of radii.  The lattice estimator marches one grid of
+sample points over the largest radius's ball (grid=1: the center alone, a
+center-return proxy) and reports, per radius, the first step at which a
+sample within that radius of the center comes back within it; it is the
+generic method and converges to the set-return time from above as the grid
+grows.  For the linear cat map the image of the ball is known exactly (an
+ellipse flattened onto the unstable line), so a segment estimator measures
+the wrapped distance from that line segment to the center exactly: unwrapped,
+it is the distance from the segment to the nearest integer lattice point,
+and that point is always among the three lattice rows around the line at an
+integer column the segment spans.  This is the method of choice for small
+radii, where any fixed point lattice is far too coarse to witness the first
+set intersection.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .dynamics import (
     dist_rows,
     orbit_array,
     step_array,
+    step_xy,
     wrap_half,
 )
 from .errors import PreconditionError
@@ -173,8 +177,8 @@ def return_times(
     fwd, ahead = _visit_times(system, x, gamma, count_fwd, horizon, forward=True)
     bwd, behind = _visit_times(system, x, gamma, count_bwd, horizon, forward=False)
     # when the count budget binds before the time budget, the sequence is
-    # only complete up to its last listed time
-    eff_horizon = horizon if len(fwd) < count_fwd else min(horizon, fwd[-1])
+    # only complete up to its last listed time (t_0 = 0 when none is asked)
+    eff_horizon = horizon if len(fwd) < count_fwd else ([0] + fwd)[-1]
     return ReturnTimeSequence(
         forward=np.asarray(fwd, dtype=np.int64),
         backward=-np.asarray(bwd, dtype=np.int64),
@@ -226,102 +230,96 @@ def ball_return_times(
     """For each of the strictly descending radii r, the least k <= T_max at
     which the forward image of B(x, r) meets B(x, r) again, or None.
 
+    One loop over k serves both estimators: it keeps the open radii, always
+    the smallest ones, and stops once none is open; each estimator only says
+    which open radii it hits at step k.  A hit for r is a hit for every
+    larger radius too, so a prefix of the open radii resolves at each step.
+
     method="lattice": march one grid x grid lattice spanning the largest
     ball, with the center always a sample (grid=1 is the center alone), and
     detect a sample returning within r of x; radius r reads the samples
     within r of x, so the sample sets are nested across radii.  Rows that no
-    unresolved radius reads are dropped as the radii resolve.
+    open radius reads are dropped as the radii resolve.
 
     method="segment": cat map only; treats f^k(B) as the exact line segment
     of half-length r * lambda_u^k along the unstable eigendirection and
-    measures its wrapped distance to x, inflated by the r * lambda_s^k
-    stable thickness.
+    measures its wrapped distance to x (_segment_lattice_distances), inflated
+    by the r * lambda_s^k stable thickness.  The segments of the open radii
+    share one center, each inside the longest.
     """
     radii = [float(r) for r in radii]
     if any(b >= a for a, b in zip(radii, radii[1:])):
         raise ValueError("radii must be strictly descending")
     if not radii or not all(r > 0 for r in radii) or grid < 1 or T_max < 1:
         raise ValueError("need r > 0, grid >= 1, T_max >= 1")
-    taus = [None] * len(radii)
     if method == "segment":
         if system.kind is not SystemKind.CAT_MAP:
             raise ValueError("segment method requires the linear cat map")
-        A = np.array([[2.0, 1.0], [1.0, 1.0]])
-        z = x.copy()
-        for k in range(1, T_max + 1):
-            z = (A @ z) % 1.0
-            delta = wrap_half(z - x)
-            for i, r in enumerate(radii):
-                half_len = r * CAT_LAMBDA_U**k
-                if taus[i] is None and _segment_lattice_distance(delta, half_len) <= r * (1.0 + CAT_LAMBDA_S**k):
-                    taus[i] = k
-            if None not in taus:
-                break
-        return taus
-    if method != "lattice":
-        raise ValueError(f"unknown method {method!r}")
-
-    if grid == 1:
-        offsets = np.zeros((1, 2))
-    else:
+        z = x.tolist()
+    elif method == "lattice":
+        # grid=1 gives the one offset (-r, -r), outside the ball; the
+        # prepended center is then the only sample
         g = np.linspace(-radii[0], radii[0], grid)
         ox, oy = np.meshgrid(g, g, indexing="ij")
         offsets = np.column_stack((ox.ravel(), oy.ravel()))
         if not (offsets == 0.0).all(axis=1).any():
             offsets = np.vstack(([0.0, 0.0], offsets))
-    # radius i reads the rows whose offset lies within r_i; the unresolved
-    # radii are always the smallest ones, since a sample within r_i of x
-    # returning within r_i counts for every larger radius too
+        pts, n2 = x[None, :] + offsets, (offsets**2).sum(axis=1)
+        if system.space is Space.TORUS2:
+            pts %= 1.0
+        read = -1  # rows are kept for rad[read:]
+    else:
+        raise ValueError(f"unknown method {method!r}")
     rad = np.array(radii)
-    rr = rad * rad
-    n2 = (offsets**2).sum(axis=1)
-    keep = n2 <= rr[0]
-    pts, n2 = x[None, :] + offsets[keep], n2[keep]
-    if system.space is Space.TORUS2:
-        pts = pts % 1.0
-    target = x[None, :]
-    lo = 0  # the first unresolved radius
+    taus, lo = [None] * len(radii), 0  # rad[lo:] are the open radii
     for k in range(1, T_max + 1):
-        pts = step_array(system, pts)
-        d = dist_rows(system.space, pts, target)
-        hit = ((n2[:, None] <= rr[lo:]) & (d[:, None] <= rad[lo:])).any(axis=0)
+        r = rad[lo:]
+        if method == "segment":
+            z = step_xy(system, *z)
+            c = wrap_half(np.array(z) - x)
+            hit = _segment_lattice_distances(c, r * CAT_LAMBDA_U**k) <= r * (1.0 + CAT_LAMBDA_S**k)
+        else:
+            if read != lo:  # drop the rows that no open radius reads
+                keep = n2 <= r[0] * r[0]
+                pts, n2, read = pts[keep], n2[keep], lo
+            pts = step_array(system, pts)
+            d = dist_rows(system.space, pts, x[None, :])
+            hit = ((n2[:, None] <= r * r) & (d[:, None] <= r)).any(axis=0)
         if hit.any():
             upto = lo + int(np.flatnonzero(hit)[-1]) + 1
             taus[lo:upto] = [k] * (upto - lo)
             lo = upto
             if lo == len(radii):
                 break
-            keep = n2 <= rr[lo]
-            pts, n2 = pts[keep], n2[keep]
     return taus
 
 
-def _segment_lattice_distance(c, T, chunk=2_000_000):
-    """Min distance from the segment {c + t * vu : |t| <= T} to the integer
-    lattice (equivalently: from the wrapped segment to the origin)."""
+def _segment_lattice_distances(c, T):
+    """Min distance from each segment {c + t * vu : |t| <= T_i} to the integer
+    lattice (equivalently: from the wrapped segment to the origin), for the
+    descending half-lengths T.
+
+    The candidates are, at every integer column a from floor(min x) to
+    ceil(max x) of the longest segment, the three lattice rows
+    round(y(a)) + {-1, 0, 1} around the line y(a).  The nearest lattice
+    point lies within sqrt(2)/2 < 0.71 of the segment, so in one of those
+    columns, and within 0.71 of the line, which is 0.71 / vu_x < 0.84 of it
+    vertically: one of those three rows.  A shorter segment lies inside the
+    longest, so the one candidate set serves every T_i."""
     vu = _CAT_VU
-    n = max(2, int(math.ceil(2 * T / 0.2)) + 1)
-    best = math.inf
-    offs = [
-        np.array([i, j], float) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)
-    ]
-    spacing = 2 * T / (n - 1)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        tt = -T + spacing * np.arange(start, stop)
-        P = c[None, :] + tt[:, None] * vu[None, :]
-        Q = np.round(P)
-        for off in offs:
-            L = Q + off[None, :]
-            dvec = L - c[None, :]
-            tproj = dvec @ vu
-            np.clip(tproj, -T, T, out=tproj)
-            rx = dvec[:, 0] - tproj * vu[0]
-            ry = dvec[:, 1] - tproj * vu[1]
-            m = math.sqrt(float(np.min(rx * rx + ry * ry)))
-            if m < best:
-                best = m
-    return best
+    reach = T[0] * vu[0]
+    a = np.arange(math.floor(c[0] - reach), math.ceil(c[0] + reach) + 1, dtype=float)
+    row = np.round(c[1] + (a - c[0]) * (vu[1] / vu[0]))
+    dx = np.repeat(a, 3) - c[0]
+    dy = (row[:, None] + (-1.0, 0.0, 1.0)).ravel() - c[1]
+    proj = np.column_stack((dx, dy)) @ vu
+    out = []
+    for t in T:
+        tproj = np.clip(proj, -t, t)
+        rx = dx - tproj * vu[0]
+        ry = dy - tproj * vu[1]
+        out.append(math.sqrt(float(np.min(rx * rx + ry * ry))))
+    return np.array(out)
 
 
 @dataclass

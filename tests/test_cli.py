@@ -719,6 +719,8 @@ REPORT_DIGESTS = {
     # an even grid, which misses it and prepends it
     "recurrence-scaling PerturbedCatMap": "0caff35653dc42cf17629b1eca2c2e173d23a5864c410ff58ed3196b601a049f",
     "recurrence-scaling CatMap lattice grid=4": "97786cedea2c715f3097941adb4d75d382722a600af0431735465ee92f4ac585",
+    # the segment estimator at the smallest radii the CLI allows, 2^-19
+    "recurrence-scaling CatMap radii_log2_max=19": "ec18eda8c25b438747d90b0e52b271683c0c790f3e2b75d2cb3bdcde21cd6c9b",
 }
 
 
@@ -751,12 +753,13 @@ def test_report_digests_pinned(tmp_path, shadow_run):
     pert = tmp_path / "nonlacunarity-perturbed"
     assert run_cli(["nonlacunarity", "--config", cfg, "--out", pert]) == 0
     digests["nonlacunarity PerturbedCatMap"] = hashlib.sha256((pert / "report.json").read_bytes()).hexdigest()
-    lattice_runs = {
+    recurrence_runs = {
         "recurrence-scaling PerturbedCatMap": ["--config", cfg],
         "recurrence-scaling CatMap lattice grid=4": ["--set", "method=lattice", "--set", "grid=4"],
+        "recurrence-scaling CatMap radii_log2_max=19": ["--set", "radii_log2_max=19"],
     }
-    for i, (name, args) in enumerate(lattice_runs.items()):
-        rec = tmp_path / f"lattice-{i}"
+    for i, (name, args) in enumerate(recurrence_runs.items()):
+        rec = tmp_path / f"recurrence-{i}"
         assert run_cli(["recurrence-scaling", *args, "--out", rec]) == 0
         digests[name] = hashlib.sha256((rec / "report.json").read_bytes()).hexdigest()
     assert digests == REPORT_DIGESTS

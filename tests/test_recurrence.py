@@ -79,15 +79,40 @@ def test_return_never_beats_center(cat):
         assert t_grid <= t_center
 
 
+# unit unstable eigenvector of the cat matrix [[2,1],[1,1]]
+_VU = np.array([1.0, (math.sqrt(5.0) - 1.0) / 2.0])
+_VU /= np.linalg.norm(_VU)
+_OFFSETS = [np.array([i, j], float) for i in (-1.0, 0.0, 1.0) for j in (-1.0, 0.0, 1.0)]
+
+
+def _sampled_segment_distance(c, T):
+    """Min distance from the segment {c + t * vu : |t| <= T} to the integer
+    lattice, by sampling: points at most 0.2 apart along the segment, each
+    rounded to the lattice and widened by the 8 neighbours of that point."""
+    n = max(2, int(math.ceil(2 * T / 0.2)) + 1)
+    tt = -T + (2 * T / (n - 1)) * np.arange(n)
+    Q = np.round(c[None, :] + tt[:, None] * _VU[None, :])
+    best = math.inf
+    for off in _OFFSETS:
+        dvec = Q + off[None, :] - c[None, :]
+        tproj = dvec @ _VU
+        np.clip(tproj, -T, T, out=tproj)
+        rx = dvec[:, 0] - tproj * _VU[0]
+        ry = dvec[:, 1] - tproj * _VU[1]
+        best = min(best, math.sqrt(float(np.min(rx * rx + ry * ry))))
+    return best
+
+
 def _first_return_reference(system, x, r, grid, T_max, largest, method):
     """The per-radius march: one radius, its own copy of the largest radius's
-    lattice filtered to r (or, for the cat map segment, its own iteration of x)."""
+    lattice filtered to r (or, for the cat map segment, its own iteration of
+    x and the sampled segment distance)."""
     if method == "segment":
         z = x.copy()
         A = np.array([[2.0, 1.0], [1.0, 1.0]])
         for k in range(1, T_max + 1):
             z = (A @ z) % 1.0
-            d = recurrence._segment_lattice_distance(wrap_half(z - x), r * CAT_LAMBDA_U**k)
+            d = _sampled_segment_distance(wrap_half(z - x), r * CAT_LAMBDA_U**k)
             if d <= r * (1.0 + CAT_LAMBDA_S**k):
                 return k
         return None
@@ -146,6 +171,51 @@ def test_ball_return_times_match_per_radius_march(cat, perturbed, standard, kind
     assert got == want
     # one march never steps more rows, nor makes more calls, than one per radius
     assert got_rows <= sum(stepped) and got_calls <= len(stepped)
+
+
+def _bounding_box_distances(c, T):
+    """The segment distance formula over every lattice point of the longest
+    segment's bounding box widened by 1, which holds the nearest one."""
+    h = T[0] * _VU
+    X, Y = np.meshgrid(
+        np.arange(math.floor(c[0] - h[0]) - 1, math.ceil(c[0] + h[0]) + 2),
+        np.arange(math.floor(c[1] - h[1]) - 1, math.ceil(c[1] + h[1]) + 2),
+        indexing="ij",
+    )
+    dvec = np.column_stack((X.ravel(), Y.ravel())).astype(float) - c
+    out = []
+    for t in T:
+        tproj = np.clip(dvec @ _VU, -t, t)
+        rx = dvec[:, 0] - tproj * _VU[0]
+        ry = dvec[:, 1] - tproj * _VU[1]
+        out.append(math.sqrt(float(np.min(rx * rx + ry * ry))))
+    return np.array(out)
+
+
+_ORACLE_T = np.array([20.0, 7.3, 1.0, 0.1, 1e-3, 1e-12, 1e-300, 5e-324])
+_EDGES = [0.0, 0.5, math.nextafter(0.5, 0.0), -math.nextafter(0.5, 0.0), 1e-300, -1e-300, 0.25]
+
+
+@pytest.mark.parametrize(
+    "centers",
+    [
+        pytest.param([(0.0, 0.0)], id="lattice-point"),
+        # the wrapped cell's edges x or y = 0 and +-1/2, with one coordinate on them
+        pytest.param([(a, b) for a in _EDGES for b in _EDGES], id="cell-edges"),
+        pytest.param(np.random.default_rng(5).random((300, 2)) - 0.5, id="random"),
+        # the nearest lattice point (0, 1) is a row off the one nearest the line at x = 0
+        pytest.param([(0.45, 0.55)], id="off-row"),
+        # for T <= 0.1 the origin projects past the end c - T vu, and past c + T vu
+        pytest.param([(0.3, 0.2), (-0.3, -0.2)], id="clamped-ends"),
+    ],
+)
+def test_segment_distances_match_bounding_box_oracle(centers):
+    for c in np.asarray(centers, dtype=float):
+        want = _bounding_box_distances(c, _ORACLE_T)
+        assert recurrence._segment_lattice_distances(c, _ORACLE_T).tobytes() == want.tobytes()
+        # each half-length alone builds its own, shorter candidate set
+        for i in range(len(_ORACLE_T)):
+            assert recurrence._segment_lattice_distances(c, _ORACLE_T[i : i + 1])[0] == want[i]
 
 
 @pytest.mark.parametrize(
@@ -209,6 +279,10 @@ def test_return_times_periodic_orbit(cat):
     seq = return_times(cat, PERIOD3, gamma, count_fwd=5, count_bwd=3, horizon=100)
     assert seq.forward.tolist() == [3, 6, 9, 12, 15]
     assert seq.backward.tolist() == [-3, -6, -9]
+    # no forward visit asked for: the forward sequence is complete up to t_0 = 0
+    seq = return_times(cat, PERIOD3, gamma, count_fwd=0, count_bwd=5, horizon=100)
+    assert seq.forward.tolist() == [] and seq.horizon == 0
+    assert seq.backward.tolist() == [-3, -6, -9, -12, -15]
 
 
 def test_return_times_whole_torus(cat):
