@@ -127,19 +127,23 @@ def _each(kind):
     return lambda name, v: many(name, v) if isinstance(v, list) else kind(name, v)
 
 
+_Q_DEFAULTS = {"kind": "constant", "c": 1.0, "amplitude": 0.5, "frequency": 1}
+
+
 def _q(name, q):
     """A weight that _q_from_param builds as stated; it is stored as given."""
     if not isinstance(q, dict):
         _refuse(name, q, "an object")
     for key in q:
-        if key not in ("kind", "c", "amplitude", "frequency"):
+        if key not in _Q_DEFAULTS:
             raise ConfigError(f"unknown q key {key!r}", field=f"q.{key}")
-    _one_of("constant", "modulated")("q.kind", q.get("kind", "constant"))
-    _float()("q.c", q.get("c", 1.0))
-    a = q.get("amplitude", 0.5)
+    full = {**_Q_DEFAULTS, **q}
+    _one_of("constant", "modulated")("q.kind", full["kind"])
+    _float()("q.c", full["c"])
+    a = full["amplitude"]
     if type(a) not in (int, float) or not 0 <= a < 1:
         _refuse("q.amplitude", a, "a number in [0, 1)")
-    _int(-math.inf)("q.frequency", q.get("frequency", 1))
+    _int(-math.inf)("q.frequency", full["frequency"])
     return q
 
 
@@ -385,10 +389,10 @@ def _spectrum_for(system, rng, N) -> LyapunovSpectrum:
 
 
 def _q_from_param(qspec: dict, eta: float) -> SlowVaryingFn:
-    c = float(qspec.get("c", 1.0))
-    if qspec.get("kind", "constant") == "constant":
-        return SlowVaryingFn.constant(c, eta)
-    return SlowVaryingFn.modulated(c, float(qspec.get("amplitude", 0.5)), int(qspec.get("frequency", 1)), eta)
+    q = {**_Q_DEFAULTS, **qspec}
+    if q["kind"] == "constant":
+        return SlowVaryingFn.constant(float(q["c"]), eta)
+    return SlowVaryingFn.modulated(float(q["c"]), float(q["amplitude"]), int(q["frequency"]), eta)
 
 
 # the cover fields that build_cover_context takes under their own names

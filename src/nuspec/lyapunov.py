@@ -170,9 +170,9 @@ def lyapunov_spectrum(
 
 def _normalize_rows(v):
     """Unit vectors along the rows of a (P, 2) array, with a fixed overall
-    sign so directions are comparable across calls.  math.hypot, not
-    np.hypot: the two differ in the last bit for some inputs."""
-    n = np.fromiter(map(math.hypot, v[:, 0].tolist(), v[:, 1].tolist()), float, len(v))
+    sign so directions are comparable across calls.  Every operation is
+    elementwise, so a row gets the floats it gets on its own."""
+    n = np.hypot(v[:, 0], v[:, 1])
     if not np.all(np.isfinite(n) & (n != 0.0)):
         raise DegeneracyError("direction vector vanished during transport")
     v = v / n[:, None]
@@ -190,10 +190,12 @@ def _transport_sweeps(system, base, jmin, jmax, warm=_WARM):
     f^{jmin+t}(base[p]) and the stretch logs are per-step factors
     log ||Df(pts[t, p]) v(pts[t, p])|| for the respective direction field.
 
-    The expanding field is seeded warm steps below jmin and swept forward;
-    the contracting field is seeded warm steps above jmax and swept backward
-    with inverse Jacobians.  Both sweeps move each field in its attracting
-    direction, so the seeds wash out at the hyperbolicity rate.
+    The expanding field is seeded warm steps below jmin and carried forward
+    by the Jacobians; the contracting field is seeded warm steps above jmax
+    and carried backward by their adjugates [[a22, -a12], [-a21, a11]], the
+    inverses up to a scale that normalization drops.  Both sweeps move each
+    field in its attracting direction, so the seeds wash out at the
+    hyperbolicity rate.
     """
     n_bwd = -jmin + warm
     n_fwd = jmax + warm
@@ -212,24 +214,18 @@ def _transport_sweeps(system, base, jmin, jmax, warm=_WARM):
         cur = step_inverse_array(system, cur)
         pts_full[t] = cur
     jacs = jac_array(system, pts_full.reshape(-1, 2)).reshape(total, n_pts, 2, 2)
-    seed = np.tile(_GENERIC, (n_pts, 1))
-
-    vu_full = np.empty((total, n_pts, 2))
-    vu_full[0] = _normalize_rows(seed)
-    for t in range(total - 1):
-        vu_full[t + 1] = _normalize_rows(np.matmul(jacs[t], vu_full[t][:, :, None])[:, :, 0])
-
-    vs_full = np.empty((total, n_pts, 2))
-    vs_full[total - 1] = _normalize_rows(seed)
-    for t in range(total - 2, -1, -1):
-        a11, a12 = jacs[t, :, 0, 0], jacs[t, :, 0, 1]
-        a21, a22 = jacs[t, :, 1, 0], jacs[t, :, 1, 1]
-        det = a11 * a22 - a12 * a21
-        n0, n1 = vs_full[t + 1, :, 0], vs_full[t + 1, :, 1]
-        vs_full[t] = _normalize_rows(
-            np.column_stack(((a22 * n0 - a12 * n1) / det, (-a21 * n0 + a11 * n1) / det))
-        )
-
+    # one carry, side by side: the Jacobians forward, their adjugates backward in
+    # time; the stack is a contiguous copy, so np.matmul runs one kernel for any P
+    back = jacs[-2::-1]
+    mats = np.concatenate((jacs[:-1], back), axis=1)
+    adj = mats[:, n_pts:]  # [[a22, -a12], [-a21, a11]]: swap the diagonal, negate the rest
+    adj[..., 0, 0], adj[..., 1, 1] = back[..., 1, 1], back[..., 0, 0]
+    adj[..., [0, 1], [1, 0]] *= -1
+    v = np.empty((total, 2 * n_pts, 2))
+    v[0] = _normalize_rows(np.tile(_GENERIC, (2 * n_pts, 1)))
+    for t, m in enumerate(mats):
+        v[t + 1] = _normalize_rows(np.matmul(m, v[t][:, :, None])[:, :, 0])
+    vu_full, vs_full = v[:, :n_pts], v[::-1, n_pts:]
     img_u = np.einsum("tpij,tpj->tpi", jacs, vu_full)
     img_s = np.einsum("tpij,tpj->tpi", jacs, vs_full)
     log_u = 0.5 * np.log((img_u * img_u).sum(axis=2))
@@ -281,19 +277,18 @@ def block_defects(system: SystemSpec, base: np.ndarray, params: PesinBlockParams
     w = vs[t]
     cross = np.abs(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0])
     dot = np.abs(u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1])
-    tilt = [-math.log(math.tan(math.atan2(c, d))) for c, d in zip(cross.ravel().tolist(), dot.ravel().tolist())]
-    d_c = (np.reshape(tilt, cross.shape) - slack[:, None]).max(axis=0)
+    # parallel lines (cross 0) give a +inf defect, which no k meets
+    with np.errstate(divide="ignore"):
+        tilt = -np.log(np.tan(np.arctan2(cross, dot)))
+    d_c = (tilt - slack[:, None]).max(axis=0)
     return d_a, d_b, d_c
 
 
 def _block_indices(system: SystemSpec, base: np.ndarray, params: PesinBlockParams) -> list:
     """Block index (or None) of every row of base; see pesin_block_index."""
     d_a, d_b, d_c = block_defects(system, base, params)
-    out = []
-    for worst in np.maximum(np.maximum(d_a, d_b), d_c).tolist():
-        k = max(1, math.ceil(worst / params.epsilon - 1e-12))
-        out.append(k if k <= MAX_BLOCK_INDEX else None)
-    return out
+    ks = np.maximum(1.0, np.ceil(np.maximum(np.maximum(d_a, d_b), d_c) / params.epsilon - 1e-12))
+    return [int(k) if k <= MAX_BLOCK_INDEX else None for k in ks.tolist()]
 
 
 def pesin_block_index(system: SystemSpec, x: np.ndarray, params: PesinBlockParams):

@@ -715,6 +715,8 @@ REPORT_DIGESTS = {
     "nonlacunarity Henon": "d21b82e9427bd367bf32558667d577b5ed5e7431a2a7a35be6458819fffc96d3",
     # count_bwd = 60 walks the scalar perturbed-cat inverse backward
     "nonlacunarity PerturbedCatMap": "ee6a8c254cbdf02cd343a89a7cf7412b6d53147d1c13668eae687476f8797d67",
+    # the bench's diagnostics system; its margins read the block sweep's stretch logs
+    "domination PerturbedCatMap": "ce04faf3b207cddd58cf58f4c9fd231724b34cc5ceb58a10683bd08277624b96",
     # ball-return lattices: the odd default grid, which holds the center, and
     # an even grid, which misses it and prepends it
     "recurrence-scaling PerturbedCatMap": "0caff35653dc42cf17629b1eca2c2e173d23a5864c410ff58ed3196b601a049f",
@@ -753,6 +755,9 @@ def test_report_digests_pinned(tmp_path, shadow_run):
     pert = tmp_path / "nonlacunarity-perturbed"
     assert run_cli(["nonlacunarity", "--config", cfg, "--out", pert]) == 0
     digests["nonlacunarity PerturbedCatMap"] = hashlib.sha256((pert / "report.json").read_bytes()).hexdigest()
+    dom = tmp_path / "domination-perturbed"
+    assert run_cli(["domination", "--config", cfg, "--out", dom]) == 0
+    digests["domination PerturbedCatMap"] = hashlib.sha256((dom / "report.json").read_bytes()).hexdigest()
     recurrence_runs = {
         "recurrence-scaling PerturbedCatMap": ["--config", cfg],
         "recurrence-scaling CatMap lattice grid=4": ["--set", "method=lattice", "--set", "grid=4"],

@@ -1,8 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from nuspec import lyapunov
 from nuspec.dynamics import (
     Point2,
     Space,
@@ -183,7 +185,7 @@ def test_params_validation():
 
 
 def _unit(v):
-    n = math.hypot(v[0], v[1])
+    n = np.hypot(v[0], v[1])
     v = v / n
     if v[0] < 0 or (v[0] == 0 and v[1] < 0):
         v = -v
@@ -191,7 +193,8 @@ def _unit(v):
 
 
 def _scalar_sweeps(system, x, y, jmin, jmax, warm=64):
-    """One point at a time: scalar orbit steps, a 2x2 product per step."""
+    """One point at a time: scalar orbit steps, a 2x2 product per step, the
+    Jacobian forward and its adjugate backward."""
     n_bwd, n_fwd = warm - jmin, jmax + warm
     total = n_bwd + n_fwd + 1
     pts = np.empty((total, 2))
@@ -209,9 +212,7 @@ def _scalar_sweeps(system, x, y, jmin, jmax, warm=64):
     vs[-1] = _unit(_GENERIC)
     for t in range(total - 2, -1, -1):
         (a11, a12), (a21, a22) = jacs[t]
-        det = a11 * a22 - a12 * a21
-        w = vs[t + 1]
-        vs[t] = _unit(np.array([(a22 * w[0] - a12 * w[1]) / det, (-a21 * w[0] + a11 * w[1]) / det]))
+        vs[t] = _unit(np.array([[a22, -a12], [-a21, a11]]) @ vs[t + 1])
     sl = slice(warm, n_bwd + jmax + 1)
     return pts[sl], vu[sl], vs[sl]
 
@@ -244,15 +245,43 @@ def test_block_defects_batched_equals_single(system):
     assert batched.tobytes() == single.tobytes()
 
 
+# block indices of the ninety-point sample below; a change to the block sweep's
+# floats that moves an index across a multiple of epsilon shows here
+BLOCK_SAMPLE_PIN = [
+    5, 5, 2, 8, 12, 3, 6, 9, 17, 18, 11, 1, 1, 5, 2, 6, 5, 4, 4, 6, 1, 3, 5, 6, 8, 5, 4, 4, 1, 6,
+    1, 2, 4, 1, 1, 5, 9, 10, 7, 4, 6, 1, 5, 5, 5, 7, 7, 2, 6, 5, 6, 6, 5, 2, 1, 3, 6, 10, 13, 9,
+    5, 3, 2, 5, 1, 4, 5, 3, 2, 5, 3, 6, 1, 7, 6, 1, 3, 7, 6, 3, 2, 4, 3, 1, 1, 1, 3, 1, 1, 1,
+]
+
+
 def test_block_sample_matches_pointwise_index():
     # ninety points classified in one sweep each get the index they get on
     # their own; the strong perturbation spreads the indices
     system = SystemSpec.perturbed_cat_map(0.12)
     params = PesinBlockParams(lam=0.9, mu=0.9, epsilon=0.09, window=(60, 60, 15))
     samples = block_sample(system, params, 90, seed=5, spacing=11)
-    assert len({k for _, k in samples}) > 2
+    assert [k for _, k in samples] == BLOCK_SAMPLE_PIN
     for x, k in samples:
         assert pesin_block_index(system, x, params) == k
+
+
+def test_parallel_direction_fields_have_no_index(monkeypatch, cat):
+    # coinciding fields put the angle defect at +inf: no k holds, and no
+    # floating-point warning or error escapes
+    sweeps = lyapunov._transport_sweeps
+
+    def parallel(*args, **kwargs):
+        pts, vu, _, log_u, log_s = sweeps(*args, **kwargs)
+        return pts, vu, vu, log_u, log_s
+
+    monkeypatch.setattr(lyapunov, "_transport_sweeps", parallel)
+    params = PesinBlockParams(lam=0.96, mu=0.96, epsilon=0.096, window=(50, 50, 10))
+    x = torus(0.31, 0.27)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert block_defects(cat, x[None], params)[2].tolist() == [math.inf]
+        assert pesin_block_index(cat, x, params) is None
+        assert [k for _, k in block_sample(cat, params, 5, seed=4)] == [None] * 5
 
 
 def test_block_sample_error_is_first_points(henon):
