@@ -8,8 +8,8 @@ the check a point passes where it comes in from outside.
 
 All maps are invertible in closed form; the perturbed cat map A o S, a cat
 map A after a shear S, inverts as the cat inverse followed by the inverse
-shear.  Torus coordinates are always stored canonically in [0, 1) and
-displacement vectors are wrapped to the symmetric representative in
+shear.  Space.fold stores torus coordinates canonically in [0, 1), and
+Space.wrap takes displacement vectors to the symmetric representative in
 (-1/2, 1/2].
 
 Each map kind is defined once, as an entry of the table _KINDS; its formulas
@@ -40,8 +40,35 @@ PLANE_OVERFLOW = 1e50
 
 
 class Space(enum.Enum):
+    """A map's phase space.  It owns the geometry: every array fold,
+    displacement wrap and distance in the library is one of its three
+    methods (the per-step map formulas keep their own % 1.0)."""
+
     TORUS2 = "torus2"
     PLANE = "plane"
+
+    def fold(self, a: np.ndarray) -> np.ndarray:
+        """Fold a float array into [0, 1) in place and return it (on the
+        plane, a as it is).  % 1.0 rounds a tiny negative coordinate up to
+        1.0, which is the coordinate 0.0."""
+        if self is Space.TORUS2:
+            a %= 1.0
+            a[a == 1.0] = 0.0
+        return a
+
+    def wrap(self, d: np.ndarray) -> np.ndarray:
+        """Displacement array d wrapped to its representative in (-1/2, 1/2]
+        (on the plane, d as it is).  d - rint(d) rounds nothing for
+        |d| < 2^52, so the wrap is exact, and antisymmetric but at +-1/2."""
+        if self is Space.TORUS2:
+            d = d - np.rint(d)
+            d[d == -0.5] = 0.5
+        return d
+
+    def dist(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Row-wise distances between two (..., 2) arrays."""
+        d = self.wrap(a - b)
+        return np.hypot(d[..., 0], d[..., 1])
 
 
 class SystemKind(enum.Enum):
@@ -56,26 +83,7 @@ def Point2(x: float, y: float, space: Space = Space.TORUS2) -> np.ndarray:
     coordinates are finite; torus coordinates are folded into [0, 1)."""
     if not (math.isfinite(x) and math.isfinite(y)):
         raise NonFiniteError(f"non-finite point ({x}, {y})")
-    p = np.array([x, y], dtype=float)
-    return fold_torus(p) if space is Space.TORUS2 else p
-
-
-def fold_torus(a: np.ndarray) -> np.ndarray:
-    """Fold a float array into [0, 1) in place and return it.  % 1.0 rounds
-    a tiny negative coordinate up to 1.0, which is the coordinate 0.0."""
-    a %= 1.0
-    a[a == 1.0] = 0.0
-    return a
-
-
-def wrap_half(d):
-    """Wrap displacements (scalars or arrays) to the representative in (-1/2, 1/2]."""
-    # % maps the +1/2 boundary to -1/2; fold it back so the interval is (-1/2, 1/2].
-    r = (np.asarray(d, dtype=float) + 0.5) % 1.0 - 0.5
-    if np.ndim(r) == 0:
-        return 0.5 if r == -0.5 else float(r)
-    r[r == -0.5] = 0.5
-    return r
+    return space.fold(np.array([x, y], dtype=float))
 
 
 @dataclass(frozen=True)
@@ -272,22 +280,12 @@ def step_inverse_xy(system: SystemSpec, x: float, y: float):
     return system.maps()[1](x, y)
 
 
-def dist_rows(space: Space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise distances between two (n, 2) arrays."""
-    d = a - b
-    if space is Space.TORUS2:
-        d = np.abs(d)
-        d -= np.floor(d)
-        d = np.minimum(d, 1.0 - d)
-    return np.hypot(d[..., 0], d[..., 1])
-
-
 def orbit_array(system: SystemSpec, x: float, y: float, n_fwd: int, n_bwd: int = 0) -> np.ndarray:
     """Orbit window as an (n_bwd + n_fwd + 1, 2) array; row i is f^(i - n_bwd)."""
     if n_fwd < 0 or n_bwd < 0:
         raise ValueError(f"orbit lengths must be >= 0, got n_fwd={n_fwd}, n_bwd={n_bwd}")
     step, inverse, _ = system.maps()
-    start = (float(x % 1.0), float(y % 1.0)) if system.space is Space.TORUS2 else (float(x), float(y))
+    start = tuple(system.space.fold(np.array([x, y], dtype=float)).tolist())
     # each direction steps on Python floats, which run faster than numpy
     # scalars, into a flat array.array buffer
     pieces = []

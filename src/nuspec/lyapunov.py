@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (
-    Space,
-    SystemSpec,
-    jac_array,
-    orbit_array,
-    step_array,
-    step_inverse_array,
-)
+from .dynamics import SystemSpec, jac_array, orbit_array, step_array, step_inverse_array
 from .errors import DegeneracyError, NuspecError
 
 # generic seed vector for direction transport; any vector off the invariant
@@ -46,7 +39,8 @@ class LyapunovSpectrum:
     lambda_s / lambda_u are the maximal negative and minimal positive
     exponents; Lambda_s / Lambda_u the minimal negative and maximal positive.
     In two dimensions each sign class has at most one member, so the pairs
-    coincide; they are kept separate because the recurrence bounds use both.
+    coincide.  The bounds read lambda_s and lambda_u only; Lambda_s and
+    Lambda_u stay because the lyapunov report states them.
     """
 
     exponents: tuple
@@ -200,9 +194,7 @@ def _transport_sweeps(system, base, jmin, jmax, warm=_WARM):
     n_bwd = -jmin + warm
     n_fwd = jmax + warm
     total = n_bwd + n_fwd + 1
-    cur = np.array(base, dtype=float)
-    if system.space is Space.TORUS2:
-        cur %= 1.0
+    cur = system.space.fold(np.array(base, dtype=float))
     n_pts = len(cur)
     pts_full = np.empty((total, n_pts, 2))
     pts_full[n_bwd] = cur

@@ -31,11 +31,9 @@ from .dynamics import (
     Space,
     SystemKind,
     SystemSpec,
-    dist_rows,
     orbit_array,
     step_array,
     step_xy,
-    wrap_half,
 )
 from .errors import PreconditionError
 
@@ -74,9 +72,7 @@ class SetSpec:
         """Squared distances (n, k) from the rows of pts to centers[which];
         an (n, k) index array gives each row its own k centers."""
         c = self.centers[which]
-        d = pts[:, None, :] - (c if c.ndim == 3 else c[None])
-        if self.space is Space.TORUS2:
-            d = wrap_half(d)
+        d = self.space.wrap(pts[:, None, :] - (c if c.ndim == 3 else c[None]))
         return (d * d).sum(axis=2)
 
     @cached_property
@@ -264,9 +260,7 @@ def ball_return_times(
         offsets = np.column_stack((ox.ravel(), oy.ravel()))
         if not (offsets == 0.0).all(axis=1).any():
             offsets = np.vstack(([0.0, 0.0], offsets))
-        pts, n2 = x[None, :] + offsets, (offsets**2).sum(axis=1)
-        if system.space is Space.TORUS2:
-            pts %= 1.0
+        pts, n2 = system.space.fold(x[None, :] + offsets), (offsets**2).sum(axis=1)
         read = -1  # rows are kept for rad[read:]
     else:
         raise ValueError(f"unknown method {method!r}")
@@ -276,14 +270,14 @@ def ball_return_times(
         r = rad[lo:]
         if method == "segment":
             z = step_xy(system, *z)
-            c = wrap_half(np.array(z) - x)
+            c = system.space.wrap(np.array(z) - x)
             hit = _segment_lattice_distances(c, r * CAT_LAMBDA_U**k) <= r * (1.0 + CAT_LAMBDA_S**k)
         else:
             if read != lo:  # drop the rows that no open radius reads
                 keep = n2 <= r[0] * r[0]
                 pts, n2, read = pts[keep], n2[keep], lo
             pts = step_array(system, pts)
-            d = dist_rows(system.space, pts, x[None, :])
+            d = system.space.dist(pts, x[None, :])
             hit = ((n2[:, None] <= r * r) & (d[:, None] <= r)).any(axis=0)
         if hit.any():
             upto = lo + int(np.flatnonzero(hit)[-1]) + 1

@@ -25,15 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .dynamics import (
-    Space,
-    SystemSpec,
-    dist_rows,
-    fold_torus,
-    jac_array,
-    step_array,
-    wrap_half,
-)
+from .dynamics import SystemSpec, jac_array, step_array
 from .errors import DegenerateOrbitError, NonConvergenceError, PreconditionError
 
 DEGENERACY_THRESHOLD = 1e-12
@@ -85,7 +77,7 @@ def assemble(arcs, system: SystemSpec) -> PseudoOrbit:
         raise ValueError("each arc must be an (n + 1, 2) array with n >= 1")
     ends = np.array([a[-1] for a in arcs])
     starts = np.array([a[0] for a in arcs[1:] + arcs[:1]])
-    return PseudoOrbit(arcs=arcs, delta=float(dist_rows(system.space, ends, starts).max()))
+    return PseudoOrbit(arcs=arcs, delta=float(system.space.dist(ends, starts).max()))
 
 
 def cat_rational_orbit(q: int, start=(1, 0)):
@@ -126,10 +118,10 @@ def displaced_pseudo_orbit(system: SystemSpec, Z: np.ndarray, n1: int, jitter: f
         w = jitter * vs[start]
         for j in range(length + 1):
             idx = (start + j) % period
-            out[j] = (Z[idx] + w) % 1.0
+            out[j] = Z[idx] + w
             if j < length:
                 w = jacs[idx] @ w
-        return out
+        return system.space.fold(out)
 
     return assemble([arc(0, n1), arc(n1, period - n1)], system)
 
@@ -145,24 +137,19 @@ def newton_refine_periodic(
     singular (|det(Df^p - I)| below the degeneracy threshold)."""
     # one row per time step: each arc gives its first n_i points, its last
     # row being the next arc's first
-    Z = np.concatenate([a[:-1] for a in po.arcs], axis=0)
+    space = system.space
+    Z = space.fold(np.concatenate([a[:-1] for a in po.arcs], axis=0))
     p = len(Z)
-    torus = system.space is Space.TORUS2
     iters = 0
     residual = math.inf
     history = []
     for iters in range(max_iter + 1):
-        images = step_array(system, Z)
-        diffs = np.roll(Z, -1, axis=0) - images
-        if torus:
-            diffs = wrap_half(diffs)
+        diffs = space.wrap(np.roll(Z, -1, axis=0) - step_array(system, Z))
         residual = float(np.hypot(diffs[:, 0], diffs[:, 1]).max())
         history.append(residual)
         if residual <= tol:
-            # folded on the way out only: folding each update moves the
-            # iterates' rounding, and so the bits of every later step
             return PeriodicOrbitSolution(
-                points=fold_torus(Z) if torus else Z,
+                points=Z,
                 period=p,
                 residual=residual,
                 newton_iters=iters,
@@ -174,9 +161,7 @@ def newton_refine_periodic(
         m = np.abs(delta).max()
         if m > _MAX_STEP:
             delta *= _MAX_STEP / m
-        Z = Z + delta
-        if torus:
-            Z %= 1.0
+        Z = space.fold(Z + delta)
     raise NonConvergenceError(
         f"cyclic Newton did not reach tol={tol} in {max_iter} iterations "
         f"(last residual {residual:.3e})",
@@ -254,7 +239,7 @@ def shadowing_profile(
         n = len(arc) - 1
         j = np.arange(n + 1)
         zrows = sol.points[(c + j) % p]
-        d = dist_rows(system.space, zrows, arc)
+        d = system.space.dist(zrows, arc)
         b = tau * np.exp(-np.minimum(j, n - j) * epsilon)
         idx_list.append(c + j)
         d_list.append(d)

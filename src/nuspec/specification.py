@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dynamics import Space, SystemSpec, dist_rows, orbit_array
+from .dynamics import Space, SystemSpec, orbit_array
 from .errors import (
     ConfigError,
     GapInfeasibleError,
@@ -728,7 +728,7 @@ def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
     for w, start, K, off in zip(windows, pos, K_list, offsets):
         j = np.arange(-w.m, w.n + 1)
         xrows = w.xs[j - w.t_minus]
-        dist = dist_rows(system.space, sol.points[(start + j) % p], xrows)
+        dist = system.space.dist(sol.points[(start + j) % p], xrows)
         allowance = theta * q.value_rows(xrows) ** (-2.0)
         segments.append(replace(w, K=K, offset=off, margins_j=j, margins_distance=dist, margins_allowance=allowance))
     cert = GnsCertificate(

@@ -699,10 +699,10 @@ def test_shadow_cat_exact_orbit(tmp_path, newton_solutions, cat_exact_distance):
 # sha256 of report.json for fast seed-0 runs, PerturbedCatMap(0.05) unless
 # named; a change that is meant to keep reports byte-identical must keep these
 REPORT_DIGESTS = {
-    "shadow": "fb45667aac1b296d51a120239ef7c562f182b7046bedf0169aac93f9f17610f3",
+    "shadow": "5d71e51e493af3c0ba207f724ea0bfa9bf0a92a89d2e59cabf3481fc8426b584",
     "ns-cert fixed_point": "d98ec73c4b107efe6cab8b4576928218b565415457acab1e88822f688a824b99",
     # the full cover context: spectrum, block sweep, cover, sampling orbit and its events
-    "ns-cert": "da2903008681d219d2bef588c990467e427056bf2ac1a3f5df0ff1771389faeb",
+    "ns-cert": "6f64a56b9644f3017450b42685dad8119a0ffabdeb261f8c904a1261a943b0f8",
     # multi-window records: three gns windows (CatMap defaults), two ns windows
     "gns-cert CatMap": "35f00c5184a3bd5e7bd0c1f2b527e7b6cc21d3c9594d1f66edc5496def9d92fd",
     "sublinearity": "62ce628dbb84a8f87b4656ccdc109c09bf0691d99c563e5372367dbc609719e4",

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nuspec.dynamics import (
@@ -10,14 +11,12 @@ from nuspec.dynamics import (
     Point2,
     Space,
     SystemSpec,
-    dist_rows,
     jac_array,
     orbit_array,
     step_array,
     step_inverse_array,
     step_inverse_xy,
     step_xy,
-    wrap_half,
 )
 from nuspec.errors import ConfigError, NonFiniteError
 
@@ -64,10 +63,10 @@ def test_round_trips(unit_rows):
         step, inverse, _ = system.maps()
         for there, back in ((step, inverse), (inverse, step)):
             scalar = np.array([back(*there(x, y)) for x, y in rows.tolist()])
-            assert dist_rows(system.space, scalar, rows).max() <= bound, system
+            assert system.space.dist(scalar, rows).max() <= bound, system
         for there, back in ((step_array, step_inverse_array), (step_inverse_array, step_array)):
             batch = back(system, there(system, rows))
-            assert dist_rows(system.space, batch, rows).max() <= bound, system
+            assert system.space.dist(batch, rows).max() <= bound, system
 
 
 def test_cat_differential_constant(cat):
@@ -100,11 +99,7 @@ def test_jacobian_finite_difference(all_systems):
             for col, (dx, dy) in enumerate(((h, 0.0), (0.0, h))):
                 fp = step_xy(system, x + dx, y + dy)
                 fm = step_xy(system, x - dx, y - dy)
-                d0 = fp[0] - fm[0]
-                d1 = fp[1] - fm[1]
-                if sp is Space.TORUS2:
-                    d0 = wrap_half(d0)
-                    d1 = wrap_half(d1)
+                d0, d1 = sp.wrap(np.subtract(fp, fm))
                 assert abs(d0 / (2 * h) - J[0, col]) <= 1e-5
                 assert abs(d1 / (2 * h) - J[1, col]) <= 1e-5
 
@@ -112,33 +107,56 @@ def test_jacobian_finite_difference(all_systems):
 def test_distance_examples():
     a = np.array([[0.1, 0.0], [0.3, 0.7], [0.0, 0.0]])
     b = np.array([[0.9, 0.0], [0.3, 0.7], [0.5, 0.5]])
-    d = dist_rows(Space.TORUS2, a, b)
+    d = Space.TORUS2.dist(a, b)
     assert abs(d[0] - 0.2) < 1e-15
     assert d[1] == 0.0
     assert abs(d[2] - math.sqrt(0.5)) < 1e-15
 
 
+def _dist_rows_reference(a, b):
+    # the abs/floor/min torus distance that Space.dist must equal bit for bit
+    d = np.abs(a - b)
+    d -= np.floor(d)
+    d = np.minimum(d, 1.0 - d)
+    return np.hypot(d[..., 0], d[..., 1])
+
+
 def test_distance_symmetry_and_triangle():
+    dist = Space.TORUS2.dist
     rng = np.random.default_rng(3)
     a, b, c = rng.random((3, 1000, 2))
-    ab = dist_rows(Space.TORUS2, a, b)
-    assert np.array_equal(ab, dist_rows(Space.TORUS2, b, a))
-    assert (dist_rows(Space.TORUS2, a, c) <= ab + dist_rows(Space.TORUS2, b, c) + 1e-12).all()
+    ab = dist(a, b)
+    assert np.array_equal(ab, dist(b, a))
+    assert (dist(a, c) <= ab + dist(b, c) + 1e-12).all()
+    # bit for bit the old formula: random, equal, half-period and mirrored
+    # partners, also of points at the cell edges, and their neighbours
+    edges = np.array([0.0, 1e-17, 0.25, 0.5, np.nextafter(1.0, 0.0)])
+    a = np.vstack((a, np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2)))
+    for other in (rng.random(a.shape), a, (a + 0.5) % 1.0, 1.0 - a):
+        for partner in (other, np.nextafter(other, -1.0), np.nextafter(other, 2.0)):
+            assert np.array_equal(dist(a, partner), _dist_rows_reference(a, partner))
 
 
-@given(st.floats(-5, 5, allow_nan=False))
-@settings(max_examples=200, deadline=None)
-def test_wrap_half_range(d):
-    w = wrap_half(d)
-    assert -0.5 < w <= 0.5
-    # same point on the circle
-    assert abs((d - w) - round(d - w)) < 1e-9
+# canonical coordinates in [0, 1), whose differences the library wraps
+_COORD = st.floats(0.0, 1.0, exclude_max=True)
 
 
-def test_wrap_half_boundary():
-    assert wrap_half(0.5) == 0.5
-    assert wrap_half(-0.5) == 0.5
-    assert wrap_half(0.75) == -0.25
+@given(st.floats(-5, 5, allow_nan=False) | st.tuples(_COORD, _COORD).map(lambda ab: ab[0] - ab[1]))
+@example(0.1 + 2**-56)
+@example(1e-17)
+@example(-1e-17)
+@example(0.5)
+@example(-0.5)
+@example(0.75)
+@settings(max_examples=300, deadline=None)
+def test_wrap_exact(d):
+    # exactness and the range fix w: wrap(+-0.5) = 0.5, wrap(0.75) = -0.25
+    w, w_neg = Space.TORUS2.wrap(np.array([d, -d])).tolist()
+    # d - w is an integer exactly: the same point on the circle, no rounding
+    assert (Fraction(d) - Fraction(w)).denominator == 1
+    assert Fraction(-1, 2) < Fraction(w) <= Fraction(1, 2)
+    if abs(w) != 0.5:
+        assert w_neg == -w
 
 
 def test_orbit_fixed_point(cat):
@@ -182,7 +200,7 @@ def test_orbit_indexing_consistency(perturbed):
     # row i is f^(i-4)(x), row 4 is x; stepping any row forward gives the next
     assert pts[4].tolist() == [0.21, 0.68]
     nxt = np.array([step_xy(perturbed, *pts[i]) for i in range(8)])
-    assert dist_rows(Space.TORUS2, nxt, pts[1:]).max() <= 1e-9
+    assert Space.TORUS2.dist(nxt, pts[1:]).max() <= 1e-9
 
 
 def test_system_json_round_trip(all_systems):

@@ -14,10 +14,8 @@ from nuspec.dynamics import (
     Point2,
     Space,
     SystemKind,
-    dist_rows,
     orbit_array,
     step_xy,
-    wrap_half,
 )
 from nuspec.errors import PreconditionError
 from nuspec import recurrence
@@ -112,7 +110,7 @@ def _first_return_reference(system, x, r, grid, T_max, largest, method):
         A = np.array([[2.0, 1.0], [1.0, 1.0]])
         for k in range(1, T_max + 1):
             z = (A @ z) % 1.0
-            d = _sampled_segment_distance(wrap_half(z - x), r * CAT_LAMBDA_U**k)
+            d = _sampled_segment_distance(Space.TORUS2.wrap(z - x), r * CAT_LAMBDA_U**k)
             if d <= r * (1.0 + CAT_LAMBDA_S**k):
                 return k
         return None
@@ -128,7 +126,7 @@ def _first_return_reference(system, x, r, grid, T_max, largest, method):
     pts = (x[None, :] + offsets) % 1.0
     for k in range(1, T_max + 1):
         pts = recurrence.step_array(system, pts)
-        if (dist_rows(system.space, pts, x[None, :]) <= r).any():
+        if (system.space.dist(pts, x[None, :]) <= r).any():
             return k
     return None
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nuspec.dynamics import Point2, Space, SystemSpec, dist_rows, jac_array, orbit_array, step_xy
+from nuspec.dynamics import Point2, Space, SystemSpec, jac_array, orbit_array, step_xy
 from nuspec.errors import DegenerateOrbitError, NonConvergenceError
 from nuspec.lyapunov import _transport_sweeps
 from nuspec.shadowing import (
@@ -72,7 +72,17 @@ def test_newton_fixed_point_from_jitter(cat):
         sol = _canonical(newton_refine_periodic(cat, po, tol=1e-12))
         assert sol.period == 1
         assert sol.residual <= 1e-12
-        assert dist_rows(Space.TORUS2, sol.points[:1], np.zeros((1, 2)))[0] <= 1e-12
+        assert Space.TORUS2.dist(sol.points[:1], np.zeros((1, 2)))[0] <= 1e-12
+
+
+def test_newton_residual_is_exact(cat):
+    # a 3-cycle at the fixed point with row 1 moved by 2^-60 in x: the
+    # residual is |(-2^-59, -2^-60)| = sqrt(5) 2^-60, not a wrap rounded to 0
+    arc = np.zeros((4, 2))
+    arc[1, 0] = 2.0**-60
+    sol = newton_refine_periodic(cat, assemble([arc], cat), tol=1e-11)
+    assert sol.newton_iters == 0
+    assert sol.residual == 1.939479807224432e-18
 
 
 def test_newton_recovers_rational_orbit(cat):
@@ -194,7 +204,7 @@ def test_forward_consistency_small_periods(cat, perturbed):
         w = tuple(sol.points[0])
         for _ in range(sol.period):
             w = step_xy(system, *w)
-        assert dist_rows(Space.TORUS2, np.array([w]), sol.points[:1])[0] <= 10 * sol.period * tol
+        assert Space.TORUS2.dist(np.array([w]), sol.points[:1])[0] <= 10 * sol.period * tol
 
 
 def test_cat_rationality_of_refined_orbits(cat):

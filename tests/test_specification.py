@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuspec.dynamics import Point2, Space, SystemSpec, dist_rows, orbit_array
+from nuspec.dynamics import Point2, Space, SystemSpec, orbit_array
 from nuspec.errors import (
     ConfigError,
     GapInfeasibleError,
@@ -76,7 +76,7 @@ def test_cover_size_and_coverage(cat_ctx):
     assert 40 <= cover.r_count <= 130
     # every block point within the net radius of some center
     pts = np.array([p for p, _ in cat_ctx.block_points])
-    d = dist_rows(Space.TORUS2, pts[:, None, :], cover.centers[None, :, :]).min(axis=1)
+    d = Space.TORUS2.dist(pts[:, None, :], cover.centers[None, :, :]).min(axis=1)
     assert (d <= cover.radius + 1e-12).all()
 
 
