@@ -141,6 +141,25 @@ def test_distance_symmetry_and_triangle():
 _COORD = st.floats(0.0, 1.0, exclude_max=True)
 
 
+def _wrap(d: float) -> float:
+    return Space.TORUS2.wrap(np.array([d])).item()
+
+
+@given(st.floats(-5, 5, allow_nan=False))
+@settings(max_examples=200, deadline=None)
+def test_wrap_half_range(d):
+    w = _wrap(d)
+    assert -0.5 < w <= 0.5
+    # same point on the circle
+    assert abs((d - w) - round(d - w)) < 1e-9
+
+
+def test_wrap_half_boundary():
+    assert _wrap(0.5) == 0.5
+    assert _wrap(-0.5) == 0.5
+    assert _wrap(0.75) == -0.25
+
+
 @given(st.floats(-5, 5, allow_nan=False) | st.tuples(_COORD, _COORD).map(lambda ab: ab[0] - ab[1]))
 @example(0.1 + 2**-56)
 @example(1e-17)
