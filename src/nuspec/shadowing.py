@@ -7,13 +7,18 @@ the first arc's, up to the junction gap delta.  Its period is sum(n_i).
 
 The refinement solves the full cyclic system z_{j+1} = f(z_j) (indices mod p)
 for all p points at once.  The linearized step is a block-bidiagonal system
-with one corner block; it is solved by a sparse LU factorization with partial
-pivoting.  Eliminating the cycle down to a single 2x2 system would multiply
-all p Jacobians together and lose the solution in the lambda^p conditioning
-of the monodromy; the sparse factorization keeps the conditioning at the
-level of single-step hyperbolicity, which is the whole point of working with
-the cyclic formulation.  The same factor also decides whether the cycle is
-degenerate, from log|det(Df^p - I)| = sum of log|U_ii| (see _solve_cyclic).
+with one corner block.  Taken in the folded block order 0, p - 1, 1, p - 2,
+..., every coupled pair of blocks, the corner included, is at most two
+blocks apart, so the 2p x 2p matrix is banded with 4 sub- and 4
+superdiagonals; it is solved by a banded LU factorization with partial
+pivoting (LAPACK dgbtrf/dgbtrs).  Eliminating the cycle down to a single 2x2
+system would multiply all p Jacobians together and lose the solution in the
+lambda^p conditioning of the monodromy.  The folding only permutes rows and
+columns, which leaves the singular values alone, so the factorization still
+works at the conditioning of single-step hyperbolicity, which is the whole
+point of working with the cyclic formulation.  The same factor also decides
+whether the cycle is degenerate, from log|det(Df^p - I)| = sum of log|U_ii|
+(see _solve_cyclic).
 """
 
 from __future__ import annotations
@@ -22,13 +27,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .dynamics import SystemSpec, jac_array, step_array
 from .errors import DegenerateOrbitError, NonConvergenceError, PreconditionError
 
 DEGENERACY_THRESHOLD = 1e-12
+# half-bandwidths of the cyclic Newton matrix in folded block order
+_KL = _KU = 4
 # Newton steps larger than this (in sup norm) are scaled back; keeps torus
 # updates inside one fundamental domain
 _MAX_STEP = 0.25
@@ -173,26 +179,35 @@ def newton_refine_periodic(
 def _solve_cyclic(jacs, rhs):
     """Solve the linearized cyclic system delta_{j+1} - A_j delta_j = rhs_j.
 
-    The same LU factor decides degeneracy: L has a unit diagonal and the
-    block-cyclic matrix has |det| = |det(Df^p - I)|, so the sum of log|U_ii|
-    is log|det(Df^p - I)|.  Raises DegenerateOrbitError when that lies below
+    The same LU factor decides degeneracy: L has a unit diagonal, the row
+    exchanges and the folding are permutations, and the block-cyclic matrix
+    has |det| = |det(Df^p - I)|, so the sum of log|U_ii| is
+    log|det(Df^p - I)|.  Raises DegenerateOrbitError when that lies below
     log(DEGENERACY_THRESHOLD) or when the factor is exactly singular."""
     p = len(jacs)
-    # row 2j + r holds -A_j[r, 0], -A_j[r, 1] in block j, then 1 in block
-    # j + 1 (mod p); at p = 1 the duplicate entries sum to I - A
-    rows = np.repeat(np.arange(2 * p), 3)
-    blk = np.repeat(2 * np.arange(p), 2)
-    cols = np.column_stack((blk, blk + 1, np.roll(np.arange(2 * p), -2))).ravel()
-    vals = np.column_stack((-jacs.reshape(2 * p, 2), np.ones(2 * p))).ravel()
-    J = sp.csc_matrix((vals, (rows, cols)), shape=(2 * p, 2 * p))
-    try:
-        lu = spla.splu(J)
-        log_det = np.log(np.abs(lu.U.diagonal())).sum()
-    except RuntimeError:  # SuperLU met an exactly zero pivot
-        log_det = -math.inf
+    j = np.arange(p)
+    # folded block order 0, p - 1, 1, p - 2, ...: block j sits at position
+    # pos[j], which puts every coupled pair (j, j + 1 mod p), the corner
+    # included, at most two positions apart, so the matrix has 4 sub- and 4
+    # superdiagonals.  Equation j's rows sit at position pos[j] too.
+    pos = np.where(2 * j < p, 2 * j, 2 * (p - j) - 1)
+    rows = 2 * pos[:, None] + np.arange(2)  # (p, 2): rows and columns of block j
+    nxt = rows[(j + 1) % p]
+    # LAPACK band layout, with _KL spare rows on top for the fill-in of row
+    # exchanges: entry (i, k) lives at ab[_KL + _KU + i - k, k].  -A_j goes
+    # in block (j, j), then 1 in block (j, j + 1); at p = 1 these add up to I - A
+    ab = np.zeros((2 * _KL + _KU + 1, 2 * p), order="F")
+    ab[_KL + _KU + rows[:, :, None] - rows[:, None, :], rows[:, None, :]] = -jacs
+    ab[_KL + _KU + rows - nxt, nxt] += 1.0
+    lu, piv, info = dgbtrf(ab, _KL, _KU, overwrite_ab=True)
+    # info > 0: an exactly zero pivot
+    log_det = -math.inf if info > 0 else np.log(np.abs(lu[_KL + _KU])).sum()
     if log_det < math.log(DEGENERACY_THRESHOLD):
         raise DegenerateOrbitError(f"cyclic linearization singular: |det(Df^{p} - I)| < {DEGENERACY_THRESHOLD}")
-    return lu.solve(rhs.ravel()).reshape(p, 2)
+    b = np.empty((p, 2))
+    b[pos] = rhs
+    x, _ = dgbtrs(lu, _KL, _KU, b.reshape(2 * p, 1), piv, overwrite_b=True)
+    return x.reshape(p, 2)[pos]
 
 
 @dataclass

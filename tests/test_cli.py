@@ -4,6 +4,9 @@ import importlib
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -699,7 +702,7 @@ def test_shadow_cat_exact_orbit(tmp_path, newton_solutions, cat_exact_distance):
 # sha256 of report.json for fast seed-0 runs, PerturbedCatMap(0.05) unless
 # named; a change that is meant to keep reports byte-identical must keep these
 REPORT_DIGESTS = {
-    "shadow": "5d71e51e493af3c0ba207f724ea0bfa9bf0a92a89d2e59cabf3481fc8426b584",
+    "shadow": "d3b2cdc269b056a8d1ccad15e6f3ad6881ff76385e0ec2cc2a36c055c746e72a",
     "ns-cert fixed_point": "d98ec73c4b107efe6cab8b4576928218b565415457acab1e88822f688a824b99",
     # the full cover context: spectrum, block sweep, cover, sampling orbit and its events
     "ns-cert": "6f64a56b9644f3017450b42685dad8119a0ffabdeb261f8c904a1261a943b0f8",
@@ -768,6 +771,21 @@ def test_report_digests_pinned(tmp_path, shadow_run):
         assert run_cli(["recurrence-scaling", *args, "--out", rec]) == 0
         digests[name] = hashlib.sha256((rec / "report.json").read_bytes()).hexdigest()
     assert digests == REPORT_DIGESTS
+
+
+def test_cli_import_leaves_scipy_sparse_out():
+    # the cyclic Newton step factors a banded matrix with LAPACK; loading
+    # scipy.sparse as well would cost every run about 4 MiB of memory
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, nuspec.cli; print('scipy.sparse' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == ["False"]
 
 
 def test_traced_layers_resolve():

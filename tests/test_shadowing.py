@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from nuspec import shadowing
 from nuspec.dynamics import Point2, Space, SystemSpec, jac_array, orbit_array, step_xy
 from nuspec.errors import DegenerateOrbitError, NonConvergenceError
 from nuspec.lyapunov import _transport_sweeps
@@ -150,7 +151,7 @@ def _hyperbolic_cycle(lam, p, rng):
     return np.array([shears[j + 1] @ D @ np.linalg.inv(shears[j]) for j in range(p)])
 
 
-@pytest.mark.parametrize("p", [1, 2, 7, 40])
+@pytest.mark.parametrize("p", [1, 2, 3, 7, 40, 2001])
 def test_solve_cyclic_degeneracy_threshold(p):
     # the threshold is 1e-12: a cycle at 1e-14 is refused, one at 1e-10 solved
     rng = np.random.default_rng(p)
@@ -162,6 +163,42 @@ def test_solve_cyclic_degeneracy_threshold(p):
     resid = np.roll(delta, -1, axis=0) - np.einsum("jrc,jc->jr", jacs, delta) - rhs
     assert np.abs(resid).max() <= 1e-8 * np.abs(delta).max()
     assert np.abs(delta).max() > 1e3  # the near-singular direction is resolved, not lost
+
+
+def _cyclic_dense(jacs):
+    # rows 2j, 2j + 1 of the block-cyclic matrix: -A_j in block j, I in block j + 1 mod p
+    p = len(jacs)
+    M = np.zeros((2 * p, 2 * p))
+    for j in range(p):
+        k = (j + 1) % p
+        M[2 * j : 2 * j + 2, 2 * j : 2 * j + 2] -= jacs[j]
+        M[2 * j : 2 * j + 2, 2 * k : 2 * k + 2] += np.eye(2)
+    return M
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 1001])
+def test_solve_cyclic_dense_oracle(p, perturbed, monkeypatch):
+    # the banded factor stores the blocks in folded order; an entry placed out
+    # of band would land in a wrong band row without an error, so check the
+    # step and log|det(Df^p - I)| against a dense solve of the plain matrix
+    rng = np.random.default_rng(100 + p)
+    jacs = jac_array(perturbed, rng.random((p, 2)))
+    rhs = rng.standard_normal((p, 2))
+    factors = []
+    dgbtrf = shadowing.dgbtrf
+
+    def dgbtrf_spy(*args, **kwargs):
+        out = dgbtrf(*args, **kwargs)
+        factors.append(out[0])
+        return out
+
+    monkeypatch.setattr(shadowing, "dgbtrf", dgbtrf_spy)
+    delta = _solve_cyclic(jacs, rhs)
+    M = _cyclic_dense(jacs)
+    expected = np.linalg.solve(M, rhs.ravel()).reshape(p, 2)
+    assert np.abs(delta - expected).max() <= 1e-13 * np.abs(expected).max()
+    log_det = np.log(np.abs(factors[0][shadowing._KL + shadowing._KU])).sum()
+    assert log_det == pytest.approx(np.linalg.slogdet(M)[1], rel=1e-12, abs=1e-10)
 
 
 def test_solve_cyclic_exactly_singular():
