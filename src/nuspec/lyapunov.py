@@ -175,6 +175,14 @@ def _normalize_rows(v):
     return v
 
 
+def _log_stretch(jacs, v):
+    """log ||J v|| per row, with the 2 x 2 product written out: on the
+    negative-stride view of the backward field it is faster than einsum."""
+    a = jacs[..., 0, 0] * v[..., 0] + jacs[..., 0, 1] * v[..., 1]
+    b = jacs[..., 1, 0] * v[..., 0] + jacs[..., 1, 1] * v[..., 1]
+    return 0.5 * np.log(a * a + b * b)
+
+
 def _transport_sweeps(system, base, jmin, jmax, warm=_WARM):
     """Orbit points and equivariantly transported unit directions on
     [jmin, jmax] for every row of the (P, 2) array of base points.
@@ -218,10 +226,7 @@ def _transport_sweeps(system, base, jmin, jmax, warm=_WARM):
     for t, m in enumerate(mats):
         v[t + 1] = _normalize_rows(np.matmul(m, v[t][:, :, None])[:, :, 0])
     vu_full, vs_full = v[:, :n_pts], v[::-1, n_pts:]
-    img_u = np.einsum("tpij,tpj->tpi", jacs, vu_full)
-    img_s = np.einsum("tpij,tpj->tpi", jacs, vs_full)
-    log_u = 0.5 * np.log((img_u * img_u).sum(axis=2))
-    log_s = 0.5 * np.log((img_s * img_s).sum(axis=2))
+    log_u, log_s = (_log_stretch(jacs, f) for f in (vu_full, vs_full))
 
     sl = slice(warm, n_bwd + jmax + 1)
     return pts_full[sl], vu_full[sl], vs_full[sl], log_u[sl], log_s[sl]

@@ -647,14 +647,23 @@ class GnsCertificate:
 def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> Window:
     """Select the recurrence indices of x for the window [-m, n], store its
     orbit over [t_minus, t_plus], and check that q is eta-slow-varying along
-    the stored orbit on [-m-1, n+1]."""
+    the stored orbit on [-m-1, n+1].
+
+    Two visits decide each side: the first past its bound b, and the first
+    at or past factor = 1 + 2 eta/epsilon times that one, which lies just
+    past factor * (b + 1) when visits are frequent.  So both sides are
+    walked H = int(factor * (max(m, n) + 1)) + 64 steps.  If a side runs
+    out of visits, the walk restarts with H = max(2 H, required_horizon +
+    128); every H walks the same unbroken orbit, so the result does not
+    depend on H.  No walk passes max_horizon: a window that needs more
+    raises the InsufficientHorizonError, with its required_horizon."""
     if m < 0 or n < 0:
         raise PreconditionError(f"window lengths must be nonnegative, got m={m}, n={n}")
     if not ctx.cover.membership(x):
         raise PreconditionError("certificate base point must lie in the cover support")
     eps = ctx.epsilon
     factor = 1.0 + 2.0 * eta / eps
-    H = int(factor * (max(m, n) + 64) * 2) + 256
+    H = min(max_horizon, int(factor * (max(m, n) + 1)) + 64)
     while True:
         seq = return_times(system, x, ctx.cover, count_fwd=H, count_bwd=H, horizon=H)
         try:

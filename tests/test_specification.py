@@ -551,6 +551,71 @@ def test_select_indices_insufficient_horizon():
 
 
 # ---------------------------------------------------------------------------
+# certificate windows: how far the return-time walk goes
+
+
+def _assert_window_matches_long_walk(system, x, m, n, eta, ctx, w, horizon=1 << 17):
+    # one walk far past the deciding visits, then index selection on it
+    seq = recurrence.return_times(system, x, ctx.cover, count_fwd=horizon, count_bwd=horizon, horizon=horizon)
+    indices = select_indices(seq, m, n, eta, ctx.epsilon)
+    l1, s1, l2, s2 = indices
+    t_minus, t_plus = seq.t(-(l1 + s1)), seq.t(l2 + s2)
+    assert (w.indices, w.t_minus, w.t_plus) == (indices, t_minus, t_plus)
+    assert w.xs.tobytes() == seq.orbit[seq.origin + t_minus : seq.origin + t_plus + 1].tobytes()
+
+
+@pytest.fixture
+def walked_steps(monkeypatch):
+    """Orbit steps that the return-time walks take during the test."""
+    steps = [0]
+
+    def counting(system, x, y, n_fwd, n_bwd=0):
+        steps[0] += n_fwd + n_bwd
+        return orbit_array(system, x, y, n_fwd, n_bwd)
+
+    monkeypatch.setattr(recurrence, "orbit_array", counting)
+    return steps
+
+
+@pytest.mark.parametrize("m,n", [(100, 100), (400, 400), (0, 50), (50, 0), (30, 200)])
+def test_certificate_window_walks_only_the_deciding_horizon(perturbed, perturbed_ctx, walked_steps, m, n):
+    x = block_point(perturbed_ctx, 4)
+    q = const_q(perturbed_ctx)
+    w = specification._certificate_window(perturbed, x, m, n, q.eta, q, perturbed_ctx)
+    factor = 1.0 + 2.0 * q.eta / perturbed_ctx.epsilon
+    assert walked_steps[0] <= 2 * (int(factor * (max(m, n) + 1)) + 64)
+    _assert_window_matches_long_walk(perturbed, x, m, n, q.eta, perturbed_ctx, w)
+
+
+def test_certificate_window_retries_on_sparse_returns(cat, cat_ctx, monkeypatch):
+    # one small ball: returns are thousands of steps apart, so the first
+    # horizon cannot decide the window and the walk restarts longer
+    x = torus(0.3141, 0.2718)
+    ctx = replace(cat_ctx, cover=SetSpec.ball(x, 0.01, Space.TORUS2))
+    q = const_q(ctx)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs["horizon"])
+        return recurrence.return_times(*args, **kwargs)
+
+    monkeypatch.setattr(specification, "return_times", counting)
+    w = specification._certificate_window(cat, x, 5, 5, q.eta, q, ctx)
+    assert len(calls) > 1
+    monkeypatch.undo()
+    _assert_window_matches_long_walk(cat, x, 5, 5, q.eta, ctx, w)
+
+
+def test_certificate_window_never_walks_past_max_horizon(cat, cat_ctx, walked_steps):
+    x = block_point(cat_ctx, 3)
+    q = const_q(cat_ctx)
+    with pytest.raises(InsufficientHorizonError) as exc:
+        specification._certificate_window(cat, x, 100, 100, q.eta, q, cat_ctx, max_horizon=100)
+    assert exc.value.required_horizon is not None and exc.value.required_horizon > 100
+    assert walked_steps[0] <= 2 * 100
+
+
+# ---------------------------------------------------------------------------
 # slow-varying weights
 
 
