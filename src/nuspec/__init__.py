@@ -28,6 +28,7 @@ from .recurrence import (
     return_times,
 )
 from .shadowing import (
+    Margins,
     PeriodicOrbitSolution,
     PseudoOrbit,
     ShadowingProfile,

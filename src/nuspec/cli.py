@@ -500,8 +500,7 @@ def _run_shadow(system, p, seed):
         "profile": prof.to_json(),
         "lambda_u": spec.lambda_u,
     }
-    rows = list(zip(prof.indices.tolist(), prof.distances.tolist(), prof.bounds.tolist()))
-    return res, ["index", "distance", "bound"], rows
+    return res, ["index", "distance", "bound"], prof.margins.rows()
 
 
 def _pick_block_point(ctx, rng) -> np.ndarray:
@@ -532,14 +531,7 @@ def _run_ns_cert(system, p, seed):
         newton_tol=p["newton_tol"],
     )
     res = {"certificate": cert.to_json(include_margins=False), "context": ctx.to_json()}
-    rows = list(
-        zip(
-            cert.margins_j.tolist(),
-            cert.margins_distance.tolist(),
-            cert.margins_allowance.tolist(),
-        )
-    )
-    return res, ["j", "distance", "allowance"], rows
+    return res, ["j", "distance", "allowance"], cert.margins.rows()
 
 
 def _run_gns_cert(system, p, seed):
@@ -566,10 +558,7 @@ def _run_gns_cert(system, p, seed):
         newton_tol=p["newton_tol"],
     )
     res = {"certificate": cert.to_json(include_margins=False), "context": ctx.to_json()}
-    rows = []
-    for si, seg in enumerate(cert.segments):
-        for j, d, a in zip(seg.margins_j, seg.margins_distance, seg.margins_allowance):
-            rows.append((si, int(j), float(d), float(a)))
+    rows = [(si, *r) for si, seg in enumerate(cert.segments) for r in seg.margins.rows()]
     return res, ["segment", "j", "distance", "allowance"], rows
 
 

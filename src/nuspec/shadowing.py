@@ -19,6 +19,9 @@ works at the conditioning of single-step hyperbolicity, which is the whole
 point of working with the cyclic formulation.  The same factor also decides
 whether the cycle is degenerate, from log|det(Df^p - I)| = sum of log|U_ii|
 (see _solve_cyclic).
+
+Margins is the one distance-versus-allowance check, of a certificate
+window's theta * q^-2 ball and of the shadowing profile's envelope.
 """
 
 from __future__ import annotations
@@ -211,24 +214,59 @@ def _solve_cyclic(jacs, rhs):
 
 
 @dataclass
+class Margins:
+    """The margin check of a certificate window or a shadowing profile: at
+    each index j, the distance of the orbit from a stored row, and the
+    allowance it must stay below.  A row holds when distance < allowance,
+    so a NaN distance is a violation."""
+
+    j: np.ndarray
+    distance: np.ndarray
+    allowance: np.ndarray
+
+    @classmethod
+    def compare(cls, space, orbit, at, j, rows, allowance) -> Margins:
+        """Margins of orbit row (at + j) mod len(orbit) against each stored row."""
+        return cls(j, space.dist(orbit[(at + j) % len(orbit)], rows), allowance)
+
+    @property
+    def held(self) -> bool:
+        return self.first_failed is None
+
+    @property
+    def first_failed(self) -> int | None:
+        bad = np.flatnonzero(~(self.distance < self.allowance))
+        return int(self.j[bad[0]]) if len(bad) else None
+
+    @property
+    def max_ratio(self) -> float:
+        """Max distance/allowance: held iff every ratio is < 1; NaN if a
+        distance is NaN, inf if a positive distance has allowance 0."""
+        with np.errstate(divide="ignore"):
+            return float(np.max(self.distance / self.allowance))
+
+    def to_json(self) -> dict:
+        return {"j": self.j.tolist(), "distance": self.distance.tolist(), "allowance": self.allowance.tolist()}
+
+    def rows(self) -> list:
+        """(j, distance, allowance) per index, as Python numbers."""
+        return list(zip(self.j.tolist(), self.distance.tolist(), self.allowance.tolist()))
+
+
+@dataclass
 class ShadowingProfile:
-    indices: np.ndarray  # global time index c_i + j of each compared pair
-    distances: np.ndarray
-    bounds: np.ndarray
     tau: float
     epsilon: float
-    passed: bool
-    first_fail_index: int | None
-    max_ratio: float  # max distance/bound; <= 1 iff passed
+    margins: Margins  # j is the global time index c_i + j; allowance the envelope
 
     def to_json(self) -> dict:
         return {
             "tau": self.tau,
             "epsilon": self.epsilon,
-            "passed": self.passed,
-            "first_fail_index": self.first_fail_index,
-            "max_ratio": self.max_ratio,
-            "n_checked": int(len(self.indices)),
+            "passed": self.margins.held,
+            "first_fail_index": self.margins.first_failed,
+            "max_ratio": self.margins.max_ratio,
+            "n_checked": len(self.margins.j),
         }
 
 
@@ -242,42 +280,19 @@ def shadowing_profile(
     """Check d(f^{c_i+j}(z), f^j(x_i)) < tau * e^{-min(j, n_i - j) epsilon}
     for every arc i and 0 <= j <= n_i, comparing the stored solution
     sequence against the stored arcs (row j of arc i stands for f^j(x_i));
-    c_i is the sum of the lengths of the arcs before arc i."""
+    c_i is the sum of the lengths of the arcs before arc i.  The margins run
+    over all arcs' rows in order, indexed by c_i + j, so a junction index
+    appears twice."""
     if sol.period != po.total_length:
         raise PreconditionError("solution period must equal the pseudo-orbit length")
-    p = sol.period
-    idx_list = []
-    d_list = []
-    b_list = []
-    c = 0
-    for arc in po.arcs:
-        n = len(arc) - 1
-        j = np.arange(n + 1)
-        zrows = sol.points[(c + j) % p]
-        d = system.space.dist(zrows, arc)
-        b = tau * np.exp(-np.minimum(j, n - j) * epsilon)
-        idx_list.append(c + j)
-        d_list.append(d)
-        b_list.append(b)
-        c += n
-    indices = np.concatenate(idx_list)
-    distances = np.concatenate(d_list)
-    bounds = np.concatenate(b_list)
-    ok = distances < bounds
-    passed = bool(ok.all())
-    first_fail = None if passed else int(indices[np.nonzero(~ok)[0][0]])
-    with np.errstate(divide="ignore"):
-        max_ratio = float(np.max(distances / bounds))
-    return ShadowingProfile(
-        indices=indices,
-        distances=distances,
-        bounds=bounds,
-        tau=tau,
-        epsilon=epsilon,
-        passed=passed,
-        first_fail_index=first_fail,
-        max_ratio=max_ratio,
-    )
+    n = np.array([len(a) - 1 for a in po.arcs])
+    arc = np.repeat(np.arange(len(n)), n + 1)  # the arc of each stored row
+    # arc i's rows come after i junction rows that repeat an index
+    index = np.arange(len(arc)) - arc
+    j = index - (np.cumsum(n) - n)[arc]
+    bound = tau * np.exp(-np.minimum(j, n[arc] - j) * epsilon)
+    margins = Margins.compare(system.space, sol.points, 0, index, np.concatenate(po.arcs), bound)
+    return ShadowingProfile(tau=tau, epsilon=epsilon, margins=margins)
 
 
 @dataclass

@@ -33,7 +33,7 @@ from .errors import (
     ResolutionError,
 )
 from .recurrence import ReturnTimeSequence, SetSpec, return_times
-from .shadowing import assemble, newton_refine_periodic
+from .shadowing import Margins, assemble, newton_refine_periodic
 
 _BIG = np.int64(2**62)
 
@@ -509,9 +509,8 @@ class Window:
     [t_minus, t_plus], starting in cover ball dest and ending in ball src.
 
     _close_cycle adds the window's gap K, the offset of its j = 0 point in
-    the cycle, and its margins: the distance of the periodic orbit from the
-    orbit of x, and the allowance theta * q^-2, at j = -m..n.  A margin holds
-    when distance < allowance, so a NaN distance is a violation."""
+    the cycle, and its Margins: the distance of the periodic orbit from the
+    orbit of x, and the allowance theta * q^-2, at j = -m..n."""
 
     x: np.ndarray
     m: int
@@ -524,18 +523,15 @@ class Window:
     src: int
     K: int = None
     offset: int = None
-    margins_j: np.ndarray = None
-    margins_distance: np.ndarray = None
-    margins_allowance: np.ndarray = None
+    margins: Margins = None
 
     @property
     def in_ball(self) -> bool:
-        return bool((self.margins_distance < self.margins_allowance).all())
+        return self.margins.held
 
     @property
     def first_violated_index(self) -> int | None:
-        bad = np.flatnonzero(~(self.margins_distance < self.margins_allowance))
-        return int(self.margins_j[bad[0]]) if len(bad) else None
+        return self.margins.first_failed
 
     def to_json(self, include_margins=False) -> dict:
         out = {
@@ -550,11 +546,7 @@ class Window:
             "first_violated_index": self.first_violated_index,
         }
         if include_margins:
-            out["margins"] = {
-                "j": self.margins_j.tolist(),
-                "distance": self.margins_distance.tolist(),
-                "allowance": self.margins_allowance.tolist(),
-            }
+            out["margins"] = self.margins.to_json()
         return out
 
 
@@ -580,7 +572,7 @@ class NsCertificate(Window):
 
     @property
     def below_resolution(self) -> bool:
-        return float(self.margins_allowance.min()) < 10.0 * max(self.residual, 5e-16)
+        return float(self.margins.allowance.min()) < 10.0 * max(self.residual, 5e-16)
 
     def to_json(self, include_margins: bool = True) -> dict:
         out = super().to_json(include_margins)
@@ -737,9 +729,8 @@ def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
     for w, start, K, off in zip(windows, pos, K_list, offsets):
         j = np.arange(-w.m, w.n + 1)
         xrows = w.xs[j - w.t_minus]
-        dist = system.space.dist(sol.points[(start + j) % p], xrows)
-        allowance = theta * q.value_rows(xrows) ** (-2.0)
-        segments.append(replace(w, K=K, offset=off, margins_j=j, margins_distance=dist, margins_allowance=allowance))
+        margins = Margins.compare(system.space, sol.points, start, j, xrows, theta * q.value_rows(xrows) ** (-2.0))
+        segments.append(replace(w, K=K, offset=off, margins=margins))
     cert = GnsCertificate(
         segments=segments,
         gaps=gaps,

@@ -94,11 +94,11 @@ def test_criterion_4_shadowing(perturbed):
     prof = shadowing_profile(
         perturbed, sol, po, tau=100.0 * po.delta, epsilon=0.8 * spec.lambda_u
     )
-    assert prof.passed
+    assert prof.margins.held
     _report(
         4,
         f"p={sol.period}, gap {po.delta:.2e}, residual {sol.residual:.2e} in "
-        f"{sol.newton_iters} iterations, profile max ratio {prof.max_ratio:.3f}",
+        f"{sol.newton_iters} iterations, profile max ratio {prof.margins.max_ratio:.3f}",
     )
 
 
@@ -128,9 +128,9 @@ def test_criterion_5_ns_certificates(criterion5_certificates):
             for idx in picks:
                 cert = certs[(idx, mn)]
                 assert cert.period <= cert.m + cert.n + cert.K
-                assert len(cert.margins_j) == 2 * mn + 1
+                assert len(cert.margins.j) == 2 * mn + 1
                 if cert.in_ball:
-                    assert (cert.margins_distance < cert.margins_allowance).all()
+                    assert (cert.margins.distance < cert.margins.allowance).all()
                     good += 1
             assert good >= 9, f"{name} m=n={mn}: only {good}/10 in-ball"
         _report(5, f"{name}: >= 9/10 certificates in-ball at every size, p <= m+n+K")
@@ -209,7 +209,7 @@ def test_criterion_10_plain_ball_reduction(cat, cat_ctx):
     theta = 0.05
     cert = ns_certificate(cat, x, 120, 120, theta, eta, q, cat_ctx)
     plain = np.full(241, theta)
-    assert cert.margins_allowance.tolist() == plain.tolist()
+    assert cert.margins.allowance.tolist() == plain.tolist()
     _report(10, "q == 1 allowances are bit-identical to the plain-ball radius")
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from nuspec.cli import SCHEMAS, _field, _write_json, compare_to_bound, load_config, main
 from nuspec.dynamics import SystemSpec, orbit_array
 from nuspec.errors import ConfigError
-from nuspec.shadowing import ShadowingProfile
+from nuspec.shadowing import Margins, ShadowingProfile
 
 CAT_EXP = math.log((3 + math.sqrt(5)) / 2)
 
@@ -641,16 +641,8 @@ def test_gns_cli_round_trip(tmp_path, newton_solutions, cat_exact_distance):
 def test_report_json_is_rfc8259(tmp_path):
     # a profile whose bound vanished has an infinite ratio; strict JSON has
     # no Infinity or NaN, so non-finite floats are written as null
-    prof = ShadowingProfile(
-        indices=np.arange(3),
-        distances=np.array([0.0, 1e-3, 2e-3]),
-        bounds=np.array([1.0, 0.0, 1.0]),
-        tau=0.5,
-        epsilon=0.1,
-        passed=False,
-        first_fail_index=1,
-        max_ratio=math.inf,
-    )
+    margins = Margins(j=np.arange(3), distance=np.array([0.0, 1e-3, 2e-3]), allowance=np.array([1.0, 0.0, 1.0]))
+    prof = ShadowingProfile(tau=0.5, epsilon=0.1, margins=margins)
     path = tmp_path / "report.json"
     _write_json(path, {"profile": prof.to_json(), "values": [np.float64(-math.inf), math.nan, 1.5]})
 
@@ -728,6 +720,16 @@ REPORT_DIGESTS = {
     "recurrence-scaling CatMap radii_log2_max=19": "ec18eda8c25b438747d90b0e52b271683c0c790f3e2b75d2cb3bdcde21cd6c9b",
 }
 
+# sha256 of data.csv for the first five runs above: the margin rows of
+# shadow, ns-cert and gns-cert, and the sublinearity table
+CSV_DIGESTS = {
+    "shadow": "0a4d3d0305c94c2f766442105c694e664f1e2a9fd6b1736efcac11dbe0cee43d",
+    "ns-cert fixed_point": "5ec3264fa8ba09ae883fd1142bbbc1ad41805543cf3d397b5926e2e4b4d72de7",
+    "ns-cert": "b4c195b3f09a17c77bdbfbee9c3ef940394378100104e5540919f4978eafaabc",
+    "gns-cert CatMap": "08d49d83768396f8067a41646875167421b8d7511936de64beae5e5378039c3d",
+    "sublinearity": "c82b212d2d6fc76b283f8d9f6b2f70cf18918d49f06c2c029b88d96c8cd450bc",
+}
+
 
 def test_report_digests_pinned(tmp_path, shadow_run):
     cfg = tmp_path / "cfg.json"
@@ -740,13 +742,15 @@ def test_report_digests_pinned(tmp_path, shadow_run):
     assert run_cli(["gns-cert", "--out", gns]) == 0
     sub = tmp_path / "sub"
     assert run_cli(["sublinearity", "--config", cfg, "--set", "mn_list=[[100,100],[200,200]]", "--out", sub]) == 0
-    digests = {
-        "shadow": hashlib.sha256((shadow_run[1] / "report.json").read_bytes()).hexdigest(),
-        "ns-cert fixed_point": hashlib.sha256((out / "report.json").read_bytes()).hexdigest(),
-        "ns-cert": hashlib.sha256((full / "report.json").read_bytes()).hexdigest(),
-        "gns-cert CatMap": hashlib.sha256((gns / "report.json").read_bytes()).hexdigest(),
-        "sublinearity": hashlib.sha256((sub / "report.json").read_bytes()).hexdigest(),
+    margin_runs = {
+        "shadow": shadow_run[1],
+        "ns-cert fixed_point": out,
+        "ns-cert": full,
+        "gns-cert CatMap": gns,
+        "sublinearity": sub,
     }
+    digests = {name: hashlib.sha256((d / "report.json").read_bytes()).hexdigest() for name, d in margin_runs.items()}
+    csv_digests = {name: hashlib.sha256((d / "data.csv").read_bytes()).hexdigest() for name, d in margin_runs.items()}
     for exp in ("lyapunov", "recurrence-scaling", "nonlacunarity", "domination"):
         assert run_cli([exp, "--out", tmp_path / exp]) == 0
         digests[exp] = hashlib.sha256((tmp_path / exp / "report.json").read_bytes()).hexdigest()
@@ -771,6 +775,7 @@ def test_report_digests_pinned(tmp_path, shadow_run):
         assert run_cli(["recurrence-scaling", *args, "--out", rec]) == 0
         digests[name] = hashlib.sha256((rec / "report.json").read_bytes()).hexdigest()
     assert digests == REPORT_DIGESTS
+    assert csv_digests == CSV_DIGESTS
 
 
 def test_cli_import_leaves_scipy_sparse_out():

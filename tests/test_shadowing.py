@@ -8,6 +8,8 @@ from nuspec.dynamics import Point2, Space, SystemSpec, jac_array, orbit_array, s
 from nuspec.errors import DegenerateOrbitError, NonConvergenceError
 from nuspec.lyapunov import _transport_sweeps
 from nuspec.shadowing import (
+    Margins,
+    ShadowingProfile,
     _solve_cyclic,
     assemble,
     cat_rational_orbit,
@@ -266,8 +268,8 @@ def test_profile_of_own_orbit_passes(cat):
     po = assemble([arc], cat)
     sol = newton_refine_periodic(cat, po, tol=1e-12)
     prof = shadowing_profile(cat, sol, po, tau=1e-9, epsilon=0.9)
-    assert prof.passed
-    assert prof.distances.max() == 0.0
+    assert prof.margins.held
+    assert prof.margins.distance.max() == 0.0
 
 
 def test_profile_junction_pass_and_fail(cat):
@@ -281,12 +283,12 @@ def test_profile_junction_pass_and_fail(cat):
     assert 1e-6 < po.delta <= 1e-4
     sol = newton_refine_periodic(cat, po, tol=1e-12)
     good = shadowing_profile(cat, sol, po, tau=1e-3, epsilon=0.9)
-    assert good.passed
+    assert good.margins.held
     bad = shadowing_profile(cat, sol, po, tau=1e-7, epsilon=0.9)
-    assert not bad.passed
+    assert not bad.margins.held
     # violations sit at the junctions of the two segments
     junctions = {0, period // 2, period}
-    assert min(abs(bad.first_fail_index - j) for j in junctions) <= 1
+    assert min(abs(bad.margins.first_failed - j) for j in junctions) <= 1
 
 
 def test_profile_monotone_in_tau_epsilon(cat):
@@ -297,9 +299,50 @@ def test_profile_monotone_in_tau_epsilon(cat):
     po = displaced_pseudo_orbit(cat, ref.points, period // 2, jitter=9e-5)
     sol = newton_refine_periodic(cat, po, tol=1e-12)
     base = shadowing_profile(cat, sol, po, tau=1e-3, epsilon=0.9)
-    assert base.passed
-    assert shadowing_profile(cat, sol, po, tau=2e-3, epsilon=0.9).passed
-    assert shadowing_profile(cat, sol, po, tau=1e-3, epsilon=0.5).passed
+    assert base.margins.held
+    assert shadowing_profile(cat, sol, po, tau=2e-3, epsilon=0.9).margins.held
+    assert shadowing_profile(cat, sol, po, tau=1e-3, epsilon=0.5).margins.held
+
+
+def test_margins_fail_on_nan_and_on_equality():
+    # a row holds only when distance < allowance, so a NaN distance and a
+    # distance equal to its allowance both fail, at their own index j
+    j = np.array([-2, -1, 0, 1, 2])
+    allowance = np.full(5, 0.5)
+    assert Margins(j, np.full(5, 0.25), allowance).held
+    for k, value in ((3, math.nan), (1, 0.5)):
+        distance = np.full(5, 0.25)
+        distance[k] = value
+        m = Margins(j, distance, allowance)
+        assert not m.held
+        assert m.first_failed == j[k]
+    # ratio 1 at equality: the check fails although no ratio exceeds 1
+    assert Margins(j, np.full(5, 0.5), allowance).max_ratio == 1.0
+    assert math.isnan(Margins(j, np.array([0.25, math.nan, 0.25, 0.25, 0.25]), allowance).max_ratio)
+
+
+def test_margins_zero_allowance_ratio_is_inf():
+    m = Margins(np.arange(3), np.array([0.0, 1e-3, 2e-3]), np.array([1.0, 0.0, 1.0]))
+    assert not m.held and m.first_failed == 1
+    assert m.max_ratio == math.inf
+    out = ShadowingProfile(tau=0.5, epsilon=0.1, margins=m).to_json()
+    assert (out["passed"], out["first_fail_index"], out["max_ratio"]) == (False, 1, math.inf)
+
+
+def test_profile_nan_solution_row_fails(cat):
+    # a NaN in the solution makes that index's distance NaN: the profile
+    # fails there rather than passing over it
+    period, pts = cat_rational_orbit(7)
+    po = assemble([np.vstack([pts, pts[:1]])], cat)
+    sol = newton_refine_periodic(cat, po, tol=1e-12)
+    assert shadowing_profile(cat, sol, po, tau=1e-9, epsilon=0.9).margins.held
+    sol.points = sol.points.copy()
+    sol.points[3] = math.nan
+    prof = shadowing_profile(cat, sol, po, tau=1e-9, epsilon=0.9)
+    assert not prof.margins.held and prof.margins.first_failed == 3
+    out = prof.to_json()
+    assert out["passed"] is False and out["first_fail_index"] == 3
+    assert math.isnan(out["max_ratio"]) and out["n_checked"] == period + 1
 
 
 def _domination_by_jacobians(system, pts, E, F, lam, S_list):

@@ -23,6 +23,7 @@ from nuspec.errors import (
     ResolutionError,
 )
 from nuspec.recurrence import ReturnTimeSequence, SetSpec
+from nuspec.shadowing import Margins
 from nuspec import recurrence, specification
 from nuspec.specification import (
     SlowVaryingFn,
@@ -654,9 +655,28 @@ def test_ns_fixed_point(cat, cat_spectrum, newton_solutions, cat_exact_distance)
     cert = ns_certificate(cat, fp, 30, 30, 1e-6, eta, SlowVaryingFn.constant(1.0, eta), ctx)
     assert cert.in_ball
     assert cert.z.tolist() == [0.0, 0.0]
-    assert cert.margins_distance.max() == 0.0
+    assert cert.margins.distance.max() == 0.0
     assert cert.period <= cert.m + cert.n + cert.K
     assert max(map(cat_exact_distance, newton_solutions)) < 1e-12
+
+
+def test_window_margin_nan_and_equality_fail(cat, cat_spectrum):
+    # a window is in its ball only when every distance < allowance: a NaN
+    # distance and a distance equal to its allowance are both violations
+    fp = torus(0.0, 0.0)
+    eps = 0.1 * min(abs(cat_spectrum.lambda_s), cat_spectrum.lambda_u)
+    ctx = fixed_point_context(cat, fp, epsilon=eps)
+    cert = ns_certificate(cat, fp, 5, 5, 1e-6, eps / 10, SlowVaryingFn.constant(1.0, eps / 10), ctx)
+    assert cert.in_ball and cert.first_violated_index is None
+    j, allowance = cert.margins.j, cert.margins.allowance
+    for k, value in ((7, math.nan), (2, allowance[2])):
+        distance = cert.margins.distance.copy()
+        distance[k] = value
+        bad = replace(cert, margins=Margins(j, distance, allowance))
+        assert not bad.in_ball
+        assert bad.first_violated_index == j[k]
+        out = bad.to_json(include_margins=False)
+        assert out["in_ball"] is False and out["first_violated_index"] == j[k]
 
 
 def test_ns_generic_cat(cat, cat_ctx, cat_exact_distance):
@@ -664,8 +684,8 @@ def test_ns_generic_cat(cat, cat_ctx, cat_exact_distance):
     q = const_q(cat_ctx)
     cert = ns_certificate(cat, x, 100, 100, 0.05, q.eta, q, cat_ctx)
     assert cert.in_ball
-    assert len(cert.margins_j) == 201
-    assert (cert.margins_distance < cert.margins_allowance).all()
+    assert len(cert.margins.j) == 201
+    assert (cert.margins.distance < cert.margins.allowance).all()
     assert cert.period <= 200 + cert.K
     assert cert.residual <= 1e-11
     assert not cert.below_resolution
@@ -690,9 +710,9 @@ def test_ns_margin_dominance_chain(cat, cat_ctx):
     cert = ns_certificate(cat, x, 150, 150, theta, q.eta, q, cat_ctx)
     assert cert.in_ball
     qx = q.value_rows(x[None])[0]
-    mid = theta * qx**-2 * np.exp(-2.0 * np.abs(cert.margins_j) * cert.eta)
-    assert (cert.margins_distance <= mid + 1e-15).all()
-    assert (mid <= cert.margins_allowance + 1e-15).all()
+    mid = theta * qx**-2 * np.exp(-2.0 * np.abs(cert.margins.j) * cert.eta)
+    assert (cert.margins.distance <= mid + 1e-15).all()
+    assert (mid <= cert.margins.allowance + 1e-15).all()
 
 
 def test_ns_remark_plain_ball_reduction(cat, cat_ctx):
@@ -703,7 +723,7 @@ def test_ns_remark_plain_ball_reduction(cat, cat_ctx):
     theta = 0.04
     cert = ns_certificate(cat, x, 80, 80, theta, q.eta, q, cat_ctx)
     plain = np.full(161, theta)
-    assert cert.margins_allowance.tolist() == plain.tolist()
+    assert cert.margins.allowance.tolist() == plain.tolist()
 
 
 def test_ns_rejects_non_slow_varying_q(cat, cat_ctx):
