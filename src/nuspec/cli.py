@@ -17,11 +17,12 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .dynamics import Point2, Space, SystemKind, SystemSpec, orbit_array
 from .errors import ConfigError, NuspecError
 from .lyapunov import (
@@ -54,9 +55,6 @@ from .specification import (
     ns_certificate,
     sublinearity_scan,
 )
-
-_VERSION = "0.1.0"
-
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -349,6 +347,10 @@ def load_config(experiment: str, config_path, overrides, out_dir) -> ExperimentC
 
 
 def _jsonable(obj):
+    """obj in JSON types: a dataclass record as its fields, tuples and arrays
+    as lists, keys as strings, NaN and infinities as None."""
+    if is_dataclass(obj):
+        obj = asdict(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -418,7 +420,7 @@ def _run_lyapunov(system, p, seed):
         transient = 1000 if system.kind is SystemKind.HENON else 0
     x0 = _seed_point(system, rng, p["x0"])
     spec = lyapunov_spectrum(system, x0, N=p["N"], qr_period=p["qr_period"], transient=transient)
-    return {**spec.to_json(), "x0": x0.tolist(), "sum": sum(spec.exponents)}, None, None
+    return {**asdict(spec), "x0": x0, "sum": sum(spec.exponents)}, None, None
 
 
 def _run_recurrence_scaling(system, p, seed):
@@ -429,7 +431,7 @@ def _run_recurrence_scaling(system, p, seed):
     rep = recurrence_scaling(
         system, x, radii, grid=p["grid"], T_max=p["T_max"], spectrum=spec, method=p["method"]
     )
-    res = {**rep.to_json(), "x": x.tolist(), "spectrum": spec.to_json()}
+    res = {**asdict(rep), "x": x, "spectrum": spec}
     rows = list(zip(rep.radii, rep.tau, rep.ratios, [int(c) for c in rep.censored]))
     return res, ["r", "tau", "ratio", "censored"], rows
 
@@ -448,7 +450,7 @@ def _run_nonlacunarity(system, p, seed):
     hit_N = interval_hit_check(seq, p["hit_epsilon"], N_start=p["N_start"])
     area = birkhoff_indicator_average(system, x, gamma, horizon=min(p["horizon"], 200_000))
     res = {
-        "x": x.tolist(),
+        "x": x,
         "radius": radius,
         "n_forward": int(seq.count_fwd),
         "n_backward": int(seq.count_bwd),
@@ -578,7 +580,7 @@ def _run_sublinearity(system, p, seed):
         ctx,
         newton_tol=p["newton_tol"],
     )
-    res = {"table": table.to_json(), "x": x.tolist(), "epsilon": ctx.epsilon, "context": ctx.to_json()}
+    res = {"table": table.to_json(), "x": x, "epsilon": ctx.epsilon, "context": ctx.to_json()}
     rows = [(r.m, r.n, r.eta, r.K, r.ratio, int(r.in_ball)) for r in table.rows]
     return res, ["m", "n", "eta", "K", "ratio", "in_ball"], rows
 
@@ -590,7 +592,7 @@ def _run_domination(system, p, seed):
     *_, log_u, log_s = _transport_sweeps(system, x[None], 0, n_pts)
     log_E, log_F = (log_u[:, 0], log_s[:, 0]) if p["swap"] else (log_s[:, 0], log_u[:, 0])
     rep = check_domination(log_E, log_F, S0=p["S0"], lam=p["lam"], S_list=p["S_list"])
-    res = {"x": x.tolist(), "swap": p["swap"], "lam": p["lam"], **rep.to_json()}
+    res = {"x": x, "swap": p["swap"], "lam": p["lam"], **asdict(rep)}
     return res, None, None
 
 
@@ -620,7 +622,7 @@ def run(cfg: ExperimentConfig) -> int:
         "seed": cfg.seed,
         "system": cfg.system.to_json(),
         "parameters": cfg.parameters,
-        "version": _VERSION,
+        "version": __version__,
     }
     _write_json(outd / "manifest.json", manifest)
     try:

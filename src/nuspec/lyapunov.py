@@ -72,16 +72,6 @@ class LyapunovSpectrum:
             horizon=int(horizon),
         )
 
-    def to_json(self) -> dict:
-        return {
-            "exponents": list(self.exponents),
-            "lambda_s": self.lambda_s,
-            "lambda_u": self.lambda_u,
-            "Lambda_s": self.Lambda_s,
-            "Lambda_u": self.Lambda_u,
-            "horizon": self.horizon,
-        }
-
 
 @dataclass(frozen=True)
 class PesinBlockParams:
@@ -108,14 +98,6 @@ class PesinBlockParams:
         lam = abs(spectrum.lambda_s)
         mu = spectrum.lambda_u
         return cls(lam=lam, mu=mu, epsilon=epsilon_ratio * min(lam, mu), window=window)
-
-    def to_json(self) -> dict:
-        return {
-            "lam": self.lam,
-            "mu": self.mu,
-            "epsilon": self.epsilon,
-            "window": list(self.window),
-        }
 
 
 def lyapunov_spectrum(

@@ -329,20 +329,6 @@ class RecurrenceScalingReport:
     T_max: int
     any_censored: bool = False
 
-    def to_json(self) -> dict:
-        return {
-            "radii": self.radii,
-            "tau": self.tau,
-            "ratios": self.ratios,
-            "censored": self.censored,
-            "limsup_estimate": self.limsup_estimate,
-            "bound": self.bound,
-            "grid": self.grid,
-            "method": self.method,
-            "T_max": self.T_max,
-            "any_censored": self.any_censored,
-        }
-
 
 def recurrence_scaling(
     system: SystemSpec,

@@ -300,9 +300,6 @@ class DominationReport:
     ok: bool
     margins: dict  # S -> min over sampled points of (-2*lam - quotient_log)
 
-    def to_json(self) -> dict:
-        return {"ok": self.ok, "margins": {str(k): v for k, v in self.margins.items()}}
-
 
 def check_domination(log_E, log_F, S0: int, lam: float, S_list) -> DominationReport:
     """Test (1/S) log(||Df^S|E|| / m(Df^S|F)) <= -2 lam along an orbit for

@@ -18,7 +18,7 @@ import math
 import os
 import signal
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -323,7 +323,7 @@ class CoverContext:
             "block_fraction": self.block_fraction,
         }
         if self.block_params is not None:
-            out["block_params"] = self.block_params.to_json()
+            out["block_params"] = asdict(self.block_params)
         return out
 
 
@@ -649,6 +649,8 @@ def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> 
     128); every H walks the same unbroken orbit, so the result does not
     depend on H.  No walk passes max_horizon: a window that needs more
     raises the InsufficientHorizonError, with its required_horizon."""
+    if abs(q.eta - eta) > 1e-12:
+        raise ValueError("q.eta must equal the certificate eta")
     if m < 0 or n < 0:
         raise PreconditionError(f"window lengths must be nonnegative, got m={m}, n={n}")
     if not ctx.cover.membership(x):
@@ -769,8 +771,6 @@ def ns_certificate(
     otherwise the minimal witnessed connector is used and p <= m + n + K.
     A certificate with in_ball=False is a valid result, not an error.
     """
-    if abs(q.eta - eta) > 1e-12:
-        raise ValueError("q.eta must equal the certificate eta")
     if m == n == 0:
         raise PreconditionError("the window [-m, n] needs m + n > 0 (its ratio is K / (m + n))")
     w = _certificate_window(system, x, m, n, eta, q, ctx)
@@ -840,8 +840,6 @@ def gns_certificate(
     """
     if len(segment_list) < 2:
         raise PreconditionError("GNS certificates need at least 2 segments")
-    if abs(q.eta - eta) > 1e-12:
-        raise ValueError("q.eta must equal the certificate eta")
     windows = [_certificate_window(system, x_i, m_i, n_i, eta, q, ctx) for x_i, m_i, n_i in segment_list]
     Ns = None if target_total_gap is None else _spread_gaps(windows, ctx.bounds, target_total_gap)
     cert, _, _ = _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns)
@@ -869,10 +867,7 @@ class SublinearityTable:
 
     def to_json(self) -> dict:
         return {
-            "rows": [
-                {"eta": r.eta, "m": r.m, "n": r.n, "K": r.K, "ratio": r.ratio, "in_ball": r.in_ball}
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
             "summaries": {f"{k:.10g}": v for k, v in self.summaries.items()},
         }
 

@@ -15,10 +15,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuspec.cli import SCHEMAS, _field, _write_json, compare_to_bound, load_config, main
+from nuspec.cli import SCHEMAS, _build_ctx, _field, _write_json, compare_to_bound, load_config, main
 from nuspec.dynamics import SystemSpec, orbit_array
 from nuspec.errors import ConfigError
-from nuspec.shadowing import Margins, ShadowingProfile
+from nuspec.lyapunov import LyapunovSpectrum
+from nuspec.recurrence import RecurrenceScalingReport
+from nuspec.shadowing import DominationReport, Margins, ShadowingProfile
 
 CAT_EXP = math.log((3 + math.sqrt(5)) / 2)
 
@@ -198,6 +200,28 @@ def test_gns_cert_segment_list_length_refused(tmp_path, monkeypatch, args, field
     assert rep["partial"] is True
     assert rep["error"]["type"] == "ConfigError"
     assert rep["error"]["field"] == field
+
+
+def test_gns_cert_runs_at_given_segment_points(tmp_path):
+    # segment points given in the config are the windows' base points; a
+    # point outside the cover is a typed refusal of the certificate layer
+    small = {"sampling_orbit_length": 20_000, "block_samples": 40, "spectrum_N": 20_000, "m": 20, "n": 20}
+    cfg = load_config("gns-cert", None, list(small.items()), tmp_path)
+    ctx = _build_ctx(cfg.system, cfg.seed, cfg.parameters)
+    points = [ctx.block_points[i][0].tolist() for i in range(3)]
+    args = ["gns-cert", *(f"--set={k}={v}" for k, v in small.items())]
+    out = tmp_path / "given"
+    assert run_cli(args + ["--set", f"segment_points={json.dumps(points)}", "--out", out]) == 0
+    segments = read_json(out / "report.json")["results"]["certificate"]["segments"]
+    assert [seg["x"] for seg in segments] == points
+    grid = (np.array([i, j]) / 16 for i in range(16) for j in range(16))
+    outside = next(p for p in grid if not ctx.cover.membership(p)).tolist()
+    out = tmp_path / "outside"
+    assert run_cli(args + ["--set", f"segment_points={json.dumps([outside, *points[1:]])}", "--out", out]) == 1
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True
+    assert rep["error"]["type"] == "PreconditionError"
+    assert rep["error"]["message"] == "certificate base point must lie in the cover support"
 
 
 HENON = {"system": {"kind": "Henon", "params": {"a": 1.4, "b": 0.3}}}
@@ -652,6 +676,35 @@ def test_report_json_is_rfc8259(tmp_path):
     rep = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
     assert rep["profile"]["max_ratio"] is None
     assert rep["values"] == [None, None, 1.5]
+
+
+def test_write_json_writes_records_as_fields(tmp_path):
+    # plain records reach report.json as their fields through the one
+    # serializer: non-finite floats as null, tuples and arrays as lists, and
+    # int keys as strings in string order
+    rec = RecurrenceScalingReport(
+        radii=[0.5], tau=[None], ratios=[None], censored=[True], limsup_estimate=math.nan,
+        bound=math.inf, grid=5, method="lattice", T_max=400, any_censored=True,
+    )
+    spec = LyapunovSpectrum.from_exponents([CAT_EXP, -CAT_EXP], horizon=100)
+    dom = DominationReport(ok=True, margins={1: 0.5, 5: 0.25, 10: 0.125})
+    path = tmp_path / "report.json"
+    _write_json(path, {"rec": rec, "spec": spec, "dom": dom, "scalar": np.float64(2.5), "x": np.array([0.25, 0.75])})
+
+    def reject(token):
+        raise ValueError(f"non-RFC 8259 token {token}")
+
+    rep = json.loads(path.read_text(encoding="utf-8"), parse_constant=reject)
+    assert rep["rec"] == {
+        "radii": [0.5], "tau": [None], "ratios": [None], "censored": [True], "limsup_estimate": None,
+        "bound": None, "grid": 5, "method": "lattice", "T_max": 400, "any_censored": True,
+    }
+    assert rep["spec"]["exponents"] == [-CAT_EXP, CAT_EXP]
+    assert rep["spec"]["horizon"] == 100
+    assert list(rep["dom"]["margins"]) == ["1", "10", "5"]
+    assert rep["dom"] == {"ok": True, "margins": {"1": 0.5, "5": 0.25, "10": 0.125}}
+    assert rep["scalar"] == 2.5
+    assert rep["x"] == [0.25, 0.75]
 
 
 PERTURBED_SEED0 = {"system": {"kind": "PerturbedCatMap", "params": {"kappa": 0.05}}, "seed": 0}

@@ -23,7 +23,7 @@ from nuspec.errors import (
     ResolutionError,
 )
 from nuspec.recurrence import ReturnTimeSequence, SetSpec
-from nuspec.shadowing import Margins
+from nuspec.shadowing import Margins, PeriodicOrbitSolution, assemble, shadowing_profile
 from nuspec import recurrence, specification
 from nuspec.specification import (
     SlowVaryingFn,
@@ -1006,3 +1006,80 @@ def test_certificate_invariants_survive_optimize_flag():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["InvariantError", "InvariantError"]
+
+
+def _fixed_point_q_mismatch(make):
+    # a certificate asked for eta whose weight q carries another eta
+    def call(system):
+        ctx = fixed_point_context(system, torus(0.0, 0.0), epsilon=0.04)
+        return make(system, 0.01, SlowVaryingFn.constant(1.0, 0.02), ctx)
+
+    return call
+
+
+def _short_solution(system):
+    po = assemble([orbit_array(system, 0.1, 0.2, n_fwd=3)], system)
+    sol = PeriodicOrbitSolution(points=np.zeros((4, 2)), period=4, residual=0.0, newton_iters=0)
+    return shadowing_profile(system, sol, po, tau=1.0, epsilon=0.1)
+
+
+# the library's own refusals; the CLI refuses the same values before they
+# reach these lines, so only direct calls run them
+AMPLITUDE = "amplitude must lie in [0, 1)"
+ETA_RANGE = "need 0 < eta <= epsilon/2"
+LIBRARY_REFUSALS = {
+    "q c <= 0": (lambda s: SlowVaryingFn.constant(0.0, 0.1), ValueError, "base value c must be positive"),
+    "q amplitude 1": (lambda s: SlowVaryingFn.modulated(1.0, 1.0, 1, 0.1), ValueError, AMPLITUDE),
+    "q amplitude < 0": (lambda s: SlowVaryingFn.modulated(1.0, -0.1, 1, 0.1), ValueError, AMPLITUDE),
+    "q eta <= 0": (lambda s: SlowVaryingFn.constant(1.0, 0.0), ValueError, "eta must be positive"),
+    "select eta 0": (lambda s: select_indices(_arith_seq(10, 50), 5, 5, 0.0, 1.0), PreconditionError, ETA_RANGE),
+    "select eta > eps/2": (lambda s: select_indices(_arith_seq(10, 50), 5, 5, 0.6, 1.0), PreconditionError, ETA_RANGE),
+    "ns q.eta": (
+        _fixed_point_q_mismatch(lambda s, eta, q, ctx: ns_certificate(s, torus(0.0, 0.0), 5, 5, 0.05, eta, q, ctx)),
+        ValueError,
+        "q.eta must equal the certificate eta",
+    ),
+    "gns q.eta": (
+        _fixed_point_q_mismatch(
+            lambda s, eta, q, ctx: gns_certificate(s, [(torus(0.0, 0.0), 5, 5)] * 2, 0.1, eta, q, ctx)
+        ),
+        ValueError,
+        "q.eta must equal the certificate eta",
+    ),
+    "cover delta <= 0": (lambda s: build_cover(s, [[0.5, 0.5]], 0.0), ValueError, "delta must be positive"),
+    "cover no points": (
+        lambda s: build_cover(s, np.empty((0, 2)), 0.1),
+        ValueError,
+        "block_points must be a non-empty (n, 2) coordinate array",
+    ),
+    "cover (n, 3) points": (
+        lambda s: build_cover(s, np.zeros((4, 3)), 0.1),
+        ValueError,
+        "block_points must be a non-empty (n, 2) coordinate array",
+    ),
+    "transitions T_floor 0": (
+        lambda s: estimate_transitions(s, build_cover(s, [[0.5, 0.5]], 0.1), seeded_orbit(s, 100, 0), T_floor=0),
+        ValueError,
+        "T_floor must be >= 1",
+    ),
+    "hit epsilon 0": (
+        lambda s: recurrence.interval_hit_check(_arith_seq(3, 10), 0.0),
+        ValueError,
+        "epsilon must be positive",
+    ),
+    "birkhoff horizon 0": (
+        lambda s: recurrence.birkhoff_indicator_average(s, torus(0.5, 0.5), build_cover(s, [[0.5, 0.5]], 0.2), 0),
+        ValueError,
+        "horizon must be >= 1",
+    ),
+    "profile period": (_short_solution, PreconditionError, "solution period must equal the pseudo-orbit length"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIBRARY_REFUSALS))
+def test_library_refuses_its_own_inputs(cat, case):
+    call, error, message = LIBRARY_REFUSALS[case]
+    with pytest.raises(Exception) as exc:
+        call(cat)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
