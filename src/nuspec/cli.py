@@ -6,8 +6,8 @@
 Each run writes manifest.json (the fully resolved configuration), report.json
 (stable key order, byte-identical across reruns with the same config and
 seed), and data.csv where the experiment produces tabular output.  Module
-errors produce a nonzero exit status and a report.json carrying the error
-and a "partial": true marker.
+errors and MemoryError produce a nonzero exit status and a report.json
+carrying the error and a "partial": true marker.
 """
 
 from __future__ import annotations
@@ -625,9 +625,11 @@ def run(cfg: ExperimentConfig) -> int:
         "version": __version__,
     }
     _write_json(outd / "manifest.json", manifest)
+    for stale in ("report.json", "data.csv"):  # a previous run's, which must not outlive a crash
+        (outd / stale).unlink(missing_ok=True)
     try:
         results, header, rows = _RUNNERS[cfg.experiment](cfg.system, cfg.parameters, cfg.seed)
-    except (NuspecError, ValueError) as err:
+    except (NuspecError, ValueError, MemoryError) as err:
         _write_json(outd / "report.json", _error_report(err, manifest))
         print(f"error: {err}", file=sys.stderr)
         return 1
@@ -696,6 +698,8 @@ def main(argv=None) -> int:
             rec, lya = (json.loads(Path(f).read_text(encoding="utf-8")) for f in (args.recurrence, args.lyapunov))
             table = compare_to_bound(rec, lya, tolerance=args.tolerance)
         except (NuspecError, OSError, ValueError, KeyError, TypeError) as err:
+            if args.out:
+                _write_json(Path(args.out) / "summary.json", _error_report(err))
             print(f"refusal: {err}", file=sys.stderr)
             return 1
         print(f"{'measured':>12} {'bound':>12} {'pass':>6}")

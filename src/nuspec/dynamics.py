@@ -127,6 +127,11 @@ class SystemSpec:
     def space(self) -> Space:
         return _KINDS[self.kind].space
 
+    @property
+    def log_det(self) -> float:
+        """log|det Df|, the same at every point for every kind."""
+        return _KINDS[self.kind].log_det(self.params)
+
     def maps(self, xp=math):
         """The kind's (step, inverse, jac): on Python floats with xp = math,
         on numpy arrays (one point per element) with xp = numpy."""
@@ -170,13 +175,15 @@ class SystemSpec:
 # ---------------------------------------------------------------------------
 # the map table: per kind, a factory (params, xp) -> (step, inverse, jac) on
 # coordinates x, y, run on Python floats with xp = math and on arrays with
-# xp = numpy; jac gives the flat (a11, a12, a21, a22), constants as scalars
+# xp = numpy; jac gives the flat (a11, a12, a21, a22), constants as scalars;
+# log_det gives the constant log|det Df| from the params
 
 
 class MapKind(NamedTuple):
     space: Space
     params: tuple
     maps: Callable
+    log_det: Callable
 
 
 def _cat_inverse(x, y):
@@ -259,10 +266,10 @@ def _plane(what, x, y):
 
 
 _KINDS = {
-    SystemKind.CAT_MAP: MapKind(Space.TORUS2, (), _cat),
-    SystemKind.PERTURBED_CAT_MAP: MapKind(Space.TORUS2, ("kappa",), _perturbed_cat),
-    SystemKind.STANDARD_MAP: MapKind(Space.TORUS2, ("K_s",), _standard),
-    SystemKind.HENON: MapKind(Space.PLANE, ("a", "b"), _henon),
+    SystemKind.CAT_MAP: MapKind(Space.TORUS2, (), _cat, lambda p: 0.0),
+    SystemKind.PERTURBED_CAT_MAP: MapKind(Space.TORUS2, ("kappa",), _perturbed_cat, lambda p: 0.0),
+    SystemKind.STANDARD_MAP: MapKind(Space.TORUS2, ("K_s",), _standard, lambda p: 0.0),
+    SystemKind.HENON: MapKind(Space.PLANE, ("a", "b"), _henon, lambda p: math.log(abs(p["b"]))),
 }
 
 

@@ -18,7 +18,7 @@ class NonFiniteError(NuspecError):
 
 
 class DegeneracyError(NuspecError):
-    """A tangent vector or QR column collapsed to zero norm."""
+    """A tangent vector or direction collapsed to zero norm."""
 
 
 class NonConvergenceError(NuspecError):

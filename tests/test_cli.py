@@ -99,6 +99,31 @@ def test_ns_cert_fixed_point_refuses_non_hyperbolic_spectrum(tmp_path, monkeypat
     assert "not hyperbolic" in rep["error"]["message"]
 
 
+def test_crashed_run_leaves_no_stale_report(tmp_path, monkeypatch, capsys):
+    # a run that runs out of memory ends in a typed partial report beside its
+    # own manifest, never beside an earlier run's report or data.csv
+    import nuspec.cli
+
+    out = tmp_path / "run"
+    assert run_cli(["recurrence-scaling", "--set", "spectrum_N=2000", "--set", "radii_log2_max=8", "--out", out]) == 0
+    assert run_cli(["domination", "--out", out]) == 0
+    assert "results" in read_json(out / "report.json")
+    assert not (out / "data.csv").exists()
+
+    def exhausted(*a):
+        raise MemoryError("cannot allocate the sampling orbit")
+
+    monkeypatch.setitem(nuspec.cli._RUNNERS, "ns-cert", exhausted)
+    capsys.readouterr()
+    assert run_cli(["ns-cert", "--out", out]) == 1
+    assert "error: cannot allocate" in capsys.readouterr().err
+    rep = read_json(out / "report.json")
+    assert rep["experiment"] == read_json(out / "manifest.json")["experiment"] == "ns-cert"
+    assert rep["partial"] is True and "results" not in rep
+    assert rep["error"]["type"] == "MemoryError"
+    assert not (out / "data.csv").exists()
+
+
 def test_invalid_kind_writes_error_json(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": {"kind": "catmap3", "params": {}}}))
@@ -578,6 +603,19 @@ def test_compare_refuses_partial_report(tmp_path, capsys):
     assert "refusal:" in capsys.readouterr().err
 
 
+def test_compare_refusal_writes_partial_summary(tmp_path, capsys):
+    ly, cmp_out = tmp_path / "ly", tmp_path / "cmp"
+    assert run_cli(["lyapunov", "--set", "N=2000", "--out", ly]) == 0
+    capsys.readouterr()
+    argv = ["compare", "--recurrence", ly / "report.json", "--lyapunov", ly / "report.json", "--out", cmp_out]
+    assert run_cli(argv) == 1
+    assert "refusal:" in capsys.readouterr().err
+    summary = read_json(cmp_out / "summary.json")
+    assert summary["partial"] is True and "bound" not in summary
+    assert summary["error"]["type"] == "ConfigError"
+    assert "expected a report of recurrence-scaling" in summary["error"]["message"]
+
+
 @pytest.mark.parametrize("malformed", ["not an object", "no lambda_s"])
 def test_compare_refuses_malformed_report(tmp_path, capsys, malformed):
     ly, rec = tmp_path / "ly", tmp_path / "rec"
@@ -744,19 +782,48 @@ def test_shadow_cat_exact_orbit(tmp_path, newton_solutions, cat_exact_distance):
     assert max(map(cat_exact_distance, newton_solutions)) < 1e-12
 
 
+STANDARD6_SEED0 = {"system": {"kind": "StandardMap", "params": {"K_s": 6.0}}, "seed": 0}
+
+
+@pytest.fixture(scope="module")
+def standard_run(tmp_path_factory):
+    # the non-uniform regime: block indices here spread over tens, where on
+    # the cat maps they are 1 or 2
+    base = tmp_path_factory.mktemp("standard")
+    cfg = base / "cfg.json"
+    cfg.write_text(json.dumps(STANDARD6_SEED0))
+    out = base / "run"
+    args = ["--set", "sampling_orbit_length=100000", "--set", "block_samples=100"]
+    return run_cli(["ns-cert", "--config", cfg, *args, "--out", out]), out
+
+
+def test_ns_cert_standard_map(standard_run):
+    rc, out = standard_run
+    assert rc == 0
+    cert = read_json(out / "report.json")["results"]["certificate"]
+    assert cert["in_ball"] is True
+    assert cert["period"] <= cert["m"] + cert["n"] + cert["K"]
+    pinned = {"period": 257, "K": 61, "M_k": 7, "newton_iters": 4, "t_minus": -122, "t_plus": 132}
+    assert {key: cert[key] for key in pinned} == pinned
+    assert cert["indices"] == {"l1": 34, "l2": 37, "s1": 7, "s2": 10}
+
+
 # sha256 of report.json for fast seed-0 runs, PerturbedCatMap(0.05) unless
 # named; a change that is meant to keep reports byte-identical must keep these
 REPORT_DIGESTS = {
     "shadow": "d3b2cdc269b056a8d1ccad15e6f3ad6881ff76385e0ec2cc2a36c055c746e72a",
-    "ns-cert fixed_point": "d98ec73c4b107efe6cab8b4576928218b565415457acab1e88822f688a824b99",
+    "ns-cert fixed_point": "d07afb6e13850da65a1a3bed9dc367b9655d92d569122ca9a4799446192ac7f4",
     # the full cover context: spectrum, block sweep, cover, sampling orbit and its events
-    "ns-cert": "6f64a56b9644f3017450b42685dad8119a0ffabdeb261f8c904a1261a943b0f8",
+    "ns-cert": "19eed13121b2910a97416939398caaad29f6cd028ecf81509937edf323c162d6",
+    # the non-uniform regime: StandardMap(6) at a shorter sampling orbit and
+    # fewer block samples, block indices in the tens
+    "ns-cert StandardMap(6)": "15a06de10e62f459ac04ea046c085378a6918db59618aeffc600f642e6799d49",
     # multi-window records: three gns windows (CatMap defaults), two ns windows
-    "gns-cert CatMap": "35f00c5184a3bd5e7bd0c1f2b527e7b6cc21d3c9594d1f66edc5496def9d92fd",
-    "sublinearity": "62ce628dbb84a8f87b4656ccdc109c09bf0691d99c563e5372367dbc609719e4",
+    "gns-cert CatMap": "9f7ee580d1cedf5eaecf50b4a1fbddf65af337c730be62ec95262ff98c3053e7",
+    "sublinearity": "3bb007acf6efe3f852de64d118f73a3f0b49b1a6dee624eee7702bdb98a6cf6e",
     # the diagnostics at their defaults on CatMap
-    "lyapunov": "c83f66f21fad30c613939114a57e36b5a32984ccdc2be2470f7120f2fd9b5c5a",
-    "recurrence-scaling": "87faa0aeb0d7be77f66a9fdd0b483e4237f84647feabbafd33346213b8ead7d9",
+    "lyapunov": "1070b873132a646780420f1b6400fb90b331aec14b554f8e9165f6e66d5fd201",
+    "recurrence-scaling": "18d7a130e7c7ce47d6a4dd8e6e19bfae55d104221da27a6208f2528138ce3546",
     "nonlacunarity": "4879a305041bd53e90d6071549c8e450cec77f6591367f0242ed730dfaaab511",
     "domination": "8a4fb62e0b4bd844db078b0eb7b4b9e7a349cab7fd228c3a8948d16ebc2f9d46",
     # plane balls: Henon forward visits through the cell fold of the ball's candidate index
@@ -767,24 +834,30 @@ REPORT_DIGESTS = {
     "domination PerturbedCatMap": "ce04faf3b207cddd58cf58f4c9fd231724b34cc5ceb58a10683bd08277624b96",
     # ball-return lattices: the odd default grid, which holds the center, and
     # an even grid, which misses it and prepends it
-    "recurrence-scaling PerturbedCatMap": "0caff35653dc42cf17629b1eca2c2e173d23a5864c410ff58ed3196b601a049f",
-    "recurrence-scaling CatMap lattice grid=4": "97786cedea2c715f3097941adb4d75d382722a600af0431735465ee92f4ac585",
+    "recurrence-scaling PerturbedCatMap": "2b7d83d1bf114c66a059da963c73ac5c251092c1d38993e19e1929f47ddf8f8e",
+    "recurrence-scaling CatMap lattice grid=4": "1034bac198c570e5f5bf8bd951b3eceb5fbd609a4532e7201c16912c0bbcb3bf",
     # the segment estimator at the smallest radii the CLI allows, 2^-19
-    "recurrence-scaling CatMap radii_log2_max=19": "ec18eda8c25b438747d90b0e52b271683c0c790f3e2b75d2cb3bdcde21cd6c9b",
+    "recurrence-scaling CatMap radii_log2_max=19": "3d953711fd5fa3438ce3726efa89583b99eb74a7a5837d971f12fc90ccb3aa47",
 }
 
-# sha256 of data.csv for the first five runs above: the margin rows of
+# sha256 of data.csv for the first six runs above: the margin rows of
 # shadow, ns-cert and gns-cert, and the sublinearity table
 CSV_DIGESTS = {
     "shadow": "0a4d3d0305c94c2f766442105c694e664f1e2a9fd6b1736efcac11dbe0cee43d",
     "ns-cert fixed_point": "5ec3264fa8ba09ae883fd1142bbbc1ad41805543cf3d397b5926e2e4b4d72de7",
     "ns-cert": "b4c195b3f09a17c77bdbfbee9c3ef940394378100104e5540919f4978eafaabc",
     "gns-cert CatMap": "08d49d83768396f8067a41646875167421b8d7511936de64beae5e5378039c3d",
-    "sublinearity": "c82b212d2d6fc76b283f8d9f6b2f70cf18918d49f06c2c029b88d96c8cd450bc",
+    "sublinearity": "75f47a331b3d6190c54eab5eb7807b6c171a32cfc7d951763e9306ffa6ae9cd5",
+    "ns-cert StandardMap(6)": "0d947ee4989405f85fcd8c1cc5fcc88863ae7b599f332e456ee0d27b2bad4182",
 }
 
 
-def test_report_digests_pinned(tmp_path, shadow_run):
+def _moved(digests, pinned):
+    """Names whose digest differs from its pin, or that only one side has."""
+    return sorted(name for name in digests.keys() | pinned.keys() if digests.get(name) != pinned.get(name))
+
+
+def test_report_digests_pinned(tmp_path, shadow_run, standard_run):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(PERTURBED_SEED0))
     out = tmp_path / "ns"
@@ -801,6 +874,7 @@ def test_report_digests_pinned(tmp_path, shadow_run):
         "ns-cert": full,
         "gns-cert CatMap": gns,
         "sublinearity": sub,
+        "ns-cert StandardMap(6)": standard_run[1],
     }
     digests = {name: hashlib.sha256((d / "report.json").read_bytes()).hexdigest() for name, d in margin_runs.items()}
     csv_digests = {name: hashlib.sha256((d / "data.csv").read_bytes()).hexdigest() for name, d in margin_runs.items()}
@@ -827,8 +901,8 @@ def test_report_digests_pinned(tmp_path, shadow_run):
         rec = tmp_path / f"recurrence-{i}"
         assert run_cli(["recurrence-scaling", *args, "--out", rec]) == 0
         digests[name] = hashlib.sha256((rec / "report.json").read_bytes()).hexdigest()
-    assert digests == REPORT_DIGESTS
-    assert csv_digests == CSV_DIGESTS
+    moved = {"report.json": _moved(digests, REPORT_DIGESTS), "data.csv": _moved(csv_digests, CSV_DIGESTS)}
+    assert moved == {"report.json": [], "data.csv": []}, f"digests moved: {moved}"
 
 
 def test_cli_import_leaves_scipy_sparse_out():

@@ -10,6 +10,7 @@ from nuspec.dynamics import (
     Space,
     SystemSpec,
     jac_array,
+    orbit_array,
     step_inverse_xy,
     step_xy,
 )
@@ -47,9 +48,10 @@ def test_qr_period_invariance(cat):
 
 
 def test_spectrum_symmetry(cat_spectrum, perturbed_spectrum):
-    # both maps are area-preserving, so the exponents cancel to rounding
-    assert abs(sum(cat_spectrum.exponents)) <= 1e-6
-    assert abs(sum(perturbed_spectrum.exponents)) <= 1e-6
+    # both maps are area-preserving: the contracting exponent is 0 - l1, so the
+    # exponents cancel exactly
+    assert sum(cat_spectrum.exponents) == 0.0
+    assert sum(perturbed_spectrum.exponents) == 0.0
 
 
 def test_perturbed_exponent_near_cat(perturbed_spectrum):
@@ -57,9 +59,60 @@ def test_perturbed_exponent_near_cat(perturbed_spectrum):
 
 
 def test_sum_rule_henon(henon):
-    # dissipative sanity check: exponents sum to log|b|
+    # dissipative: the exponents sum to log|b|, to the one rounding of
+    # (log|b| - l1) + l1
     spec = lyapunov_spectrum(henon, Point2(0.1, 0.1, Space.PLANE), N=40_000, transient=1000)
-    assert abs(sum(spec.exponents) - math.log(0.3)) <= 1e-2
+    assert abs(sum(spec.exponents) - math.log(0.3)) <= math.ulp(math.log(0.3))
+
+
+def _gram_schmidt_exponents(system, x0, N, transient=0):
+    """Reference: two tangent columns, re-orthonormalized by Gram-Schmidt
+    after every step, where cancellation cannot yet eat the second column."""
+    x, y = orbit_array(system, *x0.tolist(), n_fwd=transient)[-1].tolist()
+    step, _, jac = system.maps()
+    u1, u2, v1, v2 = 1.0, 0.0, 0.0, 1.0
+    acc1 = acc2 = 0.0
+    for _ in range(N):
+        a11, a12, a21, a22 = jac(x, y)
+        u1, u2 = a11 * u1 + a12 * u2, a21 * u1 + a22 * u2
+        v1, v2 = a11 * v1 + a12 * v2, a21 * v1 + a22 * v2
+        x, y = step(x, y)
+        r1 = math.hypot(u1, u2)
+        u1, u2 = u1 / r1, u2 / r1
+        proj = u1 * v1 + u2 * v2
+        v1, v2 = v1 - proj * u1, v2 - proj * u2
+        r2 = math.hypot(v1, v2)
+        v1, v2 = v1 / r2, v2 / r2
+        acc1 += math.log(r1)
+        acc2 += math.log(r2)
+    return acc1 / N, acc2 / N
+
+
+@pytest.mark.parametrize(
+    "system, x0, transient",
+    [
+        (SystemSpec.cat_map(), Point2(0.3141, 0.2718), 0),
+        (SystemSpec.perturbed_cat_map(0.05), Point2(0.3141, 0.2718), 0),
+        (SystemSpec.perturbed_cat_map(0.15), Point2(0.3141, 0.2718), 0),
+        (SystemSpec.henon(1.4, 0.3), Point2(0.1, 0.1, Space.PLANE), 1000),
+    ],
+    ids=["cat", "perturbed", "perturbed-strong", "henon"],
+)
+def test_contracting_exponent_matches_gram_schmidt(system, x0, transient):
+    # summing 1e5 logs in another grouping moves an exponent by about 2e-12,
+    # so 1e-10 is as tight as the two schemes can be asked to agree
+    top, low = _gram_schmidt_exponents(system, x0, 100_000, transient)
+    spec = lyapunov_spectrum(system, x0, N=100_000, transient=transient)
+    assert abs(spec.lambda_u - top) <= 1e-10
+    assert abs(spec.exponents[0] - low) <= 1e-10
+
+
+@pytest.mark.parametrize("K_s", [6.0, 12.0])
+def test_standard_map_spectrum_is_hyperbolic(K_s):
+    # a second Gram-Schmidt column collapses to zero here within ten steps
+    spec = lyapunov_spectrum(SystemSpec.standard_map(K_s), Point2(0.3141, 0.2718), N=100_000)
+    assert spec.is_hyperbolic
+    assert sum(spec.exponents) == 0.0
 
 
 def line_angle(u, v) -> float:
