@@ -713,6 +713,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.command, args.config, [_parse_set(item) for item in args.set], args.out)
     except (ConfigError, OSError, ValueError) as err:
         if args.out:
+            for stale in ("manifest.json", "data.csv"):  # an earlier run's, which the refusal must not sit beside
+                (Path(args.out) / stale).unlink(missing_ok=True)
             _write_json(Path(args.out) / "report.json", _error_report(err))
         print(f"config error: {err}", file=sys.stderr)
         return 2

@@ -37,9 +37,10 @@ from .shadowing import Margins, assemble, newton_refine_periodic
 
 _BIG = np.int64(2**62)
 
-# source events one level-scan join step takes at a time; bounds its
-# temporaries and how far a level runs past the hit that completes it
-_JOIN_CHUNK = 4096
+# events one transition-scan gather takes at a time, which bounds its
+# temporaries; mixing mode joins the events of the first _PREFIX time steps
+# against _BLOCK gap levels at once, and only the pairs they miss join all
+_GATHER, _PREFIX, _BLOCK = 1 << 15, 1 << 14, 16
 
 # the transition scan's incidences, by a name a trace can time apart from membership scans
 _cover_events = SetSpec.incidences
@@ -140,10 +141,11 @@ class TransitionBounds:
     was seen in ball j at some time s and in ball i at time s + h.  In
     mixing mode X[i, j] is instead one past the largest unwitnessed gap, so
     every h in [X[i, j], h_cap] has a witness; _level_scan finds both.  M_k
-    is the max of the X entries.  No per-gap table is kept, so memory is
-    O(r^2 + E) for E cover events: connector reads witnesses on demand from
-    ball_times, and the sampling orbit is kept so connector points can be
-    read back out of the record.
+    is the max of the X entries.  No per-gap table is kept: the bounds hold
+    O(r^2 + E) for E cover events, the scan L * ceil(r / 64) bitmask words
+    more for L orbit steps.  connector reads witnesses on demand from
+    ball_times; the sampling orbit is kept so connector points can be read
+    back out of the record.
     """
 
     X: np.ndarray  # (r, r) int64
@@ -181,16 +183,6 @@ class TransitionBounds:
         }
 
 
-def _time_index(et: np.ndarray, pad: int):
-    """Dense index of the time-sorted events by time, padded by pad empty
-    slots on each side: with k = t + pad, the events at time t are
-    et[first[k] : first[k] + count[k]], and first[k] counts the events
-    before time t."""
-    count = np.bincount(et + pad, minlength=int(et[-1]) + 2 * pad + 2).astype(np.int32)
-    first = np.cumsum(count, dtype=np.int32) - count
-    return first, count
-
-
 def _join_sides(open_pairs: np.ndarray, n_events: np.ndarray):
     """Split the open (dest, src) pairs between the two join directions.
 
@@ -199,66 +191,95 @@ def _join_sides(open_pairs: np.ndarray, n_events: np.ndarray):
     its source side is the plain join; taking each pair from its ball with
     fewer events keeps a pair that stays open (a ball the orbit all but
     misses) from walking every event at every level.  The cheaper of the two
-    plans is used.  Returns flat (r*r,) masks (by_src, by_dest)."""
+    plans is used.  Returns (r, r) masks (by_src, by_dest)."""
     by_src = open_pairs & (n_events[None, :] <= n_events[:, None])
     by_dest = open_pairs & ~by_src
     cost_all = n_events[open_pairs.any(axis=0)].sum()
     cost_split = n_events[by_src.any(axis=0)].sum() + n_events[by_dest.any(axis=1)].sum()
-    if cost_all <= cost_split:
-        return open_pairs.ravel().copy(), np.zeros(open_pairs.size, dtype=bool)
-    return by_src.ravel(), by_dest.ravel()
+    return (open_pairs, np.zeros_like(open_pairs)) if cost_all <= cost_split else (by_src, by_dest)
 
 
-def _level_scan(et: np.ndarray, ei: np.ndarray, r: int, T_floor: int, h_cap: int, mixing: bool):
-    """Witnessed transition gaps X (r, r) by a gap-level join of the
-    time-sorted events.
+def _ball_words(times: np.ndarray, ball: np.ndarray, r: int, pad: int) -> np.ndarray:
+    """The events as bitmasks over the time axis padded by pad rows each side:
+    bit i % 64 of words[t + pad, i // 64] is set when ball i holds time t."""
+    words = np.zeros((int(times.max()) + 1 + 2 * pad, -(-r // 64)), dtype="<u8")
+    for lo in range(0, len(times), _GATHER):
+        t, i = times[lo : lo + _GATHER], ball[lo : lo + _GATHER]  # unsigned i: the shift stays uint64
+        np.bitwise_or.at(words.reshape(-1), (t + pad) * words.shape[1] + i // 64, np.uint64(1) << i % 64)
+    return words
+
+
+def _gap_hits(words, times, n_events, pairs, h, pad):
+    """(r, r) bool: which of the (dest, src) pairs have a witness at gap h,
+    each joined from the side _join_sides picks: the OR of the words at t + h
+    over its source's times t, or at u - h over its destination's times u."""
+    offset = np.cumsum(n_events) - n_events
+    hit = np.zeros_like(pairs)
+    for side, sign in zip(_join_sides(pairs, n_events), (1, -1)):
+        balls = np.flatnonzero(side.any(axis=0 if sign > 0 else 1))
+        masks = np.zeros((len(pairs), words.shape[1]), dtype=words.dtype)
+        for part in np.split(balls, np.flatnonzero(np.diff(np.cumsum(n_events[balls]) // _GATHER)) + 1):
+            count = n_events[part]
+            begin = np.cumsum(count) - count
+            at = np.repeat(offset[part] - begin, count) + np.arange(count.sum())
+            masks[part] = np.bitwise_or.reduceat(words.take(times[at] + (pad + sign * h), axis=0), begin)
+        bits = np.unpackbits(masks.view(np.uint8), axis=1, bitorder="little")[:, : len(pairs)].view(bool)
+        hit |= bits.T if sign > 0 else bits
+    return hit
+
+
+def _prefix_hits(words, times, ball, r, levels, pad):
+    """Per gap level, the (dest, src) pairs hit from the events of the first
+    _PREFIX time steps, joined against _BLOCK levels at a time."""
+    t, balls = times[times < _PREFIX], ball[times < _PREFIX]
+    start = np.flatnonzero(np.diff(balls, prepend=-1))
+    for lo in range(0, len(levels), _BLOCK):
+        block = levels[lo : lo + _BLOCK]
+        masks = np.bitwise_or.reduceat(words.take(t + (pad + block)[:, None], axis=0), start, axis=1)
+        hit = np.zeros((len(block), r, r), dtype=bool)
+        bits = np.unpackbits(masks.view(np.uint8), axis=2, bitorder="little")[..., :r]
+        hit[:, :, balls[start]] = bits.transpose(0, 2, 1)
+        yield from hit
+
+
+def _by_ball(et: np.ndarray, ei: np.ndarray, r: int):
+    """The event times grouped by ball, ascending in each (a stable radix sort), and each ball's count."""
+    return et[np.argsort(ei.astype(np.min_scalar_type(r)), kind="stable")], np.bincount(ei, minlength=r)
+
+
+def _level_scan(times: np.ndarray, n_events: np.ndarray, T_floor: int, h_cap: int, mixing: bool):
+    """Witnessed transition gaps X (r, r) by a gap-level join of the events,
+    their times grouped by ball as _by_ball gives them.
 
     Level h asks which open pairs (i, j) have an event (t, j) followed by an
-    event (t + h, i); a level stops as soon as every open pair is hit, and
-    costs at most O(E).  Min-gap mode walks h up from T_floor and closes a
-    pair at its first hit, X = h.  Mixing mode walks h down from h_cap and
-    closes a pair at its first miss, X = h + 1 (_BIG for a miss at h_cap),
-    so every gap in [X, h_cap] is witnessed; a pair hit at every level gets
-    X = T_floor.  Pairs never witnessed get _BIG."""
-    X = np.full(r * r, _BIG, dtype=np.int64)
-    if not len(et) or h_cap < T_floor:
-        return X.reshape(r, r)
-    first, count = _time_index(et, h_cap)  # the padding keeps t +- h inside
-    n_events = np.bincount(ei, minlength=r)
-    open_pairs = np.ones(r * r, dtype=bool)
-    plan = None
-    for h in range(h_cap, T_floor - 1, -1) if mixing else range(T_floor, h_cap + 1):
+    event (t + h, i), by one OR of bitmask words per joined ball.  Min-gap
+    mode walks h up from T_floor and closes a pair at its first hit, X = h.
+    Mixing mode walks h down from h_cap, a block at a time from an event
+    prefix first, and closes a pair at its first miss, X = h + 1 (_BIG for
+    a miss at h_cap), so every gap in [X, h_cap] is witnessed; a pair hit at
+    every level gets X = T_floor.  Pairs never witnessed get _BIG."""
+    r = len(n_events)
+    X = np.full((r, r), _BIG, dtype=np.int64)
+    open_pairs = (n_events[:, None] > 0) & (n_events[None, :] > 0)
+    if not open_pairs.any() or h_cap < T_floor:
+        return X
+    ball = np.repeat(np.arange(r, dtype=np.min_scalar_type(r)), n_events)
+    words = _ball_words(times, ball, r, h_cap)  # the padding keeps t +- h inside
+    levels = np.arange(h_cap, T_floor - 1, -1) if mixing else np.arange(T_floor, h_cap + 1)
+    # a min-gap level misses most pairs, so a prefix would spare it no join
+    prefix = _prefix_hits(words, times, ball, r, levels, h_cap) if mixing else (np.zeros((r, r), bool) for _ in levels)
+    for h, hit in zip(levels.tolist(), prefix):
         if not open_pairs.any():
             break
-        if plan is None:
-            by_src, by_dest = _join_sides(open_pairs.reshape(r, r), n_events)
-            from_src = np.flatnonzero(by_src.reshape(r, r).any(axis=0)[ei])
-            from_dest = np.flatnonzero(by_dest.reshape(r, r).any(axis=1)[ei])
-            plan = ((by_src, from_src, 1), (by_dest, from_dest, -1))
-            if not (mixing or len(from_src) or len(from_dest)):
-                break  # every open pair has a ball the orbit never visits
-        unhit = open_pairs.copy()
-        for side, own_events, sign in plan:
-            for lo in range(0, len(own_events), _JOIN_CHUNK):
-                if not unhit.any():
-                    break
-                own = own_events[lo : lo + _JOIN_CHUNK]
-                k = et[own] + (sign * h + h_cap)
-                n_partner = count[k]
-                hit = n_partner > 0
-                own, k, n_partner = own[hit], k[hit], n_partner[hit]
-                own = np.repeat(own, n_partner)
-                partner = np.repeat(first[k] - np.cumsum(n_partner) + n_partner, n_partner) + np.arange(len(own))
-                key = ei[partner] * r + ei[own] if sign > 0 else ei[own] * r + ei[partner]
-                unhit[key[side[key]]] = False
-        closed = unhit if mixing else open_pairs & ~unhit
+        check = open_pairs & ~hit
+        if check.any():
+            hit = hit | _gap_hits(words, times, n_events, check, h, h_cap)
+        closed = open_pairs & (~hit if mixing else hit)
         X[closed] = (h + 1 if h < h_cap else _BIG) if mixing else h
-        if closed.any():
-            open_pairs &= ~closed
-            plan = None
+        open_pairs &= ~closed
     if mixing:
         X[open_pairs] = T_floor
-    return X.reshape(r, r)
+    return X
 
 
 def estimate_transitions(
@@ -270,18 +291,15 @@ def estimate_transitions(
     h_cap: int = 512,
 ) -> TransitionBounds:
     """Record witnessed ball-to-ball transition gaps along one long sampling
-    orbit, an (L, 2) array.  Raises IncompleteMixingError (listing the
+    orbit, an (L, 2) array; its cover events are grouped by ball once, for
+    the scan and for ball_times.  Raises IncompleteMixingError (listing the
     missing pairs) if some pair is never witnessed within h_cap."""
     if T_floor < 1:
         raise ValueError("T_floor must be >= 1")
-    r = cover.r_count
-    et, ei = _cover_events(cover, orbit)
-
-    X = _level_scan(et, ei, r, T_floor, h_cap, mixing_mode)
+    times, n_events = _by_ball(*_cover_events(cover, orbit), cover.r_count)
+    X = _level_scan(times, n_events, T_floor, h_cap, mixing_mode)
     missing = X == _BIG
-    # stable: each ball's times stay ascending; a narrow label dtype radix-sorts
-    by_ball = np.argsort(ei.astype(np.min_scalar_type(r)), kind="stable")
-    ball_times = np.split(et[by_ball], np.cumsum(np.bincount(ei, minlength=r))[:-1])
+    ball_times = np.split(times, np.cumsum(n_events)[:-1])
     if missing.any():
         pairs = [tuple(int(v) for v in p) for p in np.argwhere(missing)[:20]]
         raise IncompleteMixingError(

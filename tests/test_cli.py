@@ -124,6 +124,18 @@ def test_crashed_run_leaves_no_stale_report(tmp_path, monkeypatch, capsys):
     assert not (out / "data.csv").exists()
 
 
+def test_refused_config_leaves_no_stale_files(tmp_path):
+    # a config refused before the run starts ends in its error report alone,
+    # never beside an earlier run's manifest or data.csv
+    out = tmp_path / "run"
+    assert run_cli(["recurrence-scaling", "--set", "spectrum_N=2000", "--set", "radii_log2_max=8", "--out", out]) == 0
+    assert (out / "manifest.json").exists() and (out / "data.csv").exists()
+    assert run_cli(["ns-cert", "--set", "theta=-1", "--out", out]) == 2
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True and rep["error"]["field"] == "theta"
+
+
 def test_invalid_kind_writes_error_json(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": {"kind": "catmap3", "params": {}}}))

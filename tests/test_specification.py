@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -247,14 +248,24 @@ def _gap_oracle(events, T_floor, h_cap):
     return earliest
 
 
+# scan constants to patch: a prefix of one time step or fewer than the
+# orbit's (pairs it misses fall back to the join over every event), blocks
+# that end inside the level range, and gathers that split a ball's events
+_SCAN_SIZES = {
+    "_PREFIX": st.sampled_from([1, 2, 7, 40, specification._PREFIX]),
+    "_BLOCK": st.sampled_from([1, 3, specification._BLOCK]),
+    "_GATHER": st.sampled_from([1, 3, specification._GATHER]),
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     visits=st.lists(st.sets(st.integers(0, 50), max_size=25), min_size=1, max_size=4),
     T_floor=st.integers(1, 4),
     h_span=st.integers(0, 30),
-    chunk=st.sampled_from([1, 3, specification._JOIN_CHUNK]),
+    sizes=st.fixed_dictionaries(_SCAN_SIZES),
 )
-def test_level_scan_matches_pair_oracle(visits, T_floor, h_span, chunk):
+def test_level_scan_matches_pair_oracle(visits, T_floor, h_span, sizes):
     # per-ball visit sets of different sizes: ties at equal h, balls never
     # visited, and rare balls that make the join plan per pair
     r = len(visits)
@@ -282,8 +293,8 @@ def test_level_scan_matches_pair_oracle(visits, T_floor, h_span, chunk):
         return (h, earliest[(i, j, h)]) if (i, j, h) in earliest else None
 
     for mixing in (False, True):
-        with mock.patch.object(specification, "_JOIN_CHUNK", chunk):
-            X = specification._level_scan(et, ei, r, T_floor, h_cap, mixing)
+        with mock.patch.multiple(specification, **sizes):
+            X = specification._level_scan(*specification._by_ball(et, ei, r), T_floor, h_cap, mixing)
         assert np.array_equal(X, X_ref[mixing])
         bounds = specification.TransitionBounds(
             X, int(X.max()), mixing, T_floor, h_cap, np.empty((0, 2)), ball_times
@@ -297,6 +308,61 @@ def test_level_scan_matches_pair_oracle(visits, T_floor, h_span, chunk):
         # exact gaps: the earliest witness of every (dest, src, h), or None
         for h in range(T_floor - 1, h_cap + 2):
             assert all(bounds.connector(i, j, h) == witness(i, j, h) for i, j in pairs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    r=st.sampled_from([63, 64, 65, 128, 130]),
+    seed=st.integers(0, 2**32 - 1),
+    T_floor=st.integers(1, 3),
+    h_span=st.integers(0, 20),
+    sizes=st.fixed_dictionaries(_SCAN_SIZES),
+)
+def test_level_scan_across_word_boundaries(r, seed, T_floor, h_span, sizes):
+    # ball counts at and across the 64-ball words of the bitmasks, with
+    # sparse visits; the first and last ball of every word are visited
+    rng = np.random.default_rng(seed)
+    visits = rng.random((r, 40)) < 0.06
+    edges = [*range(0, r, 64), *range(63, r, 64), r - 1]
+    visits[edges, rng.integers(0, 40, len(edges))] = True
+    et, ei = np.nonzero(visits.T)  # sorted by (t, ball)
+    h_cap = T_floor + h_span
+    # hit[h][i, j]: ball j at some t and ball i at t + h
+    V = visits.astype(np.int64)
+    hit = {h: (V[:, h:] @ V[:, : V.shape[1] - h].T) > 0 for h in range(T_floor, h_cap + 1)}
+    X_ref = {mixing: np.full((r, r), 2**62, dtype=np.int64) for mixing in (False, True)}
+    ok = np.ones((r, r), dtype=bool)  # hit at every gap from h up to h_cap
+    for h in range(h_cap, T_floor - 1, -1):
+        ok &= hit[h]
+        X_ref[False][hit[h]] = h
+        X_ref[True][ok] = h
+    for mixing in (False, True):
+        with mock.patch.multiple(specification, **sizes):
+            X = specification._level_scan(*specification._by_ball(et, ei, r), T_floor, h_cap, mixing)
+        assert np.array_equal(X, X_ref[mixing])
+
+
+# sha256 of the whole transition table X of three seed-0 contexts, with
+# sampling orbits shorter than the CLI defaults: reports show only M_k and
+# the connectors a certificate uses, so these digests pin every other entry
+_X_DIGESTS = {
+    "ns-cert PerturbedCatMap min-gap": "b838f1fd6ae9e3ba59d36cf6d0fb5db3ea4b4519a747cae6bb488b4c9974205c",
+    "gns-cert CatMap mixing": "2e6f2e9f7a18dacdb19de50a6584326b18cf4b4e6b957a63a7c13dc07c65c2e1",
+    "cert-scan CatMap mixing": "0674ce51174b36fa3ed4dfe63caed9ea283b9539da7ed409948cc5b9bdb4a537",
+}
+
+
+def test_transition_tables_pinned(cat, perturbed):
+    contexts = {
+        "ns-cert PerturbedCatMap min-gap": (perturbed, dict(theta=0.05, block_samples=200, sampling_orbit_length=60_000)),
+        "gns-cert CatMap mixing": (cat, dict(theta=0.1, block_samples=100, sampling_orbit_length=50_000, mixing_mode=True)),
+        "cert-scan CatMap mixing": (cat, dict(theta=0.1, block_samples=100, sampling_orbit_length=20_000, mixing_mode=True)),
+    }
+    digests = {
+        name: hashlib.sha256(build_cover_context(system, seed=0, **kw).bounds.X.tobytes()).hexdigest()
+        for name, (system, kw) in contexts.items()
+    }
+    assert digests == _X_DIGESTS
 
 
 def test_transitions_unreachable_ball_fails_fast(cat):
@@ -322,7 +388,7 @@ def test_level_scan_rare_ball_fails_fast():
     ei = np.append(t % 5, 5)
     for mixing in (False, True):
         start = time.perf_counter()
-        X = specification._level_scan(et, ei, 6, 1, 4096, mixing)
+        X = specification._level_scan(*specification._by_ball(et, ei, 6), 1, 4096, mixing)
         assert time.perf_counter() - start < 4.0
         assert (X[5] == 2**62).all() and (X[:, 5] == 2**62).all()
         if mixing:
