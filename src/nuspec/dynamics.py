@@ -12,15 +12,14 @@ shear.  Space.fold stores torus coordinates canonically in [0, 1), and
 Space.wrap takes displacement vectors to the symmetric representative in
 (-1/2, 1/2].
 
-Each map kind is defined once, as an entry of the table _KINDS; its formulas
-run on Python floats and on numpy arrays alike.
+Each map kind is defined once, as an entry of the table _KINDS: a walk each
+way, whose formulas run on Python floats and on numpy arrays alike.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from array import array
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -134,8 +133,10 @@ class SystemSpec:
 
     def maps(self, xp=math):
         """The kind's (step, inverse, jac): on Python floats with xp = math,
-        on numpy arrays (one point per element) with xp = numpy."""
-        return _KINDS[self.kind].maps(self.params, xp)
+        on numpy arrays (one point per element) with xp = numpy; each step
+        is the first pair of the kind's walk."""
+        forward, inverse, jac = _KINDS[self.kind].walks(self.params, xp)
+        return _first_step(forward), _first_step(inverse), jac
 
     @classmethod
     def cat_map(cls) -> "SystemSpec":
@@ -173,85 +174,111 @@ class SystemSpec:
 
 
 # ---------------------------------------------------------------------------
-# the map table: per kind, a factory (params, xp) -> (step, inverse, jac) on
-# coordinates x, y, run on Python floats with xp = math and on arrays with
-# xp = numpy; jac gives the flat (a11, a12, a21, a22), constants as scalars;
-# log_det gives the constant log|det Df| from the params
+# the map table: per kind, a factory (params, xp) -> (forward, inverse, jac)
+# on coordinates x, y, run on Python floats with xp = math and on arrays with
+# xp = numpy; forward and inverse are walks, generators that step from (x, y)
+# and yield x1, y1, x2, y2, ... without end; jac gives the flat
+# (a11, a12, a21, a22), constants as scalars; log_det gives the constant
+# log|det Df| from the params
 
 
 class MapKind(NamedTuple):
     space: Space
     params: tuple
-    maps: Callable
+    walks: Callable
     log_det: Callable
 
 
 def _cat_inverse(x, y):
-    # inverse matrix [[1,-1],[-1,2]]
-    return (x - y) % 1.0, (-x + 2.0 * y) % 1.0
+    while True:
+        # inverse matrix [[1,-1],[-1,2]]
+        x, y = (x - y) % 1.0, (-x + 2.0 * y) % 1.0
+        yield x
+        yield y
 
 
 def _cat(p, xp):
-    def step(x, y):
-        return (2.0 * x + y) % 1.0, (x + y) % 1.0
+    def forward(x, y):
+        while True:
+            x, y = (2.0 * x + y) % 1.0, (x + y) % 1.0
+            yield x
+            yield y
 
     def jac(x, y):
         return 2.0, 1.0, 1.0, 1.0
 
-    return step, _cat_inverse, jac
+    return forward, _cat_inverse, jac
 
 
 def _perturbed_cat(p, xp):
-    kappa = p["kappa"]
+    kappa, sin = p["kappa"], xp.sin
 
-    def step(x, y):
-        yy = y + kappa * xp.sin(TWO_PI * x)
-        return (2.0 * x + yy) % 1.0, (x + yy) % 1.0
+    def forward(x, y):
+        while True:
+            yy = y + kappa * sin(TWO_PI * x)
+            x, y = (2.0 * x + yy) % 1.0, (x + yy) % 1.0
+            yield x
+            yield y
 
     def jac(x, y):
         c = TWO_PI * kappa * xp.cos(TWO_PI * x)
         return 2.0 + c, 1.0, 1.0 + c, 1.0
 
     def inverse(x, y):
-        # the cat inverse, then the shear undone
-        wx, wy = _cat_inverse(x, y)
-        return wx, (wy - kappa * xp.sin(TWO_PI * wx)) % 1.0
+        while True:
+            # the cat inverse, then the shear undone
+            x, y = (x - y) % 1.0, (-x + 2.0 * y) % 1.0
+            y = (y - kappa * sin(TWO_PI * x)) % 1.0
+            yield x
+            yield y
 
-    return step, inverse, jac
+    return forward, inverse, jac
 
 
 def _standard(p, xp):
-    k = p["K_s"] / TWO_PI
+    k, sin = p["K_s"] / TWO_PI, xp.sin
 
-    def step(x, y):
-        yy = (y + k * xp.sin(TWO_PI * x)) % 1.0
-        return (x + yy) % 1.0, yy
+    def forward(x, y):
+        while True:
+            y = (y + k * sin(TWO_PI * x)) % 1.0
+            x = (x + y) % 1.0
+            yield x
+            yield y
 
     def inverse(x, y):
-        px = (x - y) % 1.0
-        return px, (y - k * xp.sin(TWO_PI * px)) % 1.0
+        while True:
+            x = (x - y) % 1.0
+            y = (y - k * sin(TWO_PI * x)) % 1.0
+            yield x
+            yield y
 
     def jac(x, y):
         c = p["K_s"] * xp.cos(TWO_PI * x)
         return 1.0 + c, 1.0, c, 1.0
 
-    return step, inverse, jac
+    return forward, inverse, jac
 
 
 def _henon(p, xp):
     a, b = p["a"], p["b"]
 
-    def step(x, y):
-        return _plane("orbit", 1.0 - a * x * x + y, b * x)
+    def forward(x, y):
+        while True:
+            x, y = _plane("orbit", 1.0 - a * x * x + y, b * x)
+            yield x
+            yield y
 
     def inverse(x, y):
-        px = y / b
-        return _plane("inverse", px, x - 1.0 + a * px * px)
+        while True:
+            px = y / b
+            x, y = _plane("inverse", px, x - 1.0 + a * px * px)
+            yield x
+            yield y
 
     def jac(x, y):
         return -2.0 * a * x, 1.0, b, 0.0
 
-    return step, inverse, jac
+    return forward, inverse, jac
 
 
 def _plane(what, x, y):
@@ -263,6 +290,16 @@ def _plane(what, x, y):
             x, y = x[i], y[i]
         raise NonFiniteError(f"Henon {what} escaped: ({x}, {y})")
     return x, y
+
+
+def _first_step(walk):
+    """The one-step map of a walk: its first pair."""
+
+    def step(x, y):
+        w = walk(x, y)
+        return next(w), next(w)
+
+    return step
 
 
 _KINDS = {
@@ -287,25 +324,25 @@ def step_inverse_xy(system: SystemSpec, x: float, y: float):
     return system.maps()[1](x, y)
 
 
+def walk(system: SystemSpec, x, y, forward: bool = True, xp=math):
+    """The orbit of (x, y) one way, as x1, y1, x2, y2, ... without end: Python
+    floats with xp = math, arrays (one point per element) with xp = numpy.
+    np.fromiter(walk(...), float, 2 n) takes n steps, zip(w, w) pairs them,
+    and the walk continues where its reader stopped."""
+    forward_walk, inverse_walk, _ = _KINDS[system.kind].walks(system.params, xp)
+    return (forward_walk if forward else inverse_walk)(x, y)
+
+
 def orbit_array(system: SystemSpec, x: float, y: float, n_fwd: int, n_bwd: int = 0) -> np.ndarray:
     """Orbit window as an (n_bwd + n_fwd + 1, 2) array; row i is f^(i - n_bwd)."""
     if n_fwd < 0 or n_bwd < 0:
         raise ValueError(f"orbit lengths must be >= 0, got n_fwd={n_fwd}, n_bwd={n_bwd}")
-    step, inverse, _ = system.maps()
-    start = tuple(system.space.fold(np.array([x, y], dtype=float)).tolist())
-    # each direction steps on Python floats, which run faster than numpy
-    # scalars, into a flat array.array buffer
-    pieces = []
-    for f, n in ((inverse, n_bwd), (step, n_fwd)):
-        buf = array("d")
-        put = buf.append
-        cx, cy = start
-        for _ in range(n):
-            cx, cy = f(cx, cy)
-            put(cx)
-            put(cy)
-        pieces.append(np.frombuffer(buf).reshape(-1, 2))
-    return np.concatenate((pieces[0][::-1], [start], pieces[1]))
+    start = system.space.fold(np.array([[x, y]], dtype=float))
+    behind, ahead = (
+        np.fromiter(walk(system, *start[0].tolist(), fwd), float, 2 * n).reshape(-1, 2)
+        for fwd, n in ((False, n_bwd), (True, n_fwd))
+    )
+    return np.concatenate((behind[::-1], start, ahead))
 
 
 def step_array(system: SystemSpec, pts: np.ndarray) -> np.ndarray:

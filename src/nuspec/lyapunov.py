@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import SystemSpec, jac_array, orbit_array, step_array, step_inverse_array
+from .dynamics import SystemSpec, jac_array, orbit_array, walk
 from .errors import DegeneracyError, NuspecError
 
 # generic seed vector for direction transport; any vector off the invariant
@@ -111,7 +111,9 @@ def lyapunov_spectrum(
     if N < 10 * qr_period:
         raise ValueError("need N >= 10 * qr_period")
     x, y = orbit_array(system, *x0.tolist(), n_fwd=transient)[-1].tolist()
-    step, _, jac = system.maps()
+    jac = system.maps()[2]
+    w = walk(system, x, y)
+    pts = zip(w, w)
     blocks = N // qr_period
     n_used = blocks * qr_period
     u1, u2, acc = 1.0, 0.0, 0.0  # the tangent vector as plain floats, its log stretch
@@ -119,7 +121,7 @@ def lyapunov_spectrum(
         for _ in range(qr_period):
             a11, a12, a21, a22 = jac(x, y)
             u1, u2 = a11 * u1 + a12 * u2, a21 * u1 + a22 * u2
-            x, y = step(x, y)
+            x, y = next(pts)
         r = math.hypot(u1, u2)
         if r == 0.0:
             raise DegeneracyError("tangent vector collapsed to zero")
@@ -173,13 +175,11 @@ def _transport_sweeps(system, base, jmin, jmax, warm=_WARM):
     n_pts = len(cur)
     pts_full = np.empty((total, n_pts, 2))
     pts_full[n_bwd] = cur
-    for t in range(n_bwd + 1, total):
-        cur = step_array(system, cur)
-        pts_full[t] = cur
-    cur = pts_full[n_bwd]
-    for t in range(n_bwd - 1, -1, -1):
-        cur = step_inverse_array(system, cur)
-        pts_full[t] = cur
+    for steps, forward in ((range(n_bwd + 1, total), True), (range(n_bwd - 1, -1, -1), False)):
+        w = walk(system, cur[:, 0], cur[:, 1], forward, xp=np)
+        for t in steps:
+            pts_full[t, :, 0] = next(w)
+            pts_full[t, :, 1] = next(w)
     jacs = jac_array(system, pts_full.reshape(-1, 2)).reshape(total, n_pts, 2, 2)
     # one carry, side by side: the Jacobians forward, their adjugates backward in
     # time; the stack is a contiguous copy, so np.matmul runs one kernel for any P

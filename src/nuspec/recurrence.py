@@ -31,9 +31,9 @@ from .dynamics import (
     Space,
     SystemKind,
     SystemSpec,
-    orbit_array,
     step_array,
     step_xy,
+    walk,
 )
 from .errors import PreconditionError
 
@@ -98,20 +98,25 @@ class SetSpec:
     def incidences(self, pts: np.ndarray):
         """All (row, ball) incidences of an (n, 2) array with the set, sorted by
         (row, ball).  The grid only picks candidates: a row with a coordinate
-        outside (-2^16, 2^16), which rounding could fold wrongly, takes all."""
+        outside (-2^16, 2^16), which rounding could fold wrongly, takes all.
+        The hit test is _dist2's float for float, on the x and y columns."""
         g, listed, count, first = self._grid
+        cx, cy = self.centers[:, 0], self.centers[:, 1]
+        r2 = self.radius * self.radius
         ev_t, ev_i = [np.empty(0, np.int64)], [np.empty(0, np.int64)]
         for start in range(0, len(pts), _EVENT_CHUNK):
-            p = pts[start : start + _EVENT_CHUNK]
-            c = np.floor(p * g).astype(np.int64) % g
-            cid = np.where((np.abs(p) < 2.0**16).all(axis=1), c[:, 0] * g + c[:, 1], g * g)
+            x, y = pts[start : start + _EVENT_CHUNK].T
+            cell = (np.floor(x * g).astype(np.int64) % g) * g + np.floor(y * g).astype(np.int64) % g
+            cid = np.where((np.abs(x) < 2.0**16) & (np.abs(y) < 2.0**16), cell, g * g)
             # one (row, candidate) pair per ball listed for the row's cell
             k = count[cid]
-            t = np.repeat(np.arange(len(p)), k)
+            t = np.repeat(np.arange(len(x)), k)
             ball = listed[np.arange(len(t)) + np.repeat(first[cid] - (np.cumsum(k) - k), k)]
-            hit = self._dist2(p[t], ball[:, None])[:, 0] <= self.radius * self.radius
-            ev_t.append(t[hit] + start)
-            ev_i.append(ball[hit])
+            dx = self.space.wrap(x[t] - cx[ball])
+            dy = self.space.wrap(y[t] - cy[ball])
+            hit = np.flatnonzero(dx * dx + dy * dy <= r2)  # faster than a mask that is true at random
+            ev_t.append(t.take(hit) + start)
+            ev_i.append(ball.take(hit))
         return np.concatenate(ev_t), np.concatenate(ev_i)
 
     def membership_rows(self, pts: np.ndarray) -> np.ndarray:
@@ -170,45 +175,60 @@ def return_times(
     gamma within +-horizon (partial if the budget runs out first)."""
     if not gamma.membership(x):
         raise PreconditionError("return_times requires x in gamma (t_0 = 0)")
-    fwd, ahead = _visit_times(system, x, gamma, count_fwd, horizon, forward=True)
-    bwd, behind = _visit_times(system, x, gamma, count_bwd, horizon, forward=False)
+    ahead = VisitWalk(system, x, gamma, forward=True).extend(horizon, count_fwd)
+    behind = VisitWalk(system, x, gamma, forward=False).extend(horizon, count_bwd)
     # when the count budget binds before the time budget, the sequence is
     # only complete up to its last listed time (t_0 = 0 when none is asked)
-    eff_horizon = horizon if len(fwd) < count_fwd else ([0] + fwd)[-1]
+    eff_horizon = horizon if len(ahead.times) < count_fwd else ([0] + ahead.times)[-1]
     return ReturnTimeSequence(
-        forward=np.asarray(fwd, dtype=np.int64),
-        backward=-np.asarray(bwd, dtype=np.int64),
+        forward=np.asarray(ahead.times, dtype=np.int64),
+        backward=-np.asarray(behind.times, dtype=np.int64),
         horizon=eff_horizon,
-        orbit=np.concatenate((behind[::-1], x[None], ahead)),
-        origin=len(behind),
+        orbit=np.concatenate((behind.rows[::-1], x[None], ahead.rows)),
+        origin=behind.steps,
     )
 
 
-def _orbit_chunks(system, x, steps, forward=True, chunk=4096):
-    """Walk the first `steps` iterates of x, forward or backward, in chunks:
-    yields (t, pts) with row i of pts equal to f^(+-(t + i + 1))(x).  Each
-    chunk restarts from the last row of the one before, so the iterates are
-    the floats of one unbroken orbit_array call."""
-    cx, cy = x.tolist()
+def _walk_from(system, x, forward=True):
+    """The walk of the row x one way, from x folded as orbit_array folds its start."""
+    return walk(system, *system.space.fold(np.array(x, dtype=float)).tolist(), forward)
+
+
+def _orbit_chunks(w, steps, chunk=4096):
+    """The next `steps` points of the walk w, as (n, 2) arrays of up to chunk
+    rows.  The one walk goes on from chunk to chunk, so the rows are the
+    floats of one orbit_array call."""
     for t in range(0, steps, chunk):
-        n = min(chunk, steps - t)
-        if forward:
-            pts = orbit_array(system, cx, cy, n_fwd=n)[1:]
-        else:
-            pts = orbit_array(system, cx, cy, n_fwd=0, n_bwd=n)[-2::-1]
-        cx, cy = pts[-1]
-        yield t, pts
+        yield np.fromiter(w, float, 2 * min(chunk, steps - t)).reshape(-1, 2)
 
 
-def _visit_times(system, x, gamma, count, horizon, forward):
-    times, walked = [], [np.empty((0, 2))]
-    for t, pts in _orbit_chunks(system, x, horizon if count > 0 else 0, forward):
-        walked.append(pts)
-        hits = np.flatnonzero(gamma.membership_rows(pts))[: count - len(times)]
-        times += (hits + (t + 1)).tolist()
-        if len(times) >= count:
-            break
-    return times, np.concatenate(walked)
+class VisitWalk:
+    """The visit times of x to gamma one way, walked as far as asked: times
+    lists them ascending as positive step counts, and rows[t - 1] is
+    f^(+-t)(x).  extend continues the one walk where it stopped, so a
+    longer horizon walks only the steps past the last one."""
+
+    def __init__(self, system: SystemSpec, x: np.ndarray, gamma: SetSpec, forward: bool = True):
+        self._walk = _walk_from(system, x, forward)
+        self._gamma = gamma
+        self.times, self._rows, self.steps = [], [np.empty((0, 2))], 0
+
+    def extend(self, horizon: int, count: int) -> "VisitWalk":
+        """Walk on to horizon steps in all, or to the end of the chunk that
+        lists the count-th visit."""
+        left = horizon - self.steps if len(self.times) < count else 0
+        for pts in _orbit_chunks(self._walk, left):
+            hits = np.flatnonzero(self._gamma.membership_rows(pts))[: count - len(self.times)]
+            self.times += (hits + (self.steps + 1)).tolist()
+            self._rows.append(pts)
+            self.steps += len(pts)
+            if len(self.times) >= count:
+                break
+        return self
+
+    @property
+    def rows(self) -> np.ndarray:
+        return np.concatenate(self._rows)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +455,6 @@ def birkhoff_indicator_average(system: SystemSpec, x: np.ndarray, gamma: SetSpec
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     count = int(gamma.membership(x))
-    for _, pts in _orbit_chunks(system, x, horizon - 1):
+    for pts in _orbit_chunks(_walk_from(system, x), horizon - 1):
         count += int(gamma.membership_rows(pts).sum())
     return count / horizon

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import gc
 import math
+import mmap
 import os
 import signal
 from contextlib import contextmanager
@@ -22,7 +23,7 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dynamics import Space, SystemSpec, orbit_array
+from .dynamics import Space, SystemSpec, orbit_array, walk
 from .errors import (
     ConfigError,
     GapInfeasibleError,
@@ -32,7 +33,7 @@ from .errors import (
     PreconditionError,
     ResolutionError,
 )
-from .recurrence import ReturnTimeSequence, SetSpec, return_times
+from .recurrence import ReturnTimeSequence, SetSpec, VisitWalk
 from .shadowing import Margins, assemble, newton_refine_periodic
 
 _BIG = np.int64(2**62)
@@ -347,29 +348,39 @@ class CoverContext:
 
 @contextmanager
 def _orbit_in_child(system: SystemSpec, x: float, y: float, n_fwd: int):
-    """Iterate orbit_array(system, x, y, n_fwd=n_fwd) in a forked child while
+    """Walk orbit_array(system, x, y, n_fwd=n_fwd) in a forked child while
     the with-block runs; yields a function that returns the orbit.
 
-    The child steps the same Python floats the parent would, writes the raw
-    float64 bytes to a pipe and leaves by os._exit, so it writes nothing to
-    the stdout or stderr it inherits and runs no exit handler.  The orbit is
-    computed inline instead when the child fails (a nonzero exit or a short
-    read), and from the start when there is no os.fork, no process to spare
-    or one usable CPU.  The child is reaped before the block is left, and
-    killed first if the block ends before the orbit was read."""
+    The child steps the same Python floats the parent would into a shared
+    anonymous mapping of n_fwd + 1 rows, posts the row count, 8 bytes, on a
+    pipe once every row is written, and leaves by os._exit, so it writes
+    nothing to the stdout or stderr it inherits and runs no exit handler.
+    The parent keeps the mapped rows as the orbit, with no copy.  The orbit
+    is walked inline instead when the child exits with no post, and from
+    the start when there is no os.fork, no process or mapping to spare or
+    one usable CPU.  The child is reaped before the block is left, killed
+    first if the block ends before the orbit was read, and the mapping is
+    closed unless it holds the orbit."""
 
     def inline():
         return orbit_array(system, x, y, n_fwd=n_fwd)
 
+    length = n_fwd + 1
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
     pid = None
     if hasattr(os, "fork") and len(cpus) > 1:
-        rfd, wfd = os.pipe()
         try:
-            pid = os.fork()
-        except OSError:
-            os.close(rfd)
-            os.close(wfd)
+            shared = mmap.mmap(-1, 16 * length)
+        except (OSError, ValueError, OverflowError):
+            pass  # an empty or oversized orbit: the inline walk says why
+        else:
+            rfd, wfd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (rfd, wfd):
+                    os.close(fd)
+                shared.close()
     if pid is None:
         yield inline
         return
@@ -378,25 +389,25 @@ def _orbit_in_child(system: SystemSpec, x: float, y: float, n_fwd: int):
         try:
             gc.disable()  # no finalizer of the parent's garbage runs twice
             os.close(rfd)
-            with open(wfd, "wb") as pipe:
-                pipe.write(inline())
+            rows = np.ndarray((length, 2), buffer=shared)
+            rows[0] = system.space.fold(np.array([x, y], dtype=float))
+            rows[1:] = np.fromiter(walk(system, *rows[0].tolist()), float, 2 * n_fwd).reshape(-1, 2)
+            os.write(wfd, length.to_bytes(8, "little"))
             status = 0
         finally:
             os._exit(status)
     os.close(wfd)
-    reaped = False
+    reaped = handed = False
 
     def read():
-        nonlocal reaped
-        out = np.empty((max(n_fwd + 1, 0), 2))
-        view = memoryview(out).cast("B")
-        got = 0
-        with open(rfd, "rb", buffering=0, closefd=False) as pipe:
-            while got < len(view) and (n := pipe.readinto(view[got:])):
-                got += n
-        status = os.waitpid(pid, 0)[1]
+        nonlocal reaped, handed
+        post = os.read(rfd, 8)  # one write of 8 bytes, or none before the exit
+        os.waitpid(pid, 0)
         reaped = True
-        return out if status == 0 and got == len(view) else inline()
+        if post != length.to_bytes(8, "little"):
+            return inline()
+        handed = True
+        return np.ndarray((length, 2), buffer=shared)
 
     try:
         yield read
@@ -405,6 +416,8 @@ def _orbit_in_child(system: SystemSpec, x: float, y: float, n_fwd: int):
         if not reaped:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+        if not handed:
+            shared.close()
 
 
 def build_cover_context(
@@ -428,8 +441,8 @@ def build_cover_context(
     from .lyapunov import PesinBlockParams, block_sample, lyapunov_spectrum
 
     _require_torus(system)
-    # the sampling orbit depends on seed + 2 alone, so a child iterates it
-    # while the spectrum, block points and cover are measured here
+    # the sampling orbit depends on seed + 2 alone, so a child walks it while
+    # the spectrum, block points and cover are measured here
     start = orbit_array(system, *np.random.default_rng(seed + 2).random(2), n_fwd=100)[-1]
     with _orbit_in_child(system, *start, sampling_orbit_length - 1) as sampling_orbit:
         rng = np.random.default_rng(seed)
@@ -488,13 +501,18 @@ def select_indices(seq: ReturnTimeSequence, m: int, n: int, eta: float, epsilon:
         t_{-l1-s1} <= (1 + 2 eta/epsilon) t_{-l1} < t_{-l1-s1+1},
         t_{l2+s2} >= (1 + 2 eta/epsilon) t_{l2} > t_{l2+s2-1}.
     """
-    if not (0 < eta <= epsilon / 2):
-        raise PreconditionError("need 0 < eta <= epsilon/2")
-    factor = 1.0 + 2.0 * eta / epsilon
+    factor = _stretch(eta, epsilon)
     l2, s2 = _select_side(seq.forward, n, factor, "forward")
     # backward times as ascending positive magnitudes
     l1, s1 = _select_side(-seq.backward, m, factor, "backward")
     return l1, s1, l2, s2
+
+
+def _stretch(eta, epsilon):
+    """The stretch factor 1 + 2 eta/epsilon of the second visit on each side."""
+    if not (0 < eta <= epsilon / 2):
+        raise PreconditionError("need 0 < eta <= epsilon/2")
+    return 1.0 + 2.0 * eta / epsilon
 
 
 def _select_side(times, bound, factor, side):
@@ -663,32 +681,38 @@ def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> 
     at or past factor = 1 + 2 eta/epsilon times that one, which lies just
     past factor * (b + 1) when visits are frequent.  So both sides are
     walked H = int(factor * (max(m, n) + 1)) + 64 steps.  If a side runs
-    out of visits, the walk restarts with H = max(2 H, required_horizon +
-    128); every H walks the same unbroken orbit, so the result does not
-    depend on H.  No walk passes max_horizon: a window that needs more
-    raises the InsufficientHorizonError, with its required_horizon."""
+    out of visits, H grows to max(2 H, required_horizon + 128) and that
+    side's walk goes on from where it stopped; a side already decided
+    walks no further.  Every H walks the same unbroken orbit, so the
+    result does not depend on H.  No walk passes max_horizon: a window
+    that needs more raises the InsufficientHorizonError, with its
+    required_horizon."""
     if abs(q.eta - eta) > 1e-12:
         raise ValueError("q.eta must equal the certificate eta")
     if m < 0 or n < 0:
         raise PreconditionError(f"window lengths must be nonnegative, got m={m}, n={n}")
     if not ctx.cover.membership(x):
         raise PreconditionError("certificate base point must lie in the cover support")
-    eps = ctx.epsilon
-    factor = 1.0 + 2.0 * eta / eps
+    factor = _stretch(eta, ctx.epsilon)
     H = min(max_horizon, int(factor * (max(m, n) + 1)) + 64)
+    ahead, behind = (VisitWalk(system, x, ctx.cover, forward) for forward in (True, False))
+    picked = {}
     while True:
-        seq = return_times(system, x, ctx.cover, count_fwd=H, count_bwd=H, horizon=H)
-        try:
-            indices = select_indices(seq, m, n, eta, eps)
+        failed = []
+        for side, visits, bound in (("forward", ahead, n), ("backward", behind, m)):
+            if side not in picked:
+                try:
+                    picked[side] = _select_side(visits.extend(H, H).times, bound, factor, side)
+                except InsufficientHorizonError as err:
+                    failed.append(err)
+        if not failed:
             break
-        except InsufficientHorizonError as err:
-            if H >= max_horizon:
-                raise
-            H = min(max_horizon, max(2 * H, (err.required_horizon or 0) + 128))
-    l1, s1, l2, s2 = indices
-    t_minus = seq.t(-(l1 + s1))
-    t_plus = seq.t(l2 + s2)
-    xs = seq.orbit[seq.origin + t_minus : seq.origin + t_plus + 1].copy()
+        if H >= max_horizon:
+            raise failed[0]
+        H = min(max_horizon, max(2 * H, (failed[0].required_horizon or 0) + 128))
+    (l2, s2), (l1, s1) = picked["forward"], picked["backward"]
+    t_minus, t_plus = -behind.times[l1 + s1 - 1], ahead.times[l2 + s2 - 1]
+    xs = np.concatenate((behind.rows[:-t_minus][::-1], x[None], ahead.rows[:t_plus]))
     lo = max(0, (-m - 1) - t_minus)
     hi = min(len(xs) - 1, (n + 1) - t_minus)
     ok, worst = _slow_varying(q, xs[lo : hi + 1])
@@ -697,7 +721,7 @@ def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> 
             f"q is not eta-slow-varying along the orbit (worst ratio {worst:.6f} "
             f"> e^eta = {math.exp(eta):.6f})"
         )
-    return Window(x, m, n, indices, t_minus, t_plus, xs, ctx.cover.locate(xs[0]), ctx.cover.locate(xs[-1]))
+    return Window(x, m, n, (l1, s1, l2, s2), t_minus, t_plus, xs, ctx.cover.locate(xs[0]), ctx.cover.locate(xs[-1]))
 
 
 def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):

@@ -917,6 +917,39 @@ def test_report_digests_pinned(tmp_path, shadow_run, standard_run):
     assert moved == {"report.json": [], "data.csv": []}, f"digests moved: {moved}"
 
 
+# caps the child's address space before it imports anything, so that an
+# oversized allocation fails in it and in it alone
+_UNDER_3_GIB = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (3 << 30, 3 << 30))
+from nuspec.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(importlib.util.find_spec("resource") is None, reason="needs the POSIX resource module")
+def test_oversized_sampling_orbit_ends_in_a_typed_report(tmp_path):
+    # 10^12 rows: the shared mapping of the sampling orbit fails (ENOMEM),
+    # the context falls back to the inline walk, and its allocation raises
+    # MemoryError before any row is walked
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = tmp_path / "run"
+    args = ["ns-cert", "--set", "sampling_orbit_length=1000000000000", "--set", "spectrum_N=2000"]
+    args += ["--set", "block_samples=20", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-c", _UNDER_3_GIB, *args],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True and "results" not in rep
+    assert rep["error"]["type"] == "MemoryError"
+
+
 def test_cli_import_leaves_scipy_sparse_out():
     # the cyclic Newton step factors a banded matrix with LAPACK; loading
     # scipy.sparse as well would cost every run about 4 MiB of memory

@@ -209,6 +209,54 @@ def test_orbit_rows_are_scalar_steps(system, request):
         assert tuple(pts[i]) == step_inverse_xy(spec, *pts[i + 1].tolist())
 
 
+# one system of every kind; StandardMap(6) stretches hard, and Henon
+# escapes from much of the box the start points are drawn from
+_WALK_SYSTEMS = [
+    SystemSpec.cat_map(),
+    SystemSpec.perturbed_cat_map(0.05),
+    SystemSpec.standard_map(6.0),
+    SystemSpec.henon(1.4, 0.3),
+]
+
+
+def _stepped_orbit(system, x, y, n_fwd, n_bwd):
+    """orbit_array's rows by one scalar step at a time, backward first."""
+    start = tuple(system.space.fold(np.array([x, y], dtype=float)).tolist())
+    rows = {0: start}
+    for sign, step, n in ((-1, step_inverse_xy, n_bwd), (1, step_xy, n_fwd)):
+        p = start
+        for j in range(1, n + 1):
+            p = rows[sign * j] = step(system, *p)
+    return np.array([rows[j] for j in range(-n_bwd, n_fwd + 1)])
+
+
+@given(x=st.floats(-3.0, 3.0), y=st.floats(-3.0, 3.0), n_fwd=st.integers(0, 80), n_bwd=st.integers(0, 80))
+@settings(max_examples=150, deadline=None)
+@example(x=2.0, y=0.0, n_fwd=40, n_bwd=0)  # Henon escapes forward at step 7
+@example(x=0.0, y=2.0, n_fwd=0, n_bwd=40)  # and backward at step 6
+def test_walks_match_stepped_oracle(x, y, n_fwd, n_bwd):
+    # each direction of orbit_array is one walk, read in one np.fromiter;
+    # it gives the floats of the scalar steps, bit for bit, or the error
+    # of the step that escapes; and the array forms agree row for row
+    assert {system.kind for system in _WALK_SYSTEMS} == set(_KINDS)
+    for system in _WALK_SYSTEMS:
+        try:
+            want = _stepped_orbit(system, x, y, n_fwd, n_bwd)
+        except NonFiniteError as err:
+            with pytest.raises(NonFiniteError) as got:
+                orbit_array(system, x, y, n_fwd=n_fwd, n_bwd=n_bwd)
+            assert str(got.value) == str(err)
+            continue
+        rows = orbit_array(system, x, y, n_fwd=n_fwd, n_bwd=n_bwd)
+        assert rows.tobytes() == want.tobytes()
+        for batched, point in ((step_array, step_xy), (step_inverse_array, step_inverse_xy)):
+            try:
+                stepped = np.array([point(system, *row) for row in rows.tolist()])
+            except NonFiniteError:
+                continue
+            assert batched(system, rows).tobytes() == stepped.tobytes()
+
+
 def test_orbit_forward_example(cat):
     pts = orbit_array(cat, 0.5, 0.5, n_fwd=2)
     assert pts.tolist() == [[0.5, 0.5], [0.5, 0.0], [0.0, 0.5]]

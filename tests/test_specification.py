@@ -1,9 +1,13 @@
+import gc
 import hashlib
 import math
+import mmap
 import os
+import signal
 import subprocess
 import sys
 import time
+import weakref
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -13,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nuspec.dynamics import Point2, Space, SystemSpec, orbit_array
+from nuspec.dynamics import Point2, Space, SystemSpec, orbit_array, walk
 from nuspec.errors import (
     ConfigError,
     GapInfeasibleError,
@@ -162,6 +166,38 @@ def test_cover_events_match_all_pairs_oracle(centers, radius, free, edges, near,
     # strictly ascending in (t, ball): sorted, no duplicates
     key = et * len(centers) + ei
     assert np.all(np.diff(key) > 0)
+
+
+_dyadic = st.integers(-2048, 2048).map(lambda k: k / 1024)
+
+
+@given(
+    space=st.sampled_from(list(Space)),
+    base=st.sampled_from([0.0, 2.0**16, -(2.0**16) - 1.0]),
+    centers=st.lists(st.tuples(_dyadic, _dyadic), min_size=1, max_size=6),
+    j=st.integers(1, 9),
+    on_circle=st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from([(1, 0), (-1, 0), (0, 1), (0, -1)])), max_size=12
+    ),
+    free=st.lists(st.tuples(_dyadic, _dyadic), max_size=12),
+    far=st.lists(st.tuples(st.sampled_from([2.0**16, -(2.0**16), 2.0**17 + 0.25, -3.0 * 2**20]), _dyadic), max_size=6),
+    chunk=st.sampled_from([1, 7, recurrence._EVENT_CHUNK]),
+)
+@settings(max_examples=200, deadline=None)
+def test_incidences_match_brute_force(space, base, centers, j, on_circle, free, far, chunk):
+    # dyadic centers and radii 2^-j put the points on_circle exactly at the
+    # radius (dx * dx + dy * dy == r * r); rows with a coordinate at or past
+    # 2^16, and a base shift that puts every center there, take all balls
+    radius = 2.0**-j
+    c = np.array(centers) + base
+    pts = [(cx + dx * radius, cy + dy * radius) for (cx, cy), (dx, dy) in ((c[i % len(c)], d) for i, d in on_circle)]
+    pts += [(a + base, b + base) for a, b in free] + [p for a, b in far for p in ((a, b), (b, a))]
+    orbit = np.array(pts, dtype=float).reshape(-1, 2)
+    cover = SetSpec(c, radius, space)
+    with mock.patch.object(recurrence, "_EVENT_CHUNK", chunk):
+        et, ei = cover.incidences(orbit)
+    want_t, want_i = np.nonzero(cover._dist2(orbit) <= radius * radius)
+    assert np.array_equal(et, want_t) and np.array_equal(ei, want_i)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +504,34 @@ def _interrupted(*args, **kwargs):
     raise KeyboardInterrupt
 
 
+def _record_mappings(monkeypatch):
+    """Weak references to every shared mapping made while the test runs."""
+    made = []
+
+    class Recorded(mmap.mmap):
+        def __new__(cls, *args, **kwargs):
+            m = super().__new__(cls, *args, **kwargs)
+            made.append(weakref.ref(m))
+            return m
+
+    monkeypatch.setattr(mmap, "mmap", Recorded)
+    return made
+
+
+def _record_reaped(monkeypatch):
+    """The wait status of every child reaped while the test runs."""
+    statuses = []
+    waitpid = os.waitpid
+
+    def recorded(pid, options):
+        got = waitpid(pid, options)
+        statuses.append(got[1])
+        return got
+
+    monkeypatch.setattr(os, "waitpid", recorded)
+    return statuses
+
+
 @pytest.mark.parametrize(
     "system, kwargs, error",
     [
@@ -480,35 +544,49 @@ def _interrupted(*args, **kwargs):
     ids=["built", "resolution", "no-block-points", "incomplete-mixing", "interrupted"],
 )
 def test_no_child_process_outlives_the_build(monkeypatch, system, kwargs, error):
-    # the child iterates a 400k-step orbit in all but the first and fourth
-    # cases, so the error ends the build while it still runs
+    # the child walks a 400k-step orbit in all but the first and fourth
+    # cases, so the error ends the build while it may still run; no shared
+    # mapping outlives the build either, unless it holds a built orbit
     forks = _count_forks(monkeypatch)
     _usable_cpus(monkeypatch, 2)
+    mappings = _record_mappings(monkeypatch)
+    reaped = _record_reaped(monkeypatch)
     if error is KeyboardInterrupt:
-        monkeypatch.setattr("nuspec.lyapunov.block_sample", _interrupted)
+        # at the first step after the fork, long before the child's walk ends
+        monkeypatch.setattr("nuspec.lyapunov.lyapunov_spectrum", _interrupted)
     if error is None:
         build_cover_context(system, **kwargs)
     else:
-        with pytest.raises(error):
+        with pytest.raises(error) as caught:
             build_cover_context(system, **kwargs)
+        if error is not IncompleteMixingError:
+            # the traceback still holds the mapping: it was closed, not dropped
+            assert mappings[0]().closed
+        del caught
     assert len(forks) == 1
     _assert_no_child_left()
+    if error is KeyboardInterrupt:
+        # killed, not waited for
+        assert len(reaped) == 1 and os.WIFSIGNALED(reaped[0]) and os.WTERMSIG(reaped[0]) == signal.SIGKILL
+    assert len(mappings) == 1
+    gc.collect()
+    assert mappings[0]() is None
 
 
 @pytest.mark.parametrize("failure", ["exit", "short"])
 def test_failed_child_falls_back_inline(monkeypatch, inline_mix_ctx, failure):
-    # the child exits nonzero before it writes, or exits cleanly after
-    # writing too few rows; either way the parent iterates the orbit itself
+    # the child exits nonzero before it walks, or exits cleanly after
+    # walking too few rows; either way the parent walks the orbit itself
     parent = os.getpid()
 
-    def orbit_in_parent_only(*args, **kwargs):
+    def walk_in_parent_only(*args, **kwargs):
         if os.getpid() == parent:
-            return orbit_array(*args, **kwargs)
+            return walk(*args, **kwargs)
         if failure == "exit":
             os._exit(3)
-        return orbit_array(*args, **kwargs)[:10]
+        return _exit_cleanly_after(walk(*args, **kwargs), 10_000)
 
-    monkeypatch.setattr(specification, "orbit_array", orbit_in_parent_only)
+    monkeypatch.setattr(specification, "walk", walk_in_parent_only)
     forks = _count_forks(monkeypatch)
     _usable_cpus(monkeypatch, 2)
     ctx = build_cover_context(SystemSpec.cat_map(), **MIX_CONTEXT)
@@ -517,11 +595,23 @@ def test_failed_child_falls_back_inline(monkeypatch, inline_mix_ctx, failure):
     _assert_same_transitions(ctx, inline_mix_ctx)
 
 
+def _exit_cleanly_after(w, rows):
+    # the child writes some rows but posts no row count, and leaves with status 0
+    for i, v in enumerate(w):
+        if i == 2 * rows:
+            os._exit(0)
+        yield v
+
+
 def _fork_refused():
     raise BlockingIOError("no process to spare")
 
 
-@pytest.mark.parametrize("reason", ["one-cpu", "no-fork", "fork-refused"])
+def _mmap_refused(*args, **kwargs):
+    raise OSError(12, "Cannot allocate memory")
+
+
+@pytest.mark.parametrize("reason", ["one-cpu", "no-fork", "fork-refused", "mmap-refused"])
 def test_sampling_orbit_inline_without_a_second_cpu_or_fork(monkeypatch, inline_mix_ctx, reason):
     forks = _count_forks(monkeypatch)
     _usable_cpus(monkeypatch, 1 if reason == "one-cpu" else 2)
@@ -529,10 +619,25 @@ def test_sampling_orbit_inline_without_a_second_cpu_or_fork(monkeypatch, inline_
         monkeypatch.delattr(os, "fork")
     elif reason == "fork-refused":
         monkeypatch.setattr(os, "fork", _fork_refused)
+    elif reason == "mmap-refused":
+        monkeypatch.setattr(mmap, "mmap", _mmap_refused)
     ctx = build_cover_context(SystemSpec.cat_map(), **MIX_CONTEXT)
     assert forks == []
     _assert_no_child_left()
     _assert_same_transitions(ctx, inline_mix_ctx)
+
+
+@pytest.mark.parametrize("length", [10_000, 1])
+def test_forked_orbit_is_the_mapped_rows(monkeypatch, cat, length):
+    # the parent keeps the rows the child wrote into the mapping, with no copy
+    forks = _count_forks(monkeypatch)
+    _usable_cpus(monkeypatch, 2)
+    with specification._orbit_in_child(cat, 1.3, 0.7, length - 1) as sampling_orbit:
+        orbit = sampling_orbit()
+    assert len(forks) == 1
+    _assert_no_child_left()
+    assert isinstance(orbit.base, mmap.mmap)
+    assert orbit.tobytes() == orbit_array(cat, 1.3, 0.7, n_fwd=length - 1).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -636,11 +741,12 @@ def walked_steps(monkeypatch):
     """Orbit steps that the return-time walks take during the test."""
     steps = [0]
 
-    def counting(system, x, y, n_fwd, n_bwd=0):
-        steps[0] += n_fwd + n_bwd
-        return orbit_array(system, x, y, n_fwd, n_bwd)
+    def counting(system, x, y, forward=True):
+        for i, v in enumerate(walk(system, x, y, forward)):
+            steps[0] += i % 2  # one step per (x, y) pair
+            yield v
 
-    monkeypatch.setattr(recurrence, "orbit_array", counting)
+    monkeypatch.setattr(recurrence, "walk", counting)
     return steps
 
 
@@ -654,22 +760,18 @@ def test_certificate_window_walks_only_the_deciding_horizon(perturbed, perturbed
     _assert_window_matches_long_walk(perturbed, x, m, n, q.eta, perturbed_ctx, w)
 
 
-def test_certificate_window_retries_on_sparse_returns(cat, cat_ctx, monkeypatch):
+def test_certificate_window_retries_on_sparse_returns(cat, cat_ctx, walked_steps):
     # one small ball: returns are thousands of steps apart, so the first
-    # horizon cannot decide the window and the walk restarts longer
+    # horizon cannot decide the window and the walk goes on longer
     x = torus(0.3141, 0.2718)
     ctx = replace(cat_ctx, cover=SetSpec.ball(x, 0.01, Space.TORUS2))
     q = const_q(ctx)
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(kwargs["horizon"])
-        return recurrence.return_times(*args, **kwargs)
-
-    monkeypatch.setattr(specification, "return_times", counting)
     w = specification._certificate_window(cat, x, 5, 5, q.eta, q, ctx)
-    assert len(calls) > 1
-    monkeypatch.undo()
+    factor = 1.0 + 2.0 * q.eta / ctx.epsilon
+    assert walked_steps[0] > 2 * (int(factor * 6) + 64)
+    # each retry re-walked both sides from t = 0 before: 52,466 steps here;
+    # now a decided side stops and an undecided one walks on
+    assert walked_steps[0] < 52_466
     _assert_window_matches_long_walk(cat, x, 5, 5, q.eta, ctx, w)
 
 
@@ -820,7 +922,7 @@ def test_ns_rejects_negative_or_empty_window(cat, cat_ctx, m, n):
     # has no ratio K / (m + n); both are refused before any return-time search
     x = block_point(cat_ctx, 3)
     q = const_q(cat_ctx)
-    with mock.patch.object(specification, "return_times", side_effect=AssertionError("searched")):
+    with mock.patch.object(specification, "VisitWalk", side_effect=AssertionError("searched")):
         with pytest.raises(PreconditionError):
             ns_certificate(cat, x, m, n, 0.05, q.eta, q, cat_ctx)
 
