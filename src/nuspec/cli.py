@@ -158,8 +158,13 @@ def _field(spec):
     return spec if isinstance(spec, tuple) else (spec, _implied(spec))
 
 
+# the step budget: no step count asks one loop for more than MAX_STEPS map
+# steps.  A scalar step (spectrum, orbit walk, return-time walk) took
+# 0.17-0.77 us on a 2-CPU x86 host, so a loop at the bound ends within
+# seconds and keeps at most 160 MB of orbit rows
+MAX_STEPS = 10**7
 _POINT = _opt(_list(_float(-math.inf), 2))
-_SPECTRUM_N = (100_000, _int(100))
+_SPECTRUM_N = (100_000, _int(100, MAX_STEPS))
 
 # the parameter table: experiment -> field -> default or (default, kind)
 _COVER_PARAMS = {
@@ -179,12 +184,17 @@ _COVER_PARAMS = {
 }
 
 SCHEMAS = {
-    "lyapunov": {"N": 100_000, "qr_period": 10, "transient": (None, _opt(_int(0))), "x0": (None, _POINT)},
+    "lyapunov": {
+        "N": (100_000, _int(1, MAX_STEPS)),
+        "qr_period": 10,
+        "transient": (None, _opt(_int(0, MAX_STEPS))),
+        "x0": (None, _POINT),
+    },
     "recurrence-scaling": {
         "radii_log2_min": 4,
         "radii_log2_max": (14, _int(1, 19)),  # radii 2^-e stay above the 1e-6 floor
         "grid": 5,
-        "T_max": 400,
+        "T_max": (400, _int(1, MAX_STEPS)),
         "method": ("auto", _one_of("auto", "segment", "lattice")),
         "spectrum_N": _SPECTRUM_N,
         "x0": (None, _POINT),
@@ -193,7 +203,7 @@ SCHEMAS = {
         "radius": (None, _opt(_float(0.0, 0.5))),
         "count_fwd": (500, _int(3)),
         "count_bwd": (60, _int(0)),
-        "horizon": 60_000,
+        "horizon": (60_000, _int(1, MAX_STEPS)),
         "thresholds": [10, 20, 50, 100],
         "hit_epsilon": 0.2,
         "N_start": 1,

@@ -13,7 +13,10 @@ Space.wrap takes displacement vectors to the symmetric representative in
 (-1/2, 1/2].
 
 Each map kind is defined once, as an entry of the table _KINDS: a walk each
-way, whose formulas run on Python floats and on numpy arrays alike.
+way, whose formulas run on Python floats and on numpy arrays alike, and its
+Jacobian.  walk is the one place a step is read from: step_xy and
+step_array take a walk's first pair, forward or backward, and
+SystemSpec.jac hands out the Jacobian.
 """
 
 from __future__ import annotations
@@ -117,7 +120,7 @@ class SystemSpec:
         # invertibility guard: det Df must not vanish on a grid (it is 1 for the
         # torus maps and -b for Henon; huge parameters cancel it to 0)
         g = np.linspace(0.0, 1.0, 33)
-        a11, a12, a21, a22 = self.maps(np)[2](g, g)
+        a11, a12, a21, a22 = self.jac(np)(g, g)
         if not np.all(np.abs(a11 * a22 - a12 * a21) > 0.0):
             msg = f"{self.kind.value} parameters {params} fail the Jacobian determinant grid check (det Df = 0)"
             raise ConfigError(msg, field="system.params")
@@ -131,12 +134,11 @@ class SystemSpec:
         """log|det Df|, the same at every point for every kind."""
         return _KINDS[self.kind].log_det(self.params)
 
-    def maps(self, xp=math):
-        """The kind's (step, inverse, jac): on Python floats with xp = math,
-        on numpy arrays (one point per element) with xp = numpy; each step
-        is the first pair of the kind's walk."""
-        forward, inverse, jac = _KINDS[self.kind].walks(self.params, xp)
-        return _first_step(forward), _first_step(inverse), jac
+    def jac(self, xp=math):
+        """The kind's Jacobian (x, y) -> (a11, a12, a21, a22): on Python
+        floats with xp = math, on numpy arrays (one point per element) with
+        xp = numpy."""
+        return _KINDS[self.kind].walks(self.params, xp)[2]
 
     @classmethod
     def cat_map(cls) -> "SystemSpec":
@@ -177,9 +179,10 @@ class SystemSpec:
 # the map table: per kind, a factory (params, xp) -> (forward, inverse, jac)
 # on coordinates x, y, run on Python floats with xp = math and on arrays with
 # xp = numpy; forward and inverse are walks, generators that step from (x, y)
-# and yield x1, y1, x2, y2, ... without end; jac gives the flat
-# (a11, a12, a21, a22), constants as scalars; log_det gives the constant
-# log|det Df| from the params
+# and yield x1, y1, x2, y2, ... without end, read only through walk; jac
+# gives the flat (a11, a12, a21, a22), constants as scalars, read only
+# through SystemSpec.jac; log_det gives the constant log|det Df| from the
+# params
 
 
 class MapKind(NamedTuple):
@@ -292,16 +295,6 @@ def _plane(what, x, y):
     return x, y
 
 
-def _first_step(walk):
-    """The one-step map of a walk: its first pair."""
-
-    def step(x, y):
-        w = walk(x, y)
-        return next(w), next(w)
-
-    return step
-
-
 _KINDS = {
     SystemKind.CAT_MAP: MapKind(Space.TORUS2, (), _cat, lambda p: 0.0),
     SystemKind.PERTURBED_CAT_MAP: MapKind(Space.TORUS2, ("kappa",), _perturbed_cat, lambda p: 0.0),
@@ -312,16 +305,6 @@ _KINDS = {
 
 # ---------------------------------------------------------------------------
 # point and array evaluation
-
-
-def step_xy(system: SystemSpec, x: float, y: float):
-    """One forward application of the map, on raw coordinates."""
-    return system.maps()[0](x, y)
-
-
-def step_inverse_xy(system: SystemSpec, x: float, y: float):
-    """One backward application of the map, on raw coordinates."""
-    return system.maps()[1](x, y)
 
 
 def walk(system: SystemSpec, x, y, forward: bool = True, xp=math):
@@ -345,20 +328,23 @@ def orbit_array(system: SystemSpec, x: float, y: float, n_fwd: int, n_bwd: int =
     return np.concatenate((behind[::-1], start, ahead))
 
 
-def step_array(system: SystemSpec, pts: np.ndarray) -> np.ndarray:
-    """Forward image of an (n, 2) array of points, row for row equal to step_xy."""
-    return np.column_stack(system.maps(np)[0](pts[:, 0], pts[:, 1]))
+def step_xy(system: SystemSpec, x: float, y: float, forward: bool = True):
+    """One application of the map (or its inverse), on raw coordinates: the
+    first pair of the walk."""
+    w = walk(system, x, y, forward)
+    return next(w), next(w)
 
 
-def step_inverse_array(system: SystemSpec, pts: np.ndarray) -> np.ndarray:
-    """Backward image of an (n, 2) array of points, row for row equal to
-    step_inverse_xy; an error names the first failing row as the scalar
-    call on that row would."""
-    return np.column_stack(system.maps(np)[1](pts[:, 0], pts[:, 1]))
+def step_array(system: SystemSpec, pts: np.ndarray, forward: bool = True) -> np.ndarray:
+    """Image of an (n, 2) array of points under the map (or its inverse),
+    row for row equal to step_xy; an error names the first failing row as
+    the scalar call on that row would."""
+    w = walk(system, pts[:, 0], pts[:, 1], forward, np)
+    return np.column_stack((next(w), next(w)))
 
 
 def jac_array(system: SystemSpec, pts: np.ndarray) -> np.ndarray:
     """Jacobians at each row of an (n, 2) array, shape (n, 2, 2)."""
     out = np.empty((len(pts), 2, 2), dtype=float)
-    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = system.maps(np)[2](pts[:, 0], pts[:, 1])
+    out[:, 0, 0], out[:, 0, 1], out[:, 1, 0], out[:, 1, 1] = system.jac(np)(pts[:, 0], pts[:, 1])
     return out

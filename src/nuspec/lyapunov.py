@@ -111,7 +111,7 @@ def lyapunov_spectrum(
     if N < 10 * qr_period:
         raise ValueError("need N >= 10 * qr_period")
     x, y = orbit_array(system, *x0.tolist(), n_fwd=transient)[-1].tolist()
-    jac = system.maps()[2]
+    jac = system.jac()
     w = walk(system, x, y)
     pts = zip(w, w)
     blocks = N // qr_period

@@ -32,7 +32,6 @@ from .dynamics import (
     SystemKind,
     SystemSpec,
     step_array,
-    step_xy,
     walk,
 )
 from .errors import PreconditionError
@@ -69,10 +68,8 @@ class SetSpec:
         return len(self.centers)
 
     def _dist2(self, pts: np.ndarray, which=slice(None)) -> np.ndarray:
-        """Squared distances (n, k) from the rows of pts to centers[which];
-        an (n, k) index array gives each row its own k centers."""
-        c = self.centers[which]
-        d = self.space.wrap(pts[:, None, :] - (c if c.ndim == 3 else c[None]))
+        """Squared distances (n, k) from the rows of pts to centers[which]."""
+        d = self.space.wrap(pts[:, None, :] - self.centers[which][None])
         return (d * d).sum(axis=2)
 
     @cached_property
@@ -271,7 +268,8 @@ def ball_return_times(
     if method == "segment":
         if system.kind is not SystemKind.CAT_MAP:
             raise ValueError("segment method requires the linear cat map")
-        z = x.tolist()
+        w = walk(system, *x.tolist())
+        orbit = zip(w, w)
     elif method == "lattice":
         # grid=1 gives the one offset (-r, -r), outside the ball; the
         # prepended center is then the only sample
@@ -289,8 +287,7 @@ def ball_return_times(
     for k in range(1, T_max + 1):
         r = rad[lo:]
         if method == "segment":
-            z = step_xy(system, *z)
-            c = system.space.wrap(np.array(z) - x)
+            c = system.space.wrap(np.array(next(orbit)) - x)
             hit = _segment_lattice_distances(c, r * CAT_LAMBDA_U**k) <= r * (1.0 + CAT_LAMBDA_S**k)
         else:
             if read != lo:  # drop the rows that no open radius reads

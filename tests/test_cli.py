@@ -350,6 +350,18 @@ STANDARD = {"system": {"kind": "StandardMap", "params": {"K_s": 1.2}}}
         # the fixed-point certificate sits at (0, 0): a given x once ran to
         # exit 0 and was echoed in the report as if it had been used
         ("ns-cert", ["--set", "fixed_point=true", "--set", "x=[0.3, 0.7]"], "x"),
+        # a step count past the step budget (10^7) once ran for hours or
+        # years; 1e14 left only manifest.json behind a 5 s timeout
+        ("lyapunov", ["--set", "N=10000001"], "N"),
+        ("lyapunov", ["--set", "transient=10000001"], "transient"),
+        ("recurrence-scaling", ["--set", "T_max=10000001"], "T_max"),
+        ("recurrence-scaling", ["--set", "spectrum_N=10000001"], "spectrum_N"),
+        ("nonlacunarity", ["--set", "horizon=10000001"], "horizon"),
+        ("shadow", ["--set", "spectrum_N=10000001"], "spectrum_N"),
+        ("ns-cert", ["--set", "spectrum_N=10000001"], "spectrum_N"),
+        ("ns-cert", ["--set", "fixed_point=true", "--set", "spectrum_N=10000001"], "spectrum_N"),
+        ("gns-cert", ["--set", "spectrum_N=10000001"], "spectrum_N"),
+        ("sublinearity", ["--set", "spectrum_N=10000001"], "spectrum_N"),
     ],
 )
 def test_out_of_range_cover_parameter_refused(tmp_path, monkeypatch, experiment, args, field):
@@ -375,6 +387,22 @@ def test_out_of_range_cover_parameter_refused(tmp_path, monkeypatch, experiment,
     assert rep["partial"] is True
     assert rep["error"]["type"] == "ConfigError"
     assert rep["error"]["field"] == field
+
+
+@pytest.mark.parametrize(
+    "experiment, field",
+    [
+        ("lyapunov", "N"),
+        ("lyapunov", "transient"),
+        ("recurrence-scaling", "T_max"),
+        ("nonlacunarity", "horizon"),
+        *((experiment, "spectrum_N") for experiment in SCHEMAS if "spectrum_N" in SCHEMAS[experiment]),
+    ],
+)
+def test_step_budget_admits_its_bound(tmp_path, experiment, field):
+    # the refusal table above refuses the bound + 1; the bound itself resolves
+    cfg = load_config(experiment, None, [(field, 10**7)], tmp_path)
+    assert cfg.parameters[field] == 10**7
 
 
 def test_set_item_without_value_writes_typed_error(tmp_path):
@@ -820,6 +848,28 @@ def test_ns_cert_standard_map(standard_run):
     assert cert["indices"] == {"l1": 34, "l2": 37, "s1": 7, "s2": 10}
 
 
+@pytest.fixture(scope="module")
+def standard_gns_run(tmp_path_factory):
+    base = tmp_path_factory.mktemp("standard-gns")
+    cfg = base / "cfg.json"
+    cfg.write_text(json.dumps(STANDARD6_SEED0))
+    out = base / "run"
+    return run_cli(["gns-cert", "--config", cfg, "--out", out]), out
+
+
+def test_gns_cert_standard_map(standard_gns_run):
+    # three segments in the non-uniform regime at the gns-cert defaults
+    rc, out = standard_gns_run
+    assert rc == 0
+    res = read_json(out / "report.json")["results"]
+    cert = res["certificate"]
+    pinned = {"period": 453, "gaps": [32, 30, 31], "sum_gaps": 93, "gap_budget": 100, "newton_iters": 20}
+    assert {key: cert[key] for key in pinned} == pinned
+    assert cert["sum_gaps"] <= cert["gap_budget"]
+    assert res["context"]["transitions"]["M_k"] == 4
+    assert cert["all_in_ball"] is True and cert["pair_bound_ok"] is True and cert["bookkeeping_ok"] is True
+
+
 # sha256 of report.json for fast seed-0 runs, PerturbedCatMap(0.05) unless
 # named; a change that is meant to keep reports byte-identical must keep these
 REPORT_DIGESTS = {
@@ -830,6 +880,8 @@ REPORT_DIGESTS = {
     # the non-uniform regime: StandardMap(6) at a shorter sampling orbit and
     # fewer block samples, block indices in the tens
     "ns-cert StandardMap(6)": "15a06de10e62f459ac04ea046c085378a6918db59618aeffc600f642e6799d49",
+    # three gns windows in that regime, at the gns-cert defaults
+    "gns-cert StandardMap(6)": "105ec4b497cf03c15d4d1db3e54e8d261aa88ed2a98d6a6588808f190dfda830",
     # multi-window records: three gns windows (CatMap defaults), two ns windows
     "gns-cert CatMap": "9f7ee580d1cedf5eaecf50b4a1fbddf65af337c730be62ec95262ff98c3053e7",
     "sublinearity": "3bb007acf6efe3f852de64d118f73a3f0b49b1a6dee624eee7702bdb98a6cf6e",
@@ -852,7 +904,7 @@ REPORT_DIGESTS = {
     "recurrence-scaling CatMap radii_log2_max=19": "3d953711fd5fa3438ce3726efa89583b99eb74a7a5837d971f12fc90ccb3aa47",
 }
 
-# sha256 of data.csv for the first six runs above: the margin rows of
+# sha256 of data.csv for the first seven runs above: the margin rows of
 # shadow, ns-cert and gns-cert, and the sublinearity table
 CSV_DIGESTS = {
     "shadow": "0a4d3d0305c94c2f766442105c694e664f1e2a9fd6b1736efcac11dbe0cee43d",
@@ -861,6 +913,7 @@ CSV_DIGESTS = {
     "gns-cert CatMap": "08d49d83768396f8067a41646875167421b8d7511936de64beae5e5378039c3d",
     "sublinearity": "75f47a331b3d6190c54eab5eb7807b6c171a32cfc7d951763e9306ffa6ae9cd5",
     "ns-cert StandardMap(6)": "0d947ee4989405f85fcd8c1cc5fcc88863ae7b599f332e456ee0d27b2bad4182",
+    "gns-cert StandardMap(6)": "b275df7adc0577295da570cfe641deb43d8d10315e93dab089339c04afc4db41",
 }
 
 
@@ -869,7 +922,7 @@ def _moved(digests, pinned):
     return sorted(name for name in digests.keys() | pinned.keys() if digests.get(name) != pinned.get(name))
 
 
-def test_report_digests_pinned(tmp_path, shadow_run, standard_run):
+def test_report_digests_pinned(tmp_path, shadow_run, standard_run, standard_gns_run):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(PERTURBED_SEED0))
     out = tmp_path / "ns"
@@ -887,6 +940,7 @@ def test_report_digests_pinned(tmp_path, shadow_run, standard_run):
         "gns-cert CatMap": gns,
         "sublinearity": sub,
         "ns-cert StandardMap(6)": standard_run[1],
+        "gns-cert StandardMap(6)": standard_gns_run[1],
     }
     digests = {name: hashlib.sha256((d / "report.json").read_bytes()).hexdigest() for name, d in margin_runs.items()}
     csv_digests = {name: hashlib.sha256((d / "data.csv").read_bytes()).hexdigest() for name, d in margin_runs.items()}

@@ -14,8 +14,6 @@ from nuspec.dynamics import (
     jac_array,
     orbit_array,
     step_array,
-    step_inverse_array,
-    step_inverse_xy,
     step_xy,
 )
 from nuspec.errors import ConfigError, NonFiniteError
@@ -35,7 +33,7 @@ def test_henon_apply(henon):
 
 
 def test_cat_inverse_example(cat):
-    assert step_inverse_xy(cat, 0.5, 0.0) == (0.5, 0.5)
+    assert step_xy(cat, 0.5, 0.0, forward=False) == (0.5, 0.5)
 
 
 # every kind of the map table: the torus maps with their roundtrip bound,
@@ -60,12 +58,10 @@ def test_round_trips(unit_rows):
             rows = rows % 1.0
         else:
             rows = (rows - 0.5) * [3.0, 0.8]
-        step, inverse, _ = system.maps()
-        for there, back in ((step, inverse), (inverse, step)):
-            scalar = np.array([back(*there(x, y)) for x, y in rows.tolist()])
+        for forward in (True, False):
+            scalar = np.array([step_xy(system, *step_xy(system, x, y, forward), not forward) for x, y in rows.tolist()])
             assert system.space.dist(scalar, rows).max() <= bound, system
-        for there, back in ((step_array, step_inverse_array), (step_inverse_array, step_array)):
-            batch = back(system, there(system, rows))
+            batch = step_array(system, step_array(system, rows, forward), not forward)
             assert system.space.dist(batch, rows).max() <= bound, system
 
 
@@ -206,7 +202,7 @@ def test_orbit_rows_are_scalar_steps(system, request):
     for i in range(41, 101):
         assert tuple(pts[i]) == step_xy(spec, *pts[i - 1].tolist())
     for i in range(39, -1, -1):
-        assert tuple(pts[i]) == step_inverse_xy(spec, *pts[i + 1].tolist())
+        assert tuple(pts[i]) == step_xy(spec, *pts[i + 1].tolist(), forward=False)
 
 
 # one system of every kind; StandardMap(6) stretches hard, and Henon
@@ -223,10 +219,10 @@ def _stepped_orbit(system, x, y, n_fwd, n_bwd):
     """orbit_array's rows by one scalar step at a time, backward first."""
     start = tuple(system.space.fold(np.array([x, y], dtype=float)).tolist())
     rows = {0: start}
-    for sign, step, n in ((-1, step_inverse_xy, n_bwd), (1, step_xy, n_fwd)):
+    for sign, forward, n in ((-1, False, n_bwd), (1, True, n_fwd)):
         p = start
         for j in range(1, n + 1):
-            p = rows[sign * j] = step(system, *p)
+            p = rows[sign * j] = step_xy(system, *p, forward)
     return np.array([rows[j] for j in range(-n_bwd, n_fwd + 1)])
 
 
@@ -249,12 +245,12 @@ def test_walks_match_stepped_oracle(x, y, n_fwd, n_bwd):
             continue
         rows = orbit_array(system, x, y, n_fwd=n_fwd, n_bwd=n_bwd)
         assert rows.tobytes() == want.tobytes()
-        for batched, point in ((step_array, step_xy), (step_inverse_array, step_inverse_xy)):
+        for forward in (True, False):
             try:
-                stepped = np.array([point(system, *row) for row in rows.tolist()])
+                stepped = np.array([step_xy(system, *row, forward) for row in rows.tolist()])
             except NonFiniteError:
                 continue
-            assert batched(system, rows).tobytes() == stepped.tobytes()
+            assert step_array(system, rows, forward).tobytes() == stepped.tobytes()
 
 
 def test_orbit_forward_example(cat):
@@ -347,10 +343,11 @@ def test_step_inverse_array_rows_equal_scalar(all_systems):
     # come from one formula and agree bit for bit
     rows = np.random.default_rng(9).random((64, 2))
     for system in all_systems:
-        step, inverse, jac = system.maps()
-        for batched, point in ((step_array, step), (step_inverse_array, inverse), (jac_array, jac)):
-            want = np.array([point(x, y) for x, y in rows.tolist()])
-            assert np.array_equal(batched(system, rows).reshape(len(rows), -1), want)
+        for forward in (True, False):
+            want = np.array([step_xy(system, x, y, forward) for x, y in rows.tolist()])
+            assert np.array_equal(step_array(system, rows, forward), want)
+        want = np.array([system.jac()(x, y) for x, y in rows.tolist()])
+        assert np.array_equal(jac_array(system, rows).reshape(len(rows), -1), want)
 
 
 @pytest.mark.parametrize(
@@ -366,19 +363,19 @@ def test_step_inverse_array_error_names_first_failing_row(system, rows, error):
     # fails on its own, or passes when no row fails
     rows = np.array(rows)
     failing = 0
-    for batched, point in ((step_inverse_array, step_inverse_xy), (step_array, step_xy)):
+    for forward in (False, True):
         first = None
         for x, y in rows:
             try:
-                point(system, x, y)
+                step_xy(system, x, y, forward)
             except error as err:
                 first = err
                 break
         if first is None:
-            batched(system, rows)
+            step_array(system, rows, forward)
             continue
         failing += 1
         with pytest.raises(error) as got:
-            batched(system, rows)
+            step_array(system, rows, forward)
         assert str(got.value) == str(first)
     assert failing, "no row fails on its own"

@@ -1,5 +1,6 @@
 import math
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from nuspec.dynamics import (
     SystemSpec,
     jac_array,
     orbit_array,
-    step_inverse_xy,
     step_xy,
 )
 from nuspec.errors import NonFiniteError
@@ -69,14 +69,14 @@ def _gram_schmidt_exponents(system, x0, N, transient=0):
     """Reference: two tangent columns, re-orthonormalized by Gram-Schmidt
     after every step, where cancellation cannot yet eat the second column."""
     x, y = orbit_array(system, *x0.tolist(), n_fwd=transient)[-1].tolist()
-    step, _, jac = system.maps()
+    jac = system.jac()
     u1, u2, v1, v2 = 1.0, 0.0, 0.0, 1.0
     acc1 = acc2 = 0.0
     for _ in range(N):
         a11, a12, a21, a22 = jac(x, y)
         u1, u2 = a11 * u1 + a12 * u2, a21 * u1 + a22 * u2
         v1, v2 = a11 * v1 + a12 * v2, a21 * v1 + a22 * v2
-        x, y = step(x, y)
+        x, y = step_xy(system, x, y)
         r1 = math.hypot(u1, u2)
         u1, u2 = u1 / r1, u2 / r1
         proj = u1 * v1 + u2 * v2
@@ -191,7 +191,7 @@ def test_block_drift(perturbed):
     for x, k in samples:
         if k is None:
             continue
-        for neighbor in (torus(*step_xy(perturbed, *x.tolist())), torus(*step_inverse_xy(perturbed, *x.tolist()))):
+        for neighbor in (torus(*step_xy(perturbed, *x.tolist())), torus(*step_xy(perturbed, *x.tolist(), forward=False))):
             k_n = pesin_block_index(perturbed, neighbor, params)
             assert k_n is not None and k_n <= k + 1
         checked += 1
@@ -255,7 +255,7 @@ def _scalar_sweeps(system, x, y, jmin, jmax, warm=64):
     for i in range(n_bwd + 1, total):
         pts[i] = step_xy(system, *pts[i - 1])
     for i in range(n_bwd - 1, -1, -1):
-        pts[i] = step_inverse_xy(system, *pts[i + 1])
+        pts[i] = step_xy(system, *pts[i + 1], forward=False)
     jacs = jac_array(system, pts)
     vu = np.empty((total, 2))
     vu[0] = _unit(_GENERIC)
@@ -316,6 +316,25 @@ def test_block_sample_matches_pointwise_index():
     assert [k for _, k in samples] == BLOCK_SAMPLE_PIN
     for x, k in samples:
         assert pesin_block_index(system, x, params) == k
+
+
+# block-index histogram of StandardMap(6)'s seed-0 context: 66 points
+# classified with indices 9..60, 34 with none
+STANDARD6_BLOCK_HISTOGRAM = {
+    9: 2, 11: 1, 14: 1, 15: 2, 17: 2, 18: 1, 19: 1, 20: 3, 22: 1, 23: 6, 24: 3, 26: 3, 27: 4,
+    28: 3, 29: 1, 30: 1, 31: 2, 32: 2, 33: 1, 34: 2, 35: 2, 36: 1, 38: 2, 40: 1, 41: 1, 42: 2,
+    43: 2, 44: 3, 45: 2, 46: 1, 48: 1, 49: 1, 52: 1, 53: 1, 54: 1, 59: 1, 60: 1, None: 34,
+}
+
+
+def test_block_histogram_standard_map_pinned():
+    # the non-uniform regime, with the params build_cover_context measures
+    # at seed 0: the spectrum from default_rng(0), block samples from seed 1
+    system = SystemSpec.standard_map(6.0)
+    spectrum = lyapunov_spectrum(system, np.random.default_rng(0).random(2), N=100_000, qr_period=10)
+    params = PesinBlockParams.from_spectrum(spectrum, epsilon_ratio=0.1, window=(200, 200, 50))
+    samples = block_sample(system, params, 100, seed=1)
+    assert Counter(k for _, k in samples) == Counter(STANDARD6_BLOCK_HISTOGRAM)
 
 
 def test_parallel_direction_fields_have_no_index(monkeypatch, cat):
