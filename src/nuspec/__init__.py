@@ -38,9 +38,8 @@ from .shadowing import (
     shadowing_profile,
 )
 from .specification import (
+    Certificate,
     CoverContext,
-    GnsCertificate,
-    NsCertificate,
     SlowVaryingFn,
     TransitionBounds,
     build_cover,

@@ -161,7 +161,8 @@ def _field(spec):
 # the step budget: no step count asks one loop for more than MAX_STEPS map
 # steps.  A scalar step (spectrum, orbit walk, return-time walk) took
 # 0.17-0.77 us on a 2-CPU x86 host, so a loop at the bound ends within
-# seconds and keeps at most 160 MB of orbit rows
+# seconds.  The spectrum keeps no orbit rows; a return-time walk keeps 16 B
+# per step on each side (160 MB a side at the bound)
 MAX_STEPS = 10**7
 _POINT = _opt(_list(_float(-math.inf), 2))
 _SPECTRUM_N = (100_000, _int(100, MAX_STEPS))
@@ -543,7 +544,7 @@ def _run_ns_cert(system, p, seed):
         newton_tol=p["newton_tol"],
     )
     res = {"certificate": cert.to_json(include_margins=False), "context": ctx.to_json()}
-    return res, ["j", "distance", "allowance"], cert.margins.rows()
+    return res, ["j", "distance", "allowance"], cert.segments[0].margins.rows()
 
 
 def _run_gns_cert(system, p, seed):

@@ -14,6 +14,7 @@ the contracting direction is never carried in its unstable direction.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -107,13 +108,16 @@ def lyapunov_spectrum(
     """Both exponents along the orbit of x0 over N steps: the mean log stretch
     of one tangent vector, normalized every qr_period steps only to keep its
     norm in range (N is trimmed to a multiple of qr_period), and
-    system.log_det minus it."""
+    system.log_det minus it.  The walk starts at x0, folded as orbit_array
+    folds it, and drops its first transient steps, keeping none of them."""
     if N < 10 * qr_period:
         raise ValueError("need N >= 10 * qr_period")
-    x, y = orbit_array(system, *x0.tolist(), n_fwd=transient)[-1].tolist()
+    x, y = system.space.fold(np.array([x0], dtype=float))[0].tolist()
     jac = system.jac()
     w = walk(system, x, y)
     pts = zip(w, w)
+    for x, y in itertools.islice(pts, transient):
+        pass
     blocks = N // qr_period
     n_used = blocks * qr_period
     u1, u2, acc = 1.0, 0.0, 0.0  # the tangent vector as plain floats, its log stretch

@@ -134,14 +134,11 @@ class SetSpec:
 
 @dataclass
 class ReturnTimeSequence:
-    """Two-sided visit times of an orbit to a set; t_0 = 0 is implicit.
-    return_times keeps the iterates it walked: row origin + t of orbit is f^t(x)."""
+    """Two-sided visit times of an orbit to a set; t_0 = 0 is implicit."""
 
     forward: np.ndarray  # strictly increasing positive ints
     backward: np.ndarray  # strictly decreasing negative ints
     horizon: int
-    orbit: np.ndarray | None = None
-    origin: int = 0
 
     def t(self, i: int) -> int:
         """Visit time t_i, with t_0 = 0."""
@@ -181,8 +178,6 @@ def return_times(
         forward=np.asarray(ahead.times, dtype=np.int64),
         backward=-np.asarray(behind.times, dtype=np.int64),
         horizon=eff_horizon,
-        orbit=np.concatenate((behind.rows[::-1], x[None], ahead.rows)),
-        origin=behind.steps,
     )
 
 

@@ -569,6 +569,10 @@ class Window:
     def first_violated_index(self) -> int | None:
         return self.margins.first_failed
 
+    @property
+    def ratio(self) -> float:
+        return self.K / (self.m + self.n)
+
     def to_json(self, include_margins=False) -> dict:
         out = {
             "x": self.x.tolist(),
@@ -586,60 +590,17 @@ class Window:
         return out
 
 
-@dataclass(kw_only=True)
-class NsCertificate(Window):
-    """The one window of a one-window cycle, with the cycle's fields."""
-
-    theta: float
-    eta: float
-    q: SlowVaryingFn
-    connector: tuple  # (N, y row)
-    M_k: int
-    period: int
-    z: np.ndarray
-    residual: float
-    newton_iters: int
-    delta: float  # pseudo-orbit junction gap
-    solution_points: np.ndarray = None  # (period, 2); z sits at row 0
-
-    @property
-    def ratio(self) -> float:
-        return self.K / (self.m + self.n)
-
-    @property
-    def below_resolution(self) -> bool:
-        return float(self.margins.allowance.min()) < 10.0 * max(self.residual, 5e-16)
-
-    def to_json(self, include_margins: bool = True) -> dict:
-        out = super().to_json(include_margins)
-        del out["offset"]
-        N, y = self.connector
-        out.update(
-            theta=self.theta,
-            eta=self.eta,
-            q=self.q.to_json(),
-            indices=dict(zip(("l1", "s1", "l2", "s2"), self.indices)),
-            connector={"y": y.tolist(), "N": N},
-            sets={"dest": self.dest, "src": self.src},
-            M_k=self.M_k,
-            period=self.period,
-            z=self.z.tolist(),
-            ratio=self.ratio,
-            residual=self.residual,
-            newton_iters=self.newton_iters,
-            below_resolution=self.below_resolution,
-            pseudo_orbit_delta=self.delta,
-        )
-        return out
-
-
 @dataclass
-class GnsCertificate:
+class Certificate:
+    """One periodic orbit threaded through k >= 1 windows (an ns certificate
+    is the k = 1 cycle), with the context it was checked in: theta, the
+    weight q (whose eta is the certificate's eta), M_k and the pseudo-orbit
+    junction gap delta.  solution_points is the refined cycle with z at row 0."""
+
     segments: list  # of Window
     gaps: list  # p_i
     connectors: list  # (N_i, y row)
     offsets: list
-    z: np.ndarray
     period: int
     gap_budget: int  # sum of K_i
     sum_gaps: int
@@ -648,28 +609,66 @@ class GnsCertificate:
     newton_iters: int
     bookkeeping_ok: bool
     target_total_gap: int | None
+    theta: float
+    q: SlowVaryingFn
+    M_k: int
+    delta: float  # pseudo-orbit junction gap
+    solution_points: np.ndarray  # (period, 2)
 
     @property
-    def all_in_ball(self) -> bool:
+    def z(self) -> np.ndarray:
+        return self.solution_points[0]
+
+    @property
+    def in_ball(self) -> bool:
         return all(s.in_ball for s in self.segments)
 
+    @property
+    def below_resolution(self) -> bool:
+        allowance = min(float(s.margins.allowance.min()) for s in self.segments)
+        return allowance < 10.0 * max(self.residual, 5e-16)
+
     def to_json(self, include_margins=False) -> dict:
-        return {
-            "segments": [s.to_json(include_margins) for s in self.segments],
-            "gaps": self.gaps,
-            "connectors": [{"N": N, "y": y.tolist()} for N, y in self.connectors],
-            "offsets": self.offsets,
-            "z": self.z.tolist(),
-            "period": self.period,
-            "gap_budget": self.gap_budget,
-            "sum_gaps": self.sum_gaps,
-            "pair_bound_ok": self.pair_bound_ok,
-            "residual": self.residual,
-            "newton_iters": self.newton_iters,
-            "bookkeeping_ok": self.bookkeeping_ok,
-            "target_total_gap": self.target_total_gap,
-            "all_in_ball": self.all_in_ball,
-        }
+        """The gns report layout for k >= 2 windows, the ns layout (the
+        window's keys but its offset, then the cycle's) for k = 1."""
+        if len(self.segments) > 1:
+            return {
+                "segments": [s.to_json(include_margins) for s in self.segments],
+                "gaps": self.gaps,
+                "connectors": [{"N": N, "y": y.tolist()} for N, y in self.connectors],
+                "offsets": self.offsets,
+                "z": self.z.tolist(),
+                "period": self.period,
+                "gap_budget": self.gap_budget,
+                "sum_gaps": self.sum_gaps,
+                "pair_bound_ok": self.pair_bound_ok,
+                "residual": self.residual,
+                "newton_iters": self.newton_iters,
+                "bookkeeping_ok": self.bookkeeping_ok,
+                "target_total_gap": self.target_total_gap,
+                "all_in_ball": self.in_ball,
+            }
+        w = self.segments[0]
+        N, y = self.connectors[0]
+        out = w.to_json(include_margins)
+        del out["offset"]
+        out.update(
+            theta=self.theta,
+            eta=self.q.eta,
+            q=self.q.to_json(),
+            indices=dict(zip(("l1", "s1", "l2", "s2"), w.indices)),
+            connector={"y": y.tolist(), "N": N},
+            sets={"dest": w.dest, "src": w.src},
+            M_k=self.M_k,
+            period=self.period,
+            z=self.z.tolist(),
+            ratio=w.ratio,
+            residual=self.residual,
+            newton_iters=self.newton_iters,
+            below_resolution=self.below_resolution,
+            pseudo_orbit_delta=self.delta,
+        )
+        return out
 
 
 def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> Window:
@@ -724,7 +723,7 @@ def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> 
     return Window(x, m, n, (l1, s1, l2, s2), t_minus, t_plus, xs, ctx.cover.locate(xs[0]), ctx.cover.locate(xs[-1]))
 
 
-def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
+def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None, target_total_gap=None):
     """Cycle the windows through connectors from the sampling record, refine
     the periodic pseudo-orbit, and check each window's margins against
     theta * q^-2 on the stored sequences.
@@ -733,8 +732,7 @@ def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
     of window i + 1, cyclically.  With Ns, connector i has exactly Ns[i]
     steps and must be witnessed (mixing-mode transitions); otherwise each is
     the minimal witnessed connector and sum(p_i) <= sum(K_i), which for one
-    window is p <= m + n + K.  Returns (GnsCertificate, Newton solution,
-    pseudo-orbit junction gap)."""
+    window is p <= m + n + K."""
     bounds = ctx.bounds
     nxt = windows[1:] + windows[:1]
     arcs, conns = [], []
@@ -775,12 +773,11 @@ def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
         xrows = w.xs[j - w.t_minus]
         margins = Margins.compare(system.space, sol.points, start, j, xrows, theta * q.value_rows(xrows) ** (-2.0))
         segments.append(replace(w, K=K, offset=off, margins=margins))
-    cert = GnsCertificate(
+    return Certificate(
         segments=segments,
         gaps=gaps,
         connectors=conns,
         offsets=offsets,
-        z=sol.points[pos[0] % p],
         period=p,
         gap_budget=sum(K_list),
         sum_gaps=sum(gaps),
@@ -788,9 +785,13 @@ def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None):
         residual=sol.residual,
         newton_iters=sol.newton_iters,
         bookkeeping_ok=bookkeeping_ok,
-        target_total_gap=None,
+        target_total_gap=target_total_gap,
+        theta=theta,
+        q=q,
+        M_k=bounds.M_k,
+        delta=po.delta,
+        solution_points=np.roll(sol.points, -pos[0], axis=0),
     )
-    return cert, sol, po.delta
 
 
 def ns_certificate(
@@ -804,7 +805,7 @@ def ns_certificate(
     ctx: CoverContext,
     connector_gap: int | None = None,
     newton_tol: float = 1e-11,
-) -> NsCertificate:
+) -> Certificate:
     """Produce one certificate for the orbit window [-m, n] of x: the
     one-window cycle of gns_certificate.
 
@@ -817,22 +818,7 @@ def ns_certificate(
         raise PreconditionError("the window [-m, n] needs m + n > 0 (its ratio is K / (m + n))")
     w = _certificate_window(system, x, m, n, eta, q, ctx)
     Ns = None if connector_gap is None else [int(connector_gap)]
-    cyc, sol, delta = _close_cycle(system, [w], theta, q, ctx, newton_tol, Ns)
-    seg = cyc.segments[0]
-    return NsCertificate(
-        **vars(seg),
-        theta=theta,
-        eta=eta,
-        q=q,
-        connector=cyc.connectors[0],
-        M_k=ctx.bounds.M_k,
-        period=cyc.period,
-        z=cyc.z,
-        residual=cyc.residual,
-        newton_iters=cyc.newton_iters,
-        delta=delta,
-        solution_points=np.roll(sol.points, w.t_minus, axis=0),  # z first
-    )
+    return _close_cycle(system, [w], theta, q, ctx, newton_tol, Ns)
 
 
 def _spread_gaps(windows, bounds, target):
@@ -872,7 +858,7 @@ def gns_certificate(
     ctx: CoverContext,
     target_total_gap: int | None = None,
     newton_tol: float = 1e-11,
-) -> GnsCertificate:
+) -> Certificate:
     """Multi-segment certificate: cycle the extended windows of the given
     (x_i, m_i, n_i) segments through connectors from the sampling record.
 
@@ -884,11 +870,10 @@ def gns_certificate(
         raise PreconditionError("GNS certificates need at least 2 segments")
     windows = [_certificate_window(system, x_i, m_i, n_i, eta, q, ctx) for x_i, m_i, n_i in segment_list]
     Ns = None if target_total_gap is None else _spread_gaps(windows, ctx.bounds, target_total_gap)
-    cert, _, _ = _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns)
-    if target_total_gap is not None:
-        if cert.sum_gaps != int(target_total_gap):
-            raise InvariantError("gap accounting violated: sum(p_i) != target")
-        cert.target_total_gap = int(target_total_gap)
+    target = None if target_total_gap is None else int(target_total_gap)
+    cert = _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns, target)
+    if target is not None and cert.sum_gaps != target:
+        raise InvariantError("gap accounting violated: sum(p_i) != target")
     return cert
 
 
@@ -932,8 +917,8 @@ def sublinearity_scan(
         q_eta = replace(q, eta=eta)
         eta_rows = []
         for m, n in sizes:
-            cert = ns_certificate(system, x, m, n, theta, eta, q_eta, ctx, newton_tol=newton_tol)
-            eta_rows.append(SublinearityRow(eta=eta, m=m, n=n, K=cert.K, ratio=cert.ratio, in_ball=cert.in_ball))
+            w = ns_certificate(system, x, m, n, theta, eta, q_eta, ctx, newton_tol=newton_tol).segments[0]
+            eta_rows.append(SublinearityRow(eta=eta, m=m, n=n, K=w.K, ratio=w.ratio, in_ball=w.in_ball))
         summaries[eta] = max(r.ratio for r in eta_rows[len(sizes) // 2 :])
         rows += eta_rows
     rows.sort(key=lambda r: (r.eta, r.m + r.n, r.m))

@@ -127,10 +127,11 @@ def test_criterion_5_ns_certificates(criterion5_certificates):
             good = 0
             for idx in picks:
                 cert = certs[(idx, mn)]
-                assert cert.period <= cert.m + cert.n + cert.K
-                assert len(cert.margins.j) == 2 * mn + 1
+                w = cert.segments[0]
+                assert cert.period <= w.m + w.n + w.K
+                assert len(w.margins.j) == 2 * mn + 1
                 if cert.in_ball:
-                    assert (cert.margins.distance < cert.margins.allowance).all()
+                    assert (w.margins.distance < w.margins.allowance).all()
                     good += 1
             assert good >= 9, f"{name} m=n={mn}: only {good}/10 in-ball"
         _report(5, f"{name}: >= 9/10 certificates in-ball at every size, p <= m+n+K")
@@ -140,9 +141,9 @@ def test_criterion_6_sublinearity(criterion5_certificates):
     for name, (ctx, picks, certs) in criterion5_certificates.items():
         eta = ctx.epsilon / 10
         budget = 2 * eta / ctx.epsilon + 0.15
-        mean_100 = np.mean([certs[(i, 100)].ratio for i in picks])
-        mean_800 = np.mean([certs[(i, 800)].ratio for i in picks])
-        worst_800 = max(certs[(i, 800)].ratio for i in picks)
+        mean_100 = np.mean([certs[(i, 100)].segments[0].ratio for i in picks])
+        mean_800 = np.mean([certs[(i, 800)].segments[0].ratio for i in picks])
+        worst_800 = max(certs[(i, 800)].segments[0].ratio for i in picks)
         assert mean_800 <= mean_100
         assert worst_800 <= budget
         _report(
@@ -158,14 +159,14 @@ def test_criterion_7_gns(cat, mix_ctx):
     q = SlowVaryingFn.constant(1.0, eta)
     segs = [(p, 60, 60) for p in pts]
     cert = gns_certificate(cat, segs, 0.1, eta, q, mix_ctx)
-    assert cert.all_in_ball
+    assert cert.in_ball
     assert cert.sum_gaps <= cert.gap_budget
     assert cert.pair_bound_ok
     target = cert.gap_budget + 7
     cert2 = gns_certificate(cat, segs, 0.1, eta, q, mix_ctx, target_total_gap=target)
     assert cert2.sum_gaps == target
     assert cert2.period == sum(60 + 60 + g for g in cert2.gaps)
-    assert cert2.all_in_ball
+    assert cert2.in_ball
     _report(
         7,
         f"gaps {cert.gaps} (budget {cert.gap_budget}); prescribed total {target} hit "
@@ -178,7 +179,7 @@ def test_criterion_8_mixing_periods(cat, mix_ctx):
     eta = mix_ctx.epsilon / 10
     q = SlowVaryingFn.constant(1.0, eta)
     base = ns_certificate(cat, x, 100, 100, 0.1, eta, q, mix_ctx)
-    floor = 200 + base.K
+    floor = 200 + base.segments[0].K
     periods = []
     for extra in range(5):
         cert = ns_certificate(
@@ -209,7 +210,7 @@ def test_criterion_10_plain_ball_reduction(cat, cat_ctx):
     theta = 0.05
     cert = ns_certificate(cat, x, 120, 120, theta, eta, q, cat_ctx)
     plain = np.full(241, theta)
-    assert cert.margins.allowance.tolist() == plain.tolist()
+    assert cert.segments[0].margins.allowance.tolist() == plain.tolist()
     _report(10, "q == 1 allowances are bit-identical to the plain-ball radius")
 
 

@@ -922,6 +922,15 @@ def _moved(digests, pinned):
     return sorted(name for name in digests.keys() | pinned.keys() if digests.get(name) != pinned.get(name))
 
 
+def _avx512_features():
+    """numpy's enabled X86_V4 and AVX512_* dispatch features.  The pins were
+    made with them on; without them the shadow data.csv digest moves with no
+    change to the code, so a failure names them."""
+    from numpy._core._multiarray_umath import __cpu_features__
+
+    return sorted(k for k, on in __cpu_features__.items() if on and (k == "X86_V4" or k.startswith("AVX512"))) or "none"
+
+
 def test_report_digests_pinned(tmp_path, shadow_run, standard_run, standard_gns_run):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(PERTURBED_SEED0))
@@ -968,7 +977,9 @@ def test_report_digests_pinned(tmp_path, shadow_run, standard_run, standard_gns_
         assert run_cli(["recurrence-scaling", *args, "--out", rec]) == 0
         digests[name] = hashlib.sha256((rec / "report.json").read_bytes()).hexdigest()
     moved = {"report.json": _moved(digests, REPORT_DIGESTS), "data.csv": _moved(csv_digests, CSV_DIGESTS)}
-    assert moved == {"report.json": [], "data.csv": []}, f"digests moved: {moved}"
+    assert moved == {"report.json": [], "data.csv": []}, (
+        f"digests moved: {moved}; numpy's AVX-512 dispatch features on this host: {_avx512_features()}"
+    )
 
 
 # caps the child's address space before it imports anything, so that an

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -105,6 +106,27 @@ def test_contracting_exponent_matches_gram_schmidt(system, x0, transient):
     spec = lyapunov_spectrum(system, x0, N=100_000, transient=transient)
     assert abs(spec.lambda_u - top) <= 1e-10
     assert abs(spec.exponents[0] - low) <= 1e-10
+
+
+def test_transient_keeps_no_rows(cat):
+    # the transient is walked, not stored: 10^6 rows would be 16 MB
+    tracemalloc.start()
+    try:
+        lyapunov_spectrum(cat, torus(0.3141, 0.2718), N=1000, transient=10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("transient", [1, 7, 1000])
+def test_transient_equals_a_start_at_its_last_row(all_systems, transient):
+    # x0 off the unit square on the torus: both ways must fold it alike
+    for system in all_systems:
+        x0 = np.array([1.1, -0.3] if system.space is Space.TORUS2 else [0.1, 0.1])
+        last = orbit_array(system, *x0.tolist(), n_fwd=transient)[-1]
+        spec = lyapunov_spectrum(system, x0, N=2000, transient=transient)
+        assert spec.exponents == lyapunov_spectrum(system, last, N=2000).exponents
 
 
 @pytest.mark.parametrize("K_s", [6.0, 12.0])

@@ -309,13 +309,23 @@ def test_cocycle_identity(cat):
         assert int(sub.forward[0]) == int(seq.forward[i + 1]) - t_i
 
 
-def test_return_times_keep_the_walked_orbit(cat):
+def test_return_times_keep_the_walked_orbit(cat, monkeypatch):
     # the backward walk crosses a chunk restart; the forward one stops early
+    walks = []
+
+    class Recorded(recurrence.VisitWalk):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            walks.append(self)
+
+    monkeypatch.setattr(recurrence, "VisitWalk", Recorded)
     x = torus(0.2, 0.3)
     seq = return_times(cat, x, SetSpec.ball(x, 0.1, Space.TORUS2), count_fwd=5, count_bwd=5000, horizon=5000)
-    n_bwd, n_fwd = seq.origin, len(seq.orbit) - 1 - seq.origin
+    ahead, behind = walks
+    n_bwd, n_fwd = behind.steps, ahead.steps
     assert n_bwd == 5000 and seq.forward[-1] <= n_fwd < 5000
-    assert seq.orbit.tobytes() == orbit_array(cat, *x.tolist(), n_fwd=n_fwd, n_bwd=n_bwd).tobytes()
+    walked = np.concatenate((behind.rows[::-1], x[None], ahead.rows))
+    assert walked.tobytes() == orbit_array(cat, *x.tolist(), n_fwd=n_fwd, n_bwd=n_bwd).tobytes()
 
 
 _wide = st.floats(-2.0, 2.0)

@@ -733,7 +733,7 @@ def _assert_window_matches_long_walk(system, x, m, n, eta, ctx, w, horizon=1 << 
     l1, s1, l2, s2 = indices
     t_minus, t_plus = seq.t(-(l1 + s1)), seq.t(l2 + s2)
     assert (w.indices, w.t_minus, w.t_plus) == (indices, t_minus, t_plus)
-    assert w.xs.tobytes() == seq.orbit[seq.origin + t_minus : seq.origin + t_plus + 1].tobytes()
+    assert w.xs.tobytes() == orbit_array(system, *x, n_fwd=t_plus, n_bwd=-t_minus).tobytes()
 
 
 @pytest.fixture
@@ -821,10 +821,11 @@ def test_ns_fixed_point(cat, cat_spectrum, newton_solutions, cat_exact_distance)
     ctx = fixed_point_context(cat, fp, epsilon=eps)
     eta = eps / 10
     cert = ns_certificate(cat, fp, 30, 30, 1e-6, eta, SlowVaryingFn.constant(1.0, eta), ctx)
+    w = cert.segments[0]
     assert cert.in_ball
     assert cert.z.tolist() == [0.0, 0.0]
-    assert cert.margins.distance.max() == 0.0
-    assert cert.period <= cert.m + cert.n + cert.K
+    assert w.margins.distance.max() == 0.0
+    assert cert.period <= w.m + w.n + w.K
     assert max(map(cat_exact_distance, newton_solutions)) < 1e-12
 
 
@@ -835,14 +836,15 @@ def test_window_margin_nan_and_equality_fail(cat, cat_spectrum):
     eps = 0.1 * min(abs(cat_spectrum.lambda_s), cat_spectrum.lambda_u)
     ctx = fixed_point_context(cat, fp, epsilon=eps)
     cert = ns_certificate(cat, fp, 5, 5, 1e-6, eps / 10, SlowVaryingFn.constant(1.0, eps / 10), ctx)
-    assert cert.in_ball and cert.first_violated_index is None
-    j, allowance = cert.margins.j, cert.margins.allowance
+    w = cert.segments[0]
+    assert cert.in_ball and w.first_violated_index is None
+    j, allowance = w.margins.j, w.margins.allowance
     for k, value in ((7, math.nan), (2, allowance[2])):
-        distance = cert.margins.distance.copy()
+        distance = w.margins.distance.copy()
         distance[k] = value
-        bad = replace(cert, margins=Margins(j, distance, allowance))
+        bad = replace(cert, segments=[replace(w, margins=Margins(j, distance, allowance))])
         assert not bad.in_ball
-        assert bad.first_violated_index == j[k]
+        assert bad.segments[0].first_violated_index == j[k]
         out = bad.to_json(include_margins=False)
         assert out["in_ball"] is False and out["first_violated_index"] == j[k]
 
@@ -851,10 +853,11 @@ def test_ns_generic_cat(cat, cat_ctx, cat_exact_distance):
     x = block_point(cat_ctx, 3)
     q = const_q(cat_ctx)
     cert = ns_certificate(cat, x, 100, 100, 0.05, q.eta, q, cat_ctx)
+    w = cert.segments[0]
     assert cert.in_ball
-    assert len(cert.margins.j) == 201
-    assert (cert.margins.distance < cert.margins.allowance).all()
-    assert cert.period <= 200 + cert.K
+    assert len(w.margins.j) == 201
+    assert (w.margins.distance < w.margins.allowance).all()
+    assert cert.period <= 200 + w.K
     assert cert.residual <= 1e-11
     assert not cert.below_resolution
     assert cat_exact_distance(cert.solution_points) < 1e-12
@@ -866,7 +869,7 @@ def test_ns_below_resolution(cat, cat_ctx):
     cert = ns_certificate(cat, x, 100, 100, 1e-15, q.eta, q, cat_ctx)
     assert not cert.in_ball
     assert cert.below_resolution
-    assert cert.first_violated_index is not None
+    assert cert.segments[0].first_violated_index is not None
 
 
 def test_ns_margin_dominance_chain(cat, cat_ctx):
@@ -876,11 +879,12 @@ def test_ns_margin_dominance_chain(cat, cat_ctx):
     q = const_q(cat_ctx)
     theta = 0.05
     cert = ns_certificate(cat, x, 150, 150, theta, q.eta, q, cat_ctx)
+    margins = cert.segments[0].margins
     assert cert.in_ball
     qx = q.value_rows(x[None])[0]
-    mid = theta * qx**-2 * np.exp(-2.0 * np.abs(cert.margins.j) * cert.eta)
-    assert (cert.margins.distance <= mid + 1e-15).all()
-    assert (mid <= cert.margins.allowance + 1e-15).all()
+    mid = theta * qx**-2 * np.exp(-2.0 * np.abs(margins.j) * cert.q.eta)
+    assert (margins.distance <= mid + 1e-15).all()
+    assert (mid <= margins.allowance + 1e-15).all()
 
 
 def test_ns_remark_plain_ball_reduction(cat, cat_ctx):
@@ -891,7 +895,7 @@ def test_ns_remark_plain_ball_reduction(cat, cat_ctx):
     theta = 0.04
     cert = ns_certificate(cat, x, 80, 80, theta, q.eta, q, cat_ctx)
     plain = np.full(161, theta)
-    assert cert.margins.allowance.tolist() == plain.tolist()
+    assert cert.segments[0].margins.allowance.tolist() == plain.tolist()
 
 
 def test_ns_rejects_non_slow_varying_q(cat, cat_ctx):
@@ -998,7 +1002,7 @@ def test_gns_fixed_point_pair(cat, cat_spectrum, newton_solutions, cat_exact_dis
     eta = eps / 10
     q = SlowVaryingFn.constant(1.0, eta)
     cert = gns_certificate(cat, [(fp, 20, 20), (fp, 20, 20)], 1e-6, eta, q, ctx)
-    assert cert.all_in_ball
+    assert cert.in_ball
     assert cert.z.tolist() == [0.0, 0.0]
     assert cert.sum_gaps <= cert.gap_budget
     assert cert.bookkeeping_ok
@@ -1010,7 +1014,7 @@ def test_gns_three_segments(cat, mix_ctx, newton_solutions, cat_exact_distance):
     eta = mix_ctx.epsilon / 10
     q = SlowVaryingFn.constant(1.0, eta)
     cert = gns_certificate(cat, [(p, 60, 60) for p in pts], 0.1, eta, q, mix_ctx)
-    assert cert.all_in_ball
+    assert cert.in_ball
     assert cert.sum_gaps <= cert.gap_budget
     assert cert.pair_bound_ok
     assert cert.bookkeeping_ok
@@ -1019,6 +1023,30 @@ def test_gns_three_segments(cat, mix_ctx, newton_solutions, cat_exact_distance):
     # the solver residual, so each offset lands on the margin-checked point
     assert cert.residual <= 1e-9
     assert cat_exact_distance(newton_solutions[0]) < 1e-12
+
+
+def _distances_at(system, cert, offsets):
+    # each window's distances, read from the stored cycle at the given offsets
+    return [
+        system.space.dist(cert.solution_points[(off + s.margins.j) % cert.period], s.xs[s.margins.j - s.t_minus])
+        for s, off in zip(cert.segments, offsets)
+    ]
+
+
+@pytest.mark.parametrize("system_name, ctx_name", [("cat", "mix_ctx"), ("perturbed", "perturbed_ctx")])
+def test_gns_certificate_rechecks_from_its_own_rows(request, system_name, ctx_name):
+    # the stated offsets place each window on the stored cycle: its distances
+    # come back bit for bit, and one offset moved by one step breaks them
+    system, ctx = request.getfixturevalue(system_name), request.getfixturevalue(ctx_name)
+    q = const_q(ctx)
+    cert = gns_certificate(system, [(block_point(ctx, i), 60, 60) for i in (0, 7, 13)], 0.1, q.eta, q, ctx)
+    assert cert.solution_points[0].tobytes() == cert.z.tobytes()
+    recomputed = _distances_at(system, cert, cert.offsets)
+    assert all(s.margins.distance.tobytes() == d.tobytes() for s, d in zip(cert.segments, recomputed))
+    for i in range(len(cert.offsets)):
+        moved = [off + (k == i) for k, off in enumerate(cert.offsets)]
+        d = _distances_at(system, cert, moved)[i]
+        assert cert.segments[i].margins.distance.tobytes() != d.tobytes()
 
 
 def test_gns_prescribed_total_gap(cat, mix_ctx):
@@ -1032,7 +1060,7 @@ def test_gns_prescribed_total_gap(cat, mix_ctx):
     )
     assert cert.sum_gaps == target
     assert cert.period == sum(120 + g for g in cert.gaps)
-    assert cert.all_in_ball
+    assert cert.in_ball
 
 
 def test_gns_gap_infeasible(cat, mix_ctx, cat_ctx):
@@ -1078,7 +1106,7 @@ def test_ns_mixing_consecutive_periods(cat, mix_ctx):
     eta = mix_ctx.epsilon / 10
     q = SlowVaryingFn.constant(1.0, eta)
     base = ns_certificate(cat, x, 100, 100, 0.1, eta, q, mix_ctx)
-    floor = 200 + base.K
+    floor = 200 + base.segments[0].K
     periods = []
     for extra in range(6):
         cert = ns_certificate(
@@ -1099,7 +1127,8 @@ def test_ns_exact_minimal_gap_equals_minimal_connector(cat, mix_ctx):
     x = block_point(mix_ctx, 4)
     q = const_q(mix_ctx)
     base = ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx)
-    X = int(mix_ctx.bounds.X[base.dest, base.src])
+    w = base.segments[0]
+    X = int(mix_ctx.bounds.X[w.dest, w.src])
     exact = ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx, connector_gap=X)
     assert exact.to_json(include_margins=True) == base.to_json(include_margins=True)
     assert np.array_equal(exact.solution_points, base.solution_points)
@@ -1110,18 +1139,18 @@ def test_ns_connector_gap_needs_mixing(cat, cat_ctx):
     q = const_q(cat_ctx)
     base = ns_certificate(cat, x, 100, 100, 0.05, q.eta, q, cat_ctx)
     with pytest.raises(GapInfeasibleError):
-        ns_certificate(cat, x, 100, 100, 0.05, q.eta, q, cat_ctx, connector_gap=base.connector[0])
+        ns_certificate(cat, x, 100, 100, 0.05, q.eta, q, cat_ctx, connector_gap=base.connectors[0][0])
 
 
 def test_ns_unwitnessed_exact_gap(cat, mix_ctx):
     x = block_point(mix_ctx, 4)
     q = const_q(mix_ctx)
-    base = ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx)
+    w = ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx).segments[0]
     b = mix_ctx.bounds
-    X = int(b.X[base.dest, base.src])
+    X = int(b.X[w.dest, w.src])
     # X - 1 is the largest unwitnessed gap when X > T_floor
     for gap in (X - 1 if X > b.T_floor else b.T_floor - 1, b.h_cap + 1):
-        assert b.connector(base.dest, base.src, gap) is None
+        assert b.connector(w.dest, w.src, gap) is None
         with pytest.raises(GapInfeasibleError):
             ns_certificate(cat, x, 100, 100, 0.1, q.eta, q, mix_ctx, connector_gap=gap)
 
