@@ -14,14 +14,15 @@ the contracting direction is never carried in its unstable direction.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
 from .dynamics import SystemSpec, jac_array, orbit_array, walk
 from .errors import DegeneracyError, NuspecError
+from .walker import Orbit, streamed
 
 # generic seed vector for direction transport; any vector off the invariant
 # lines works, this one is fixed for reproducibility
@@ -102,6 +103,13 @@ class PesinBlockParams:
         return cls(lam=lam, mu=mu, epsilon=epsilon_ratio * min(lam, mu), window=window)
 
 
+def spectrum_orbit(system: SystemSpec, x0, N: int, qr_period: int = 10, transient: int = 0) -> Orbit:
+    """The orbit lyapunov_spectrum reads: the n_used + 1 rows after the
+    transient, where n_used is N trimmed to a multiple of qr_period; the
+    last row is walked, so that an escape there raises, and not used."""
+    return Orbit(system, *map(float, x0), transient, N // qr_period * qr_period + 1)
+
+
 def lyapunov_spectrum(
     system: SystemSpec, x0: np.ndarray, N: int, qr_period: int = 10, transient: int = 0
 ) -> LyapunovSpectrum:
@@ -109,28 +117,34 @@ def lyapunov_spectrum(
     of one tangent vector, normalized every qr_period steps only to keep its
     norm in range (N is trimmed to a multiple of qr_period), and
     system.log_det minus it.  The walk starts at x0, folded as orbit_array
-    folds it, and drops its first transient steps, keeping none of them."""
+    folds it, and drops its first transient steps, keeping none of them.
+
+    The rows come in blocks from a walker (nuspec.walker), which walks them
+    on another CPU when it can; the Jacobians of a block are evaluated as
+    arrays, which equal the scalar ones row for row, and the tangent vector
+    is carried row by row in Python floats."""
     if N < 10 * qr_period:
         raise ValueError("need N >= 10 * qr_period")
-    x, y = system.space.fold(np.array([x0], dtype=float))[0].tolist()
-    jac = system.jac()
-    w = walk(system, x, y)
-    pts = zip(w, w)
-    for x, y in itertools.islice(pts, transient):
-        pass
-    blocks = N // qr_period
-    n_used = blocks * qr_period
-    u1, u2, acc = 1.0, 0.0, 0.0  # the tangent vector as plain floats, its log stretch
-    for _ in range(blocks):
-        for _ in range(qr_period):
-            a11, a12, a21, a22 = jac(x, y)
-            u1, u2 = a11 * u1 + a12 * u2, a21 * u1 + a22 * u2
-            x, y = next(pts)
-        r = math.hypot(u1, u2)
-        if r == 0.0:
-            raise DegeneracyError("tangent vector collapsed to zero")
-        u1, u2 = u1 / r, u2 / r
-        acc += math.log(r)
+    orbit = spectrum_orbit(system, x0, N, qr_period, transient)
+    n_used = left = orbit.count - 1
+    jac = system.jac(np)
+    u1, u2, acc, k = 1.0, 0.0, 0.0, qr_period  # the tangent vector as plain floats, its log stretch
+    with streamed(orbit) as blocks:
+        for block in blocks:
+            n = min(len(block), left)
+            left -= n
+            # a constant entry stays one float, not a list of n copies
+            cols = (c.tolist() if isinstance(c, np.ndarray) else repeat(c, n) for c in jac(block[:n, 0], block[:n, 1]))
+            for a11, a12, a21, a22 in zip(*cols):
+                u1, u2 = a11 * u1 + a12 * u2, a21 * u1 + a22 * u2
+                k -= 1
+                if not k:
+                    k = qr_period
+                    r = math.hypot(u1, u2)
+                    if r == 0.0:
+                        raise DegeneracyError("tangent vector collapsed to zero")
+                    u1, u2 = u1 / r, u2 / r
+                    acc += math.log(r)
     top = acc / n_used
     return LyapunovSpectrum.from_exponents((top, system.log_det - top), n_used)
 

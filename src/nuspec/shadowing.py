@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .dynamics import SystemSpec, jac_array, step_array
 from .errors import DegenerateOrbitError, NonConvergenceError, PreconditionError
@@ -187,6 +186,9 @@ def _solve_cyclic(jacs, rhs):
     has |det| = |det(Df^p - I)|, so the sum of log|U_ii| is
     log|det(Df^p - I)|.  Raises DegenerateOrbitError when that lies below
     log(DEGENERACY_THRESHOLD) or when the factor is exactly singular."""
+    # imported here: the runs that solve nothing do not load scipy
+    from scipy.linalg.lapack import dgbtrf, dgbtrs
+
     p = len(jacs)
     j = np.arange(p)
     # folded block order 0, p - 1, 1, p - 2, ...: block j sits at position

@@ -13,17 +13,12 @@ ns_certificate is the one-window cycle of gns_certificate.
 
 from __future__ import annotations
 
-import gc
 import math
-import mmap
-import os
-import signal
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .dynamics import Space, SystemSpec, orbit_array, walk
+from .dynamics import Space, SystemSpec, orbit_array
 from .errors import (
     ConfigError,
     GapInfeasibleError,
@@ -35,6 +30,7 @@ from .errors import (
 )
 from .recurrence import ReturnTimeSequence, SetSpec, VisitWalk
 from .shadowing import Margins, assemble, newton_refine_periodic
+from .walker import Orbit, walker
 
 _BIG = np.int64(2**62)
 
@@ -346,80 +342,6 @@ class CoverContext:
         return out
 
 
-@contextmanager
-def _orbit_in_child(system: SystemSpec, x: float, y: float, n_fwd: int):
-    """Walk orbit_array(system, x, y, n_fwd=n_fwd) in a forked child while
-    the with-block runs; yields a function that returns the orbit.
-
-    The child steps the same Python floats the parent would into a shared
-    anonymous mapping of n_fwd + 1 rows, posts the row count, 8 bytes, on a
-    pipe once every row is written, and leaves by os._exit, so it writes
-    nothing to the stdout or stderr it inherits and runs no exit handler.
-    The parent keeps the mapped rows as the orbit, with no copy.  The orbit
-    is walked inline instead when the child exits with no post, and from
-    the start when there is no os.fork, no process or mapping to spare or
-    one usable CPU.  The child is reaped before the block is left, killed
-    first if the block ends before the orbit was read, and the mapping is
-    closed unless it holds the orbit."""
-
-    def inline():
-        return orbit_array(system, x, y, n_fwd=n_fwd)
-
-    length = n_fwd + 1
-    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else ()
-    pid = None
-    if hasattr(os, "fork") and len(cpus) > 1:
-        try:
-            shared = mmap.mmap(-1, 16 * length)
-        except (OSError, ValueError, OverflowError):
-            pass  # an empty or oversized orbit: the inline walk says why
-        else:
-            rfd, wfd = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                for fd in (rfd, wfd):
-                    os.close(fd)
-                shared.close()
-    if pid is None:
-        yield inline
-        return
-    if pid == 0:
-        status = 1
-        try:
-            gc.disable()  # no finalizer of the parent's garbage runs twice
-            os.close(rfd)
-            rows = np.ndarray((length, 2), buffer=shared)
-            rows[0] = system.space.fold(np.array([x, y], dtype=float))
-            rows[1:] = np.fromiter(walk(system, *rows[0].tolist()), float, 2 * n_fwd).reshape(-1, 2)
-            os.write(wfd, length.to_bytes(8, "little"))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(wfd)
-    reaped = handed = False
-
-    def read():
-        nonlocal reaped, handed
-        post = os.read(rfd, 8)  # one write of 8 bytes, or none before the exit
-        os.waitpid(pid, 0)
-        reaped = True
-        if post != length.to_bytes(8, "little"):
-            return inline()
-        handed = True
-        return np.ndarray((length, 2), buffer=shared)
-
-    try:
-        yield read
-    finally:
-        os.close(rfd)
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-        if not handed:
-            shared.close()
-
-
 def build_cover_context(
     system: SystemSpec,
     theta: float,
@@ -438,15 +360,18 @@ def build_cover_context(
     """Assemble a certificate context: measure the spectrum, classify block
     points, net them with balls of diameter < delta (default 2*theta), and
     estimate transition bounds on one sampling orbit."""
-    from .lyapunov import PesinBlockParams, block_sample, lyapunov_spectrum
+    from .lyapunov import PesinBlockParams, block_sample, lyapunov_spectrum, spectrum_orbit
 
     _require_torus(system)
-    # the sampling orbit depends on seed + 2 alone, so a child walks it while
-    # the spectrum, block points and cover are measured here
+    # the spectrum's orbit and the sampling orbit depend on the seeds alone,
+    # so one walker walks both, in the order they are read: the spectrum is
+    # measured here while its rows arrive, then the block points and cover
+    # while the sampling orbit is walked
+    x0 = np.random.default_rng(seed).random(2)
     start = orbit_array(system, *np.random.default_rng(seed + 2).random(2), n_fwd=100)[-1]
-    with _orbit_in_child(system, *start, sampling_orbit_length - 1) as sampling_orbit:
-        rng = np.random.default_rng(seed)
-        spectrum = lyapunov_spectrum(system, rng.random(2), N=spectrum_N, qr_period=10)
+    stream = spectrum_orbit(system, x0, spectrum_N)
+    with walker(stream=stream, kept=Orbit(system, *start.tolist(), 0, sampling_orbit_length)) as w:
+        spectrum = lyapunov_spectrum(system, x0, N=spectrum_N, qr_period=10)
         params = PesinBlockParams.from_spectrum(spectrum, epsilon_ratio=epsilon_ratio, window=block_window)
         samples = block_sample(system, params, block_samples, seed=seed + 1)
         classified = [(p, k) for p, k in samples if k is not None]
@@ -455,7 +380,7 @@ def build_cover_context(
         if delta is None:
             delta = 2.0 * theta
         cover = build_cover(system, np.array([p for p, _ in classified]), delta, max_centers=max_centers)
-        orbit = sampling_orbit()
+        orbit = w.array()
     bounds = estimate_transitions(system, cover, orbit, mixing_mode=mixing_mode, T_floor=T_floor, h_cap=h_cap)
     return CoverContext(
         system=system,

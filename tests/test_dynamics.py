@@ -46,6 +46,36 @@ _ROUNDTRIP_SYSTEMS = [
 ]
 
 
+_JAC_SYSTEMS = [
+    SystemSpec.cat_map(),
+    *(SystemSpec.perturbed_cat_map(kappa) for kappa in (0.05, 0.3)),
+    *(SystemSpec.standard_map(K_s) for K_s in (1.2, 6.0, 12.0)),
+    SystemSpec.henon(1.4, 0.3),
+]
+# the torus edges, and on the plane coordinates up to the escape bound
+_EDGE = st.sampled_from([0.0, math.nextafter(1.0, 0.0), math.nextafter(0.0, 1.0), 0.25, 0.5, 0.75])
+_TORUS_COORD = _EDGE | st.floats(0.0, 1.0, exclude_max=True)
+_PLANE_COORD = _TORUS_COORD | st.floats(-1e50, 1e50) | st.sampled_from([1e50, -1e50, 3.7e24, -2.0])
+
+
+@given(
+    torus=st.lists(st.tuples(_TORUS_COORD, _TORUS_COORD), min_size=1, max_size=32),
+    plane=st.lists(st.tuples(_PLANE_COORD, _PLANE_COORD), min_size=1, max_size=32),
+)
+@settings(max_examples=200, deadline=None)
+def test_array_jacobian_rows_equal_scalar(torus, plane):
+    # the spectrum evaluates a block's Jacobians as arrays and carries the
+    # tangent vector with them, so its exponents are the scalar loop's only
+    # if numpy's cos (and products) give libm's floats row for row
+    assert {system.kind for system in _JAC_SYSTEMS} == set(_KINDS)
+    for system in _JAC_SYSTEMS:
+        rows = np.array(torus if system.space is Space.TORUS2 else plane)
+        entries = system.jac(np)(rows[:, 0], rows[:, 1])
+        got = np.column_stack([np.broadcast_to(np.asarray(e, dtype=float), len(rows)) for e in entries])
+        want = np.array([system.jac()(x, y) for x, y in rows.tolist()], dtype=float)
+        assert got.tobytes() == want.tobytes(), system
+
+
 @given(st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=1, max_size=16))
 @settings(max_examples=200, deadline=None)
 def test_round_trips(unit_rows):

@@ -1,7 +1,12 @@
+import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -390,3 +395,53 @@ def test_block_sample_error_is_first_points(henon):
     with pytest.raises(NonFiniteError) as single:
         pesin_block_index(henon, Point2(x, y, Space.PLANE), params)
     assert str(batched.value) == str(single.value)
+
+
+# the lyapunov experiment at its defaults and a context's spectrum (its seed
+# point, spectrum_N = 100 000), for each kind; prints their exponents in hex
+_SPECTRA = """
+import json, sys, tempfile
+from pathlib import Path
+import numpy as np
+from nuspec import cli
+from nuspec.dynamics import Space, SystemSpec
+from nuspec.lyapunov import lyapunov_spectrum
+
+def spectra():
+    out = []
+    for obj in json.loads(SYSTEMS):
+        system = SystemSpec.from_json(obj)
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "config.json"
+            config.write_text(json.dumps({"system": obj, "seed": 0}))
+            assert cli.main(["lyapunov", "--config", str(config), "--out", tmp + "/out"]) == 0
+            report = json.loads((Path(tmp) / "out" / "report.json").read_text())
+        out.append([float.hex(e) for e in report["results"]["exponents"]])
+        if system.space is Space.TORUS2:
+            spec = lyapunov_spectrum(system, np.random.default_rng(0).random(2), N=100_000, qr_period=10)
+            out.append([float.hex(e) for e in spec.exponents])
+    return out
+"""
+
+_SIMD_SYSTEMS = [
+    SystemSpec.cat_map(),
+    SystemSpec.perturbed_cat_map(0.05),
+    SystemSpec.standard_map(6.0),
+    SystemSpec.henon(1.4, 0.3),
+]
+
+
+def test_spectra_do_not_depend_on_numpys_simd_path():
+    # numpy picks its cos kernel by CPU; with its AVX-512 paths switched off
+    # the spectrum's array Jacobians must still give the exponents of this
+    # process, bit for bit (numpy ignores a feature name it does not know)
+    systems = json.dumps([s.to_json() for s in _SIMD_SYSTEMS])
+    ns = {"SYSTEMS": systems}
+    exec(_SPECTRA, ns)
+    want = ns["spectra"]()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src, NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    code = f"SYSTEMS = {systems!r}\n{_SPECTRA}\nprint(json.dumps(spectra()))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == want

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from nuspec import shadowing
 from nuspec.dynamics import Point2, Space, SystemSpec, jac_array, orbit_array, step_xy
@@ -187,14 +188,15 @@ def test_solve_cyclic_dense_oracle(p, perturbed, monkeypatch):
     jacs = jac_array(perturbed, rng.random((p, 2)))
     rhs = rng.standard_normal((p, 2))
     factors = []
-    dgbtrf = shadowing.dgbtrf
+    dgbtrf = lapack.dgbtrf
 
     def dgbtrf_spy(*args, **kwargs):
         out = dgbtrf(*args, **kwargs)
         factors.append(out[0])
         return out
 
-    monkeypatch.setattr(shadowing, "dgbtrf", dgbtrf_spy)
+    # _solve_cyclic imports the factorization from scipy when it runs
+    monkeypatch.setattr(lapack, "dgbtrf", dgbtrf_spy)
     delta = _solve_cyclic(jacs, rhs)
     M = _cyclic_dense(jacs)
     expected = np.linalg.solve(M, rhs.ravel()).reshape(p, 2)

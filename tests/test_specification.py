@@ -1,3 +1,4 @@
+import contextlib
 import gc
 import hashlib
 import math
@@ -20,16 +21,20 @@ from hypothesis import strategies as st
 from nuspec.dynamics import Point2, Space, SystemSpec, orbit_array, walk
 from nuspec.errors import (
     ConfigError,
+    DegeneracyError,
     GapInfeasibleError,
     IncompleteMixingError,
     InsufficientHorizonError,
     InvariantError,
+    NonFiniteError,
     PreconditionError,
     ResolutionError,
 )
 from nuspec.recurrence import ReturnTimeSequence, SetSpec
 from nuspec.shadowing import Margins, PeriodicOrbitSolution, assemble, shadowing_profile
 from nuspec import recurrence, specification
+from nuspec import walker as walker_module
+from nuspec.lyapunov import lyapunov_spectrum, spectrum_orbit
 from nuspec.specification import (
     SlowVaryingFn,
     build_cover,
@@ -438,7 +443,7 @@ def test_level_scan_rare_ball_fails_fast():
 
 
 # ---------------------------------------------------------------------------
-# sampling orbit iterated in a forked child
+# the spectrum's orbit and the sampling orbit, walked by a forked child
 
 # the gns-cert context but for a 20 000-step orbit, in CatMap mixing mode
 MIX_CONTEXT = dict(theta=0.1, block_samples=100, sampling_orbit_length=20_000, mixing_mode=True)
@@ -466,6 +471,8 @@ def _assert_no_child_left():
 
 
 def _assert_same_transitions(a, b):
+    # the block params hold the spectrum's exponents, bit for bit
+    assert a.block_params == b.block_params
     assert a.bounds.sampling_orbit.tobytes() == b.bounds.sampling_orbit.tobytes()
     assert np.array_equal(a.bounds.X, b.bounds.X) and a.bounds.M_k == b.bounds.M_k
     assert len(a.bounds.ball_times) == len(b.bounds.ball_times)
@@ -532,26 +539,58 @@ def _record_reaped(monkeypatch):
     return statuses
 
 
+def _degenerate_from_block(monkeypatch, system, block, error):
+    """From the spectrum's block-th block on, raise error in the consumer:
+    a KeyboardInterrupt, or Jacobians of zero, on which the tangent vector
+    collapses and the spectrum raises DegeneracyError itself."""
+    jac = system.jac(np)
+    calls = []
+
+    def failing(x, y):
+        calls.append(len(x))
+        if len(calls) < block:
+            return jac(x, y)
+        if error is KeyboardInterrupt:
+            raise KeyboardInterrupt
+        return (0.0,) * 4
+
+    monkeypatch.setattr(SystemSpec, "jac", lambda self, xp=math: failing if xp is np else jac)
+
+
 @pytest.mark.parametrize(
-    "system, kwargs, error",
+    "system, kwargs, error, in_spectrum",
     [
-        (SystemSpec.cat_map(), MIX_CONTEXT, None),
-        (SystemSpec.cat_map(), dict(theta=0.05, max_centers=1), ResolutionError),
-        (SystemSpec.standard_map(1.2), dict(theta=0.05), PreconditionError),
-        (SystemSpec.cat_map(), dict(theta=0.05, block_samples=20, sampling_orbit_length=600, h_cap=40), IncompleteMixingError),
-        (SystemSpec.cat_map(), dict(theta=0.05), KeyboardInterrupt),
+        (SystemSpec.cat_map(), MIX_CONTEXT, None, False),
+        (SystemSpec.cat_map(), dict(theta=0.05, max_centers=1), ResolutionError, False),
+        (SystemSpec.standard_map(1.2), dict(theta=0.05), PreconditionError, False),
+        (SystemSpec.cat_map(), dict(theta=0.05, block_samples=20, sampling_orbit_length=600, h_cap=40), IncompleteMixingError, False),
+        (SystemSpec.cat_map(), dict(theta=0.05), KeyboardInterrupt, False),
+        (SystemSpec.perturbed_cat_map(0.05), dict(theta=0.05), KeyboardInterrupt, True),
+        (SystemSpec.perturbed_cat_map(0.05), dict(theta=0.05), DegeneracyError, True),
     ],
-    ids=["built", "resolution", "no-block-points", "incomplete-mixing", "interrupted"],
+    ids=[
+        "built",
+        "resolution",
+        "no-block-points",
+        "incomplete-mixing",
+        "interrupted",
+        "interrupted-mid-stream",
+        "degenerate-mid-stream",
+    ],
 )
-def test_no_child_process_outlives_the_build(monkeypatch, system, kwargs, error):
-    # the child walks a 400k-step orbit in all but the first and fourth
-    # cases, so the error ends the build while it may still run; no shared
-    # mapping outlives the build either, unless it holds a built orbit
+def test_no_child_process_outlives_the_build(monkeypatch, system, kwargs, error, in_spectrum):
+    # the child walks the spectrum's orbit and then a 400k-step sampling
+    # orbit in all but the first and fourth cases, so the error ends the
+    # build while it may still run; no shared mapping outlives the build
+    # either, unless it holds a built orbit
     forks = _count_forks(monkeypatch)
     _usable_cpus(monkeypatch, 2)
     mappings = _record_mappings(monkeypatch)
     reaped = _record_reaped(monkeypatch)
-    if error is KeyboardInterrupt:
+    if in_spectrum:
+        # three blocks into the spectrum's stream, while the child walks it
+        _degenerate_from_block(monkeypatch, system, 3, error)
+    elif error is KeyboardInterrupt:
         # at the first step after the fork, long before the child's walk ends
         monkeypatch.setattr("nuspec.lyapunov.lyapunov_spectrum", _interrupted)
     if error is None:
@@ -565,7 +604,7 @@ def test_no_child_process_outlives_the_build(monkeypatch, system, kwargs, error)
         del caught
     assert len(forks) == 1
     _assert_no_child_left()
-    if error is KeyboardInterrupt:
+    if error is KeyboardInterrupt or in_spectrum:
         # killed, not waited for
         assert len(reaped) == 1 and os.WIFSIGNALED(reaped[0]) and os.WTERMSIG(reaped[0]) == signal.SIGKILL
     assert len(mappings) == 1
@@ -573,24 +612,34 @@ def test_no_child_process_outlives_the_build(monkeypatch, system, kwargs, error)
     assert mappings[0]() is None
 
 
-@pytest.mark.parametrize("failure", ["exit", "short"])
+@pytest.mark.parametrize("failure", ["exit", "short", "kept-short"])
 def test_failed_child_falls_back_inline(monkeypatch, inline_mix_ctx, failure):
-    # the child exits nonzero before it walks, or exits cleanly after
-    # walking too few rows; either way the parent walks the orbit itself
+    # the child exits nonzero before it walks; or exits cleanly after
+    # walking 10 000 rows of the spectrum's orbit, which the parent then
+    # continues from the last row posted; or walks that whole orbit and
+    # exits cleanly after 10 000 rows of the sampling orbit.  Either way
+    # the parent walks the rest itself, to the same floats
     parent = os.getpid()
+    walks = []
 
     def walk_in_parent_only(*args, **kwargs):
         if os.getpid() == parent:
             return walk(*args, **kwargs)
+        walks.append(args)
         if failure == "exit":
             os._exit(3)
-        return _exit_cleanly_after(walk(*args, **kwargs), 10_000)
+        if failure == "short" or len(walks) == 2:
+            return _exit_cleanly_after(walk(*args, **kwargs), 10_000)
+        return walk(*args, **kwargs)
 
-    monkeypatch.setattr(specification, "walk", walk_in_parent_only)
+    monkeypatch.setattr(walker_module, "walk", walk_in_parent_only)
     forks = _count_forks(monkeypatch)
     _usable_cpus(monkeypatch, 2)
+    reaped = _record_reaped(monkeypatch)
     ctx = build_cover_context(SystemSpec.cat_map(), **MIX_CONTEXT)
     assert len(forks) == 1
+    assert len(reaped) == 1 and os.WIFEXITED(reaped[0])
+    assert os.WEXITSTATUS(reaped[0]) == (3 if failure == "exit" else 0)
     _assert_no_child_left()
     _assert_same_transitions(ctx, inline_mix_ctx)
 
@@ -632,12 +681,133 @@ def test_forked_orbit_is_the_mapped_rows(monkeypatch, cat, length):
     # the parent keeps the rows the child wrote into the mapping, with no copy
     forks = _count_forks(monkeypatch)
     _usable_cpus(monkeypatch, 2)
-    with specification._orbit_in_child(cat, 1.3, 0.7, length - 1) as sampling_orbit:
-        orbit = sampling_orbit()
+    with walker_module.walker(kept=walker_module.Orbit(cat, 1.3, 0.7, 0, length)) as w:
+        orbit = w.array()
     assert len(forks) == 1
     _assert_no_child_left()
     assert isinstance(orbit.base, mmap.mmap)
     assert orbit.tobytes() == orbit_array(cat, 1.3, 0.7, n_fwd=length - 1).tobytes()
+
+
+def _real_cpus():
+    cpus = os.sched_getaffinity(0)
+    if len(cpus) < 2:
+        pytest.skip("needs two usable CPUs")
+    return cpus
+
+
+@pytest.mark.parametrize("error", [None, DegeneracyError])
+def test_walker_runs_off_the_parents_cpu(perturbed, error):
+    # while the walker lives, the parent's thread holds one CPU and the child
+    # the others; the parent's own affinity comes back, also after an error
+    cpus = _real_cpus()
+    orbit = spectrum_orbit(perturbed, (0.3, 0.2), 100_000)
+    with pytest.raises(DegeneracyError) if error else contextlib.nullcontext():
+        with walker_module.walker(stream=orbit) as w:
+            next(w.blocks())  # the child pins itself before its first post
+            mine, child = os.sched_getaffinity(0), os.sched_getaffinity(w.pid)
+            if error:
+                raise error("in the with-block")
+    assert len(mine) == 1 and not mine & child and mine | child == cpus
+    assert os.sched_getaffinity(0) == cpus
+    _assert_no_child_left()
+
+
+def test_spectrum_streams_from_the_walker_it_is_given(monkeypatch, perturbed):
+    # a spectrum inside a walker that streams its orbit reads the child's
+    # rows; any other spectrum there walks inline, so a run has one child
+    forks = _count_forks(monkeypatch)
+    _usable_cpus(monkeypatch, 2)
+    x0 = np.array([0.3, 0.2])
+    with walker_module.walker(stream=spectrum_orbit(perturbed, x0, 20_000)) as w:
+        other = lyapunov_spectrum(perturbed, x0, N=10_000)
+        assert not w.claimed
+        mine = lyapunov_spectrum(perturbed, x0, N=20_000)
+        assert w.claimed
+    assert len(forks) == 1
+    _assert_no_child_left()
+    _usable_cpus(monkeypatch, 1)
+    assert mine == lyapunov_spectrum(perturbed, x0, N=20_000)
+    assert other == lyapunov_spectrum(perturbed, x0, N=10_000)
+
+
+@pytest.mark.parametrize("rows", [1, 1_000, 4_000, 4_001])
+def test_spectrum_continues_inline_after_the_child_exits(monkeypatch, perturbed, rows):
+    # the child leaves after walking the given rows: inside the 7-step
+    # transient, at the end of the first and fourth blocks of 1 000 rows
+    # after the one-row first block, and one row into the fifth; the
+    # exponents are bitwise the inline ones
+    x0 = np.array([0.3, 0.2])
+    _usable_cpus(monkeypatch, 1)
+    inline = lyapunov_spectrum(perturbed, x0, N=20_000, transient=7)
+    parent = os.getpid()
+
+    def walk_in_parent_only(*args, **kwargs):
+        w = walk(*args, **kwargs)
+        return w if os.getpid() == parent else _exit_cleanly_after(w, rows)
+
+    monkeypatch.setattr(walker_module, "walk", walk_in_parent_only)
+    monkeypatch.setattr(walker_module, "BLOCK", 1000)
+    forks = _count_forks(monkeypatch)
+    reaped = _record_reaped(monkeypatch)
+    _usable_cpus(monkeypatch, 2)
+    assert lyapunov_spectrum(perturbed, x0, N=20_000, transient=7) == inline
+    assert len(forks) == 1 and len(reaped) == 1
+    assert os.WIFEXITED(reaped[0]) and os.WEXITSTATUS(reaped[0]) == 0
+    _assert_no_child_left()
+
+
+# a Henon point past the boundary crisis (a = 1.43): its orbit wanders for
+# 636 steps before it escapes
+_LATE_ESCAPE = (SystemSpec.henon(1.43, 0.3), np.array([0.05994237810747696, 0.08453744423953169]))
+
+
+def test_henon_escape_in_the_child_raises_as_inline(monkeypatch):
+    system, x0 = _LATE_ESCAPE
+    _usable_cpus(monkeypatch, 1)
+    with pytest.raises(NonFiniteError) as inline:
+        lyapunov_spectrum(system, x0, N=10_000)
+    # blocks of 64 rows in a ring of 2: the escape is ten blocks and a few
+    # ring laps into the stream
+    monkeypatch.setattr(walker_module, "BLOCK", 64)
+    monkeypatch.setattr(walker_module, "_SLOTS", 2)
+    forks = _count_forks(monkeypatch)
+    reaped = _record_reaped(monkeypatch)
+    _usable_cpus(monkeypatch, 2)
+    with pytest.raises(NonFiniteError) as forked:
+        lyapunov_spectrum(system, x0, N=10_000)
+    assert str(forked.value) == str(inline.value)
+    assert "escaped" in str(forked.value)
+    # the child met the escape and exited with status 1; it was not killed
+    assert len(forks) == 1 and len(reaped) == 1
+    assert os.WIFEXITED(reaped[0]) and os.WEXITSTATUS(reaped[0]) == 1
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("block, slots", [(1, 1), (7, 1), (7, 2), (64, 3), (1000, 5)])
+def test_ring_wraps_at_any_length(monkeypatch, block, slots):
+    # the stream laps a small ring many times; each spectrum's one mapping
+    # is the ring, and the exponents are bitwise the inline ones
+    system = SystemSpec.standard_map(6.0)
+    x0 = np.array([0.3, 0.2])
+    _usable_cpus(monkeypatch, 1)
+    inline = lyapunov_spectrum(system, x0, N=5_000, qr_period=7, transient=3)
+    monkeypatch.setattr(walker_module, "BLOCK", block)
+    monkeypatch.setattr(walker_module, "_SLOTS", slots)
+    sizes = []
+    mmap_type = mmap.mmap
+
+    class Recorded(mmap_type):
+        def __new__(cls, fileno, length, *args, **kwargs):
+            sizes.append(length)
+            return super().__new__(cls, fileno, length, *args, **kwargs)
+
+    monkeypatch.setattr(mmap, "mmap", Recorded)
+    forks = _count_forks(monkeypatch)
+    _usable_cpus(monkeypatch, 2)
+    assert lyapunov_spectrum(system, x0, N=5_000, qr_period=7, transient=3) == inline
+    assert len(forks) == 1 and sizes == [16 * block * slots]
+    _assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------
