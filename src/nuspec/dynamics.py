@@ -316,6 +316,14 @@ def walk(system: SystemSpec, x, y, forward: bool = True, xp=math):
     return (forward_walk if forward else inverse_walk)(x, y)
 
 
+def walk_rows(w, count: int, size: int):
+    """The next count rows of the walk w, as (n, 2) arrays of at most size
+    rows.  The one walk goes on from array to array, so the rows are the
+    floats of one orbit_array call."""
+    for t in range(0, count, size):
+        yield np.fromiter(w, float, 2 * min(size, count - t)).reshape(-1, 2)
+
+
 def orbit_array(system: SystemSpec, x: float, y: float, n_fwd: int, n_bwd: int = 0) -> np.ndarray:
     """Orbit window as an (n_bwd + n_fwd + 1, 2) array; row i is f^(i - n_bwd)."""
     if n_fwd < 0 or n_bwd < 0:

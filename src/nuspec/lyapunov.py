@@ -15,6 +15,7 @@ the contracting direction is never carried in its unstable direction.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -22,7 +23,7 @@ import numpy as np
 
 from .dynamics import SystemSpec, jac_array, orbit_array, walk
 from .errors import DegeneracyError, NuspecError
-from .walker import Orbit, streamed
+from .walker import Orbit, Walker
 
 # generic seed vector for direction transport; any vector off the invariant
 # lines works, this one is fixed for reproducibility
@@ -111,7 +112,7 @@ def spectrum_orbit(system: SystemSpec, x0, N: int, qr_period: int = 10, transien
 
 
 def lyapunov_spectrum(
-    system: SystemSpec, x0: np.ndarray, N: int, qr_period: int = 10, transient: int = 0
+    system: SystemSpec, x0: np.ndarray, N: int, qr_period: int = 10, transient: int = 0, walker: Walker | None = None
 ) -> LyapunovSpectrum:
     """Both exponents along the orbit of x0 over N steps: the mean log stretch
     of one tangent vector, normalized every qr_period steps only to keep its
@@ -119,18 +120,23 @@ def lyapunov_spectrum(
     system.log_det minus it.  The walk starts at x0, folded as orbit_array
     folds it, and drops its first transient steps, keeping none of them.
 
-    The rows come in blocks from a walker (nuspec.walker), which walks them
-    on another CPU when it can; the Jacobians of a block are evaluated as
-    arrays, which equal the scalar ones row for row, and the tangent vector
-    is carried row by row in Python floats."""
+    The rows come in blocks from walker, which must stream
+    spectrum_orbit(system, x0, N, qr_period, transient) (ValueError
+    otherwise), or, with no walker given, from a walker of its own
+    (nuspec.walker), which walks them on another CPU when it can.  The
+    Jacobians of a block are evaluated as arrays, which equal the scalar
+    ones row for row, and the tangent vector is carried row by row in
+    Python floats."""
     if N < 10 * qr_period:
         raise ValueError("need N >= 10 * qr_period")
     orbit = spectrum_orbit(system, x0, N, qr_period, transient)
+    if walker is not None and walker.stream != orbit:
+        raise ValueError(f"the walker streams {walker.stream}, not the spectrum's orbit {orbit}")
     n_used = left = orbit.count - 1
     jac = system.jac(np)
     u1, u2, acc, k = 1.0, 0.0, 0.0, qr_period  # the tangent vector as plain floats, its log stretch
-    with streamed(orbit) as blocks:
-        for block in blocks:
+    with Walker(stream=orbit) if walker is None else nullcontext(walker) as w:
+        for block in w.blocks():
             n = min(len(block), left)
             left -= n
             # a constant entry stays one float, not a list of n copies

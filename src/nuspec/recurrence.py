@@ -33,6 +33,7 @@ from .dynamics import (
     SystemSpec,
     step_array,
     walk,
+    walk_rows,
 )
 from .errors import PreconditionError
 
@@ -43,6 +44,8 @@ _CAT_VU /= np.linalg.norm(_CAT_VU)
 
 # points one incidence step tests at a time; bounds its temporaries
 _EVENT_CHUNK = 1 << 14
+# rows a visit walk takes per array
+_WALK_CHUNK = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,14 +189,6 @@ def _walk_from(system, x, forward=True):
     return walk(system, *system.space.fold(np.array(x, dtype=float)).tolist(), forward)
 
 
-def _orbit_chunks(w, steps, chunk=4096):
-    """The next `steps` points of the walk w, as (n, 2) arrays of up to chunk
-    rows.  The one walk goes on from chunk to chunk, so the rows are the
-    floats of one orbit_array call."""
-    for t in range(0, steps, chunk):
-        yield np.fromiter(w, float, 2 * min(chunk, steps - t)).reshape(-1, 2)
-
-
 class VisitWalk:
     """The visit times of x to gamma one way, walked as far as asked: times
     lists them ascending as positive step counts, and rows[t - 1] is
@@ -209,7 +204,7 @@ class VisitWalk:
         """Walk on to horizon steps in all, or to the end of the chunk that
         lists the count-th visit."""
         left = horizon - self.steps if len(self.times) < count else 0
-        for pts in _orbit_chunks(self._walk, left):
+        for pts in walk_rows(self._walk, left, _WALK_CHUNK):
             hits = np.flatnonzero(self._gamma.membership_rows(pts))[: count - len(self.times)]
             self.times += (hits + (self.steps + 1)).tolist()
             self._rows.append(pts)
@@ -447,6 +442,6 @@ def birkhoff_indicator_average(system: SystemSpec, x: np.ndarray, gamma: SetSpec
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
     count = int(gamma.membership(x))
-    for pts in _orbit_chunks(_walk_from(system, x), horizon - 1):
+    for pts in walk_rows(_walk_from(system, x), horizon - 1, _WALK_CHUNK):
         count += int(gamma.membership_rows(pts).sum())
     return count / horizon

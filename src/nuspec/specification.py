@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .errors import (
 )
 from .recurrence import ReturnTimeSequence, SetSpec, VisitWalk
 from .shadowing import Margins, assemble, newton_refine_periodic
-from .walker import Orbit, walker
+from .walker import Orbit, Walker
 
 _BIG = np.int64(2**62)
 
@@ -264,7 +265,7 @@ def _level_scan(times: np.ndarray, n_events: np.ndarray, T_floor: int, h_cap: in
     words = _ball_words(times, ball, r, h_cap)  # the padding keeps t +- h inside
     levels = np.arange(h_cap, T_floor - 1, -1) if mixing else np.arange(T_floor, h_cap + 1)
     # a min-gap level misses most pairs, so a prefix would spare it no join
-    prefix = _prefix_hits(words, times, ball, r, levels, h_cap) if mixing else (np.zeros((r, r), bool) for _ in levels)
+    prefix = _prefix_hits(words, times, ball, r, levels, h_cap) if mixing else repeat(np.zeros((r, r), bool))
     for h, hit in zip(levels.tolist(), prefix):
         if not open_pairs.any():
             break
@@ -366,12 +367,11 @@ def build_cover_context(
     # the spectrum's orbit and the sampling orbit depend on the seeds alone,
     # so one walker walks both, in the order they are read: the spectrum is
     # measured here while its rows arrive, then the block points and cover
-    # while the sampling orbit is walked
+    # while the sampling orbit is walked, from 100 steps past its seed
     x0 = np.random.default_rng(seed).random(2)
-    start = orbit_array(system, *np.random.default_rng(seed + 2).random(2), n_fwd=100)[-1]
-    stream = spectrum_orbit(system, x0, spectrum_N)
-    with walker(stream=stream, kept=Orbit(system, *start.tolist(), 0, sampling_orbit_length)) as w:
-        spectrum = lyapunov_spectrum(system, x0, N=spectrum_N, qr_period=10)
+    kept = Orbit(system, *np.random.default_rng(seed + 2).random(2), 100, sampling_orbit_length)
+    with Walker(spectrum_orbit(system, x0, spectrum_N), kept) as w:
+        spectrum = lyapunov_spectrum(system, x0, N=spectrum_N, qr_period=10, walker=w)
         params = PesinBlockParams.from_spectrum(spectrum, epsilon_ratio=epsilon_ratio, window=block_window)
         samples = block_sample(system, params, block_samples, seed=seed + 1)
         classified = [(p, k) for p, k in samples if k is not None]

@@ -465,9 +465,15 @@ def _count_forks(monkeypatch):
     return forks
 
 
-def _assert_no_child_left():
+def _open_fds():
+    return sorted(os.listdir("/proc/self/fd"))
+
+
+def _assert_no_child_left(fds):
+    # no child is left to reap, and no descriptor the walker opened is open
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+    assert _open_fds() == fds
 
 
 def _assert_same_transitions(a, b):
@@ -496,11 +502,12 @@ def inline_mix_ctx():
     ids=["perturbed-seed0", "perturbed-seed1", "cat-mixing"],
 )
 def test_forked_sampling_orbit_matches_inline(monkeypatch, system, kwargs):
+    fds = _open_fds()
     forks = _count_forks(monkeypatch)
     _usable_cpus(monkeypatch, 2)
     forked = build_cover_context(system, **kwargs)
     assert len(forks) == 1
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
     _usable_cpus(monkeypatch, 1)
     inline = build_cover_context(system, **kwargs)
     assert len(forks) == 1
@@ -582,7 +589,8 @@ def test_no_child_process_outlives_the_build(monkeypatch, system, kwargs, error,
     # the child walks the spectrum's orbit and then a 400k-step sampling
     # orbit in all but the first and fourth cases, so the error ends the
     # build while it may still run; no shared mapping outlives the build
-    # either, unless it holds a built orbit
+    # either, unless it holds a built orbit, and no pipe
+    fds = _open_fds()
     forks = _count_forks(monkeypatch)
     _usable_cpus(monkeypatch, 2)
     mappings = _record_mappings(monkeypatch)
@@ -603,7 +611,7 @@ def test_no_child_process_outlives_the_build(monkeypatch, system, kwargs, error,
             assert mappings[0]().closed
         del caught
     assert len(forks) == 1
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
     if error is KeyboardInterrupt or in_spectrum:
         # killed, not waited for
         assert len(reaped) == 1 and os.WIFSIGNALED(reaped[0]) and os.WTERMSIG(reaped[0]) == signal.SIGKILL
@@ -616,9 +624,11 @@ def test_no_child_process_outlives_the_build(monkeypatch, system, kwargs, error,
 def test_failed_child_falls_back_inline(monkeypatch, inline_mix_ctx, failure):
     # the child exits nonzero before it walks; or exits cleanly after
     # walking 10 000 rows of the spectrum's orbit, which the parent then
-    # continues from the last row posted; or walks that whole orbit and
-    # exits cleanly after 10 000 rows of the sampling orbit.  Either way
-    # the parent walks the rest itself, to the same floats
+    # continues from the last row written; or walks that whole orbit and
+    # its sampling orbit's 100-step warm-up, and exits cleanly after 10 000
+    # rows of the sampling orbit.  Either way the parent walks the rest
+    # itself, to the same floats
+    fds = _open_fds()
     parent = os.getpid()
     walks = []
 
@@ -628,7 +638,7 @@ def test_failed_child_falls_back_inline(monkeypatch, inline_mix_ctx, failure):
         walks.append(args)
         if failure == "exit":
             os._exit(3)
-        if failure == "short" or len(walks) == 2:
+        if failure == "short" or len(walks) > 1:
             return _exit_cleanly_after(walk(*args, **kwargs), 10_000)
         return walk(*args, **kwargs)
 
@@ -640,12 +650,12 @@ def test_failed_child_falls_back_inline(monkeypatch, inline_mix_ctx, failure):
     assert len(forks) == 1
     assert len(reaped) == 1 and os.WIFEXITED(reaped[0])
     assert os.WEXITSTATUS(reaped[0]) == (3 if failure == "exit" else 0)
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
     _assert_same_transitions(ctx, inline_mix_ctx)
 
 
 def _exit_cleanly_after(w, rows):
-    # the child writes some rows but posts no row count, and leaves with status 0
+    # the child writes some rows but no row count, and leaves with status 0
     for i, v in enumerate(w):
         if i == 2 * rows:
             os._exit(0)
@@ -662,6 +672,7 @@ def _mmap_refused(*args, **kwargs):
 
 @pytest.mark.parametrize("reason", ["one-cpu", "no-fork", "fork-refused", "mmap-refused"])
 def test_sampling_orbit_inline_without_a_second_cpu_or_fork(monkeypatch, inline_mix_ctx, reason):
+    fds = _open_fds()
     forks = _count_forks(monkeypatch)
     _usable_cpus(monkeypatch, 1 if reason == "one-cpu" else 2)
     if reason == "no-fork":
@@ -672,19 +683,20 @@ def test_sampling_orbit_inline_without_a_second_cpu_or_fork(monkeypatch, inline_
         monkeypatch.setattr(mmap, "mmap", _mmap_refused)
     ctx = build_cover_context(SystemSpec.cat_map(), **MIX_CONTEXT)
     assert forks == []
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
     _assert_same_transitions(ctx, inline_mix_ctx)
 
 
 @pytest.mark.parametrize("length", [10_000, 1])
 def test_forked_orbit_is_the_mapped_rows(monkeypatch, cat, length):
     # the parent keeps the rows the child wrote into the mapping, with no copy
+    fds = _open_fds()
     forks = _count_forks(monkeypatch)
     _usable_cpus(monkeypatch, 2)
-    with walker_module.walker(kept=walker_module.Orbit(cat, 1.3, 0.7, 0, length)) as w:
+    with walker_module.Walker(kept=walker_module.Orbit(cat, 1.3, 0.7, 0, length)) as w:
         orbit = w.array()
     assert len(forks) == 1
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
     assert isinstance(orbit.base, mmap.mmap)
     assert orbit.tobytes() == orbit_array(cat, 1.3, 0.7, n_fwd=length - 1).tobytes()
 
@@ -701,34 +713,46 @@ def test_walker_runs_off_the_parents_cpu(perturbed, error):
     # while the walker lives, the parent's thread holds one CPU and the child
     # the others; the parent's own affinity comes back, also after an error
     cpus = _real_cpus()
+    fds = _open_fds()
     orbit = spectrum_orbit(perturbed, (0.3, 0.2), 100_000)
     with pytest.raises(DegeneracyError) if error else contextlib.nullcontext():
-        with walker_module.walker(stream=orbit) as w:
-            next(w.blocks())  # the child pins itself before its first post
+        with walker_module.Walker(stream=orbit) as w:
+            next(w.blocks())  # the child pins itself before its first write
             mine, child = os.sched_getaffinity(0), os.sched_getaffinity(w.pid)
             if error:
                 raise error("in the with-block")
     assert len(mine) == 1 and not mine & child and mine | child == cpus
     assert os.sched_getaffinity(0) == cpus
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
 
 
 def test_spectrum_streams_from_the_walker_it_is_given(monkeypatch, perturbed):
-    # a spectrum inside a walker that streams its orbit reads the child's
-    # rows; any other spectrum there walks inline, so a run has one child
+    # a spectrum given a walker reads the child's rows and walks none
+    # itself; a walker that streams another orbit is refused
+    x0 = np.array([0.3, 0.2])
+    _usable_cpus(monkeypatch, 1)
+    inline = lyapunov_spectrum(perturbed, x0, N=20_000)
+    fds = _open_fds()
+    parent = os.getpid()
+
+    def walk_in_child_only(*args, **kwargs):
+        # the parent may make a walk, as for the zero rows after the child's
+        # last, but takes no step of it
+        if os.getpid() == parent:
+            yield pytest.fail("the parent walked")
+        yield from walk(*args, **kwargs)
+
+    monkeypatch.setattr(walker_module, "walk", walk_in_child_only)
     forks = _count_forks(monkeypatch)
     _usable_cpus(monkeypatch, 2)
-    x0 = np.array([0.3, 0.2])
-    with walker_module.walker(stream=spectrum_orbit(perturbed, x0, 20_000)) as w:
-        other = lyapunov_spectrum(perturbed, x0, N=10_000)
-        assert not w.claimed
-        mine = lyapunov_spectrum(perturbed, x0, N=20_000)
-        assert w.claimed
+    with walker_module.Walker(stream=spectrum_orbit(perturbed, x0, 20_000)) as w:
+        with pytest.raises(ValueError, match="not the spectrum's orbit"):
+            lyapunov_spectrum(perturbed, x0, N=10_000, walker=w)
+        with pytest.raises(ValueError, match="not the spectrum's orbit"):
+            lyapunov_spectrum(perturbed, x0, N=20_000, transient=1, walker=w)
+        assert lyapunov_spectrum(perturbed, x0, N=20_000, walker=w) == inline
     assert len(forks) == 1
-    _assert_no_child_left()
-    _usable_cpus(monkeypatch, 1)
-    assert mine == lyapunov_spectrum(perturbed, x0, N=20_000)
-    assert other == lyapunov_spectrum(perturbed, x0, N=10_000)
+    _assert_no_child_left(fds)
 
 
 @pytest.mark.parametrize("rows", [1, 1_000, 4_000, 4_001])
@@ -740,6 +764,7 @@ def test_spectrum_continues_inline_after_the_child_exits(monkeypatch, perturbed,
     x0 = np.array([0.3, 0.2])
     _usable_cpus(monkeypatch, 1)
     inline = lyapunov_spectrum(perturbed, x0, N=20_000, transient=7)
+    fds = _open_fds()
     parent = os.getpid()
 
     def walk_in_parent_only(*args, **kwargs):
@@ -754,7 +779,41 @@ def test_spectrum_continues_inline_after_the_child_exits(monkeypatch, perturbed,
     assert lyapunov_spectrum(perturbed, x0, N=20_000, transient=7) == inline
     assert len(forks) == 1 and len(reaped) == 1
     assert os.WIFEXITED(reaped[0]) and os.WEXITSTATUS(reaped[0]) == 0
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
+
+
+@pytest.mark.parametrize("cut", [8, 16 * 501 + 8, math.inf])
+def test_spectrum_continues_from_the_last_whole_row(monkeypatch, perturbed, cut):
+    # the child's writes take 24 bytes, a row and a half, at a time, so the
+    # parent's reads end mid-row; past cut bytes, half a row into its
+    # one-row first block or into the 501st row after it, the child exits
+    # cleanly.  The parent keeps whole rows only, continues inline from the
+    # last one, and the exponents are bitwise the inline ones
+    x0 = np.array([0.3, 0.2])
+    _usable_cpus(monkeypatch, 1)
+    inline = lyapunov_spectrum(perturbed, x0, N=20_000, transient=7)
+    fds = _open_fds()
+    parent = os.getpid()
+    write = os.write
+    written = []
+
+    def short_writes(fd, data):
+        if os.getpid() == parent:
+            return write(fd, data)
+        written.append(write(fd, data[: min(24, cut - sum(written))]))
+        if sum(written) >= cut:
+            os._exit(0)
+        return written[-1]
+
+    monkeypatch.setattr(os, "write", short_writes)
+    forks = _count_forks(monkeypatch)
+    reaped = _record_reaped(monkeypatch)
+    _usable_cpus(monkeypatch, 2)
+    assert lyapunov_spectrum(perturbed, x0, N=20_000, transient=7) == inline
+    assert len(forks) == 1 and len(reaped) == 1
+    if cut < math.inf:
+        assert os.WIFEXITED(reaped[0]) and os.WEXITSTATUS(reaped[0]) == 0
+    _assert_no_child_left(fds)
 
 
 # a Henon point past the boundary crisis (a = 1.43): its orbit wanders for
@@ -767,10 +826,9 @@ def test_henon_escape_in_the_child_raises_as_inline(monkeypatch):
     _usable_cpus(monkeypatch, 1)
     with pytest.raises(NonFiniteError) as inline:
         lyapunov_spectrum(system, x0, N=10_000)
-    # blocks of 64 rows in a ring of 2: the escape is ten blocks and a few
-    # ring laps into the stream
+    fds = _open_fds()
+    # blocks of 64 rows: the escape is ten blocks into the stream
     monkeypatch.setattr(walker_module, "BLOCK", 64)
-    monkeypatch.setattr(walker_module, "_SLOTS", 2)
     forks = _count_forks(monkeypatch)
     reaped = _record_reaped(monkeypatch)
     _usable_cpus(monkeypatch, 2)
@@ -781,19 +839,19 @@ def test_henon_escape_in_the_child_raises_as_inline(monkeypatch):
     # the child met the escape and exited with status 1; it was not killed
     assert len(forks) == 1 and len(reaped) == 1
     assert os.WIFEXITED(reaped[0]) and os.WEXITSTATUS(reaped[0]) == 1
-    _assert_no_child_left()
+    _assert_no_child_left(fds)
 
 
-@pytest.mark.parametrize("block, slots", [(1, 1), (7, 1), (7, 2), (64, 3), (1000, 5)])
-def test_ring_wraps_at_any_length(monkeypatch, block, slots):
-    # the stream laps a small ring many times; each spectrum's one mapping
-    # is the ring, and the exponents are bitwise the inline ones
+@pytest.mark.parametrize("block", [1, 7, 64, 1000])
+def test_blocks_of_any_size_through_the_pipe(monkeypatch, block):
+    # the stream goes through the pipe in blocks of any size, and makes no
+    # mapping; the exponents are bitwise the inline ones
     system = SystemSpec.standard_map(6.0)
     x0 = np.array([0.3, 0.2])
     _usable_cpus(monkeypatch, 1)
     inline = lyapunov_spectrum(system, x0, N=5_000, qr_period=7, transient=3)
+    fds = _open_fds()
     monkeypatch.setattr(walker_module, "BLOCK", block)
-    monkeypatch.setattr(walker_module, "_SLOTS", slots)
     sizes = []
     mmap_type = mmap.mmap
 
@@ -806,8 +864,8 @@ def test_ring_wraps_at_any_length(monkeypatch, block, slots):
     forks = _count_forks(monkeypatch)
     _usable_cpus(monkeypatch, 2)
     assert lyapunov_spectrum(system, x0, N=5_000, qr_period=7, transient=3) == inline
-    assert len(forks) == 1 and sizes == [16 * block * slots]
-    _assert_no_child_left()
+    assert len(forks) == 1 and sizes == []
+    _assert_no_child_left(fds)
 
 
 # ---------------------------------------------------------------------------
