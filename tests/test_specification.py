@@ -842,29 +842,38 @@ def test_henon_escape_in_the_child_raises_as_inline(monkeypatch):
     _assert_no_child_left(fds)
 
 
-@pytest.mark.parametrize("block", [1, 7, 64, 1000])
-def test_blocks_of_any_size_through_the_pipe(monkeypatch, block):
-    # the stream goes through the pipe in blocks of any size, and makes no
-    # mapping; the exponents are bitwise the inline ones
+@pytest.mark.parametrize("block, pieces", [(1, 1), (7, 1), (7, 2), (64, 3), (1000, 5)])
+def test_ring_wraps_at_any_length(monkeypatch, block, pieces):
+    # the stream laps the pipe's buffer many times, in blocks of any size and
+    # with each read cut to about 1/pieces of what it asks, so reads end
+    # mid-row; no mapping is made and the exponents are bitwise the inline ones
     system = SystemSpec.standard_map(6.0)
     x0 = np.array([0.3, 0.2])
     _usable_cpus(monkeypatch, 1)
     inline = lyapunov_spectrum(system, x0, N=5_000, qr_period=7, transient=3)
     fds = _open_fds()
     monkeypatch.setattr(walker_module, "BLOCK", block)
-    sizes = []
+    sizes, reads = [], []
     mmap_type = mmap.mmap
+    read = os.read
 
     class Recorded(mmap_type):
         def __new__(cls, fileno, length, *args, **kwargs):
             sizes.append(length)
             return super().__new__(cls, fileno, length, *args, **kwargs)
 
+    def cut(fd, n):
+        got = read(fd, min(n, n // pieces + 1))
+        reads.append(len(got))
+        return got
+
     monkeypatch.setattr(mmap, "mmap", Recorded)
+    monkeypatch.setattr(os, "read", cut)
     forks = _count_forks(monkeypatch)
     _usable_cpus(monkeypatch, 2)
     assert lyapunov_spectrum(system, x0, N=5_000, qr_period=7, transient=3) == inline
     assert len(forks) == 1 and sizes == []
+    assert any(n % 16 for n in reads) == (pieces > 1)
     _assert_no_child_left(fds)
 
 
