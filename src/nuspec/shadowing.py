@@ -6,19 +6,20 @@ an arc's last row meets the next arc's first row, and the last arc's meets
 the first arc's, up to the junction gap delta.  Its period is sum(n_i).
 
 The refinement solves the full cyclic system z_{j+1} = f(z_j) (indices mod p)
-for all p points at once.  The linearized step is a block-bidiagonal system
-with one corner block.  Taken in the folded block order 0, p - 1, 1, p - 2,
-..., every coupled pair of blocks, the corner included, is at most two
-blocks apart, so the 2p x 2p matrix is banded with 4 sub- and 4
-superdiagonals; it is solved by a banded LU factorization with partial
-pivoting (LAPACK dgbtrf/dgbtrs).  Eliminating the cycle down to a single 2x2
-system would multiply all p Jacobians together and lose the solution in the
-lambda^p conditioning of the monodromy.  The folding only permutes rows and
-columns, which leaves the singular values alone, so the factorization still
-works at the conditioning of single-step hyperbolicity, which is the whole
-point of working with the cyclic formulation.  The same factor also decides
-whether the cycle is degenerate, from log|det(Df^p - I)| = sum of log|U_ii|
-(see _solve_cyclic).
+for all p points at once.  The linearized step, delta_{j+1} - A_j delta_j =
+rhs_j, is solved along the hyperbolic splitting (Coomes, Kocak and Palmer,
+"Periodic shadowing", 1997): the periodic unstable and stable directions u_j
+and s_j come from products of 2^k consecutive Jacobians, built by doubling
+around the cycle, and in that basis the step is two scalar cyclic
+recurrences, the stable one run forward and the unstable one backward, so
+that both contract.  Eliminating the cycle down to a single 2x2 system would
+multiply all p Jacobians together and lose the solution in the lambda^p
+conditioning of the monodromy; the recurrences never form that product, and
+work at the conditioning of single-step hyperbolicity.  Their stretches also
+decide whether the cycle is degenerate, from log|det(Df^p - I)| =
+log|Lambda_u - 1| + log|Lambda_s - 1|.  A cycle that shows no usable
+splitting is solved as one banded block system by LAPACK's LU factor instead,
+the one use of scipy (see _solve_cyclic).
 
 Margins is the one distance-versus-allowance check, of a certificate
 window's theta * q^-2 ball and of the shadowing profile's envelope.
@@ -37,6 +38,15 @@ from .errors import DegenerateOrbitError, NonConvergenceError, PreconditionError
 DEGENERACY_THRESHOLD = 1e-12
 # half-bandwidths of the cyclic Newton matrix in folded block order
 _KL = _KU = 4
+# the splitting solve: at most _LEVELS doublings (products of up to 2^16
+# Jacobians); a product counts as rank-one when its smaller singular value is
+# at most _FLAT times its larger, u and s as nearly parallel when
+# |det(u, s)| <= _PARALLEL, and the step's residual as at rounding level up
+# to _ROUNDING times its scale
+_LEVELS = 16
+_FLAT = 2.0**-26
+_PARALLEL = 1e-8
+_ROUNDING = 2.0**-40
 # Newton steps larger than this (in sup norm) are scaled back; keeps torus
 # updates inside one fundamental domain
 _MAX_STEP = 0.25
@@ -106,20 +116,14 @@ def displaced_pseudo_orbit(system: SystemSpec, Z: np.ndarray, n1: int, jitter: f
     Z[0..n1] and Z[n1..p], each displaced by jitter along the contracting
     direction at its start and carried along by the Jacobians.
 
-    The contracting unit directions come from pulling a generic vector
-    backward around the cycle twice."""
+    The contracting unit directions are the splitting's stable directions
+    (see _splitting); raises DegenerateOrbitError when Z shows none."""
     period = len(Z)
     jacs = jac_array(system, Z)
-    vs = np.empty_like(Z)
-    v = np.array([0.7, 0.3])
-    for lap in range(2):
-        for idx in range(period - 1, -1, -1):
-            J = jacs[idx]
-            det = J[0, 0] * J[1, 1] - J[0, 1] * J[1, 0]
-            v = np.array([(J[1, 1] * v[0] - J[0, 1] * v[1]) / det, (-J[1, 0] * v[0] + J[0, 0] * v[1]) / det])
-            v /= np.hypot(v[0], v[1])
-            if lap == 1:
-                vs[idx] = v
+    v = _splitting(jacs)
+    if v is None:
+        raise DegenerateOrbitError("the periodic orbit shows no hyperbolic splitting")
+    vs = (v[1] / np.hypot(v[1, 0], v[1, 1])).T
 
     def arc(start, length):
         out = np.empty((length + 1, 2))
@@ -179,14 +183,202 @@ def newton_refine_periodic(
 
 
 def _solve_cyclic(jacs, rhs):
-    """Solve the linearized cyclic system delta_{j+1} - A_j delta_j = rhs_j.
+    """Solve the linearized cyclic system delta_{j+1} - A_j delta_j = rhs_j:
+    along the hyperbolic splitting when the cycle shows a usable one
+    (_solve_split), else by the banded LU factor (_solve_banded).  Raises
+    DegenerateOrbitError when log|det(Df^p - I)| lies below
+    log(DEGENERACY_THRESHOLD) or the cycle is exactly singular."""
+    split = _solve_split(jacs, rhs)
+    if split is None:
+        return _solve_banded(jacs, rhs)
+    delta, log_det = split
+    _refuse_degenerate(log_det, len(jacs))
+    return delta
+
+
+def _refuse_degenerate(log_det, p):
+    if log_det < math.log(DEGENERACY_THRESHOLD):
+        raise DegenerateOrbitError(f"cyclic linearization singular: |det(Df^{p} - I)| < {DEGENERACY_THRESHOLD}")
+
+
+def _splitting(jacs):
+    """The periodic unstable and stable directions of the cycle of (p, 2, 2)
+    Jacobians A_j, as one (2, 2, p) array v: v[0] holds u_j and v[1] s_j
+    (component, j), with A_j u_j parallel to u_{j+1} and A_j s_j to s_{j+1},
+    indices mod p, and each of magnitude sum 1/2 to 1.  None when the cycle
+    shows no splitting within _LEVELS doublings.
+
+    P_j, the product A_{j-1} ... A_{j-N} of N = 2^k consecutive Jacobians, is
+    built by doubling around the cycle, rescaled every level by the sum of
+    its entries' magnitudes.  Once every P_j is rank-one to _FLAT, one more
+    level squares that to working precision.  Then u_j spans the range of
+    P_j, and s_j the range of adj(A_j) ... adj(A_{j+N-1}) = adj(P_{j+N}) (the
+    adjugate is the inverse times the determinant), which is the kernel of
+    P_{j+N}: the direction that N steps from j contract most."""
+    p = len(jacs)
+    # prods[r, c, j]: the entry (r, c) of P_j = A_{j-1}
+    prods = _ahead(jacs.transpose(1, 2, 0), -1)
+    other, part, term = np.empty_like(prods), np.empty_like(prods), np.empty_like(prods)
+    det, tmp = np.empty(p), np.empty(p)
+    with np.errstate(all="ignore"):
+        for k in range(_LEVELS):
+            # P_j of magnitude sum 1 has singular values s1 >= s2 with
+            # s1 >= 1 / sqrt(8), so s2 / s1 = |det P_j| / s1^2 <= 8 |det P_j|
+            np.multiply(prods[0, 0], prods[1, 1], out=det)
+            det -= np.multiply(prods[0, 1], prods[1, 0], out=tmp)
+            flat = np.abs(det, out=det).max() <= _FLAT / 8
+            # level k + 1: P_j times O_j = P_{j-2^k}, whose row r is
+            # P_j[r, 0] O_j[0] + P_j[r, 1] O_j[1]
+            _ahead(prods, -pow(2, k, p), out=other)
+            np.multiply(prods[:, :1], other[:1], out=part)
+            part += np.multiply(prods[:, 1:], other[1:], out=term)
+            # prods = part / (the sum of its entries' magnitudes)
+            np.abs(part, out=prods)
+            np.add(prods[0, 0], prods[0, 1], out=tmp)
+            tmp += prods[1, 0]
+            tmp += prods[1, 1]
+            np.multiply(part, np.divide(1.0, tmp, out=tmp), out=prods)
+            if flat:
+                break
+        else:
+            return None
+    # the larger column spans the range; the larger row's normal spans the kernel
+    (a, b), (c, d) = prods
+    (m00, m01), (m10, m11) = np.abs(prods)
+    v = np.empty((2, 2, p))
+    v[0] = np.where(m00 + m10 >= m01 + m11, (a, c), (b, d))
+    _ahead(np.where(m00 + m01 >= m10 + m11, (b, -a), (d, -c)), pow(2, k + 1, p), out=v[1])
+    return v
+
+
+def _ahead(x, h, out=None):
+    """x at index j + h mod p along its last axis, of length p."""
+    p = x.shape[-1]
+    h %= p
+    out = np.empty(x.shape) if out is None else out
+    out[..., : p - h] = x[..., h:]
+    out[..., p - h :] = x[..., :h]
+    return out
+
+
+def _solve_split(jacs, rhs):
+    """Solve delta_{j+1} - A_j delta_j = rhs_j along the hyperbolic splitting
+    (Coomes, Kocak and Palmer, "Periodic shadowing", 1997).  With A_j u_j =
+    alpha_j u_{j+1}, A_j s_j = sigma_j s_{j+1} and rhs_j = q_j u_{j+1} + r_j
+    s_{j+1}, the step is delta_j = a_j u_j + b_j s_j, where the stable
+    recurrence b_{j+1} = sigma_j b_j + r_j runs forward and the unstable one
+    a_j = (a_{j+1} - q_j) / alpha_j backward, so both contract.  In that
+    basis Df^p is diag(Lambda_u, Lambda_s), the products of the alpha_j and
+    of the sigma_j, so log|det(Df^p - I)| = log|Lambda_u - 1| +
+    log|Lambda_s - 1|.
+
+    Returns (delta, log|det(Df^p - I)|), or None when the cycle shows no
+    usable splitting: none within _LEVELS doublings, u and s nearly parallel,
+    log|Lambda_u| and log|Lambda_s| not of opposite signs, or a residual of
+    the step above rounding level.  The step takes only + - * /, abs and
+    accumulations, whose bits no CPU dispatch changes."""
+    with np.errstate(all="ignore"):
+        v = _splitting(jacs)
+        if v is None:
+            return None
+        p = len(jacs)
+        (a00, a01), (a10, a11) = a = jacs.transpose(1, 2, 0).copy()
+        x0, x1 = v[:, 0], v[:, 1]  # (field, j): the components of u_j and s_j
+        (u0, s0), (u1, s1) = y0, y1 = _ahead(v, 1).transpose(1, 0, 2)  # of u_{j+1} and s_{j+1}
+        # the stretches, read off A_j u_j and A_j s_j by projection
+        w0, w1 = a00 * x0 + a01 * x1, a10 * x0 + a11 * x1
+        alpha, sigma = (w0 * y0 + w1 * y1) / (y0 * y0 + y1 * y1)
+        cross = u0 * s1 - u1 * s0
+        if not (np.abs(cross) > _PARALLEL).all():
+            return None
+        # rhs_j = q_j u_{j+1} + r_j s_{j+1}
+        q = (rhs[:, 0] * s1 - rhs[:, 1] * s0) / cross
+        r = (u0 * rhs[:, 1] - u1 * rhs[:, 0]) / cross
+        # reversed as a'_i = a_{-i}, the unstable recurrence runs forward too:
+        # a'_{i+1} = (a'_i - q_{p-1-i}) / alpha_{p-1-i}
+        inv = 1.0 / alpha[::-1]
+        solved = _cyclic_recurrences(np.stack((sigma, inv)), np.stack((r, -q[::-1] * inv)))
+        if solved is None:
+            return None
+        (b, a_rev), (log_s, log_inv_u), (neg_s, neg_u) = solved
+        # both recurrences contract: |Lambda_s| < 1 < |Lambda_u|
+        if not (log_s < 0.0 and log_inv_u < 0.0):
+            return None
+        delta = a_rev[-np.arange(p)] * v[0] + b * v[1]
+        res = _ahead(delta, 1)
+        res -= a[:, 0] * delta[0]
+        res -= a[:, 1] * delta[1]
+        res -= rhs.T
+        scale = np.abs(rhs).max() + np.abs(delta).max() * (1.0 + 2.0 * np.abs(a).max())
+        if not np.abs(res).max() <= _ROUNDING * scale:
+            return None
+    return delta.T, _log_gap(-log_inv_u, neg_u) + _log_gap(log_s, neg_s)
+
+
+def _log_gap(log_abs, negative):
+    """log|Lambda - 1| for Lambda = -exp(log_abs) if negative, else
+    exp(log_abs); log_abs != 0."""
+    t = -abs(log_abs)
+    return max(log_abs, 0.0) + (math.log1p(math.exp(t)) if negative else math.log(-math.expm1(t)))
+
+
+def _cyclic_recurrences(f, r):
+    """Solve x_{j+1} = f_j x_j + r_j for j = 0 .. p-1 with x_p = x_0, for each
+    row of the (n, p) arrays f and r.  A row runs in chunks short enough that
+    every partial product of its factors stays within 2^-900 .. 2^900, each
+    chunk by cumprod and cumsum from a zero start; the chunk ends are then
+    carried around the cycle, closed by 1/(1 - prod f).  Returns x and, per
+    row, log|prod f| and whether prod f < 0; None when a factor is zero or
+    not finite."""
+    n, p = f.shape
+    mag = np.abs(f)
+    bound = max(mag.max(), 1.0 / mag.min())
+    if not math.isfinite(bound):
+        return None
+    c = min(p, 900 // math.frexp(bound)[1])
+    k = -(-p // c)
+    # padded with x_{j+1} = x_j, which leaves the cycle's x_0 .. x_{p-1} alone
+    g, t = np.ones((n, k, c)), np.zeros((n, k, c))
+    g.reshape(n, -1)[:, :p] = f
+    t.reshape(n, -1)[:, :p] = r
+    np.cumprod(g, axis=2, out=g)
+    t /= g
+    np.cumsum(t, axis=2, out=t)
+    t *= g
+    starts = np.empty((n, k))
+    logs, negs = [], []
+    for row, (gs, ts) in enumerate(zip(g[:, :, -1].tolist(), t[:, :, -1].tolist())):
+        x, prod = 0.0, 1.0
+        for gi, ti in zip(gs, ts):
+            x = gi * x + ti
+            prod *= gi
+        x /= 1.0 - prod
+        for i, (gi, ti) in enumerate(zip(gs, ts)):
+            starts[row, i] = x
+            x = gi * x + ti
+        logs.append(sum(math.log(abs(gi)) for gi in gs))
+        negs.append(sum(gi < 0.0 for gi in gs) % 2 == 1)
+    g *= starts[:, :, None]
+    g += t
+    x = np.empty((n, p))
+    x[:, 0] = starts[:, 0]
+    x[:, 1:] = g.reshape(n, -1)[:, : p - 1]
+    return x, logs, negs
+
+
+def _solve_banded(jacs, rhs):
+    """Solve the cyclic system as one block system by a banded LU
+    factorization with partial pivoting (LAPACK dgbtrf/dgbtrs).  Taken in the
+    folded block order 0, p - 1, 1, p - 2, ..., the 2p x 2p matrix has 4 sub-
+    and 4 superdiagonals; the folding only permutes rows and columns, which
+    leaves the singular values, and so the conditioning, alone.
 
     The same LU factor decides degeneracy: L has a unit diagonal, the row
     exchanges and the folding are permutations, and the block-cyclic matrix
     has |det| = |det(Df^p - I)|, so the sum of log|U_ii| is
     log|det(Df^p - I)|.  Raises DegenerateOrbitError when that lies below
     log(DEGENERACY_THRESHOLD) or when the factor is exactly singular."""
-    # imported here: the runs that solve nothing do not load scipy
+    # imported here: only a cycle with no usable splitting loads scipy
     from scipy.linalg.lapack import dgbtrf, dgbtrs
 
     p = len(jacs)
@@ -206,9 +398,7 @@ def _solve_cyclic(jacs, rhs):
     ab[_KL + _KU + rows - nxt, nxt] += 1.0
     lu, piv, info = dgbtrf(ab, _KL, _KU, overwrite_ab=True)
     # info > 0: an exactly zero pivot
-    log_det = -math.inf if info > 0 else np.log(np.abs(lu[_KL + _KU])).sum()
-    if log_det < math.log(DEGENERACY_THRESHOLD):
-        raise DegenerateOrbitError(f"cyclic linearization singular: |det(Df^{p} - I)| < {DEGENERACY_THRESHOLD}")
+    _refuse_degenerate(-math.inf if info > 0 else np.log(np.abs(lu[_KL + _KU])).sum(), p)
     b = np.empty((p, 2))
     b[pos] = rhs
     x, _ = dgbtrs(lu, _KL, _KU, b.reshape(2 * p, 1), piv, overwrite_b=True)
@@ -292,7 +482,10 @@ def shadowing_profile(
     # arc i's rows come after i junction rows that repeat an index
     index = np.arange(len(arc)) - arc
     j = index - (np.cumsum(n) - n)[arc]
-    bound = tau * np.exp(-np.minimum(j, n[arc] - j) * epsilon)
+    # libm's exp of each distinct exponent, not numpy's, whose rounding
+    # follows the CPU's SIMD path
+    steps, at = np.unique(np.minimum(j, n[arc] - j), return_inverse=True)
+    bound = tau * np.array([math.exp(-k * epsilon) for k in steps.tolist()])[at]
     margins = Margins.compare(system.space, sol.points, 0, index, np.concatenate(po.arcs), bound)
     return ShadowingProfile(tau=tau, epsilon=epsilon, margins=margins)
 

@@ -873,15 +873,15 @@ def test_gns_cert_standard_map(standard_gns_run):
 # sha256 of report.json for fast seed-0 runs, PerturbedCatMap(0.05) unless
 # named; a change that is meant to keep reports byte-identical must keep these
 REPORT_DIGESTS = {
-    "shadow": "d3b2cdc269b056a8d1ccad15e6f3ad6881ff76385e0ec2cc2a36c055c746e72a",
+    "shadow": "d895472852e597b6291ffad22bd8b0b82e947ce9796a9f81f10f1b9fea59d097",
     "ns-cert fixed_point": "d07afb6e13850da65a1a3bed9dc367b9655d92d569122ca9a4799446192ac7f4",
     # the full cover context: spectrum, block sweep, cover, sampling orbit and its events
     "ns-cert": "19eed13121b2910a97416939398caaad29f6cd028ecf81509937edf323c162d6",
     # the non-uniform regime: StandardMap(6) at a shorter sampling orbit and
     # fewer block samples, block indices in the tens
-    "ns-cert StandardMap(6)": "15a06de10e62f459ac04ea046c085378a6918db59618aeffc600f642e6799d49",
+    "ns-cert StandardMap(6)": "4024766b7cba2d3de6d4c4dc89b3e53ca53ed2957cb6d1165a8721c681bbda00",
     # three gns windows in that regime, at the gns-cert defaults
-    "gns-cert StandardMap(6)": "105ec4b497cf03c15d4d1db3e54e8d261aa88ed2a98d6a6588808f190dfda830",
+    "gns-cert StandardMap(6)": "331bd8927c478351221c81e6e78d0e32901cdc09028fbee4cfccec1ed04880fd",
     # multi-window records: three gns windows (CatMap defaults), two ns windows
     "gns-cert CatMap": "9f7ee580d1cedf5eaecf50b4a1fbddf65af337c730be62ec95262ff98c3053e7",
     "sublinearity": "3bb007acf6efe3f852de64d118f73a3f0b49b1a6dee624eee7702bdb98a6cf6e",
@@ -907,13 +907,13 @@ REPORT_DIGESTS = {
 # sha256 of data.csv for the first seven runs above: the margin rows of
 # shadow, ns-cert and gns-cert, and the sublinearity table
 CSV_DIGESTS = {
-    "shadow": "0a4d3d0305c94c2f766442105c694e664f1e2a9fd6b1736efcac11dbe0cee43d",
+    "shadow": "60697346cf1c9997a0ba46fd1e2defbba523a020e267ac25900bc31114ca3178",
     "ns-cert fixed_point": "5ec3264fa8ba09ae883fd1142bbbc1ad41805543cf3d397b5926e2e4b4d72de7",
     "ns-cert": "b4c195b3f09a17c77bdbfbee9c3ef940394378100104e5540919f4978eafaabc",
     "gns-cert CatMap": "08d49d83768396f8067a41646875167421b8d7511936de64beae5e5378039c3d",
     "sublinearity": "75f47a331b3d6190c54eab5eb7807b6c171a32cfc7d951763e9306ffa6ae9cd5",
     "ns-cert StandardMap(6)": "0d947ee4989405f85fcd8c1cc5fcc88863ae7b599f332e456ee0d27b2bad4182",
-    "gns-cert StandardMap(6)": "b275df7adc0577295da570cfe641deb43d8d10315e93dab089339c04afc4db41",
+    "gns-cert StandardMap(6)": "78d750545f681c7a380d763662440e74540a5580fc2c32edba388f6d78f79b4e",
 }
 
 
@@ -924,8 +924,8 @@ def _moved(digests, pinned):
 
 def _avx512_features():
     """numpy's enabled X86_V4 and AVX512_* dispatch features.  The pins were
-    made with them on; without them the shadow data.csv digest moves with no
-    change to the code, so a failure names them."""
+    made with them on; a failure names them, since a digest that moves with
+    them is a host dependence (see test_report_bytes_do_not_depend_on_numpys_simd_path)."""
     from numpy._core._multiarray_umath import __cpu_features__
 
     return sorted(k for k, on in __cpu_features__.items() if on and (k == "X86_V4" or k.startswith("AVX512"))) or "none"
@@ -982,6 +982,52 @@ def test_report_digests_pinned(tmp_path, shadow_run, standard_run, standard_gns_
     )
 
 
+# runs experiments in a fresh interpreter, each into OUT/<experiment>
+_RUN_EXPERIMENTS = """
+import sys
+from nuspec.cli import main
+out, *args = sys.argv[1:]
+for exp in ("shadow", "ns-cert", "gns-cert", "sublinearity"):
+    if exp in EXPERIMENTS:
+        assert main([exp, *args, "--out", f"{out}/{exp}"]) == 0, exp
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def _run_experiments(experiments, out, args=(), **env):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", f"EXPERIMENTS = {experiments!r}\n{_RUN_EXPERIMENTS}", str(out), *map(str, args)],
+        env=dict(os.environ, PYTHONPATH=src, **env),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_report_bytes_do_not_depend_on_numpys_simd_path(tmp_path, shadow_run):
+    # with numpy's AVX-512 paths switched off (numpy ignores a feature name
+    # it does not know), the shadow and ns-cert reports and margin rows are
+    # the bytes of this process: the Newton step takes only + - * / and
+    # accumulations, and the shadowing envelope libm's exp
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(PERTURBED_SEED0))
+    assert run_cli(["ns-cert", "--config", cfg, "--out", tmp_path / "ns-cert"]) == 0
+    off = tmp_path / "off"
+    _run_experiments(["shadow", "ns-cert"], off, ["--config", cfg], NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR")
+    for exp, here in (("shadow", shadow_run[1]), ("ns-cert", tmp_path / "ns-cert")):
+        for name in ("report.json", "data.csv"):
+            assert (off / exp / name).read_bytes() == (here / name).read_bytes(), (exp, name)
+
+
+def test_default_certificate_runs_leave_scipy_out(tmp_path):
+    # every default run's Newton steps go along the splitting; scipy's banded
+    # LAPACK factor loads only for a cycle that shows no usable splitting
+    assert _run_experiments(["shadow", "ns-cert", "gns-cert", "sublinearity"], tmp_path) == "[]"
+
+
 # caps the child's address space before it imports anything, so that an
 # oversized allocation fails in it and in it alone
 _UNDER_3_GIB = """
@@ -1016,9 +1062,9 @@ def test_oversized_sampling_orbit_ends_in_a_typed_report(tmp_path):
 
 
 def test_cli_import_leaves_scipy_out():
-    # only the cyclic Newton step uses scipy (its banded LAPACK factor), and
-    # it imports it when it runs: loading scipy.linalg costs every run that
-    # solves nothing (lyapunov, recurrence-scaling, ...) over 0.1 s and 28 MiB
+    # only the cyclic Newton step's banded fallback uses scipy (its LAPACK
+    # factor), and it imports it when it runs: loading scipy.linalg costs a
+    # run over 0.1 s and 28 MiB
     src = str(Path(__file__).resolve().parents[1] / "src")
     out = subprocess.run(
         [sys.executable, "-c", "import sys, nuspec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],

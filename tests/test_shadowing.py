@@ -131,8 +131,9 @@ def test_newton_nonconvergence_reports_residual(cat):
     assert exc.value.residual is not None and exc.value.residual > 1e-14
 
 
-def test_newton_degenerate_orbit(standard):
-    # zero-strength standard map is a parabolic twist: det(Df^p - I) == 0
+def test_newton_degenerate_orbit(standard, monkeypatch):
+    # zero-strength standard map is a parabolic twist: det(Df^p - I) == 0;
+    # its shear products are never rank-one, so the banded factor refuses it
     from nuspec.dynamics import SystemSpec
 
     twist = SystemSpec.standard_map(0.0)
@@ -141,8 +142,10 @@ def test_newton_degenerate_orbit(standard):
     rng = np.random.default_rng(2)
     arc = (pts + 1e-5 * rng.standard_normal(pts.shape)) % 1.0
     po = assemble([arc], twist)
+    calls = _banded_calls(monkeypatch)
     with pytest.raises(DegenerateOrbitError):
         newton_refine_periodic(twist, po, tol=1e-11)
+    assert calls == [4]
 
 
 def _hyperbolic_cycle(lam, p, rng):
@@ -155,10 +158,13 @@ def _hyperbolic_cycle(lam, p, rng):
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 7, 40, 2001])
-def test_solve_cyclic_degeneracy_threshold(p):
-    # the threshold is 1e-12: a cycle at 1e-14 is refused, one at 1e-10 solved
+def test_solve_cyclic_degeneracy_threshold(p, monkeypatch):
+    # the threshold is 1e-12: a cycle at 1e-14 is refused, one at 1e-10
+    # solved.  Neither is rank-one within the doubling cap, so both reach
+    # the banded factor
     rng = np.random.default_rng(p)
     rhs = rng.standard_normal((p, 2))
+    calls = _banded_calls(monkeypatch)
     with pytest.raises(DegenerateOrbitError):
         _solve_cyclic(_hyperbolic_cycle(1.0 + 1e-7, p, rng), rhs)
     jacs = _hyperbolic_cycle(1.0 + 1e-5, p, rng)
@@ -166,6 +172,7 @@ def test_solve_cyclic_degeneracy_threshold(p):
     resid = np.roll(delta, -1, axis=0) - np.einsum("jrc,jc->jr", jacs, delta) - rhs
     assert np.abs(resid).max() <= 1e-8 * np.abs(delta).max()
     assert np.abs(delta).max() > 1e3  # the near-singular direction is resolved, not lost
+    assert calls == [p, p]
 
 
 def _cyclic_dense(jacs):
@@ -179,14 +186,48 @@ def _cyclic_dense(jacs):
     return M
 
 
+def _banded_calls(monkeypatch):
+    """Record every call of the banded fallback, which still runs."""
+    calls = []
+    banded = shadowing._solve_banded
+
+    def spy(jacs, rhs):
+        calls.append(len(jacs))
+        return banded(jacs, rhs)
+
+    monkeypatch.setattr(shadowing, "_solve_banded", spy)
+    return calls
+
+
+def _dense_case(system, p):
+    rng = np.random.default_rng(100 + p)
+    return jac_array(system, rng.random((p, 2))), rng.standard_normal((p, 2))
+
+
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 1001])
 def test_solve_cyclic_dense_oracle(p, perturbed, monkeypatch):
+    # the splitting path: its step and log|det(Df^p - I)| against a dense
+    # solve of the plain block-cyclic matrix, with no call of the banded
+    # fallback (a wrong closure, recurrence direction or basis index leaves a
+    # residual that sends the step there)
+    jacs, rhs = _dense_case(perturbed, p)
+    calls = _banded_calls(monkeypatch)
+    delta = _solve_cyclic(jacs, rhs)
+    assert calls == []
+    M = _cyclic_dense(jacs)
+    expected = np.linalg.solve(M, rhs.ravel()).reshape(p, 2)
+    assert np.abs(delta - expected).max() <= 1e-13 * np.abs(expected).max()
+    step, log_det = shadowing._solve_split(jacs, rhs)
+    assert np.array_equal(step, delta)
+    assert log_det == pytest.approx(np.linalg.slogdet(M)[1], rel=1e-12, abs=1e-10)
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 1001])
+def test_solve_banded_dense_oracle(p, perturbed, monkeypatch):
     # the banded factor stores the blocks in folded order; an entry placed out
     # of band would land in a wrong band row without an error, so check the
     # step and log|det(Df^p - I)| against a dense solve of the plain matrix
-    rng = np.random.default_rng(100 + p)
-    jacs = jac_array(perturbed, rng.random((p, 2)))
-    rhs = rng.standard_normal((p, 2))
+    jacs, rhs = _dense_case(perturbed, p)
     factors = []
     dgbtrf = lapack.dgbtrf
 
@@ -195,9 +236,9 @@ def test_solve_cyclic_dense_oracle(p, perturbed, monkeypatch):
         factors.append(out[0])
         return out
 
-    # _solve_cyclic imports the factorization from scipy when it runs
+    # _solve_banded imports the factorization from scipy when it runs
     monkeypatch.setattr(lapack, "dgbtrf", dgbtrf_spy)
-    delta = _solve_cyclic(jacs, rhs)
+    delta = shadowing._solve_banded(jacs, rhs)
     M = _cyclic_dense(jacs)
     expected = np.linalg.solve(M, rhs.ravel()).reshape(p, 2)
     assert np.abs(delta - expected).max() <= 1e-13 * np.abs(expected).max()
@@ -205,10 +246,13 @@ def test_solve_cyclic_dense_oracle(p, perturbed, monkeypatch):
     assert log_det == pytest.approx(np.linalg.slogdet(M)[1], rel=1e-12, abs=1e-10)
 
 
-def test_solve_cyclic_exactly_singular():
-    # Df = I: the factor has a zero pivot, which is a degenerate cycle too
+def test_solve_cyclic_exactly_singular(monkeypatch):
+    # Df = I shows no splitting, and the factor has a zero pivot, which is a
+    # degenerate cycle too
+    calls = _banded_calls(monkeypatch)
     with pytest.raises(DegenerateOrbitError):
         _solve_cyclic(np.eye(2)[None], np.ones((1, 2)))
+    assert calls == [1]
 
 
 def test_newton_henon_fixed_point(henon):
