@@ -31,7 +31,8 @@ class NonConvergenceError(NuspecError):
 
 
 class DegenerateOrbitError(NuspecError):
-    """The cyclic linearization is singular (non-hyperbolic cycle)."""
+    """A cycle shows no usable hyperbolic splitting, or |det(Df^p - I)| lies
+    below the degeneracy threshold; the message names which."""
 
 
 class PreconditionError(NuspecError):

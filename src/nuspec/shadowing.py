@@ -18,8 +18,8 @@ conditioning of the monodromy; the recurrences never form that product, and
 work at the conditioning of single-step hyperbolicity.  Their stretches also
 decide whether the cycle is degenerate, from log|det(Df^p - I)| =
 log|Lambda_u - 1| + log|Lambda_s - 1|.  A cycle that shows no usable
-splitting is solved as one banded block system by LAPACK's LU factor instead,
-the one use of scipy (see _solve_cyclic).
+splitting is refused with DegenerateOrbitError, which names the reason (see
+_solve_cyclic).
 
 Margins is the one distance-versus-allowance check, of a certificate
 window's theta * q^-2 ball and of the shadowing profile's envelope.
@@ -36,8 +36,6 @@ from .dynamics import SystemSpec, jac_array, step_array
 from .errors import DegenerateOrbitError, NonConvergenceError, PreconditionError
 
 DEGENERACY_THRESHOLD = 1e-12
-# half-bandwidths of the cyclic Newton matrix in folded block order
-_KL = _KU = 4
 # the splitting solve: at most _LEVELS doublings (products of up to 2^16
 # Jacobians); a product counts as rank-one when its smaller singular value is
 # at most _FLAT times its larger, u and s as nearly parallel when
@@ -117,12 +115,11 @@ def displaced_pseudo_orbit(system: SystemSpec, Z: np.ndarray, n1: int, jitter: f
     direction at its start and carried along by the Jacobians.
 
     The contracting unit directions are the splitting's stable directions
-    (see _splitting); raises DegenerateOrbitError when Z shows none."""
+    (see _splitting); raises DegenerateOrbitError when Z shows no usable
+    hyperbolic splitting."""
     period = len(Z)
     jacs = jac_array(system, Z)
     v = _splitting(jacs)
-    if v is None:
-        raise DegenerateOrbitError("the periodic orbit shows no hyperbolic splitting")
     vs = (v[1] / np.hypot(v[1, 0], v[1, 1])).T
 
     def arc(start, length):
@@ -145,8 +142,9 @@ def newton_refine_periodic(
     p = sum of the arc lengths n_i.
 
     Raises NonConvergenceError when max_iter is exceeded (carrying the last
-    residual) and DegenerateOrbitError when the cyclic linearization is
-    singular (|det(Df^p - I)| below the degeneracy threshold)."""
+    residual) and DegenerateOrbitError when the cycle shows no usable
+    hyperbolic splitting, or |det(Df^p - I)| lies below the threshold
+    DEGENERACY_THRESHOLD (see _solve_cyclic)."""
     # one row per time step: each arc gives its first n_i points, its last
     # row being the next arc's first
     space = system.space
@@ -169,7 +167,7 @@ def newton_refine_periodic(
             )
         if iters == max_iter:
             break
-        delta = _solve_cyclic(jac_array(system, Z), -diffs)
+        delta, _ = _solve_cyclic(jac_array(system, Z), -diffs)
         m = np.abs(delta).max()
         if m > _MAX_STEP:
             delta *= _MAX_STEP / m
@@ -182,31 +180,13 @@ def newton_refine_periodic(
     )
 
 
-def _solve_cyclic(jacs, rhs):
-    """Solve the linearized cyclic system delta_{j+1} - A_j delta_j = rhs_j:
-    along the hyperbolic splitting when the cycle shows a usable one
-    (_solve_split), else by the banded LU factor (_solve_banded).  Raises
-    DegenerateOrbitError when log|det(Df^p - I)| lies below
-    log(DEGENERACY_THRESHOLD) or the cycle is exactly singular."""
-    split = _solve_split(jacs, rhs)
-    if split is None:
-        return _solve_banded(jacs, rhs)
-    delta, log_det = split
-    _refuse_degenerate(log_det, len(jacs))
-    return delta
-
-
-def _refuse_degenerate(log_det, p):
-    if log_det < math.log(DEGENERACY_THRESHOLD):
-        raise DegenerateOrbitError(f"cyclic linearization singular: |det(Df^{p} - I)| < {DEGENERACY_THRESHOLD}")
-
-
 def _splitting(jacs):
     """The periodic unstable and stable directions of the cycle of (p, 2, 2)
     Jacobians A_j, as one (2, 2, p) array v: v[0] holds u_j and v[1] s_j
     (component, j), with A_j u_j parallel to u_{j+1} and A_j s_j to s_{j+1},
-    indices mod p, and each of magnitude sum 1/2 to 1.  None when the cycle
-    shows no splitting within _LEVELS doublings.
+    indices mod p, and each of magnitude sum 1/2 to 1.  Raises
+    DegenerateOrbitError when the cycle shows no splitting within _LEVELS
+    doublings.
 
     P_j, the product A_{j-1} ... A_{j-N} of N = 2^k consecutive Jacobians, is
     built by doubling around the cycle, rescaled every level by the sum of
@@ -241,7 +221,7 @@ def _splitting(jacs):
             if flat:
                 break
         else:
-            return None
+            raise DegenerateOrbitError(f"no hyperbolic splitting: no rank-one product within {_LEVELS} doublings")
     # the larger column spans the range; the larger row's normal spans the kernel
     (a, b), (c, d) = prods
     (m00, m01), (m10, m11) = np.abs(prods)
@@ -261,26 +241,24 @@ def _ahead(x, h, out=None):
     return out
 
 
-def _solve_split(jacs, rhs):
-    """Solve delta_{j+1} - A_j delta_j = rhs_j along the hyperbolic splitting
-    (Coomes, Kocak and Palmer, "Periodic shadowing", 1997).  With A_j u_j =
-    alpha_j u_{j+1}, A_j s_j = sigma_j s_{j+1} and rhs_j = q_j u_{j+1} + r_j
-    s_{j+1}, the step is delta_j = a_j u_j + b_j s_j, where the stable
-    recurrence b_{j+1} = sigma_j b_j + r_j runs forward and the unstable one
-    a_j = (a_{j+1} - q_j) / alpha_j backward, so both contract.  In that
-    basis Df^p is diag(Lambda_u, Lambda_s), the products of the alpha_j and
-    of the sigma_j, so log|det(Df^p - I)| = log|Lambda_u - 1| +
-    log|Lambda_s - 1|.
+def _solve_cyclic(jacs, rhs):
+    """Solve the linearized cyclic system delta_{j+1} - A_j delta_j = rhs_j,
+    j = 0 .. p-1 mod p, along the hyperbolic splitting (Coomes, Kocak and
+    Palmer, "Periodic shadowing", 1997).  With A_j u_j = alpha_j u_{j+1},
+    A_j s_j = sigma_j s_{j+1} and rhs_j = q_j u_{j+1} + r_j s_{j+1}, the step
+    is delta_j = a_j u_j + b_j s_j, where the stable recurrence b_{j+1} =
+    sigma_j b_j + r_j runs forward and the unstable one a_j = (a_{j+1} -
+    q_j) / alpha_j backward, so both contract.  The step takes only + - * /,
+    abs and accumulations, whose bits no CPU dispatch changes.
 
-    Returns (delta, log|det(Df^p - I)|), or None when the cycle shows no
-    usable splitting: none within _LEVELS doublings, u and s nearly parallel,
-    log|Lambda_u| and log|Lambda_s| not of opposite signs, or a residual of
-    the step above rounding level.  The step takes only + - * /, abs and
-    accumulations, whose bits no CPU dispatch changes."""
+    Returns (delta, log|det(Df^p - I)|).  Raises DegenerateOrbitError when
+    the cycle shows no usable splitting: none within _LEVELS doublings, u and
+    s nearly parallel, a zero or non-finite stretch, log|Lambda_u| and
+    log|Lambda_s| not of opposite signs, or a residual of the step above
+    rounding level; and when |det(Df^p - I)| lies below
+    DEGENERACY_THRESHOLD (see _cycle_degeneracy)."""
     with np.errstate(all="ignore"):
         v = _splitting(jacs)
-        if v is None:
-            return None
         p = len(jacs)
         (a00, a01), (a10, a11) = a = jacs.transpose(1, 2, 0).copy()
         x0, x1 = v[:, 0], v[:, 1]  # (field, j): the components of u_j and s_j
@@ -290,20 +268,15 @@ def _solve_split(jacs, rhs):
         alpha, sigma = (w0 * y0 + w1 * y1) / (y0 * y0 + y1 * y1)
         cross = u0 * s1 - u1 * s0
         if not (np.abs(cross) > _PARALLEL).all():
-            return None
+            raise DegenerateOrbitError("no hyperbolic splitting: u and s are nearly parallel")
         # rhs_j = q_j u_{j+1} + r_j s_{j+1}
         q = (rhs[:, 0] * s1 - rhs[:, 1] * s0) / cross
         r = (u0 * rhs[:, 1] - u1 * rhs[:, 0]) / cross
         # reversed as a'_i = a_{-i}, the unstable recurrence runs forward too:
         # a'_{i+1} = (a'_i - q_{p-1-i}) / alpha_{p-1-i}
         inv = 1.0 / alpha[::-1]
-        solved = _cyclic_recurrences(np.stack((sigma, inv)), np.stack((r, -q[::-1] * inv)))
-        if solved is None:
-            return None
-        (b, a_rev), (log_s, log_inv_u), (neg_s, neg_u) = solved
-        # both recurrences contract: |Lambda_s| < 1 < |Lambda_u|
-        if not (log_s < 0.0 and log_inv_u < 0.0):
-            return None
+        (b, a_rev), logs, negative = _cyclic_recurrences(np.stack((sigma, inv)), np.stack((r, -q[::-1] * inv)))
+        log_det = _cycle_degeneracy(logs, negative)
         delta = a_rev[-np.arange(p)] * v[0] + b * v[1]
         res = _ahead(delta, 1)
         res -= a[:, 0] * delta[0]
@@ -311,15 +284,32 @@ def _solve_split(jacs, rhs):
         res -= rhs.T
         scale = np.abs(rhs).max() + np.abs(delta).max() * (1.0 + 2.0 * np.abs(a).max())
         if not np.abs(res).max() <= _ROUNDING * scale:
-            return None
-    return delta.T, _log_gap(-log_inv_u, neg_u) + _log_gap(log_s, neg_s)
+            raise DegenerateOrbitError("no hyperbolic splitting: the step's residual is above rounding level")
+    return delta.T, log_det
 
 
-def _log_gap(log_abs, negative):
-    """log|Lambda - 1| for Lambda = -exp(log_abs) if negative, else
-    exp(log_abs); log_abs != 0."""
-    t = -abs(log_abs)
-    return max(log_abs, 0.0) + (math.log1p(math.exp(t)) if negative else math.log(-math.expm1(t)))
+def _cycle_degeneracy(logs, negative):
+    """log|det(Df^p - I)| of a cycle from its two recurrences' factor
+    products: logs = (log|Lambda_s|, log|1/Lambda_u|) and negative says
+    whether each product is negative.  In the splitting basis Df^p is
+    diag(Lambda_u, Lambda_s), so log|det(Df^p - I)| = log|Lambda_u - 1| +
+    log|Lambda_s - 1|.
+
+    Raises DegenerateOrbitError unless both recurrences contract (|Lambda_s|
+    < 1 < |Lambda_u|), and when log|det(Df^p - I)| lies below
+    log(DEGENERACY_THRESHOLD)."""
+    log_s, log_inv_u = logs
+    if not (log_s < 0.0 and log_inv_u < 0.0):
+        raise DegenerateOrbitError("no hyperbolic splitting: the stretches are not of opposite signs")
+    # log|Lambda - 1| = max(log|Lambda|, 0) + log|1 -+ e^t|, where t =
+    # -|log|Lambda||, which is each of the logs here
+    gap_s, gap_u = (math.log1p(math.exp(t)) if neg else math.log(-math.expm1(t)) for t, neg in zip(logs, negative))
+    log_det = (gap_u - log_inv_u) + gap_s
+    if log_det < math.log(DEGENERACY_THRESHOLD):
+        raise DegenerateOrbitError(
+            f"cyclic linearization singular: |det(Df^p - I)| = {math.exp(log_det):.3e} < {DEGENERACY_THRESHOLD}"
+        )
+    return log_det
 
 
 def _cyclic_recurrences(f, r):
@@ -328,13 +318,13 @@ def _cyclic_recurrences(f, r):
     every partial product of its factors stays within 2^-900 .. 2^900, each
     chunk by cumprod and cumsum from a zero start; the chunk ends are then
     carried around the cycle, closed by 1/(1 - prod f).  Returns x and, per
-    row, log|prod f| and whether prod f < 0; None when a factor is zero or
-    not finite."""
+    row, log|prod f| and whether prod f < 0.  Raises DegenerateOrbitError
+    when a factor is zero or not finite."""
     n, p = f.shape
     mag = np.abs(f)
     bound = max(mag.max(), 1.0 / mag.min())
     if not math.isfinite(bound):
-        return None
+        raise DegenerateOrbitError("no hyperbolic splitting: a zero or non-finite stretch")
     c = min(p, 900 // math.frexp(bound)[1])
     k = -(-p // c)
     # padded with x_{j+1} = x_j, which leaves the cycle's x_0 .. x_{p-1} alone
@@ -364,45 +354,6 @@ def _cyclic_recurrences(f, r):
     x[:, 0] = starts[:, 0]
     x[:, 1:] = g.reshape(n, -1)[:, : p - 1]
     return x, logs, negs
-
-
-def _solve_banded(jacs, rhs):
-    """Solve the cyclic system as one block system by a banded LU
-    factorization with partial pivoting (LAPACK dgbtrf/dgbtrs).  Taken in the
-    folded block order 0, p - 1, 1, p - 2, ..., the 2p x 2p matrix has 4 sub-
-    and 4 superdiagonals; the folding only permutes rows and columns, which
-    leaves the singular values, and so the conditioning, alone.
-
-    The same LU factor decides degeneracy: L has a unit diagonal, the row
-    exchanges and the folding are permutations, and the block-cyclic matrix
-    has |det| = |det(Df^p - I)|, so the sum of log|U_ii| is
-    log|det(Df^p - I)|.  Raises DegenerateOrbitError when that lies below
-    log(DEGENERACY_THRESHOLD) or when the factor is exactly singular."""
-    # imported here: only a cycle with no usable splitting loads scipy
-    from scipy.linalg.lapack import dgbtrf, dgbtrs
-
-    p = len(jacs)
-    j = np.arange(p)
-    # folded block order 0, p - 1, 1, p - 2, ...: block j sits at position
-    # pos[j], which puts every coupled pair (j, j + 1 mod p), the corner
-    # included, at most two positions apart, so the matrix has 4 sub- and 4
-    # superdiagonals.  Equation j's rows sit at position pos[j] too.
-    pos = np.where(2 * j < p, 2 * j, 2 * (p - j) - 1)
-    rows = 2 * pos[:, None] + np.arange(2)  # (p, 2): rows and columns of block j
-    nxt = rows[(j + 1) % p]
-    # LAPACK band layout, with _KL spare rows on top for the fill-in of row
-    # exchanges: entry (i, k) lives at ab[_KL + _KU + i - k, k].  -A_j goes
-    # in block (j, j), then 1 in block (j, j + 1); at p = 1 these add up to I - A
-    ab = np.zeros((2 * _KL + _KU + 1, 2 * p), order="F")
-    ab[_KL + _KU + rows[:, :, None] - rows[:, None, :], rows[:, None, :]] = -jacs
-    ab[_KL + _KU + rows - nxt, nxt] += 1.0
-    lu, piv, info = dgbtrf(ab, _KL, _KU, overwrite_ab=True)
-    # info > 0: an exactly zero pivot
-    _refuse_degenerate(-math.inf if info > 0 else np.log(np.abs(lu[_KL + _KU])).sum(), p)
-    b = np.empty((p, 2))
-    b[pos] = rhs
-    x, _ = dgbtrs(lu, _KL, _KU, b.reshape(2 * p, 1), piv, overwrite_b=True)
-    return x.reshape(p, 2)[pos]
 
 
 @dataclass

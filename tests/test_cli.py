@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import importlib
@@ -982,15 +983,17 @@ def test_report_digests_pinned(tmp_path, shadow_run, standard_run, standard_gns_
     )
 
 
-# runs experiments in a fresh interpreter, each into OUT/<experiment>
+# runs experiments in a fresh interpreter, each into OUT/<experiment>, with
+# scipy made unimportable (a None entry in sys.modules) before nuspec loads
 _RUN_EXPERIMENTS = """
 import sys
+sys.modules["scipy"] = None
 from nuspec.cli import main
 out, *args = sys.argv[1:]
 for exp in ("shadow", "ns-cert", "gns-cert", "sublinearity"):
     if exp in EXPERIMENTS:
         assert main([exp, *args, "--out", f"{out}/{exp}"]) == 0, exp
-print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+print(sorted(m for m, mod in sys.modules.items() if mod is not None and m.split(".")[0] == "scipy"))
 """
 
 
@@ -1023,8 +1026,8 @@ def test_report_bytes_do_not_depend_on_numpys_simd_path(tmp_path, shadow_run):
 
 
 def test_default_certificate_runs_leave_scipy_out(tmp_path):
-    # every default run's Newton steps go along the splitting; scipy's banded
-    # LAPACK factor loads only for a cycle that shows no usable splitting
+    # every default run succeeds with scipy unimportable: the package needs
+    # numpy alone
     assert _run_experiments(["shadow", "ns-cert", "gns-cert", "sublinearity"], tmp_path) == "[]"
 
 
@@ -1062,19 +1065,48 @@ def test_oversized_sampling_orbit_ends_in_a_typed_report(tmp_path):
 
 
 def test_cli_import_leaves_scipy_out():
-    # only the cyclic Newton step's banded fallback uses scipy (its LAPACK
-    # factor), and it imports it when it runs: loading scipy.linalg costs a
-    # run over 0.1 s and 28 MiB
+    # every import in the package, at any depth, names the standard library,
+    # numpy or the package itself: numpy is its one dependency (scipy would
+    # cost a run over 0.1 s and 28 MiB)
+    names = set()
+    for path in (Path(__file__).resolve().parents[1] / "src" / "nuspec").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                names.add("nuspec" if node.level else node.module)
+    allowed = sys.stdlib_module_names | {"numpy", "nuspec"}
+    assert "numpy" in names
+    assert {name for name in names if name.split(".")[0] not in allowed} == set()
+
+
+# a run whose every cycle is degenerate: under python -O, which drops assert
+# statements, the refusal must still be raised and written as a report
+_ALL_DEGENERATE = """
+import math, sys
+from nuspec import shadowing
+from nuspec.cli import main
+shadowing.DEGENERACY_THRESHOLD = math.inf
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_degenerate_cycle_ends_in_a_typed_report_under_O(tmp_path):
     src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, nuspec.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+    out = tmp_path / "shadow"
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", _ALL_DEGENERATE, "shadow", "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=120,
     )
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["[]"]
+    assert proc.returncode == 1, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True and "results" not in rep
+    assert rep["error"]["type"] == "DegenerateOrbitError"
+    assert rep["error"]["message"].startswith("cyclic linearization singular")
 
 
 def test_traced_layers_resolve():
@@ -1084,5 +1116,4 @@ def test_traced_layers_resolve():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     missing = {(mod, attr) for mod, attr, _ in tracing.TARGETS if not hasattr(importlib.import_module(mod), attr)}
-    # the cycle-degeneracy layer is not split out of _solve_cyclic yet
-    assert missing <= {("nuspec.shadowing", "_cycle_degeneracy")}
+    assert missing == set()

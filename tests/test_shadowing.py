@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
 
 from nuspec import shadowing
 from nuspec.dynamics import Point2, Space, SystemSpec, jac_array, orbit_array, step_xy
@@ -131,21 +130,26 @@ def test_newton_nonconvergence_reports_residual(cat):
     assert exc.value.residual is not None and exc.value.residual > 1e-14
 
 
-def test_newton_degenerate_orbit(standard, monkeypatch):
+def test_newton_degenerate_orbit(standard):
     # zero-strength standard map is a parabolic twist: det(Df^p - I) == 0;
-    # its shear products are never rank-one, so the banded factor refuses it
-    from nuspec.dynamics import SystemSpec
-
+    # its shear products turn rank-one, but the splitting they give cannot
+    # solve the step
     twist = SystemSpec.standard_map(0.0)
     x = torus(0.1, 0.25)  # rational rotation number 1/4
     pts = orbit_array(twist, *x.tolist(), n_fwd=4)
     rng = np.random.default_rng(2)
     arc = (pts + 1e-5 * rng.standard_normal(pts.shape)) % 1.0
     po = assemble([arc], twist)
-    calls = _banded_calls(monkeypatch)
-    with pytest.raises(DegenerateOrbitError):
+    with pytest.raises(DegenerateOrbitError, match="no hyperbolic splitting: the step's residual"):
         newton_refine_periodic(twist, po, tol=1e-11)
-    assert calls == [4]
+
+
+def test_displaced_pseudo_orbit_refuses_an_elliptic_orbit():
+    # the fixed point (1/2, 0) of the standard map at K_s = 1.2 has trace
+    # 0.8: its Jacobian's powers rotate, and no product of them is rank-one
+    system = SystemSpec.standard_map(1.2)
+    with pytest.raises(DegenerateOrbitError, match="no hyperbolic splitting: no rank-one product"):
+        displaced_pseudo_orbit(system, np.array([[0.5, 0.0], [0.5, 0.0]]), 1, jitter=1e-5)
 
 
 def _hyperbolic_cycle(lam, p, rng):
@@ -158,21 +162,67 @@ def _hyperbolic_cycle(lam, p, rng):
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 7, 40, 2001])
-def test_solve_cyclic_degeneracy_threshold(p, monkeypatch):
-    # the threshold is 1e-12: a cycle at 1e-14 is refused, one at 1e-10
-    # solved.  Neither is rank-one within the doubling cap, so both reach
-    # the banded factor
+def test_solve_cyclic_degeneracy_threshold(p):
+    # cycles at |det(Df^p - I)| of 1e-14 and 1e-10, about the threshold
+    # 1e-12, are both refused before it is read: a product of 2^16 steps
+    # stretches by lam^(2^16 / p) at most, far from rank-one (the threshold
+    # itself is tested on cat map cycles below)
     rng = np.random.default_rng(p)
     rhs = rng.standard_normal((p, 2))
-    calls = _banded_calls(monkeypatch)
-    with pytest.raises(DegenerateOrbitError):
-        _solve_cyclic(_hyperbolic_cycle(1.0 + 1e-7, p, rng), rhs)
-    jacs = _hyperbolic_cycle(1.0 + 1e-5, p, rng)
-    delta = _solve_cyclic(jacs, rhs)
-    resid = np.roll(delta, -1, axis=0) - np.einsum("jrc,jc->jr", jacs, delta) - rhs
-    assert np.abs(resid).max() <= 1e-8 * np.abs(delta).max()
-    assert np.abs(delta).max() > 1e3  # the near-singular direction is resolved, not lost
-    assert calls == [p, p]
+    for lam in (1.0 + 1e-7, 1.0 + 1e-5):
+        with pytest.raises(DegenerateOrbitError, match="no hyperbolic splitting: no rank-one product"):
+            _solve_cyclic(_hyperbolic_cycle(lam, p, rng), rhs)
+
+
+def _lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+@pytest.mark.parametrize("p", [1, 3, 10])
+def test_solve_cyclic_threshold_on_cat_cycles(p, monkeypatch):
+    # p steps of the cat map: |det(A^p - I)| = L_{2p} - 2 (Lucas numbers;
+    # 1, 16 and 15125 here), refused by a threshold just above it and solved
+    # under one just below
+    jacs = np.repeat(CAT_A[None].astype(float), p, axis=0)
+    rhs = np.random.default_rng(p).standard_normal((p, 2))
+    det = _lucas(2 * p) - 2
+    monkeypatch.setattr(shadowing, "DEGENERACY_THRESHOLD", det * (1.0 + 1e-9))
+    with pytest.raises(DegenerateOrbitError, match="cyclic linearization singular"):
+        _solve_cyclic(jacs, rhs)
+    monkeypatch.setattr(shadowing, "DEGENERACY_THRESHOLD", det * (1.0 - 1e-9))
+    delta, log_det = _solve_cyclic(jacs, rhs)
+    assert log_det == pytest.approx(math.log(det), rel=1e-12, abs=1e-12)
+    expected = np.linalg.solve(_cyclic_dense(jacs), rhs.ravel()).reshape(p, 2)
+    assert np.abs(delta - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+_SHEAR = np.array([[1.0, 1.0], [0.0, 1.0]])
+_QUARTER_TURN = np.array([[0.0, -1.0], [1.0, 0.0]])
+# eigenvectors (1, 0) and (1, 1e-10): a saddle whose directions nearly meet
+_NEAR_PARALLEL = np.array([[2.0, -1.5e10], [0.0, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "block, p, reason",
+    [
+        (_QUARTER_TURN, 4, "no rank-one product"),
+        (np.full((2, 2), np.nan), 3, "no rank-one product"),
+        (_NEAR_PARALLEL, 3, "u and s are nearly parallel"),
+        (np.diag([2.0, 0.0]), 3, "a zero or non-finite stretch"),
+        (np.diag([2.0, 3.0]), 5, "the stretches are not of opposite signs"),
+        (np.diag([0.5, 0.3]), 5, "the stretches are not of opposite signs"),
+        # the shear's products turn rank-one, with |det(u_j, s_j)| = 2^-15;
+        # |det(Df^p - I)| = 0, but the stretches read it as 4e-9
+        (_SHEAR, 4, "the step's residual is above rounding level"),
+    ],
+    ids=["rotation", "nan", "near-parallel", "zero-stretch", "expanding", "contracting", "shear"],
+)
+def test_solve_cyclic_refuses_cycles_without_a_usable_splitting(block, p, reason):
+    with pytest.raises(DegenerateOrbitError, match=f"^no hyperbolic splitting: {reason}"):
+        _solve_cyclic(np.repeat(block[None], p, axis=0), np.ones((p, 2)))
 
 
 def _cyclic_dense(jacs):
@@ -186,73 +236,28 @@ def _cyclic_dense(jacs):
     return M
 
 
-def _banded_calls(monkeypatch):
-    """Record every call of the banded fallback, which still runs."""
-    calls = []
-    banded = shadowing._solve_banded
-
-    def spy(jacs, rhs):
-        calls.append(len(jacs))
-        return banded(jacs, rhs)
-
-    monkeypatch.setattr(shadowing, "_solve_banded", spy)
-    return calls
-
-
 def _dense_case(system, p):
     rng = np.random.default_rng(100 + p)
     return jac_array(system, rng.random((p, 2))), rng.standard_normal((p, 2))
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 1001])
-def test_solve_cyclic_dense_oracle(p, perturbed, monkeypatch):
-    # the splitting path: its step and log|det(Df^p - I)| against a dense
-    # solve of the plain block-cyclic matrix, with no call of the banded
-    # fallback (a wrong closure, recurrence direction or basis index leaves a
-    # residual that sends the step there)
+def test_solve_cyclic_dense_oracle(p, perturbed):
+    # the step and log|det(Df^p - I)| against a dense solve and slogdet of
+    # the plain block-cyclic matrix (a wrong closure, recurrence direction or
+    # basis index leaves a residual, which the solve refuses)
     jacs, rhs = _dense_case(perturbed, p)
-    calls = _banded_calls(monkeypatch)
-    delta = _solve_cyclic(jacs, rhs)
-    assert calls == []
+    delta, log_det = _solve_cyclic(jacs, rhs)
     M = _cyclic_dense(jacs)
     expected = np.linalg.solve(M, rhs.ravel()).reshape(p, 2)
     assert np.abs(delta - expected).max() <= 1e-13 * np.abs(expected).max()
-    step, log_det = shadowing._solve_split(jacs, rhs)
-    assert np.array_equal(step, delta)
     assert log_det == pytest.approx(np.linalg.slogdet(M)[1], rel=1e-12, abs=1e-10)
 
 
-@pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6, 7, 8, 9, 64, 1001])
-def test_solve_banded_dense_oracle(p, perturbed, monkeypatch):
-    # the banded factor stores the blocks in folded order; an entry placed out
-    # of band would land in a wrong band row without an error, so check the
-    # step and log|det(Df^p - I)| against a dense solve of the plain matrix
-    jacs, rhs = _dense_case(perturbed, p)
-    factors = []
-    dgbtrf = lapack.dgbtrf
-
-    def dgbtrf_spy(*args, **kwargs):
-        out = dgbtrf(*args, **kwargs)
-        factors.append(out[0])
-        return out
-
-    # _solve_banded imports the factorization from scipy when it runs
-    monkeypatch.setattr(lapack, "dgbtrf", dgbtrf_spy)
-    delta = shadowing._solve_banded(jacs, rhs)
-    M = _cyclic_dense(jacs)
-    expected = np.linalg.solve(M, rhs.ravel()).reshape(p, 2)
-    assert np.abs(delta - expected).max() <= 1e-13 * np.abs(expected).max()
-    log_det = np.log(np.abs(factors[0][shadowing._KL + shadowing._KU])).sum()
-    assert log_det == pytest.approx(np.linalg.slogdet(M)[1], rel=1e-12, abs=1e-10)
-
-
-def test_solve_cyclic_exactly_singular(monkeypatch):
-    # Df = I shows no splitting, and the factor has a zero pivot, which is a
-    # degenerate cycle too
-    calls = _banded_calls(monkeypatch)
-    with pytest.raises(DegenerateOrbitError):
+def test_solve_cyclic_exactly_singular():
+    # Df = I: det(Df - I) = 0, and no product of the identity is rank-one
+    with pytest.raises(DegenerateOrbitError, match="^no hyperbolic splitting: no rank-one product"):
         _solve_cyclic(np.eye(2)[None], np.ones((1, 2)))
-    assert calls == [1]
 
 
 def test_newton_henon_fixed_point(henon):
