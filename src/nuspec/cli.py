@@ -164,7 +164,8 @@ def _field(spec):
 # seconds.  The spectrum keeps no orbit rows; a return-time walk keeps 16 B
 # per step on each side (160 MB a side at the bound)
 MAX_STEPS = 10**7
-_POINT = _opt(_list(_float(-math.inf), 2))
+_XY = _list(_float(-math.inf), 2)
+_POINT = _opt(_XY)
 _SPECTRUM_N = (100_000, _int(100, MAX_STEPS))
 
 # the parameter table: experiment -> field -> default or (default, kind)
@@ -235,7 +236,7 @@ SCHEMAS = {
         k=(3, _int(2)),
         m=(60, _each(_int(0))),
         n=(60, _each(_int(0))),
-        segment_points=(None, _opt(_list(_POINT))),
+        segment_points=(None, _opt(_list(_XY))),
         target_total_gap=(None, _opt(_int(0))),
         block_samples=100,
         sampling_orbit_length=200_000,

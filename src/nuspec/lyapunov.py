@@ -155,27 +155,6 @@ def lyapunov_spectrum(
     return LyapunovSpectrum.from_exponents((top, system.log_det - top), n_used)
 
 
-def _normalize_rows(v):
-    """Unit vectors along the rows of a (P, 2) array, with a fixed overall
-    sign so directions are comparable across calls.  Every operation is
-    elementwise, so a row gets the floats it gets on its own."""
-    n = np.hypot(v[:, 0], v[:, 1])
-    if not np.all(np.isfinite(n) & (n != 0.0)):
-        raise DegeneracyError("direction vector vanished during transport")
-    v = v / n[:, None]
-    flip = (v[:, 0] < 0) | ((v[:, 0] == 0) & (v[:, 1] < 0))
-    v[flip] = -v[flip]
-    return v
-
-
-def _log_stretch(jacs, v):
-    """log ||J v|| per row, with the 2 x 2 product written out: on the
-    negative-stride view of the backward field it is faster than einsum."""
-    a = jacs[..., 0, 0] * v[..., 0] + jacs[..., 0, 1] * v[..., 1]
-    b = jacs[..., 1, 0] * v[..., 0] + jacs[..., 1, 1] * v[..., 1]
-    return 0.5 * np.log(a * a + b * b)
-
-
 def _transport_sweeps(system, base, jmin, jmax, warm=_WARM):
     """Orbit points and equivariantly transported unit directions on
     [jmin, jmax] for every row of the (P, 2) array of base points.
@@ -185,12 +164,18 @@ def _transport_sweeps(system, base, jmin, jmax, warm=_WARM):
     f^{jmin+t}(base[p]) and the stretch logs are per-step factors
     log ||Df(pts[t, p]) v(pts[t, p])|| for the respective direction field.
 
-    The expanding field is seeded warm steps below jmin and carried forward
-    by the Jacobians; the contracting field is seeded warm steps above jmax
-    and carried backward by their adjugates [[a22, -a12], [-a21, a11]], the
-    inverses up to a scale that normalization drops.  Both sweeps move each
-    field in its attracting direction, so the seeds wash out at the
-    hyperbolicity rate.
+    The expanding field is seeded warm >= 1 steps below jmin and carried
+    forward by the Jacobians; the contracting field is seeded warm steps
+    above jmax and carried backward by their adjugates
+    [[a22, -a12], [-a21, a11]], the inverses up to a scale that
+    normalization drops.  Both sweeps move each field in its attracting
+    direction, so the seeds wash out at the hyperbolicity rate.  The
+    stretches are the norms the carry divides by: log ||Df u_t|| forward
+    and, as Df adj(Df) = det(Df) I, log|det Df| - log ||adj(Df) s_{t+1}||
+    backward.  A vanished or non-finite norm leaves NaN behind it and raises
+    DegeneracyError after the loop; the sign, exact through product, norm
+    and division, is fixed there too (first coordinate positive, or zero
+    and the second non-negative).
     """
     n_bwd = -jmin + warm
     n_fwd = jmax + warm
@@ -212,15 +197,26 @@ def _transport_sweeps(system, base, jmin, jmax, warm=_WARM):
     adj = mats[:, n_pts:]  # [[a22, -a12], [-a21, a11]]: swap the diagonal, negate the rest
     adj[..., 0, 0], adj[..., 1, 1] = back[..., 1, 1], back[..., 0, 0]
     adj[..., [0, 1], [1, 0]] *= -1
+    del jacs, back
     v = np.empty((total, 2 * n_pts, 2))
-    v[0] = _normalize_rows(np.tile(_GENERIC, (2 * n_pts, 1)))
-    for t, m in enumerate(mats):
-        v[t + 1] = _normalize_rows(np.matmul(m, v[t][:, :, None])[:, :, 0])
-    vu_full, vs_full = v[:, :n_pts], v[::-1, n_pts:]
-    log_u, log_s = (_log_stretch(jacs, f) for f in (vu_full, vs_full))
+    v[0] = _GENERIC / np.hypot(*_GENERIC)
+    norms = np.empty((total - 1, 2 * n_pts))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for t, m in enumerate(mats):
+            w = np.matmul(m, v[t][:, :, None])[:, :, 0]
+            norms[t] = np.hypot(w[:, 0], w[:, 1])
+            v[t + 1] = w / norms[t][:, None]
+        # in place, on the whole contiguous array, so a row's logs do not depend
+        # on P: on a strided half, a one-point call took numpy's non-SIMD path
+        logs = np.log(norms, out=norms)
+    if not np.isfinite(logs).all():
+        raise DegeneracyError("direction vector vanished during transport")
+    flip = (v[..., 0] < 0) | ((v[..., 0] == 0) & (v[..., 1] < 0))
+    np.negative(v, out=v, where=flip[..., None])
 
     sl = slice(warm, n_bwd + jmax + 1)
-    return pts_full[sl], vu_full[sl], vs_full[sl], log_u[sl], log_s[sl]
+    log_u, log_s = logs[sl, :n_pts], system.log_det - logs[::-1, n_pts:][sl]
+    return pts_full[sl], v[sl, :n_pts], v[::-1, n_pts:][sl], log_u, log_s
 
 
 def _defect_max(cum, t, step, rate, slack):
@@ -238,7 +234,8 @@ def block_defects(system: SystemSpec, base: np.ndarray, params: PesinBlockParams
 
     Returns (defect_contraction, defect_expansion, defect_angle), each of
     length P; a point's block index is the smallest k with epsilon*k >= all
-    three.
+    three.  The angle defect at f^m x is log(|dot| / |cross|), -log tan of
+    the acute angle between the lines, less epsilon*|m|.
     """
     n_fwd, n_bwd, m_range = params.window
     jmin = -(m_range + n_bwd)
@@ -259,15 +256,13 @@ def block_defects(system: SystemSpec, base: np.ndarray, params: PesinBlockParams
     d_a = _defect_max(cum_s, t, ns_f, (params.lam - eps) * ns_f, slack)
     # ||Df^{-n} restricted to the expanding line at f^m x||
     d_b = _defect_max(cum_u, t, -ns_b, (params.mu - eps) * ns_b, slack)
-    # the line angle term: the acute angle is atan2 of |cross| against |dot|,
-    # which stays fully conditioned near both 0 and pi/2
     u = vu[t]
     w = vs[t]
     cross = np.abs(u[..., 0] * w[..., 1] - u[..., 1] * w[..., 0])
     dot = np.abs(u[..., 0] * w[..., 0] + u[..., 1] * w[..., 1])
     # parallel lines (cross 0) give a +inf defect, which no k meets
     with np.errstate(divide="ignore"):
-        tilt = -np.log(np.tan(np.arctan2(cross, dot)))
+        tilt = np.log(dot / cross)
     d_c = (tilt - slack[:, None]).max(axis=0)
     return d_a, d_b, d_c
 

@@ -363,6 +363,9 @@ STANDARD = {"system": {"kind": "StandardMap", "params": {"K_s": 1.2}}}
         ("ns-cert", ["--set", "fixed_point=true", "--set", "spectrum_N=10000001"], "spectrum_N"),
         ("gns-cert", ["--set", "spectrum_N=10000001"], "spectrum_N"),
         ("sublinearity", ["--set", "spectrum_N=10000001"], "spectrum_N"),
+        # a null segment point once built the whole context, then ended in a
+        # TypeError traceback with only manifest.json written
+        ("gns-cert", ["--set", "segment_points=[null,[0.1,0.2],[0.3,0.4]]"], "segment_points"),
     ],
 )
 def test_out_of_range_cover_parameter_refused(tmp_path, monkeypatch, experiment, args, field):
@@ -896,7 +899,7 @@ REPORT_DIGESTS = {
     # count_bwd = 60 walks the scalar perturbed-cat inverse backward
     "nonlacunarity PerturbedCatMap": "ee6a8c254cbdf02cd343a89a7cf7412b6d53147d1c13668eae687476f8797d67",
     # the bench's diagnostics system; its margins read the block sweep's stretch logs
-    "domination PerturbedCatMap": "ce04faf3b207cddd58cf58f4c9fd231724b34cc5ceb58a10683bd08277624b96",
+    "domination PerturbedCatMap": "4681eba677f5ab6f5c10a1cfdd163bdc6a39a0c9cbae80e017ed41c1a4811998",
     # ball-return lattices: the odd default grid, which holds the center, and
     # an even grid, which misses it and prepends it
     "recurrence-scaling PerturbedCatMap": "2b7d83d1bf114c66a059da963c73ac5c251092c1d38993e19e1929f47ddf8f8e",

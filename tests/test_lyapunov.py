@@ -20,7 +20,7 @@ from nuspec.dynamics import (
     orbit_array,
     step_xy,
 )
-from nuspec.errors import NonFiniteError
+from nuspec.errors import DegeneracyError, NonFiniteError
 from nuspec.lyapunov import (
     _GENERIC,
     PesinBlockParams,
@@ -323,6 +323,51 @@ def test_block_defects_batched_equals_single(system):
     batched = np.column_stack(block_defects(system, base, params))
     single = np.vstack([np.column_stack(block_defects(system, row[None], params)) for row in base])
     assert batched.tobytes() == single.tobytes()
+
+
+@pytest.mark.parametrize(
+    "system",
+    [SystemSpec.cat_map(), SystemSpec.perturbed_cat_map(0.05), SystemSpec.standard_map(6.0), SystemSpec.henon(1.4, 0.3)],
+    ids=["cat", "perturbed", "standard6", "henon"],
+)
+def test_stretch_logs_match_the_jacobians(system):
+    # the sweep takes its stretches from the carry's norms, the backward ones
+    # as log|det Df| - log ||adj(Df) s_{t+1}||; recomputed as log ||Df v|| from
+    # the returned points and directions they agree to 1e-12 (1.3e-15 at most
+    # was seen).  Henon is the one kind with log|det Df| != 0 (log 0.3)
+    if system.space is Space.PLANE:
+        # from a point on the attractor, over a window whose backward walk
+        # (seven steps) stays far from the plane's overflow bound
+        base, (jmin, jmax, warm) = orbit_array(system, 0.0, 0.0, n_fwd=1000)[-1:], (-3, 20, 4)
+    else:
+        base, (jmin, jmax, warm) = np.random.default_rng(3).random((4, 2)), (-30, 30, 64)
+    pts, vu, vs, log_u, log_s = _transport_sweeps(system, base, jmin, jmax, warm=warm)
+    jacs = jac_array(system, pts.reshape(-1, 2)).reshape(*pts.shape[:2], 2, 2)
+    for field, logs in ((vu, log_u), (vs, log_s)):
+        image = np.matmul(jacs, field[..., None])[..., 0]
+        assert np.abs(logs - np.log(np.hypot(image[..., 0], image[..., 1]))).max() <= 1e-12
+
+
+def test_vanished_direction_raises_degeneracy(monkeypatch, cat):
+    # a Jacobian of zero at one row of the stack leaves a zero norm in the
+    # carry and NaN behind it: the check after the loop raises
+    # DegeneracyError, and the division and log before it warn nothing
+    jac, scalar_jac = cat.jac(np), cat.jac(math)
+
+    def zero_at_one_row(x, y):
+        cols = [np.broadcast_to(c, np.shape(x)).copy() for c in jac(x, y)]
+        for c in cols:
+            c[len(x) // 2] = 0.0
+        return cols
+
+    monkeypatch.setattr(SystemSpec, "jac", lambda self, xp=math: zero_at_one_row if xp is np else scalar_jac)
+    params = PesinBlockParams(lam=0.96, mu=0.96, epsilon=0.096, window=(50, 50, 10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegeneracyError, match="vanished"):
+            _transport_sweeps(cat, np.random.default_rng(2).random((3, 2)), -20, 20)
+        with pytest.raises(DegeneracyError, match="vanished"):
+            block_sample(cat, params, 3, seed=4)
 
 
 # block indices of the ninety-point sample below; a change to the block sweep's
