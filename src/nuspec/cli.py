@@ -165,6 +165,7 @@ def _field(spec):
 # per step on each side (160 MB a side at the bound)
 MAX_STEPS = 10**7
 _XY = _list(_float(-math.inf), 2)
+_WINDOW = _int(0, MAX_STEPS)  # a window length m or n: each side walks past it
 _POINT = _opt(_XY)
 _SPECTRUM_N = (100_000, _int(100, MAX_STEPS))
 
@@ -223,8 +224,8 @@ SCHEMAS = {
     },
     "ns-cert": dict(
         _COVER_PARAMS,
-        m=(100, _int(0)),
-        n=(100, _int(0)),
+        m=(100, _WINDOW),
+        n=(100, _WINDOW),
         x=(None, _POINT),
         fixed_point=False,
         connector_gap=(None, _opt(_int())),
@@ -234,8 +235,8 @@ SCHEMAS = {
         theta=0.1,
         mixing=True,
         k=(3, _int(2)),
-        m=(60, _each(_int(0))),
-        n=(60, _each(_int(0))),
+        m=(60, _each(_WINDOW)),
+        n=(60, _each(_WINDOW)),
         segment_points=(None, _opt(_list(_XY))),
         target_total_gap=(None, _opt(_int(0))),
         block_samples=100,
@@ -244,7 +245,7 @@ SCHEMAS = {
     "sublinearity": dict(
         _COVER_PARAMS,
         eta_ratios=([0.1], _list(_float(0.0, 0.5))),
-        mn_list=([[100, 100], [200, 200], [400, 400], [800, 800]], _list(_list(_int(0), 2))),
+        mn_list=([[100, 100], [200, 200], [400, 400], [800, 800]], _list(_list(_WINDOW, 2))),
         x=(None, _POINT),
     ),
     "domination": {

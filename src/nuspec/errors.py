@@ -52,11 +52,9 @@ class IncompleteMixingError(NuspecError):
 
 
 class InsufficientHorizonError(NuspecError):
-    """A return-time sequence ran out before the required index existed."""
-
-    def __init__(self, message, required_horizon=None):
-        super().__init__(message)
-        self.required_horizon = required_horizon
+    """A return-time sequence ran out before the required index existed: a
+    given sequence was too short, or a certificate window's side walked
+    its longest horizon undecided."""
 
 
 class GapInfeasibleError(NuspecError):

@@ -35,6 +35,10 @@ from .walker import Orbit, Walker
 
 _BIG = np.int64(2**62)
 
+# the longest walk of one side of a certificate window before it raises
+# InsufficientHorizonError; a walk keeps 16 B per step, about 40 B per visit
+_MAX_HORIZON = 2_000_000
+
 # events one transition-scan gather takes at a time, which bounds its
 # temporaries; mixing mode joins the events of the first _PREFIX time steps
 # against _BLOCK gap levels at once, and only the pairs they miss join all
@@ -426,11 +430,17 @@ def select_indices(seq: ReturnTimeSequence, m: int, n: int, eta: float, epsilon:
         t_{-l1-s1} <= (1 + 2 eta/epsilon) t_{-l1} < t_{-l1-s1+1},
         t_{l2+s2} >= (1 + 2 eta/epsilon) t_{l2} > t_{l2+s2-1}.
     """
+    _check_window(m, n)
     factor = _stretch(eta, epsilon)
     l2, s2 = _select_side(seq.forward, n, factor, "forward")
     # backward times as ascending positive magnitudes
     l1, s1 = _select_side(-seq.backward, m, factor, "backward")
     return l1, s1, l2, s2
+
+
+def _check_window(m, n):
+    if m < 0 or n < 0:
+        raise PreconditionError(f"window lengths must be nonnegative, got m={m}, n={n}")
 
 
 def _stretch(eta, epsilon):
@@ -446,17 +456,11 @@ def _select_side(times, bound, factor, side):
     name, sign = ("n", "") if side == "forward" else ("m", "-")
     idx = int(np.searchsorted(times, bound, side="right"))
     if idx >= len(times):
-        raise InsufficientHorizonError(
-            f"{side} sequence exhausted before exceeding {name}={bound}",
-            required_horizon=int(factor * (bound + 1) * 2) + 64,
-        )
+        raise InsufficientHorizonError(f"{side} sequence exhausted before exceeding {name}={bound}")
     target = factor * float(times[idx])
     idx2 = int(np.searchsorted(times, target, side="left"))
     if idx2 >= len(times):
-        raise InsufficientHorizonError(
-            f"{side} sequence exhausted before reaching {sign}{target:.0f}",
-            required_horizon=int(target * 1.5) + 64,
-        )
+        raise InsufficientHorizonError(f"{side} sequence exhausted before reaching {sign}{target:.0f}")
     return idx + 1, idx2 - idx
 
 
@@ -596,45 +600,28 @@ class Certificate:
         return out
 
 
-def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> Window:
+def _certificate_window(system, x, m, n, eta, q, ctx) -> Window:
     """Select the recurrence indices of x for the window [-m, n], store its
     orbit over [t_minus, t_plus], and check that q is eta-slow-varying along
     the stored orbit on [-m-1, n+1].
 
     Two visits decide each side: the first past its bound b, and the first
     at or past factor = 1 + 2 eta/epsilon times that one, which lies just
-    past factor * (b + 1) when visits are frequent.  So both sides are
-    walked H = int(factor * (max(m, n) + 1)) + 64 steps.  If a side runs
-    out of visits, H grows to max(2 H, required_horizon + 128) and that
-    side's walk goes on from where it stopped; a side already decided
-    walks no further.  Every H walks the same unbroken orbit, so the
-    result does not depend on H.  No walk passes max_horizon: a window
-    that needs more raises the InsufficientHorizonError, with its
-    required_horizon."""
+    past factor * (b + 1) when visits are frequent.  So each side first
+    walks H = int(factor * (b + 1)) + 64 steps, and while its visits do not
+    decide it, its walk goes on from where it stopped to twice the length.
+    Every length walks the same unbroken orbit, so the result does not
+    depend on H.  A side whose walk reaches _MAX_HORIZON undecided raises
+    its InsufficientHorizonError."""
     if abs(q.eta - eta) > 1e-12:
         raise ValueError("q.eta must equal the certificate eta")
-    if m < 0 or n < 0:
-        raise PreconditionError(f"window lengths must be nonnegative, got m={m}, n={n}")
+    _check_window(m, n)
     if not ctx.cover.membership(x):
         raise PreconditionError("certificate base point must lie in the cover support")
     factor = _stretch(eta, ctx.epsilon)
-    H = min(max_horizon, int(factor * (max(m, n) + 1)) + 64)
     ahead, behind = (VisitWalk(system, x, ctx.cover, forward) for forward in (True, False))
-    picked = {}
-    while True:
-        failed = []
-        for side, visits, bound in (("forward", ahead, n), ("backward", behind, m)):
-            if side not in picked:
-                try:
-                    picked[side] = _select_side(visits.extend(H, H).times, bound, factor, side)
-                except InsufficientHorizonError as err:
-                    failed.append(err)
-        if not failed:
-            break
-        if H >= max_horizon:
-            raise failed[0]
-        H = min(max_horizon, max(2 * H, (failed[0].required_horizon or 0) + 128))
-    (l2, s2), (l1, s1) = picked["forward"], picked["backward"]
+    l2, s2 = _walk_side(ahead, n, factor, "forward")
+    l1, s1 = _walk_side(behind, m, factor, "backward")
     t_minus, t_plus = -behind.times[l1 + s1 - 1], ahead.times[l2 + s2 - 1]
     xs = np.concatenate((behind.rows[:-t_minus][::-1], x[None], ahead.rows[:t_plus]))
     lo = max(0, (-m - 1) - t_minus)
@@ -646,6 +633,19 @@ def _certificate_window(system, x, m, n, eta, q, ctx, max_horizon=2_000_000) -> 
             f"> e^eta = {math.exp(eta):.6f})"
         )
     return Window(x, m, n, (l1, s1, l2, s2), t_minus, t_plus, xs, ctx.cover.locate(xs[0]), ctx.cover.locate(xs[-1]))
+
+
+def _walk_side(visits, bound, factor, side):
+    """_select_side on one side's VisitWalk, walked from its first horizon
+    and doubled until its visits decide it or it reaches _MAX_HORIZON."""
+    H = min(_MAX_HORIZON, int(factor * (bound + 1)) + 64)
+    while True:
+        try:
+            return _select_side(visits.extend(H, H).times, bound, factor, side)
+        except InsufficientHorizonError:
+            if H >= _MAX_HORIZON:
+                raise
+            H = min(_MAX_HORIZON, 2 * H)
 
 
 def _close_cycle(system, windows, theta, q, ctx, newton_tol, Ns=None, target_total_gap=None):

@@ -157,6 +157,21 @@ def test_ns_cert_empty_window_writes_typed_error(tmp_path):
     assert rep["error"]["type"] == "PreconditionError"
 
 
+def test_ns_cert_undecidable_window_writes_typed_error(tmp_path, monkeypatch):
+    # a side that walks its longest horizon undecided ends the run in a typed
+    # partial report: at the fixed point every step is a visit, so 100 steps
+    # never pass n = 100
+    import nuspec.specification
+
+    monkeypatch.setattr(nuspec.specification, "_MAX_HORIZON", 100)
+    out = tmp_path / "ns"
+    assert run_cli(["ns-cert", "--out", out, "--set", "fixed_point=true", "--set", "spectrum_N=20000"]) == 1
+    rep = read_json(out / "report.json")
+    assert rep["partial"] is True
+    assert rep["error"]["type"] == "InsufficientHorizonError"
+    assert not (out / "data.csv").exists()
+
+
 def test_ns_cert_rejects_plane_system(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"system": {"kind": "Henon", "params": {"a": 1.4, "b": 0.3}}}))
@@ -366,6 +381,14 @@ STANDARD = {"system": {"kind": "StandardMap", "params": {"K_s": 1.2}}}
         # a null segment point once built the whole context, then ended in a
         # TypeError traceback with only manifest.json written
         ("gns-cert", ["--set", "segment_points=[null,[0.1,0.2],[0.3,0.4]]"], "segment_points"),
+        # window lengths past the step budget: each side of a window walks
+        # past m or n; m = 10^8 once walked 2,000,000 steps before exit 1
+        ("ns-cert", ["--set", "m=10000001"], "m"),
+        ("ns-cert", ["--set", "n=10000001"], "n"),
+        ("gns-cert", ["--set", "m=10000001"], "m"),
+        ("gns-cert", ["--set", "n=[60,10000001,60]"], "n"),
+        ("sublinearity", ["--set", "mn_list=[[100,100],[10000001,100]]"], "mn_list"),
+        ("sublinearity", ["--set", "mn_list=[[100,10000001]]"], "mn_list"),
     ],
 )
 def test_out_of_range_cover_parameter_refused(tmp_path, monkeypatch, experiment, args, field):
@@ -401,12 +424,18 @@ def test_out_of_range_cover_parameter_refused(tmp_path, monkeypatch, experiment,
         ("recurrence-scaling", "T_max"),
         ("nonlacunarity", "horizon"),
         *((experiment, "spectrum_N") for experiment in SCHEMAS if "spectrum_N" in SCHEMAS[experiment]),
+        ("ns-cert", "m"),
+        ("ns-cert", "n"),
+        ("gns-cert", "m"),
+        ("gns-cert", "n"),
+        ("sublinearity", "mn_list"),
     ],
 )
 def test_step_budget_admits_its_bound(tmp_path, experiment, field):
     # the refusal table above refuses the bound + 1; the bound itself resolves
-    cfg = load_config(experiment, None, [(field, 10**7)], tmp_path)
-    assert cfg.parameters[field] == 10**7
+    value = [[10**7, 10**7]] if field == "mn_list" else 10**7
+    cfg = load_config(experiment, None, [(field, value)], tmp_path)
+    assert cfg.parameters[field] == value
 
 
 def test_set_item_without_value_writes_typed_error(tmp_path):

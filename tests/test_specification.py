@@ -954,9 +954,16 @@ def test_select_indices_eta_monotone():
 
 def test_select_indices_insufficient_horizon():
     seq = _arith_seq(10, 6)
-    with pytest.raises(InsufficientHorizonError) as exc:
+    with pytest.raises(InsufficientHorizonError):
         select_indices(seq, m=55, n=55, eta=0.25, epsilon=1.0)
-    assert exc.value.required_horizon is not None
+
+
+@pytest.mark.parametrize("m,n", [(-30, 25), (25, -30)])
+def test_select_indices_refuses_negative_window(m, n):
+    # once returned (1, 1, 3, 2) for m = -30, where _certificate_window refused it
+    seq = _arith_seq(7, 400)
+    with pytest.raises(PreconditionError, match=f"got m={m}, n={n}"):
+        select_indices(seq, m, n, 0.25, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -975,25 +982,30 @@ def _assert_window_matches_long_walk(system, x, m, n, eta, ctx, w, horizon=1 << 
 
 @pytest.fixture
 def walked_steps(monkeypatch):
-    """Orbit steps that the return-time walks take during the test."""
-    steps = [0]
+    """Orbit steps that the return-time walks take during the test, by
+    direction: walked_steps[True] forward, walked_steps[False] backward."""
+    steps = {True: 0, False: 0}
 
     def counting(system, x, y, forward=True):
         for i, v in enumerate(walk(system, x, y, forward)):
-            steps[0] += i % 2  # one step per (x, y) pair
+            steps[forward] += i % 2  # one step per (x, y) pair
             yield v
 
     monkeypatch.setattr(recurrence, "walk", counting)
     return steps
 
 
-@pytest.mark.parametrize("m,n", [(100, 100), (400, 400), (0, 50), (50, 0), (30, 200)])
+@pytest.mark.parametrize("m,n", [(100, 100), (400, 400), (0, 50), (50, 0), (30, 200), (0, 400), (400, 0)])
 def test_certificate_window_walks_only_the_deciding_horizon(perturbed, perturbed_ctx, walked_steps, m, n):
     x = block_point(perturbed_ctx, 4)
     q = const_q(perturbed_ctx)
     w = specification._certificate_window(perturbed, x, m, n, q.eta, q, perturbed_ctx)
     factor = 1.0 + 2.0 * q.eta / perturbed_ctx.epsilon
-    assert walked_steps[0] <= 2 * (int(factor * (max(m, n) + 1)) + 64)
+    assert sum(walked_steps.values()) <= 2 * (int(factor * (max(m, n) + 1)) + 64)
+    # each side walks its own horizon, not the longer side's: at (0, 400)
+    # the backward side once walked 545 steps where 65 decide it
+    assert walked_steps[True] <= 2 * (int(factor * (n + 1)) + 64)
+    assert walked_steps[False] <= 2 * (int(factor * (m + 1)) + 64)
     _assert_window_matches_long_walk(perturbed, x, m, n, q.eta, perturbed_ctx, w)
 
 
@@ -1005,20 +1017,20 @@ def test_certificate_window_retries_on_sparse_returns(cat, cat_ctx, walked_steps
     q = const_q(ctx)
     w = specification._certificate_window(cat, x, 5, 5, q.eta, q, ctx)
     factor = 1.0 + 2.0 * q.eta / ctx.epsilon
-    assert walked_steps[0] > 2 * (int(factor * 6) + 64)
+    assert sum(walked_steps.values()) > 2 * (int(factor * 6) + 64)
     # each retry re-walked both sides from t = 0 before: 52,466 steps here;
     # now a decided side stops and an undecided one walks on
-    assert walked_steps[0] < 52_466
+    assert sum(walked_steps.values()) < 52_466
     _assert_window_matches_long_walk(cat, x, 5, 5, q.eta, ctx, w)
 
 
-def test_certificate_window_never_walks_past_max_horizon(cat, cat_ctx, walked_steps):
+def test_certificate_window_never_walks_past_max_horizon(cat, cat_ctx, walked_steps, monkeypatch):
+    monkeypatch.setattr(specification, "_MAX_HORIZON", 100)
     x = block_point(cat_ctx, 3)
     q = const_q(cat_ctx)
-    with pytest.raises(InsufficientHorizonError) as exc:
-        specification._certificate_window(cat, x, 100, 100, q.eta, q, cat_ctx, max_horizon=100)
-    assert exc.value.required_horizon is not None and exc.value.required_horizon > 100
-    assert walked_steps[0] <= 2 * 100
+    with pytest.raises(InsufficientHorizonError):
+        specification._certificate_window(cat, x, 100, 100, q.eta, q, cat_ctx)
+    assert max(walked_steps.values()) <= 100
 
 
 # ---------------------------------------------------------------------------
